@@ -8,6 +8,10 @@
 /// Absolute runtimes are hardware- and implementation-dependent; the shape
 /// (monotone-ish growth of the speedup with op count, superlinear QSPR
 /// scaling vs near-linear LEQA scaling) is what must reproduce.
+///
+/// Each tool is reported twice: as the paper times it (LEQA = graph build +
+/// estimate, QSPR = mapping) and end to end, with the shared front end --
+/// generating or parsing the netlist and FT synthesis -- added to both.
 #include <cstdio>
 
 #include "harness.h"
@@ -27,39 +31,54 @@ int main() {
     const auto rows = bench::run_suite(pipe);
 
     util::Table table({"Benchmark", "Qubit Count", "Operation Count", "QSPR (s)",
-                       "LEQA (s)", "Speedup (X)", "paper (X)"});
+                       "LEQA (s)", "Speedup (X)", "QSPR+FE (s)", "LEQA+FE (s)",
+                       "Speedup+FE (X)", "paper (X)"});
     for (const auto& row : rows) {
         table.add_row({row.spec.name, std::to_string(row.qubits),
                        std::to_string(row.ops), util::format_double(row.qspr_runtime_s, 3),
                        util::format_double(row.leqa_runtime_s, 3),
                        util::format_double(row.speedup, 3),
+                       util::format_double(row.qspr_total_s, 3),
+                       util::format_double(row.leqa_total_s, 3),
+                       util::format_double(row.total_speedup, 3),
                        util::format_double(row.spec.paper_speedup, 4)});
     }
     std::printf("%s\n", table.to_string().c_str());
+    std::printf("+FE: with the shared front end (netlist generation/parsing and FT "
+                "synthesis) added to both tools.\n\n");
 
     if (rows.size() >= 4) {
         // Scaling exponents over the measured suite (paper: QSPR ~ N^1.5,
-        // LEQA linear in N).
-        std::vector<double> ops, qspr_times, leqa_times;
-        for (const auto& row : rows) {
-            ops.push_back(static_cast<double>(row.ops));
-            qspr_times.push_back(std::max(row.qspr_runtime_s, 1e-6));
-            leqa_times.push_back(std::max(row.leqa_runtime_s, 1e-6));
-        }
-        const auto qspr_fit = mathx::power_law_fit(ops, qspr_times);
-        const auto leqa_fit = mathx::power_law_fit(ops, leqa_times);
+        // LEQA linear in N), with and without the front end.
+        std::vector<double> ops;
+        for (const auto& row : rows) ops.push_back(static_cast<double>(row.ops));
+        const auto fit = [&](double bench::SuiteRow::*runtime) {
+            std::vector<double> times;
+            for (const auto& row : rows) times.push_back(std::max(row.*runtime, 1e-6));
+            return mathx::power_law_fit(ops, times);
+        };
+        const auto report = [&](const char* label, double bench::SuiteRow::*runtime,
+                                const char* paper) {
+            const auto result = fit(runtime);
+            std::printf("  %-8s runtime ~ N^%.2f  (R^2 = %.3f; paper: %s)\n", label,
+                        result.exponent, result.r_squared, paper);
+        };
         std::printf("runtime scaling over the suite (power-law fit):\n");
-        std::printf("  QSPR: runtime ~ N^%.2f  (R^2 = %.3f; paper: degree 1.5)\n",
-                    qspr_fit.exponent, qspr_fit.r_squared);
-        std::printf("  LEQA: runtime ~ N^%.2f  (R^2 = %.3f; paper: linear)\n",
-                    leqa_fit.exponent, leqa_fit.r_squared);
+        report("QSPR", &bench::SuiteRow::qspr_runtime_s, "degree 1.5");
+        report("LEQA", &bench::SuiteRow::leqa_runtime_s, "linear");
+        report("QSPR+FE", &bench::SuiteRow::qspr_total_s, "n/a");
+        report("LEQA+FE", &bench::SuiteRow::leqa_total_s, "n/a");
 
-        const double small_speedup = rows.front().speedup;
-        const double large_speedup = rows.back().speedup;
-        std::printf("speedup growth: %.1fx (smallest) -> %.1fx (largest); %s\n",
-                    small_speedup, large_speedup,
-                    large_speedup > small_speedup ? "grows with op count (paper shape)"
-                                                  : "DOES NOT GROW (shape mismatch)");
+        const auto growth = [&](const char* label, double bench::SuiteRow::*speedup) {
+            const double small_speedup = rows.front().*speedup;
+            const double large_speedup = rows.back().*speedup;
+            std::printf("%s growth: %.1fx (smallest) -> %.1fx (largest); %s\n", label,
+                        small_speedup, large_speedup,
+                        large_speedup > small_speedup ? "grows with op count (paper shape)"
+                                                      : "DOES NOT GROW (shape mismatch)");
+        };
+        growth("speedup", &bench::SuiteRow::speedup);
+        growth("speedup+FE", &bench::SuiteRow::total_speedup);
     }
     return 0;
 }

@@ -51,14 +51,15 @@ int main() {
     {
         // Two disjoint 24-qubit half multipliers, gates interleaved so the
         // scheduler can overlap them.
-        const auto& gates = half_mult.gates();
-        for (std::size_t i = 0; i < gates.size(); ++i) {
-            circuit::Gate low = gates[i];
+        const auto shifted = [](std::span<const circuit::Qubit> qubits) {
+            std::vector<circuit::Qubit> out(qubits.begin(), qubits.end());
+            for (auto& q : out) q += 24;
+            return out;
+        };
+        for (const circuit::Gate& low : half_mult.gates()) {
             wide.add_gate(low);
-            circuit::Gate high = gates[i];
-            for (auto& q : high.controls) q += 24;
-            for (auto& q : high.targets) q += 24;
-            wide.add_gate(high);
+            wide.add_gate(
+                circuit::Gate(low.kind, shifted(low.controls()), shifted(low.targets())));
         }
     }
 

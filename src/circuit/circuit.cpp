@@ -57,19 +57,15 @@ const std::string& Circuit::qubit_name(Qubit q) const {
     return qubit_names_[q];
 }
 
-Qubit Circuit::qubit_index(const std::string& name) const {
+std::optional<Qubit> Circuit::find_qubit(std::string_view name) const {
     const auto it = qubit_lookup_.find(name);
-    LEQA_REQUIRE(it != qubit_lookup_.end(), "unknown qubit name: " + name);
+    if (it == qubit_lookup_.end()) return std::nullopt;
     return it->second;
 }
 
-bool Circuit::has_qubit(const std::string& name) const {
-    return qubit_lookup_.find(name) != qubit_lookup_.end();
-}
-
-void Circuit::add_gate(Gate gate) {
+void Circuit::add_gate(const Gate& gate) {
     gate.validate_against(num_qubits());
-    gates_.push_back(std::move(gate));
+    gates_.push_back(gate);
 }
 
 Circuit& Circuit::x(Qubit q) { add_gate(make_x(q)); return *this; }
@@ -91,8 +87,8 @@ Circuit& Circuit::toffoli(Qubit c0, Qubit c1, Qubit target) {
     return *this;
 }
 
-Circuit& Circuit::mcx(std::vector<Qubit> controls, Qubit target) {
-    add_gate(make_mcx(std::move(controls), target));
+Circuit& Circuit::mcx(std::span<const Qubit> controls, Qubit target) {
+    add_gate(make_mcx(controls, target));
     return *this;
 }
 
@@ -137,8 +133,7 @@ bool Circuit::is_classical() const {
 std::vector<Qubit> Circuit::unused_qubits() const {
     std::vector<bool> used(num_qubits(), false);
     for (const Gate& g : gates_) {
-        for (const Qubit q : g.controls) used[q] = true;
-        for (const Qubit q : g.targets) used[q] = true;
+        for (const Qubit q : g.qubits()) used[q] = true;
     }
     std::vector<Qubit> out;
     for (Qubit q = 0; q < used.size(); ++q) {

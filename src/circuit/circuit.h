@@ -4,11 +4,16 @@
 
 #include <array>
 #include <cstddef>
-#include <map>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/gate.h"
+#include "util/strings.h"
 
 namespace leqa::circuit {
 
@@ -44,13 +49,17 @@ public:
     Qubit add_qubit(const std::string& name = "");
 
     [[nodiscard]] const std::string& qubit_name(Qubit q) const;
-    /// Index of a named qubit; throws InputError if absent.
-    [[nodiscard]] Qubit qubit_index(const std::string& name) const;
-    [[nodiscard]] bool has_qubit(const std::string& name) const;
+    /// Index of a named qubit, or nullopt; a hashed lookup that does not
+    /// allocate.
+    [[nodiscard]] std::optional<Qubit> find_qubit(std::string_view name) const;
 
     // --- gate management --------------------------------------------------
-    /// Append a validated gate.  Throws InputError on invalid operands.
-    void add_gate(Gate gate);
+    /// Append a gate after validating it against the current qubit count.
+    /// Throws InputError on invalid operands.
+    void add_gate(const Gate& gate);
+
+    /// Reserve room for \p gates gates in total.
+    void reserve_gates(std::size_t gates) { gates_.reserve(gates); }
 
     [[nodiscard]] const std::vector<Gate>& gates() const { return gates_; }
     [[nodiscard]] std::size_t size() const { return gates_.size(); }
@@ -68,7 +77,7 @@ public:
     Circuit& tdg(Qubit q);
     Circuit& cnot(Qubit control, Qubit target);
     Circuit& toffoli(Qubit c0, Qubit c1, Qubit target);
-    Circuit& mcx(std::vector<Qubit> controls, Qubit target);
+    Circuit& mcx(std::span<const Qubit> controls, Qubit target);
     Circuit& fredkin(Qubit control, Qubit a, Qubit b);
     Circuit& swap(Qubit a, Qubit b);
 
@@ -113,7 +122,7 @@ public:
 private:
     std::string name_;
     std::vector<std::string> qubit_names_;
-    std::map<std::string, Qubit> qubit_lookup_;
+    std::unordered_map<std::string, Qubit, util::StringHash, std::equal_to<>> qubit_lookup_;
     std::vector<Gate> gates_;
     std::vector<std::string> comments_;
 };

@@ -1,7 +1,7 @@
 #include "circuit/gate.h"
 
 #include <algorithm>
-#include <array>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -25,6 +25,41 @@ constexpr std::array<GateInfo, kGateKindCount> kGateTable = {{
     /* Fredkin */ {"fredkin", 1, -1, 2, false, true, true},
     /* Swap    */ {"swap", 0, 0, 2, false, true, true},
 }};
+
+struct Alias {
+    std::string_view name;
+    GateKind kind;
+};
+
+constexpr std::array<Alias, 9> kAliases = {{
+    {"not", GateKind::X},
+    {"cx", GateKind::Cnot},
+    {"ccx", GateKind::Toffoli},
+    {"ccnot", GateKind::Toffoli},
+    {"cswap", GateKind::Fredkin},
+    {"t+", GateKind::Tdg},
+    {"tdag", GateKind::Tdg},
+    {"s+", GateKind::Sdg},
+    {"sdag", GateKind::Sdg},
+}};
+
+/// True if qubits repeat.  Small operand lists (every inline gate) compare
+/// pairwise; only a very wide spilled gate sorts a scratch copy.
+bool has_duplicate(std::span<const Qubit> qubits) {
+    constexpr std::size_t kPairwiseLimit = 16;
+    if (qubits.size() <= kPairwiseLimit) {
+        for (std::size_t a = 0; a < qubits.size(); ++a) {
+            for (std::size_t b = a + 1; b < qubits.size(); ++b) {
+                if (qubits[a] == qubits[b]) return true;
+            }
+        }
+        return false;
+    }
+    std::vector<Qubit> sorted(qubits.begin(), qubits.end());
+    std::sort(sorted.begin(), sorted.end());
+    return std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+}
+
 } // namespace
 
 const GateInfo& gate_info(GateKind kind) {
@@ -33,58 +68,49 @@ const GateInfo& gate_info(GateKind kind) {
 
 std::string gate_name(GateKind kind) { return gate_info(kind).name; }
 
-GateKind parse_gate_name(const std::string& name) {
-    const std::string lowered = util::to_lower(name);
+std::optional<GateKind> find_gate_name(std::string_view name) {
     for (std::size_t i = 0; i < kGateKindCount; ++i) {
-        if (lowered == kGateTable[i].name) return static_cast<GateKind>(i);
+        if (util::iequals(name, kGateTable[i].name)) return static_cast<GateKind>(i);
     }
-    // Accept common aliases.
-    if (lowered == "not") return GateKind::X;
-    if (lowered == "cx") return GateKind::Cnot;
-    if (lowered == "ccx" || lowered == "ccnot") return GateKind::Toffoli;
-    if (lowered == "cswap") return GateKind::Fredkin;
-    if (lowered == "t+" || lowered == "tdag") return GateKind::Tdg;
-    if (lowered == "s+" || lowered == "sdag") return GateKind::Sdg;
-    throw util::InputError("unknown gate mnemonic: " + name);
-}
-
-bool is_gate_name(const std::string& name) {
-    try {
-        (void)parse_gate_name(name);
-        return true;
-    } catch (const util::InputError&) {
-        return false;
+    for (const Alias& alias : kAliases) {
+        if (util::iequals(name, alias.name)) return alias.kind;
     }
+    return std::nullopt;
 }
 
-std::vector<Qubit> Gate::qubits() const {
-    std::vector<Qubit> out = controls;
-    out.insert(out.end(), targets.begin(), targets.end());
-    return out;
+GateKind parse_gate_name(std::string_view name) {
+    if (const auto kind = find_gate_name(name)) return *kind;
+    throw util::InputError("unknown gate mnemonic: " + std::string(name));
 }
 
-bool Gate::is_ft() const {
-    if (!gate_info(kind).is_ft) return false;
-    // CNOT with exactly one control is FT; the enum cannot express a
-    // multi-controlled CNOT so the static table is sufficient, but keep the
-    // check defensive.
-    return true;
+Gate::Gate(GateKind k, std::span<const Qubit> controls, std::span<const Qubit> targets)
+    : kind(k) {
+    LEQA_REQUIRE(controls.size() <= std::numeric_limits<std::uint16_t>::max() &&
+                     targets.size() <= std::numeric_limits<std::uint8_t>::max(),
+                 std::string(gate_info(k).name) + ": too many operands");
+    num_controls_ = static_cast<std::uint16_t>(controls.size());
+    num_targets_ = static_cast<std::uint8_t>(targets.size());
+    Qubit* out = inline_.data();
+    if (arity() > kInlineQubits) {
+        spill_.resize(arity());
+        out = spill_.data();
+    }
+    std::copy(targets.begin(), targets.end(), std::copy(controls.begin(), controls.end(), out));
 }
+
+bool Gate::is_ft() const { return gate_info(kind).is_ft; }
 
 void Gate::validate() const {
     const GateInfo& info = gate_info(kind);
-    const auto n_controls = static_cast<int>(controls.size());
-    const auto n_targets = static_cast<int>(targets.size());
+    const int n_controls = num_controls_;
+    const int n_targets = num_targets_;
     LEQA_REQUIRE(n_controls >= info.min_controls,
                  std::string(info.name) + ": too few controls");
     LEQA_REQUIRE(info.max_controls < 0 || n_controls <= info.max_controls,
                  std::string(info.name) + ": too many controls");
     LEQA_REQUIRE(n_targets == info.targets,
                  std::string(info.name) + ": wrong number of targets");
-    std::vector<Qubit> all = qubits();
-    std::sort(all.begin(), all.end());
-    LEQA_REQUIRE(std::adjacent_find(all.begin(), all.end()) == all.end(),
-                 std::string(info.name) + ": duplicate qubit operand");
+    LEQA_REQUIRE(!has_duplicate(qubits()), std::string(info.name) + ": duplicate qubit operand");
 }
 
 void Gate::validate_against(std::size_t num_qubits) const {
@@ -100,49 +126,65 @@ std::string Gate::to_string() const {
     std::ostringstream out;
     out << gate_name(kind);
     bool first = true;
-    for (const Qubit q : controls) {
+    for (const Qubit q : controls()) {
         out << (first ? " q" : ", q") << q;
         first = false;
     }
-    if (!controls.empty()) out << " ->";
+    if (num_controls_ > 0) out << " ->";
     first = true;
-    for (const Qubit q : targets) {
+    for (const Qubit q : targets()) {
         out << (first ? " q" : ", q") << q;
         first = false;
     }
     return out.str();
 }
 
-Gate make_x(Qubit q) { return Gate(GateKind::X, {}, {q}); }
-Gate make_y(Qubit q) { return Gate(GateKind::Y, {}, {q}); }
-Gate make_z(Qubit q) { return Gate(GateKind::Z, {}, {q}); }
-Gate make_h(Qubit q) { return Gate(GateKind::H, {}, {q}); }
-Gate make_s(Qubit q) { return Gate(GateKind::S, {}, {q}); }
-Gate make_sdg(Qubit q) { return Gate(GateKind::Sdg, {}, {q}); }
-Gate make_t(Qubit q) { return Gate(GateKind::T, {}, {q}); }
-Gate make_tdg(Qubit q) { return Gate(GateKind::Tdg, {}, {q}); }
+namespace {
+Gate one_qubit(GateKind kind, Qubit q) {
+    const Qubit target[] = {q};
+    return Gate(kind, {}, target);
+}
+} // namespace
+
+Gate make_x(Qubit q) { return one_qubit(GateKind::X, q); }
+Gate make_y(Qubit q) { return one_qubit(GateKind::Y, q); }
+Gate make_z(Qubit q) { return one_qubit(GateKind::Z, q); }
+Gate make_h(Qubit q) { return one_qubit(GateKind::H, q); }
+Gate make_s(Qubit q) { return one_qubit(GateKind::S, q); }
+Gate make_sdg(Qubit q) { return one_qubit(GateKind::Sdg, q); }
+Gate make_t(Qubit q) { return one_qubit(GateKind::T, q); }
+Gate make_tdg(Qubit q) { return one_qubit(GateKind::Tdg, q); }
 
 Gate make_cnot(Qubit control, Qubit target) {
-    return Gate(GateKind::Cnot, {control}, {target});
+    const Qubit c[] = {control};
+    const Qubit t[] = {target};
+    return Gate(GateKind::Cnot, c, t);
 }
 
 Gate make_toffoli(Qubit c0, Qubit c1, Qubit target) {
-    return Gate(GateKind::Toffoli, {c0, c1}, {target});
+    const Qubit c[] = {c0, c1};
+    const Qubit t[] = {target};
+    return Gate(GateKind::Toffoli, c, t);
 }
 
-Gate make_mcx(std::vector<Qubit> controls, Qubit target) {
-    if (controls.size() == 1) return make_cnot(controls[0], target);
-    return Gate(GateKind::Toffoli, std::move(controls), {target});
+Gate make_mcx(std::span<const Qubit> controls, Qubit target) {
+    const Qubit t[] = {target};
+    return Gate(controls.size() == 1 ? GateKind::Cnot : GateKind::Toffoli, controls, t);
 }
 
 Gate make_fredkin(Qubit control, Qubit a, Qubit b) {
-    return Gate(GateKind::Fredkin, {control}, {a, b});
+    const Qubit c[] = {control};
+    return make_mcswap(c, a, b);
 }
 
-Gate make_mcswap(std::vector<Qubit> controls, Qubit a, Qubit b) {
-    return Gate(GateKind::Fredkin, std::move(controls), {a, b});
+Gate make_mcswap(std::span<const Qubit> controls, Qubit a, Qubit b) {
+    const Qubit t[] = {a, b};
+    return Gate(GateKind::Fredkin, controls, t);
 }
 
-Gate make_swap(Qubit a, Qubit b) { return Gate(GateKind::Swap, {}, {a, b}); }
+Gate make_swap(Qubit a, Qubit b) {
+    const Qubit t[] = {a, b};
+    return Gate(GateKind::Swap, {}, t);
+}
 
 } // namespace leqa::circuit

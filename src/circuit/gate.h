@@ -10,8 +10,12 @@
 ///   - everything else is rejected by the FT-checking passes.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace leqa::circuit {
@@ -57,50 +61,80 @@ struct GateInfo {
 /// Canonical mnemonic, e.g. "cnot", "tdg".
 [[nodiscard]] std::string gate_name(GateKind kind);
 
-/// Parse a mnemonic (case-insensitive).  Throws InputError if unknown.
-[[nodiscard]] GateKind parse_gate_name(const std::string& name);
+/// Resolve a mnemonic or alias (case-insensitive) without allocating;
+/// nullopt if unknown.
+[[nodiscard]] std::optional<GateKind> find_gate_name(std::string_view name);
 
-/// True if \p name is a known mnemonic.
-[[nodiscard]] bool is_gate_name(const std::string& name);
+/// find_gate_name that throws InputError if the mnemonic is unknown.
+[[nodiscard]] GateKind parse_gate_name(std::string_view name);
 
 /// A single gate application: kind + control qubits + target qubits.
 ///
+/// Operands are stored controls first, then targets.  Up to three live
+/// inline in the record, which covers every FT gate and the 3-input
+/// Toffoli/Fredkin; only a gate with four or more operands (a
+/// multi-controlled Toffoli/Fredkin in pre-FT input) spills all of them to
+/// the heap.  The representation is canonical — unused inline slots stay
+/// zero and the spill is empty unless used — so the defaulted copy, move
+/// and == are exact.
+///
 /// Controls and targets must be disjoint and duplicate-free; Gate::validate
 /// enforces this.  For Fredkin the two swapped qubits are the targets.
-struct Gate {
+class Gate {
+public:
+    /// Operands held in the record itself.
+    static constexpr std::size_t kInlineQubits = 3;
+
     GateKind kind = GateKind::X;
-    std::vector<Qubit> controls;
-    std::vector<Qubit> targets;
 
     Gate() = default;
-    Gate(GateKind k, std::vector<Qubit> ctrls, std::vector<Qubit> tgts)
-        : kind(k), controls(std::move(ctrls)), targets(std::move(tgts)) {}
+    /// Throws InputError for more than 65535 controls or 255 targets, far
+    /// beyond any real netlist.
+    Gate(GateKind k, std::span<const Qubit> controls, std::span<const Qubit> targets);
+
+    [[nodiscard]] std::span<const Qubit> controls() const { return {data(), num_controls_}; }
+    [[nodiscard]] std::span<const Qubit> targets() const {
+        return {data() + num_controls_, num_targets_};
+    }
+    /// All touched qubits, controls first.
+    [[nodiscard]] std::span<const Qubit> qubits() const { return {data(), arity()}; }
 
     /// Total qubits touched (controls + targets).
-    [[nodiscard]] std::size_t arity() const { return controls.size() + targets.size(); }
-
-    /// All touched qubits, controls first.
-    [[nodiscard]] std::vector<Qubit> qubits() const;
+    [[nodiscard]] std::size_t arity() const {
+        return static_cast<std::size_t>(num_controls_) + num_targets_;
+    }
 
     /// True for gates touching exactly two qubits (CNOT, SWAP, 1-ctl ops).
     [[nodiscard]] bool is_two_qubit() const { return arity() == 2; }
 
-    /// True if the gate is in the FT set *as applied* (e.g. Toffoli with
-    /// two controls is not FT; CNOT is).
+    /// True if the gate is in the FT set {X,Y,Z,H,S,Sdg,T,Tdg,CNOT}.
     [[nodiscard]] bool is_ft() const;
 
     /// Throws InputError if control/target counts are invalid for the kind,
     /// or if any qubit repeats.
     void validate() const;
 
-    /// Throws InputError if any qubit index is >= num_qubits.
+    /// validate() plus: throws InputError if any qubit index is
+    /// >= num_qubits.
     void validate_against(std::size_t num_qubits) const;
 
     /// Human-readable form, e.g. "toffoli q0, q1 -> q2".
     [[nodiscard]] std::string to_string() const;
 
     [[nodiscard]] bool operator==(const Gate& other) const = default;
+
+private:
+    [[nodiscard]] const Qubit* data() const {
+        return spill_.empty() ? inline_.data() : spill_.data();
+    }
+
+    std::uint8_t num_targets_ = 0;
+    std::uint16_t num_controls_ = 0;
+    std::array<Qubit, kInlineQubits> inline_{};
+    std::vector<Qubit> spill_; ///< all operands when arity > kInlineQubits
 };
+
+static_assert(sizeof(Gate) <= 40, "Gate must stay a 40-byte record");
 
 /// Convenience constructors for the common gates.
 [[nodiscard]] Gate make_x(Qubit q);
@@ -113,9 +147,10 @@ struct Gate {
 [[nodiscard]] Gate make_tdg(Qubit q);
 [[nodiscard]] Gate make_cnot(Qubit control, Qubit target);
 [[nodiscard]] Gate make_toffoli(Qubit c0, Qubit c1, Qubit target);
-[[nodiscard]] Gate make_mcx(std::vector<Qubit> controls, Qubit target);
+/// k-controlled X; a single control yields a CNOT.
+[[nodiscard]] Gate make_mcx(std::span<const Qubit> controls, Qubit target);
 [[nodiscard]] Gate make_fredkin(Qubit control, Qubit a, Qubit b);
-[[nodiscard]] Gate make_mcswap(std::vector<Qubit> controls, Qubit a, Qubit b);
+[[nodiscard]] Gate make_mcswap(std::span<const Qubit> controls, Qubit a, Qubit b);
 [[nodiscard]] Gate make_swap(Qubit a, Qubit b);
 
 } // namespace leqa::circuit

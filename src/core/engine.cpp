@@ -37,7 +37,7 @@ CircuitProfile CircuitProfile::build(const qodg::Qodg& graph, const iig::Iig& ii
     profile.d_uncongest_v = denominator > 0.0 ? numerator / denominator : 0.0;
 
     for (qodg::NodeId id = 0; id < graph.num_nodes(); ++id) {
-        const qodg::Node& node = graph.node(id);
+        const qodg::Node node = graph.node(id);
         if (node.kind == qodg::NodeKind::Op) {
             ++profile.gate_counts[static_cast<std::size_t>(node.gate_kind)];
         }

@@ -39,8 +39,8 @@ std::vector<double> placed_node_delays(const qodg::Qodg& graph,
         const qodg::NodeId node = graph.node_of_gate(i);
         if (gate.kind == circuit::GateKind::Cnot) {
             const int hops = topology.distance(
-                topology.ulb_coord(homes[gate.controls.at(0)]),
-                topology.ulb_coord(homes[gate.targets.at(0)]));
+                topology.ulb_coord(homes[gate.controls()[0]]),
+                topology.ulb_coord(homes[gate.targets()[0]]));
             delays[node] =
                 params.d_cnot_us + params.t_move_us * static_cast<double>(hops);
         } else {
@@ -88,10 +88,10 @@ PlacedTimer::PlacedTimer(const qodg::Qodg& graph, const circuit::Circuit& circ,
         const circuit::Gate& gate = circ.gate(i);
         const qodg::NodeId node = graph.node_of_gate(i);
         if (gate.kind == circuit::GateKind::Cnot) {
-            cnot_control_[node] = gate.controls.at(0);
-            cnot_target_[node] = gate.targets.at(0);
-            ++qubit_cnot_offsets_[gate.controls[0] + 1];
-            ++qubit_cnot_offsets_[gate.targets[0] + 1];
+            cnot_control_[node] = gate.controls()[0];
+            cnot_target_[node] = gate.targets()[0];
+            ++qubit_cnot_offsets_[gate.controls()[0] + 1];
+            ++qubit_cnot_offsets_[gate.targets()[0] + 1];
             delay_[node] = cnot_delay(node);
         } else {
             delay_[node] = one_qubit_delay(params, gate.kind);
@@ -107,8 +107,8 @@ PlacedTimer::PlacedTimer(const qodg::Qodg& graph, const circuit::Circuit& circ,
         const circuit::Gate& gate = circ.gate(i);
         if (gate.kind != circuit::GateKind::Cnot) continue;
         const qodg::NodeId node = graph.node_of_gate(i);
-        qubit_cnot_nodes_[cursor[gate.controls[0]]++] = node;
-        qubit_cnot_nodes_[cursor[gate.targets[0]]++] = node;
+        qubit_cnot_nodes_[cursor[gate.controls()[0]]++] = node;
+        qubit_cnot_nodes_[cursor[gate.targets()[0]]++] = node;
     }
 
     // Full forward pass: the pull-based gather that is bit-identical to the

@@ -13,6 +13,12 @@ std::vector<std::uint32_t> CsrDigraph::in_degrees() const {
     return degrees;
 }
 
+CsrDigraph::CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
+                       bool topological)
+    : offsets_(std::move(offsets)), targets_(std::move(targets)), topological_(topological) {
+    LEQA_DCHECK_OK(validate_csr(offsets_, targets_, topological_));
+}
+
 CsrDigraph CsrDigraph::reversed() const {
     CsrDigraph rev;
     const std::size_t n = num_nodes();
@@ -24,10 +30,14 @@ CsrDigraph CsrDigraph::reversed() const {
     // Scanning sources in ascending order keeps each reversed successor
     // list (= predecessor list of the original) ascending by id, which the
     // lane-path recovery in qodg relies on for its tie-break.
+    bool descending = true; // every edge u -> v has v < u
     for (NodeId u = 0; u < n; ++u) {
-        for (const NodeId v : successors(u)) rev.targets_[cursor[v]++] = u;
+        for (const NodeId v : successors(u)) {
+            rev.targets_[cursor[v]++] = u;
+            descending = descending && v < u;
+        }
     }
-    rev.topological_ = num_edges() == 0 && topological_;
+    rev.topological_ = descending;
     return rev;
 }
 

@@ -30,6 +30,13 @@ class CsrDigraph {
 public:
     CsrDigraph() = default;
 
+    /// Adopt raw CSR arrays: `offsets` has num_nodes + 1 entries, and each
+    /// successor list is sorted and duplicate-free.  `topological` states
+    /// whether every edge goes from a lower to a higher id.  The arrays are
+    /// validated in debug builds.
+    CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
+               bool topological);
+
     [[nodiscard]] std::size_t num_nodes() const {
         return offsets_.empty() ? 0 : offsets_.size() - 1;
     }
@@ -56,10 +63,11 @@ public:
     [[nodiscard]] std::vector<std::uint32_t> in_degrees() const;
 
     /// The edge-reversed graph: `reversed().successors(v)` lists the
-    /// predecessors of `v`, ascending by id.  On a topologically ordered
-    /// graph the reverse edges all go high -> low, so the result reports
-    /// `topologically_ordered() == false` and must not be fed to the
-    /// order-dependent kernels below.
+    /// predecessors of `v`, ascending by id.  The result is topologically
+    /// ordered exactly when every edge here goes high -> low: reversing a
+    /// topologically ordered graph with edges yields one the
+    /// order-dependent kernels below must not be fed, and reversing a
+    /// predecessor CSR yields the forward graph.
     [[nodiscard]] CsrDigraph reversed() const;
 
 private:

@@ -10,36 +10,55 @@ WeightedUndigraph WeightedUndigraph::from_pairs(
     std::size_t num_nodes, std::span<const std::pair<NodeId, NodeId>> pairs) {
     WeightedUndigraph g;
 
-    // Canonicalize to packed (min << 32 | max) keys and sort: identical
-    // pairs become adjacent runs whose lengths are the edge weights.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(pairs.size());
+    // Sort the canonical (lo, hi) pairs with two stable counting passes
+    // over node ids -- by hi, then by lo -- so identical pairs become
+    // adjacent runs whose lengths are the edge weights.  The first pass
+    // keeps only lo (hi is the bucket); the second scatters hi into lo
+    // buckets, visiting hi in ascending order.
+    std::vector<std::uint32_t> hi_start(num_nodes + 1, 0);
     for (const auto& [a, b] : pairs) {
         LEQA_REQUIRE(a < num_nodes && b < num_nodes, "edge endpoint out of range");
         LEQA_REQUIRE(a != b, "self loops are not representable");
-        const NodeId lo = std::min(a, b);
-        const NodeId hi = std::max(a, b);
-        keys.push_back((static_cast<std::uint64_t>(lo) << 32) | hi);
+        ++hi_start[std::max(a, b) + 1];
     }
-    std::sort(keys.begin(), keys.end());
+    for (std::size_t u = 0; u < num_nodes; ++u) hi_start[u + 1] += hi_start[u];
+    std::vector<NodeId> lo_by_hi(pairs.size());
+    {
+        std::vector<std::uint32_t> cursor(hi_start.begin(), hi_start.end() - 1);
+        for (const auto& [a, b] : pairs) lo_by_hi[cursor[std::max(a, b)]++] = std::min(a, b);
+    }
+
+    std::vector<std::uint32_t> lo_start(num_nodes + 1, 0);
+    for (const NodeId lo : lo_by_hi) ++lo_start[lo + 1];
+    for (std::size_t u = 0; u < num_nodes; ++u) lo_start[u + 1] += lo_start[u];
+    std::vector<NodeId> hi_by_lo(pairs.size());
+    {
+        std::vector<std::uint32_t> cursor(lo_start.begin(), lo_start.end() - 1);
+        for (NodeId hi = 0; hi < num_nodes; ++hi) {
+            for (std::uint32_t k = hi_start[hi]; k < hi_start[hi + 1]; ++k) {
+                hi_by_lo[cursor[lo_by_hi[k]]++] = hi;
+            }
+        }
+    }
 
     g.offsets_.assign(num_nodes + 1, 0);
     g.adjacent_weight_.assign(num_nodes, 0);
 
     // Run-length encode into the unique edge list, accumulating per-node
     // degree (into offsets_, shifted by one) and adjacent weight as we go.
-    for (std::size_t run = 0; run < keys.size();) {
-        std::size_t end = run + 1;
-        while (end < keys.size() && keys[end] == keys[run]) ++end;
-        const auto i = static_cast<NodeId>(keys[run] >> 32);
-        const auto j = static_cast<NodeId>(keys[run] & 0xFFFFFFFFULL);
-        const auto weight = static_cast<std::uint64_t>(end - run);
-        g.edges_.push_back(Edge{i, j, weight});
-        ++g.offsets_[i + 1];
-        ++g.offsets_[j + 1];
-        g.adjacent_weight_[i] += weight;
-        g.adjacent_weight_[j] += weight;
-        run = end;
+    for (NodeId i = 0; i < num_nodes; ++i) {
+        for (std::uint32_t run = lo_start[i]; run < lo_start[i + 1];) {
+            const NodeId j = hi_by_lo[run];
+            std::uint32_t end = run + 1;
+            while (end < lo_start[i + 1] && hi_by_lo[end] == j) ++end;
+            const auto weight = static_cast<std::uint64_t>(end - run);
+            g.edges_.push_back(Edge{i, j, weight});
+            ++g.offsets_[i + 1];
+            ++g.offsets_[j + 1];
+            g.adjacent_weight_[i] += weight;
+            g.adjacent_weight_[j] += weight;
+            run = end;
+        }
     }
 
     for (std::size_t u = 0; u < num_nodes; ++u) g.offsets_[u + 1] += g.offsets_[u];

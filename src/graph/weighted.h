@@ -2,7 +2,8 @@
 /// \brief Flat undirected weighted graph (CSR adjacency, no hash maps).
 ///
 /// Backing store of the interaction intensity graph: endpoint pairs are
-/// collected, sorted, and run-length encoded into a unique edge list, from
+/// collected, counting-sorted by node id, and run-length encoded into a
+/// unique edge list, from
 /// which the symmetric CSR adjacency and the per-node statistics (degree,
 /// adjacent weight) fall out in one pass.  Lookups are binary searches over
 /// a node's sorted neighbor slice; no per-edge heap allocations, no

@@ -10,12 +10,11 @@ namespace leqa::iig {
 Iig::Iig(const circuit::Circuit& circ) {
     // One pass over the gates collects the interacting endpoint pairs; the
     // flat graph build then produces the unique edge list and the per-qubit
-    // M_i / W_i arrays in one sort + scan.
+    // M_i / W_i arrays in two counting passes + one scan.
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
     pairs.reserve(circ.size());
     for (const circuit::Gate& gate : circ.gates()) {
-        const auto qubits = gate.qubits();
-        if (qubits.size() < 2) continue;
+        const std::span<const circuit::Qubit> qubits = gate.qubits();
         for (std::size_t a = 0; a < qubits.size(); ++a) {
             for (std::size_t b = a + 1; b < qubits.size(); ++b) {
                 pairs.emplace_back(qubits[a], qubits[b]);

@@ -1,7 +1,8 @@
 #include "parser/io.h"
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "parser/openqasm.h"
 #include "parser/qasm.h"
@@ -14,9 +15,17 @@ namespace leqa::parser {
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw util::NotFoundError("cannot open file: " + path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
+    std::error_code size_error;
+    const auto size = std::filesystem::file_size(path, size_error);
+    if (size_error) {
+        // Not a regular file (a pipe, say): its size is unknown up front.
+        return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    }
+    // One read straight into the result.
+    std::string text(size, '\0');
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+    return text;
 }
 
 void write_file(const std::string& path, const std::string& text) {

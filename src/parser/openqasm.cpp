@@ -1,210 +1,199 @@
 #include "parser/openqasm.h"
 
-#include <map>
+#include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 #include "parser/diagnostics.h"
+#include "parser/lexer.h"
 #include "util/strings.h"
 
 namespace leqa::parser {
 
 namespace {
 
-/// A ';'-terminated statement with the line it started on.
-struct Statement {
-    std::string text;
-    std::size_t line = 0;
-};
+/// The ';'-terminated statements of an OpenQASM text, "//" comments
+/// removed, each with the line it starts on.  A statement is copied,
+/// newlines as spaces, into one buffer the cursor reuses.
+class Statements {
+public:
+    Statements(std::string_view text, const std::string& source_name)
+        : text_(text), source_name_(source_name) {}
 
-std::vector<Statement> split_statements(const std::string& text,
-                                        const std::string& source_name) {
-    std::vector<Statement> statements;
-    std::string current;
-    std::size_t line = 1;
-    std::size_t statement_line = 1;
-    bool in_comment = false;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (c == '\n') {
-            ++line;
-            in_comment = false;
-            current += ' ';
-            continue;
+    /// Advance to the next non-empty statement (trimmed, valid until the
+    /// next call); false at the end.  Throws ParseError for trailing text
+    /// without a ';'.
+    bool next(std::string_view& statement, std::size_t& line) {
+        buffer_.clear();
+        while (pos_ < text_.size()) {
+            const char c = text_[pos_++];
+            if (c == ';') {
+                if (buffer_.empty()) continue; // empty statement
+                statement = util::trim_view(buffer_);
+                line = start_line_;
+                return true;
+            }
+            if (c == '/' && pos_ < text_.size() && text_[pos_] == '/') {
+                pos_ = std::min(text_.find('\n', pos_), text_.size());
+                continue;
+            }
+            if (c == '\n') ++line_;
+            if (buffer_.empty()) {
+                if (util::is_space(c)) continue;
+                start_line_ = line_;
+            }
+            buffer_ += c == '\n' ? ' ' : c;
         }
-        if (in_comment) continue;
-        if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-            in_comment = true;
-            ++i;
-            continue;
+        if (!buffer_.empty()) {
+            throw ParseError({source_name_, start_line_},
+                             "statement not terminated by ';': '" +
+                                 std::string(util::trim_view(buffer_)) + "'");
         }
-        if (c == ';') {
-            const std::string trimmed = util::trim(current);
-            if (!trimmed.empty()) statements.push_back({trimmed, statement_line});
-            current.clear();
-            statement_line = line;
-            continue;
-        }
-        if (util::trim(current).empty()) statement_line = line;
-        current += c;
+        return false;
     }
-    const std::string trailing = util::trim(current);
-    if (!trailing.empty()) {
-        throw ParseError({source_name, statement_line},
-                         "statement not terminated by ';': '" + trailing + "'");
-    }
-    return statements;
-}
+
+private:
+    std::string_view text_;
+    const std::string& source_name_;
+    std::size_t pos_ = 0;
+    std::size_t line_ = 1;
+    std::size_t start_line_ = 1;
+    std::string buffer_;
+};
 
 /// Operand: reg[index].
 struct Operand {
-    std::string reg;
+    std::string_view reg;
     long long index = 0;
 };
 
-Operand parse_operand(const std::string& token, const SourceLoc& loc) {
+template <class Error>
+Operand parse_operand(std::string_view token, const Error& error) {
     const auto open = token.find('[');
     const auto close = token.find(']');
-    if (open == std::string::npos || close == std::string::npos || close < open ||
+    if (open == std::string_view::npos || close == std::string_view::npos || close < open ||
         close + 1 != token.size()) {
-        throw ParseError(loc, "expected operand of the form reg[i], got '" + token + "'");
+        throw error("expected operand of the form reg[i], got '" + std::string(token) + "'");
     }
     Operand operand;
-    operand.reg = util::trim(token.substr(0, open));
+    operand.reg = util::trim_view(token.substr(0, open));
     const auto index = util::parse_int(token.substr(open + 1, close - open - 1));
     if (operand.reg.empty() || !index || *index < 0) {
-        throw ParseError(loc, "malformed operand '" + token + "'");
+        throw error("malformed operand '" + std::string(token) + "'");
     }
     operand.index = *index;
     return operand;
 }
 
-std::vector<std::string> split_operand_list(const std::string& text) {
-    std::vector<std::string> out;
-    for (const auto& part : util::split(text, ',')) {
-        const std::string trimmed = util::trim(part);
-        if (!trimmed.empty()) out.push_back(trimmed);
-    }
-    return out;
-}
-
-} // namespace
-
-bool looks_like_openqasm(const std::string& text) {
-    for (const auto& raw_line : util::split(text, '\n')) {
-        std::string line = util::trim(raw_line);
-        const auto comment = line.find("//");
-        if (comment != std::string::npos) line = util::trim(line.substr(0, comment));
-        if (line.empty()) continue;
-        return util::starts_with(util::to_lower(line), "openqasm");
+bool is_any_of(std::string_view head, std::initializer_list<std::string_view> words) {
+    for (const std::string_view word : words) {
+        if (util::iequals(head, word)) return true;
     }
     return false;
 }
 
-circuit::Circuit parse_openqasm(const std::string& text, const std::string& source_name) {
+} // namespace
+
+bool looks_like_openqasm(std::string_view text) {
+    lex::Lines lines(text);
+    std::string_view raw;
+    while (lines.next(raw)) {
+        const std::string_view line = util::trim_view(raw.substr(0, raw.find("//")));
+        if (line.empty()) continue;
+        return util::iequals(line.substr(0, 8), "openqasm");
+    }
+    return false;
+}
+
+circuit::Circuit parse_openqasm(std::string_view text, const std::string& source_name) {
+    struct Register {
+        circuit::Qubit base = 0;
+        long long size = 0;
+    };
     circuit::Circuit circ;
-    std::map<std::string, std::pair<circuit::Qubit, long long>> registers; // base, size
+    std::unordered_map<std::string, Register, util::StringHash, std::equal_to<>> registers;
+    std::vector<circuit::Qubit> qubits; // reused by every gate statement
     bool saw_header = false;
 
-    const auto resolve = [&](const std::string& token,
-                             const SourceLoc& loc) -> circuit::Qubit {
-        const Operand operand = parse_operand(token, loc);
-        const auto it = registers.find(operand.reg);
-        if (it == registers.end()) {
-            throw ParseError(loc, "unknown qreg '" + operand.reg + "'");
-        }
-        if (operand.index >= it->second.second) {
-            throw ParseError(loc, "index out of range for qreg '" + operand.reg + "'");
-        }
-        return it->second.first + static_cast<circuit::Qubit>(operand.index);
+    Statements statements(text, source_name);
+    std::string_view statement;
+    std::size_t line = 0;
+    const auto error = [&](const std::string& message) {
+        return ParseError({source_name, line}, message);
     };
+    while (statements.next(statement, line)) {
+        std::string_view rest = statement;
+        const std::string_view head = lex::next_token(rest);
 
-    for (const Statement& statement : split_statements(text, source_name)) {
-        const SourceLoc loc{source_name, statement.line};
-        const auto fields = util::split_whitespace(statement.text);
-        const std::string head = util::to_lower(fields[0]);
-
-        if (head == "openqasm") {
+        if (util::iequals(head, "openqasm")) {
             saw_header = true;
             continue;
         }
-        if (!saw_header) throw ParseError(loc, "missing OPENQASM 2.0 declaration");
-        if (head == "include" || head == "creg" || head == "barrier" || head == "id") {
+        if (!saw_header) throw error("missing OPENQASM 2.0 declaration");
+        if (is_any_of(head, {"include", "creg", "barrier", "id"})) {
             continue; // accepted, irrelevant to the latency model
         }
-        if (head == "measure" || head == "reset" || head == "if" || head == "gate" ||
-            head == "u" || head == "u1" || head == "u2" || head == "u3" ||
-            head == "rx" || head == "ry" || head == "rz" || head == "cu1") {
-            throw ParseError(loc, "unsupported OpenQASM construct '" + fields[0] +
-                                      "' (LEQA consumes FT Clifford+T netlists)");
+        if (is_any_of(head, {"measure", "reset", "if", "gate", "u", "u1", "u2", "u3", "rx", "ry",
+                             "rz", "cu1"})) {
+            throw error("unsupported OpenQASM construct '" + std::string(head) +
+                        "' (LEQA consumes FT Clifford+T netlists)");
         }
-        if (head == "qreg") {
-            if (fields.size() != 2) throw ParseError(loc, "qreg expects one declaration");
-            const Operand decl = parse_operand(fields[1], loc);
-            if (registers.count(decl.reg)) {
-                throw ParseError(loc, "duplicate qreg '" + decl.reg + "'");
+        if (util::iequals(head, "qreg")) {
+            const std::string_view declaration = lex::next_token(rest);
+            if (declaration.empty() || !lex::next_token(rest).empty()) {
+                throw error("qreg expects one declaration");
             }
-            if (decl.index <= 0) {
-                throw ParseError(loc, "qreg size must be positive");
+            const Operand decl = parse_operand(declaration, error);
+            if (registers.find(decl.reg) != registers.end()) {
+                throw error("duplicate qreg '" + std::string(decl.reg) + "'");
             }
+            if (decl.index <= 0) throw error("qreg size must be positive");
             const auto base = static_cast<circuit::Qubit>(circ.num_qubits());
+            const std::string reg(decl.reg);
             for (long long i = 0; i < decl.index; ++i) {
-                circ.add_qubit(decl.reg + "[" + std::to_string(i) + "]");
+                circ.add_qubit(reg + "[" + std::to_string(i) + "]");
             }
-            registers[decl.reg] = {base, decl.index};
+            registers.emplace(reg, Register{base, decl.index});
             continue;
         }
 
-        // Gate application: mnemonic operand-list.
-        static const std::map<std::string, circuit::GateKind> kGateMap = {
-            {"x", circuit::GateKind::X},       {"y", circuit::GateKind::Y},
-            {"z", circuit::GateKind::Z},       {"h", circuit::GateKind::H},
-            {"s", circuit::GateKind::S},       {"sdg", circuit::GateKind::Sdg},
-            {"t", circuit::GateKind::T},       {"tdg", circuit::GateKind::Tdg},
-            {"cx", circuit::GateKind::Cnot},   {"cnot", circuit::GateKind::Cnot},
-            {"ccx", circuit::GateKind::Toffoli},
-            {"swap", circuit::GateKind::Swap}, {"cswap", circuit::GateKind::Fredkin},
-        };
-        const auto gate_it = kGateMap.find(head);
-        if (gate_it == kGateMap.end()) {
-            throw ParseError(loc, "unknown gate '" + fields[0] + "'");
-        }
-        const std::string operand_text =
-            util::trim(statement.text.substr(fields[0].size()));
-        const auto tokens = split_operand_list(operand_text);
-        std::vector<circuit::Qubit> qubits;
-        qubits.reserve(tokens.size());
-        for (const auto& token : tokens) qubits.push_back(resolve(token, loc));
-
-        const circuit::GateInfo& info = circuit::gate_info(gate_it->second);
-        const std::size_t expected =
-            static_cast<std::size_t>(info.targets) +
-            static_cast<std::size_t>(std::max(info.min_controls, 0));
-        // ccx: 2 controls; cswap: 1 control; others: min_controls.
-        const std::size_t needed = head == "ccx" ? 3 : expected;
-        if (qubits.size() != needed) {
-            throw ParseError(loc, "'" + head + "' expects " + std::to_string(needed) +
-                                      " operands, got " + std::to_string(qubits.size()));
-        }
-        try {
-            switch (gate_it->second) {
-                case circuit::GateKind::Cnot:
-                    circ.cnot(qubits[0], qubits[1]);
-                    break;
-                case circuit::GateKind::Toffoli:
-                    circ.toffoli(qubits[0], qubits[1], qubits[2]);
-                    break;
-                case circuit::GateKind::Swap:
-                    circ.swap(qubits[0], qubits[1]);
-                    break;
-                case circuit::GateKind::Fredkin:
-                    circ.fredkin(qubits[0], qubits[1], qubits[2]);
-                    break;
-                default:
-                    circ.add_gate(circuit::Gate(gate_it->second, {}, {qubits[0]}));
-                    break;
+        // Gate application: mnemonic operand-list (operands split on ',').
+        const auto kind = circuit::find_gate_name(head);
+        if (!kind) throw error("unknown gate '" + std::string(head) + "'");
+        qubits.clear();
+        for (std::string_view list = rest; !list.empty();) {
+            const std::size_t comma = std::min(list.find(','), list.size());
+            const std::string_view token = util::trim_view(list.substr(0, comma));
+            list.remove_prefix(std::min(comma + 1, list.size()));
+            if (token.empty()) continue;
+            const Operand operand = parse_operand(token, error);
+            const auto it = registers.find(operand.reg);
+            if (it == registers.end()) {
+                throw error("unknown qreg '" + std::string(operand.reg) + "'");
             }
+            if (operand.index >= it->second.size) {
+                throw error("index out of range for qreg '" + std::string(operand.reg) + "'");
+            }
+            qubits.push_back(it->second.base + static_cast<circuit::Qubit>(operand.index));
+        }
+
+        // ccx takes two controls; every other gate its minimum.
+        const circuit::GateInfo& info = circuit::gate_info(*kind);
+        const auto n_targets = static_cast<std::size_t>(info.targets);
+        const std::size_t needed =
+            *kind == circuit::GateKind::Toffoli
+                ? 3
+                : n_targets + static_cast<std::size_t>(std::max(info.min_controls, 0));
+        if (qubits.size() != needed) {
+            throw error("'" + util::to_lower(head) + "' expects " + std::to_string(needed) +
+                        " operands, got " + std::to_string(qubits.size()));
+        }
+        const std::span<const circuit::Qubit> all(qubits);
+        try {
+            circ.add_gate(
+                circuit::Gate(*kind, all.first(needed - n_targets), all.last(n_targets)));
         } catch (const util::InputError& e) {
-            throw ParseError(loc, e.what());
+            throw error(e.what());
         }
     }
     return circ;
@@ -222,12 +211,12 @@ std::string write_openqasm(const circuit::Circuit& circ) {
         switch (gate.kind) {
             case circuit::GateKind::Cnot: mnemonic = "cx"; break;
             case circuit::GateKind::Toffoli:
-                LEQA_REQUIRE(gate.controls.size() == 2,
+                LEQA_REQUIRE(gate.controls().size() == 2,
                              "write_openqasm: lower multi-controlled Toffolis first");
                 mnemonic = "ccx";
                 break;
             case circuit::GateKind::Fredkin:
-                LEQA_REQUIRE(gate.controls.size() == 1,
+                LEQA_REQUIRE(gate.controls().size() == 1,
                              "write_openqasm: lower multi-controlled Fredkins first");
                 mnemonic = "cswap";
                 break;

@@ -23,17 +23,21 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.h"
 
 namespace leqa::parser {
 
-/// Parse OpenQASM 2.0 subset text.
-[[nodiscard]] circuit::Circuit parse_openqasm(const std::string& text,
+/// Parse OpenQASM 2.0 subset text.  Gate mnemonics resolve through
+/// circuit::find_gate_name, so the LEQA spellings (cnot, toffoli, ...) are
+/// accepted next to the OpenQASM ones.
+[[nodiscard]] circuit::Circuit parse_openqasm(std::string_view text,
                                               const std::string& source_name = "<string>");
 
 /// True when the text looks like OpenQASM (leading OPENQASM declaration).
-[[nodiscard]] bool looks_like_openqasm(const std::string& text);
+/// Reads only up to the first line with content.
+[[nodiscard]] bool looks_like_openqasm(std::string_view text);
 
 /// Serialize a circuit to OpenQASM 2.0.  Multi-controlled gates beyond
 /// ccx/cswap are rejected (lower them with FT synthesis first).

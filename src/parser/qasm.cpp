@@ -1,138 +1,84 @@
 #include "parser/qasm.h"
 
-#include <istream>
 #include <sstream>
 
 #include "parser/diagnostics.h"
+#include "parser/lexer.h"
 #include "util/strings.h"
 
 namespace leqa::parser {
 
-namespace {
-
-/// Strip "#"- and "//"-style comments.
-std::string strip_comment(const std::string& line) {
-    std::size_t cut = line.size();
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) cut = std::min(cut, hash);
-    const auto slashes = line.find("//");
-    if (slashes != std::string::npos) cut = std::min(cut, slashes);
-    return line.substr(0, cut);
-}
-
-/// Split a gate operand list on commas and/or whitespace.
-std::vector<std::string> split_operands(const std::string& text) {
-    std::vector<std::string> out;
-    std::string current;
-    for (const char c : text) {
-        if (c == ',' || std::isspace(static_cast<unsigned char>(c))) {
-            if (!current.empty()) {
-                out.push_back(current);
-                current.clear();
-            }
-        } else {
-            current += c;
-        }
-    }
-    if (!current.empty()) out.push_back(current);
-    return out;
-}
-
-circuit::Qubit resolve_qubit(circuit::Circuit& circ, const std::string& token,
-                             const SourceLoc& loc) {
-    if (circ.has_qubit(token)) return circ.qubit_index(token);
-    throw ParseError(loc, "unknown qubit '" + token + "'");
-}
-
-circuit::Gate build_gate(circuit::GateKind kind, std::vector<circuit::Qubit> operands,
-                         const SourceLoc& loc) {
-    const circuit::GateInfo& info = circuit::gate_info(kind);
-    std::size_t n_targets = static_cast<std::size_t>(info.targets);
-    if (operands.size() < n_targets) {
-        throw ParseError(loc, std::string(info.name) + ": expected at least " +
-                                  std::to_string(n_targets) + " operand(s)");
-    }
-    std::vector<circuit::Qubit> targets(operands.end() - static_cast<std::ptrdiff_t>(n_targets),
-                                        operands.end());
-    operands.resize(operands.size() - n_targets);
-    circuit::Gate gate(kind, std::move(operands), std::move(targets));
-    try {
-        gate.validate();
-    } catch (const util::InputError& e) {
-        throw ParseError(loc, e.what());
-    }
-    return gate;
-}
-
-} // namespace
-
-circuit::Circuit parse_qasm(const std::string& text, const std::string& source_name) {
-    std::istringstream in(text);
-    return parse_qasm_stream(in, source_name);
-}
-
-circuit::Circuit parse_qasm_stream(std::istream& in, const std::string& source_name) {
+circuit::Circuit parse_qasm(std::string_view text, const std::string& source_name) {
     circuit::Circuit circ;
-    SourceLoc loc{source_name, 0};
-    std::string raw_line;
+    lex::Lines lines(text);
+    const auto error = [&](const std::string& message) {
+        return ParseError({source_name, lines.number()}, message);
+    };
     bool qubits_declared = false;
+    std::vector<circuit::Qubit> operands; // reused by every gate line
 
-    while (std::getline(in, raw_line)) {
-        ++loc.line;
-        const std::string line = util::trim(strip_comment(raw_line));
-        if (line.empty()) continue;
+    std::string_view raw;
+    while (lines.next(raw)) {
+        std::string_view rest = lex::strip_comment(raw, /*slashes=*/true);
+        const std::string_view head = lex::next_token(rest);
+        if (head.empty()) continue;
 
-        if (line[0] == '.') {
-            const auto fields = util::split_whitespace(line);
-            const std::string directive = util::to_lower(fields[0]);
-            if (directive == ".name") {
-                if (fields.size() != 2) throw ParseError(loc, ".name expects one argument");
-                circ.set_name(fields[1]);
-            } else if (directive == ".qubits") {
-                if (fields.size() != 2) throw ParseError(loc, ".qubits expects one argument");
-                const auto count = util::parse_int(fields[1]);
-                if (!count || *count < 0) {
-                    throw ParseError(loc, ".qubits expects a non-negative integer");
-                }
+        if (head[0] == '.' || util::iequals(head, "qubit")) {
+            // Every declaration takes exactly one argument.
+            const std::string_view arg = lex::next_token(rest);
+            const bool one_arg = !arg.empty() && lex::next_token(rest).empty();
+            if (util::iequals(head, ".name")) {
+                if (!one_arg) throw error(".name expects one argument");
+                circ.set_name(std::string(arg));
+            } else if (util::iequals(head, ".qubits")) {
+                if (!one_arg) throw error(".qubits expects one argument");
+                const auto count = util::parse_int(arg);
+                if (!count || *count < 0) throw error(".qubits expects a non-negative integer");
                 if (qubits_declared || circ.num_qubits() > 0) {
-                    throw ParseError(loc, "qubits already declared");
+                    throw error("qubits already declared");
                 }
                 for (long long i = 0; i < *count; ++i) circ.add_qubit();
                 qubits_declared = true;
+            } else if (head[0] != '.') {
+                if (!one_arg) throw error("qubit expects one name");
+                if (!util::is_identifier(arg)) {
+                    throw error("invalid qubit name '" + std::string(arg) + "'");
+                }
+                try {
+                    circ.add_qubit(std::string(arg));
+                } catch (const util::InputError& e) {
+                    throw error(e.what());
+                }
             } else {
-                throw ParseError(loc, "unknown directive '" + fields[0] + "'");
+                throw error("unknown directive '" + std::string(head) + "'");
             }
             continue;
         }
 
-        const auto fields = util::split_whitespace(line);
-        const std::string keyword = util::to_lower(fields[0]);
-
-        if (keyword == "qubit") {
-            if (fields.size() != 2) throw ParseError(loc, "qubit expects one name");
-            if (!util::is_identifier(fields[1])) {
-                throw ParseError(loc, "invalid qubit name '" + fields[1] + "'");
-            }
-            try {
-                circ.add_qubit(fields[1]);
-            } catch (const util::InputError& e) {
-                throw ParseError(loc, e.what());
-            }
-            continue;
+        const auto kind = circuit::find_gate_name(head);
+        if (!kind) throw error("unknown gate or keyword '" + std::string(head) + "'");
+        operands.clear();
+        for (std::string_view token = lex::next_token(rest, /*commas=*/true); !token.empty();
+             token = lex::next_token(rest, /*commas=*/true)) {
+            const auto q = circ.find_qubit(token);
+            if (!q) throw error("unknown qubit '" + std::string(token) + "'");
+            operands.push_back(*q);
         }
-
-        if (!circuit::is_gate_name(keyword)) {
-            throw ParseError(loc, "unknown gate or keyword '" + fields[0] + "'");
+        // For Toffoli all operands but the last are controls; for Fredkin
+        // all but the last two.
+        const circuit::GateInfo& info = circuit::gate_info(*kind);
+        const auto n_targets = static_cast<std::size_t>(info.targets);
+        if (operands.size() < n_targets) {
+            throw error(std::string(info.name) + ": expected at least " +
+                        std::to_string(n_targets) + " operand(s)");
         }
-        const circuit::GateKind kind = circuit::parse_gate_name(keyword);
-        const std::string operand_text = util::trim(line.substr(fields[0].size()));
-        const auto operand_tokens = split_operands(operand_text);
-        std::vector<circuit::Qubit> operands;
-        operands.reserve(operand_tokens.size());
-        for (const auto& token : operand_tokens) {
-            operands.push_back(resolve_qubit(circ, token, loc));
+        const std::span<const circuit::Qubit> all(operands);
+        try {
+            circ.add_gate(circuit::Gate(*kind, all.first(all.size() - n_targets),
+                                        all.last(n_targets)));
+        } catch (const util::InputError& e) {
+            throw error(e.what());
         }
-        circ.add_gate(build_gate(kind, std::move(operands), loc));
     }
     return circ;
 }
@@ -162,11 +108,7 @@ std::string write_qasm(const circuit::Circuit& circ) {
     for (const circuit::Gate& g : circ.gates()) {
         out << circuit::gate_name(g.kind);
         bool first = true;
-        for (const circuit::Qubit q : g.controls) {
-            out << (first ? " " : ", ") << circ.qubit_name(q);
-            first = false;
-        }
-        for (const circuit::Qubit q : g.targets) {
+        for (const circuit::Qubit q : g.qubits()) {
             out << (first ? " " : ", ") << circ.qubit_name(q);
             first = false;
         }

@@ -18,20 +18,16 @@
 /// operands but the last are controls; for Fredkin all but the last two.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.h"
 
 namespace leqa::parser {
 
 /// Parse QASM-subset text.  \p source_name is used in error messages.
-[[nodiscard]] circuit::Circuit parse_qasm(const std::string& text,
+[[nodiscard]] circuit::Circuit parse_qasm(std::string_view text,
                                           const std::string& source_name = "<string>");
-
-/// Parse from a stream (reads to EOF).
-[[nodiscard]] circuit::Circuit parse_qasm_stream(std::istream& in,
-                                                 const std::string& source_name);
 
 /// Serialize a circuit to the QASM-subset format (round-trips through
 /// parse_qasm up to comments and auto-generated qubit names).

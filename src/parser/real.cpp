@@ -1,69 +1,59 @@
 #include "parser/real.h"
 
-#include <istream>
 #include <sstream>
 
 #include "parser/diagnostics.h"
+#include "parser/lexer.h"
 #include "util/strings.h"
 
 namespace leqa::parser {
 
-namespace {
-
-std::string strip_comment(const std::string& line) {
-    const auto hash = line.find('#');
-    return hash == std::string::npos ? line : line.substr(0, hash);
-}
-
-} // namespace
-
-circuit::Circuit parse_real(const std::string& text, const std::string& source_name) {
-    std::istringstream in(text);
-    return parse_real_stream(in, source_name);
-}
-
-circuit::Circuit parse_real_stream(std::istream& in, const std::string& source_name) {
+circuit::Circuit parse_real(std::string_view text, const std::string& source_name) {
     circuit::Circuit circ;
-    SourceLoc loc{source_name, 0};
-    std::string raw_line;
+    lex::Lines lines(text);
+    const auto error = [&](const std::string& message) {
+        return ParseError({source_name, lines.number()}, message);
+    };
     bool in_body = false;
     bool saw_end = false;
     long long declared_vars = -1;
+    std::vector<circuit::Qubit> operands; // reused by every gate line
 
-    while (std::getline(in, raw_line)) {
-        ++loc.line;
-        const std::string line = util::trim(strip_comment(raw_line));
-        if (line.empty()) continue;
-        const auto fields = util::split_whitespace(line);
-        const std::string head = util::to_lower(fields[0]);
+    std::string_view raw;
+    while (lines.next(raw)) {
+        std::string_view rest = lex::strip_comment(raw, /*slashes=*/false);
+        const std::string_view head = lex::next_token(rest);
+        if (head.empty()) continue;
 
         if (head[0] == '.') {
-            if (head == ".version") {
+            if (util::iequals(head, ".version")) {
                 continue; // informational
-            } else if (head == ".numvars") {
-                if (fields.size() != 2) throw ParseError(loc, ".numvars expects one argument");
-                const auto n = util::parse_int(fields[1]);
-                if (!n || *n < 0) throw ParseError(loc, ".numvars expects a non-negative integer");
+            } else if (util::iequals(head, ".numvars")) {
+                if (lex::count_tokens(rest) != 1) throw error(".numvars expects one argument");
+                const auto n = util::parse_int(lex::next_token(rest));
+                if (!n || *n < 0) throw error(".numvars expects a non-negative integer");
                 declared_vars = *n;
-            } else if (head == ".variables") {
+            } else if (util::iequals(head, ".variables")) {
                 if (declared_vars >= 0 &&
-                    static_cast<long long>(fields.size()) - 1 != declared_vars) {
-                    throw ParseError(loc, ".variables count does not match .numvars");
+                    static_cast<long long>(lex::count_tokens(rest)) != declared_vars) {
+                    throw error(".variables count does not match .numvars");
                 }
-                for (std::size_t i = 1; i < fields.size(); ++i) {
-                    if (!util::is_identifier(fields[i])) {
-                        throw ParseError(loc, "invalid variable name '" + fields[i] + "'");
+                for (std::string_view name = lex::next_token(rest); !name.empty();
+                     name = lex::next_token(rest)) {
+                    if (!util::is_identifier(name)) {
+                        throw error("invalid variable name '" + std::string(name) + "'");
                     }
                     try {
-                        circ.add_qubit(fields[i]);
+                        circ.add_qubit(std::string(name));
                     } catch (const util::InputError& e) {
-                        throw ParseError(loc, e.what());
+                        throw error(e.what());
                     }
                 }
-            } else if (head == ".inputs" || head == ".outputs" || head == ".constants" ||
-                       head == ".garbage" || head == ".inputbus" || head == ".outputbus") {
+            } else if (util::iequals(head, ".inputs") || util::iequals(head, ".outputs") ||
+                       util::iequals(head, ".constants") || util::iequals(head, ".garbage") ||
+                       util::iequals(head, ".inputbus") || util::iequals(head, ".outputbus")) {
                 continue; // informational
-            } else if (head == ".begin") {
+            } else if (util::iequals(head, ".begin")) {
                 if (circ.num_qubits() == 0 && declared_vars > 0) {
                     // .numvars without .variables: generate default names.
                     for (long long i = 0; i < declared_vars; ++i) {
@@ -71,69 +61,61 @@ circuit::Circuit parse_real_stream(std::istream& in, const std::string& source_n
                     }
                 }
                 in_body = true;
-            } else if (head == ".end") {
+            } else if (util::iequals(head, ".end")) {
                 saw_end = true;
                 break;
             } else {
-                throw ParseError(loc, "unknown directive '" + fields[0] + "'");
+                throw error("unknown directive '" + std::string(head) + "'");
             }
             continue;
         }
 
-        if (!in_body) throw ParseError(loc, "gate line before .begin");
+        if (!in_body) throw error("gate line before .begin");
 
         // Gate lines: t<N> or f<N> followed by N operands.
-        const char family = head[0];
+        const char family = head[0] == 'T' ? 't' : head[0] == 'F' ? 'f' : head[0];
         if (family != 't' && family != 'f') {
-            throw ParseError(loc, "unknown gate '" + fields[0] + "' (expected tN or fN)");
+            throw error("unknown gate '" + std::string(head) + "' (expected tN or fN)");
         }
         const auto declared_arity = util::parse_int(head.substr(1));
         if (!declared_arity || *declared_arity < 1) {
-            throw ParseError(loc, "malformed gate name '" + fields[0] + "'");
+            throw error("malformed gate name '" + std::string(head) + "'");
         }
-        const std::size_t arity = static_cast<std::size_t>(*declared_arity);
-        if (fields.size() - 1 != arity) {
-            throw ParseError(loc, "gate '" + fields[0] + "' expects " + std::to_string(arity) +
-                                      " operands, got " + std::to_string(fields.size() - 1));
+        const auto arity = static_cast<std::size_t>(*declared_arity);
+        const std::size_t given = lex::count_tokens(rest);
+        if (given != arity) {
+            throw error("gate '" + std::string(head) + "' expects " + std::to_string(arity) +
+                        " operands, got " + std::to_string(given));
         }
-        std::vector<circuit::Qubit> operands;
-        operands.reserve(arity);
-        for (std::size_t i = 1; i < fields.size(); ++i) {
-            if (!circ.has_qubit(fields[i])) {
-                throw ParseError(loc, "unknown variable '" + fields[i] + "'");
-            }
-            operands.push_back(circ.qubit_index(fields[i]));
+        if (family == 'f' && arity < 2) throw error("fN gates need at least 2 operands");
+        operands.clear();
+        for (std::string_view name = lex::next_token(rest); !name.empty();
+             name = lex::next_token(rest)) {
+            const auto q = circ.find_qubit(name);
+            if (!q) throw error("unknown variable '" + std::string(name) + "'");
+            operands.push_back(*q);
         }
 
+        // tN: the last operand is the target; fN: the last two are swapped.
+        const std::span<const circuit::Qubit> all(operands);
         try {
             if (family == 't') {
-                const circuit::Qubit target = operands.back();
-                operands.pop_back();
-                if (operands.empty()) {
-                    circ.add_gate(circuit::make_x(target));
-                } else {
-                    circ.add_gate(circuit::make_mcx(std::move(operands), target));
-                }
-            } else { // 'f'
-                if (arity < 2) throw ParseError(loc, "fN gates need at least 2 operands");
-                const circuit::Qubit b = operands.back();
-                operands.pop_back();
-                const circuit::Qubit a = operands.back();
-                operands.pop_back();
-                if (operands.empty()) {
-                    circ.add_gate(circuit::make_swap(a, b));
-                } else {
-                    circ.add_gate(circuit::make_mcswap(std::move(operands), a, b));
-                }
+                const std::span<const circuit::Qubit> controls = all.first(arity - 1);
+                circ.add_gate(controls.empty() ? circuit::make_x(all.back())
+                                               : circuit::make_mcx(controls, all.back()));
+            } else {
+                const std::span<const circuit::Qubit> controls = all.first(arity - 2);
+                const circuit::Qubit a = all[arity - 2];
+                const circuit::Qubit b = all[arity - 1];
+                circ.add_gate(controls.empty() ? circuit::make_swap(a, b)
+                                               : circuit::make_mcswap(controls, a, b));
             }
         } catch (const util::InputError& e) {
-            throw ParseError(loc, e.what());
+            throw error(e.what());
         }
     }
 
-    if (in_body && !saw_end) {
-        throw ParseError(loc, "missing .end");
-    }
+    if (in_body && !saw_end) throw error("missing .end");
     return circ;
 }
 
@@ -153,29 +135,18 @@ std::string write_real(const circuit::Circuit& circ) {
     for (const circuit::Gate& g : circ.gates()) {
         switch (g.kind) {
             case circuit::GateKind::X:
-                out << "t1 " << circ.qubit_name(g.targets[0]) << '\n';
-                break;
             case circuit::GateKind::Cnot:
-                out << "t2 " << circ.qubit_name(g.controls[0]) << ' '
-                    << circ.qubit_name(g.targets[0]) << '\n';
+            case circuit::GateKind::Toffoli:
+                out << 't' << g.arity();
+                for (const circuit::Qubit q : g.qubits()) out << ' ' << circ.qubit_name(q);
+                out << '\n';
                 break;
-            case circuit::GateKind::Toffoli: {
-                out << 't' << (g.controls.size() + 1);
-                for (const circuit::Qubit q : g.controls) out << ' ' << circ.qubit_name(q);
-                out << ' ' << circ.qubit_name(g.targets[0]) << '\n';
-                break;
-            }
             case circuit::GateKind::Swap:
-                out << "f2 " << circ.qubit_name(g.targets[0]) << ' '
-                    << circ.qubit_name(g.targets[1]) << '\n';
+            case circuit::GateKind::Fredkin:
+                out << 'f' << g.arity();
+                for (const circuit::Qubit q : g.qubits()) out << ' ' << circ.qubit_name(q);
+                out << '\n';
                 break;
-            case circuit::GateKind::Fredkin: {
-                out << 'f' << (g.controls.size() + 2);
-                for (const circuit::Qubit q : g.controls) out << ' ' << circ.qubit_name(q);
-                out << ' ' << circ.qubit_name(g.targets[0]) << ' '
-                    << circ.qubit_name(g.targets[1]) << '\n';
-                break;
-            }
             default:
                 throw util::InputError("write_real: gate not representable: " + g.to_string());
         }

@@ -24,18 +24,16 @@
 ///     .end
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.h"
 
 namespace leqa::parser {
 
-[[nodiscard]] circuit::Circuit parse_real(const std::string& text,
+/// Parse .real text.  \p source_name is used in error messages.
+[[nodiscard]] circuit::Circuit parse_real(std::string_view text,
                                           const std::string& source_name = "<string>");
-
-[[nodiscard]] circuit::Circuit parse_real_stream(std::istream& in,
-                                                 const std::string& source_name);
 
 /// Serialize to .real.  Only classical-reversible circuits (X, CNOT,
 /// Toffoli, Fredkin, SWAP) can be represented; throws InputError otherwise.

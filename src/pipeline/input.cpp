@@ -38,8 +38,8 @@ std::uint64_t circuit_fingerprint(const circuit::Circuit& circ) {
     mix(circ.num_qubits());
     for (const circuit::Gate& gate : circ.gates()) {
         mix(static_cast<std::uint64_t>(gate.kind));
-        for (const circuit::Qubit q : gate.controls) mix(0x100000000ULL | q);
-        for (const circuit::Qubit q : gate.targets) mix(0x200000000ULL | q);
+        for (const circuit::Qubit q : gate.controls()) mix(0x100000000ULL | q);
+        for (const circuit::Qubit q : gate.targets()) mix(0x200000000ULL | q);
     }
     return hash;
 }

@@ -10,84 +10,89 @@ namespace leqa::qodg {
 
 Qodg::Qodg(const circuit::Circuit& circ) {
     const std::size_t n_gates = circ.size();
-    nodes_.reserve(n_gates + 2);
+    const std::size_t n_nodes = n_gates + 2;
 
-    nodes_.push_back(Node{NodeKind::Start, 0, circuit::GateKind::X});
-    for (std::size_t i = 0; i < n_gates; ++i) {
-        nodes_.push_back(Node{NodeKind::Op, i, circ.gate(i).kind});
-    }
-    nodes_.push_back(Node{NodeKind::End, 0, circuit::GateKind::X});
-    const NodeId end_id = end();
-
-    graph::CsrBuilder builder(nodes_.size());
-    builder.reserve_edges(2 * n_gates + circ.num_qubits() + 1);
+    // The predecessor CSR is written directly, one row per node in id
+    // order: a gate's predecessors are the distinct last writers of its
+    // operands (parallel edges -- a CNOT feeding both operands of another
+    // CNOT -- merge here), sorted ascending.
+    std::vector<std::uint32_t> offsets;
+    std::vector<NodeId> preds;
+    offsets.reserve(n_nodes + 1);
+    preds.reserve(2 * n_gates + circ.num_qubits() + 1);
+    offsets.push_back(0);
+    offsets.push_back(0); // start has no predecessors
 
     // Last QODG node that touched each qubit (start initially).
     std::vector<NodeId> last(circ.num_qubits(), start());
+    constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
+    delay_row_.reserve(n_nodes);
+    delay_row_.push_back(kZeroRow);
 
-    for (std::size_t i = 0; i < n_gates; ++i) {
-        const NodeId me = static_cast<NodeId>(i + 1);
-        const circuit::Gate& gate = circ.gate(i);
-        // Parallel edges (a CNOT feeding both operands of another CNOT) are
-        // merged by the builder at freeze time.
-        for (const circuit::Qubit q : gate.controls) builder.add_edge(last[q], me);
-        for (const circuit::Qubit q : gate.targets) builder.add_edge(last[q], me);
-        for (const circuit::Qubit q : gate.controls) last[q] = me;
-        for (const circuit::Qubit q : gate.targets) last[q] = me;
+    NodeId me = start();
+    for (const circuit::Gate& gate : circ.gates()) {
+        ++me;
+        // Rows hold at most three entries for every gate but the pre-FT
+        // multi-controlled ones.
+        const auto row = static_cast<std::ptrdiff_t>(preds.size());
+        for (const circuit::Qubit q : gate.qubits()) preds.push_back(last[q]);
+        std::sort(preds.begin() + row, preds.end());
+        preds.erase(std::unique(preds.begin() + row, preds.end()), preds.end());
+        offsets.push_back(static_cast<std::uint32_t>(preds.size()));
+        for (const circuit::Qubit q : gate.qubits()) last[q] = me;
+        delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
     }
 
-    // Connect all last-level nodes (and untouched qubits' start) to end;
-    // duplicates merge at freeze time.
-    if (circ.num_qubits() == 0) {
-        builder.add_edge(start(), end_id);
-    } else {
-        for (const NodeId t : last) builder.add_edge(t, end_id);
-    }
+    // End depends on every qubit's last node (start for untouched qubits,
+    // or start alone when the circuit has no qubits).
+    if (last.empty()) last.push_back(start());
+    std::sort(last.begin(), last.end());
+    preds.insert(preds.end(), last.begin(), std::unique(last.begin(), last.end()));
+    offsets.push_back(static_cast<std::uint32_t>(preds.size()));
+    delay_row_.push_back(kZeroRow);
 
-    csr_ = builder.build(/*merge_parallel=*/true);
-    rcsr_ = csr_.reversed();
+    rcsr_ = graph::CsrDigraph(std::move(offsets), std::move(preds), /*topological=*/false);
+    csr_ = rcsr_.reversed();
     // Debug stage-boundary contract: the frozen QODG is a clean,
     // topologically ordered DAG (compiled out of Release).
     LEQA_DCHECK_OK(graph::validate_csr(csr_));
+}
 
-    constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
-    delay_row_.assign(nodes_.size(), kZeroRow);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].kind == NodeKind::Op) {
-            delay_row_[id] = static_cast<std::uint16_t>(nodes_[id].gate_kind);
-        }
-    }
+void Qodg::check_node(NodeId id) const {
+    LEQA_REQUIRE(id < num_nodes(), "node id out of range");
+}
+
+Node Qodg::node(NodeId id) const {
+    check_node(id);
+    if (id == start()) return Node{NodeKind::Start, 0, circuit::GateKind::X};
+    if (id == end()) return Node{NodeKind::End, 0, circuit::GateKind::X};
+    return Node{NodeKind::Op, static_cast<std::size_t>(id) - 1,
+                static_cast<circuit::GateKind>(delay_row_[id])};
 }
 
 NodeId Qodg::node_of_gate(std::size_t gate_index) const {
-    LEQA_REQUIRE(gate_index < nodes_.size() - 2, "gate index out of range");
+    LEQA_REQUIRE(gate_index < num_ops(), "gate index out of range");
     return static_cast<NodeId>(gate_index + 1);
 }
 
 std::vector<double> Qodg::node_delays(
     const std::function<double(circuit::GateKind)>& delay_of) const {
-    std::vector<double> delays(nodes_.size(), 0.0);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].kind == NodeKind::Op) {
-            delays[id] = delay_of(nodes_[id].gate_kind);
-        }
+    std::vector<double> delays(num_nodes(), 0.0);
+    for (NodeId id = 1; id < end(); ++id) {
+        delays[id] = delay_of(static_cast<circuit::GateKind>(delay_row_[id]));
     }
     return delays;
 }
 
 std::vector<double> Qodg::node_delays(
     const std::array<double, circuit::kGateKindCount>& delay_by_kind) const {
-    std::vector<double> delays(nodes_.size(), 0.0);
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        if (nodes_[id].kind == NodeKind::Op) {
-            delays[id] = delay_by_kind[static_cast<std::size_t>(nodes_[id].gate_kind)];
-        }
-    }
+    std::vector<double> delays(num_nodes(), 0.0);
+    for (NodeId id = 1; id < end(); ++id) delays[id] = delay_by_kind[delay_row_[id]];
     return delays;
 }
 
 LongestPath Qodg::longest_path(const std::vector<double>& delays) const {
-    LEQA_REQUIRE(delays.size() == nodes_.size(),
+    LEQA_REQUIRE(delays.size() == num_nodes(),
                  "delay vector size must equal node count");
     graph::LongestPathResult result = graph::longest_path(csr_, delays, start());
     LongestPath lp;
@@ -98,7 +103,7 @@ LongestPath Qodg::longest_path(const std::vector<double>& delays) const {
 }
 
 std::vector<NodeId> Qodg::critical_path(const LongestPath& lp) const {
-    LEQA_REQUIRE(lp.distance.size() == nodes_.size(),
+    LEQA_REQUIRE(lp.distance.size() == num_nodes(),
                  "longest-path result does not match this graph");
     return graph::extract_path(lp.distance, lp.predecessor, start(), end());
 }
@@ -145,7 +150,7 @@ void Qodg::longest_path_lanes(
     LongestPathLanes& out) const {
     const std::size_t lanes = tables.size();
     LEQA_REQUIRE(lanes >= 1, "longest_path_lanes needs at least one delay table");
-    const std::size_t n = nodes_.size();
+    const std::size_t n = num_nodes();
 
     out.lanes = lanes;
     // Every slot is written by the gather (start explicitly, the rest once
@@ -202,7 +207,7 @@ void Qodg::longest_path_lanes(
 std::vector<NodeId> Qodg::critical_path_lane(const LongestPathLanes& lanes,
                                              std::size_t lane) const {
     const std::size_t width = lanes.lanes;
-    LEQA_REQUIRE(lanes.distance.size() == nodes_.size() * width,
+    LEQA_REQUIRE(lanes.distance.size() == num_nodes() * width,
                  "lane-blocked result does not match this graph");
     LEQA_REQUIRE(lane < width, "lane index out of range");
     LEQA_REQUIRE(lanes.at(end(), lane) >= 0.0, "sink unreachable from source");
@@ -233,7 +238,7 @@ std::vector<NodeId> Qodg::critical_path_lane(const LongestPathLanes& lanes,
 void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
                                  std::span<PathCensus> out) const {
     const std::size_t width = lanes.lanes;
-    LEQA_REQUIRE(lanes.distance.size() == nodes_.size() * width,
+    LEQA_REQUIRE(lanes.distance.size() == num_nodes() * width,
                  "lane-blocked result does not match this graph");
     LEQA_REQUIRE(out.size() <= width, "more censuses requested than lanes");
     const NodeId source = start();
@@ -244,7 +249,7 @@ void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
     }
 
     constexpr std::size_t kRows = circuit::kGateKindCount + 1;
-    const std::size_t n = nodes_.size();
+    const std::size_t n = num_nodes();
     const double* dist = lanes.distance.data();
     const double* delays = lanes.delay_soa.data();
 
@@ -326,16 +331,16 @@ void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
 PathCensus Qodg::census(const std::vector<NodeId>& path) const {
     PathCensus census;
     for (const NodeId id : path) {
-        const Node& node = nodes_.at(id);
-        if (node.kind != NodeKind::Op) continue;
-        ++census.by_kind[static_cast<std::size_t>(node.gate_kind)];
+        const Node op = node(id);
+        if (op.kind != NodeKind::Op) continue;
+        ++census.by_kind[static_cast<std::size_t>(op.gate_kind)];
         ++census.total_ops;
     }
     return census;
 }
 
 std::vector<double> Qodg::downstream_delay(const std::vector<double>& delays) const {
-    LEQA_REQUIRE(delays.size() == nodes_.size(),
+    LEQA_REQUIRE(delays.size() == num_nodes(),
                  "delay vector size must equal node count");
     return graph::downstream_delay(csr_, delays);
 }
@@ -345,8 +350,8 @@ Qodg::SlackAnalysis Qodg::slack_analysis(const std::vector<double>& delays) cons
     const std::vector<double> backward = downstream_delay(delays);
     SlackAnalysis analysis;
     analysis.critical_length = forward.length;
-    analysis.slack.resize(nodes_.size());
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
+    analysis.slack.resize(num_nodes());
+    for (NodeId u = 0; u < num_nodes(); ++u) {
         // Longest start->end path through u = (longest to u, inclusive) +
         // (longest from u, inclusive) - delay(u) counted twice.
         const double through = forward.distance[u] + backward[u] - delays[u];
@@ -359,22 +364,22 @@ Qodg::SlackAnalysis Qodg::slack_analysis(const std::vector<double>& delays) cons
 std::string Qodg::to_dot(const circuit::Circuit& circ) const {
     std::ostringstream out;
     out << "digraph qodg {\n  rankdir=LR;\n";
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-        const Node& node = nodes_[id];
+    for (NodeId id = 0; id < num_nodes(); ++id) {
+        const Node op = node(id);
         out << "  n" << id << " [label=\"";
-        switch (node.kind) {
+        switch (op.kind) {
             case NodeKind::Start: out << "start"; break;
             case NodeKind::End: out << "end"; break;
             case NodeKind::Op:
-                out << node.gate_index + 1 << ": "
-                    << circuit::gate_name(circ.gate(node.gate_index).kind);
+                out << op.gate_index + 1 << ": "
+                    << circuit::gate_name(circ.gate(op.gate_index).kind);
                 break;
         }
         out << "\"";
-        if (node.kind != NodeKind::Op) out << ", shape=box";
+        if (op.kind != NodeKind::Op) out << ", shape=box";
         out << "];\n";
     }
-    for (NodeId u = 0; u < nodes_.size(); ++u) {
+    for (NodeId u = 0; u < num_nodes(); ++u) {
         for (const NodeId v : csr_.successors(u)) {
             out << "  n" << u << " -> n" << v << ";\n";
         }

@@ -35,7 +35,7 @@ using NodeId = graph::NodeId;
 enum class NodeKind : std::uint8_t { Start, Op, End };
 
 /// One QODG node.  For `Op` nodes, `gate_index` refers into the source
-/// circuit's gate list.
+/// circuit's gate list (always id - 1: gates map to ids 1..N).
 struct Node {
     NodeKind kind = NodeKind::Op;
     std::size_t gate_index = 0;
@@ -81,17 +81,21 @@ struct PathCensus {
 class Qodg {
 public:
     /// Build from a circuit.  Every gate becomes one node; edges follow the
-    /// last-writer chain per qubit; parallel edges are merged.
+    /// last-writer chain per qubit; parallel edges are merged.  The
+    /// predecessor lists are written straight into CSR form in program
+    /// order and the successor lists derived by reversal.
     explicit Qodg(const circuit::Circuit& circ);
 
-    [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
+    [[nodiscard]] std::size_t num_nodes() const { return delay_row_.size(); }
     [[nodiscard]] std::size_t num_edges() const { return csr_.num_edges(); }
-    [[nodiscard]] std::size_t num_ops() const { return nodes_.size() - 2; }
+    [[nodiscard]] std::size_t num_ops() const { return delay_row_.size() - 2; }
     [[nodiscard]] NodeId start() const { return 0; }
-    [[nodiscard]] NodeId end() const { return static_cast<NodeId>(nodes_.size() - 1); }
-    [[nodiscard]] const Node& node(NodeId id) const { return nodes_.at(id); }
+    [[nodiscard]] NodeId end() const { return static_cast<NodeId>(delay_row_.size() - 1); }
+    /// The node record, derived from its id and delay row.  Throws
+    /// InputError for an id out of range.
+    [[nodiscard]] Node node(NodeId id) const;
     [[nodiscard]] std::span<const NodeId> successors(NodeId id) const {
-        (void)nodes_.at(id); // bounds check; CSR indexing below is unchecked
+        check_node(id); // CSR indexing below is unchecked
         return csr_.successors(id);
     }
     /// Predecessors of a node, ascending by id (the reverse-CSR adjacency
@@ -99,7 +103,7 @@ public:
     /// relax order of the push-based longest-path sweep bit for bit — the
     /// contract core::PlacedTimer's incremental re-timing relies on.
     [[nodiscard]] std::span<const NodeId> predecessors(NodeId id) const {
-        (void)nodes_.at(id);
+        check_node(id);
         return rcsr_.successors(id);
     }
     /// The raw dependency structure (node ids are a topological order).
@@ -190,12 +194,15 @@ public:
     [[nodiscard]] std::string to_dot(const circuit::Circuit& circ) const;
 
 private:
-    std::vector<Node> nodes_;
+    void check_node(NodeId id) const;
+
     graph::CsrDigraph csr_;
-    /// Edge-reversed csr_: successors(v) are v's predecessors, ascending.
+    /// Predecessor CSR, built first: successors(v) are v's predecessors,
+    /// ascending.  csr_ is its reversal.
     graph::CsrDigraph rcsr_;
     /// Per-node row into a kind-major delay table: the gate kind for Op
-    /// nodes, the trailing zero row (kGateKindCount) for start/end.
+    /// nodes, the trailing zero row (kGateKindCount) for start/end.  The
+    /// only per-node record: its size is the node count.
     std::vector<std::uint16_t> delay_row_;
 };
 

@@ -124,7 +124,7 @@ private:
     static constexpr std::int32_t kNoQubit = -1;
 
     void execute_one_qubit(const circuit::Gate& gate, ScheduledOp& op) {
-        const circuit::Qubit q = gate.targets[0];
+        const circuit::Qubit q = gate.targets()[0];
         const double ready = qubit_free_[q];
         UlbId host = home_[q];
 
@@ -151,8 +151,8 @@ private:
     }
 
     void execute_cnot(const circuit::Gate& gate, ScheduledOp& op) {
-        const circuit::Qubit control = gate.controls[0];
-        const circuit::Qubit target = gate.targets[0];
+        const circuit::Qubit control = gate.controls()[0];
+        const circuit::Qubit target = gate.targets()[0];
         const UlbCoord c_home = geometry_.ulb_coord(home_[control]);
         const UlbCoord t_home = geometry_.ulb_coord(home_[target]);
 

@@ -72,7 +72,7 @@ void apply_classical_gate(const circuit::Gate& gate, BasisState& state) {
     LEQA_REQUIRE(circuit::gate_info(gate.kind).is_classical,
                  "apply_classical_gate: non-classical gate " + gate.to_string());
     bool controls_active = true;
-    for (const circuit::Qubit c : gate.controls) {
+    for (const circuit::Qubit c : gate.controls()) {
         if (!state.get(c)) {
             controls_active = false;
             break;
@@ -84,14 +84,14 @@ void apply_classical_gate(const circuit::Gate& gate, BasisState& state) {
         case circuit::GateKind::X:
         case circuit::GateKind::Cnot:
         case circuit::GateKind::Toffoli:
-            state.flip(gate.targets[0]);
+            state.flip(gate.targets()[0]);
             break;
         case circuit::GateKind::Swap:
         case circuit::GateKind::Fredkin: {
-            const bool a = state.get(gate.targets[0]);
-            const bool b = state.get(gate.targets[1]);
-            state.set(gate.targets[0], b);
-            state.set(gate.targets[1], a);
+            const bool a = state.get(gate.targets()[0]);
+            const bool b = state.get(gate.targets()[1]);
+            state.set(gate.targets()[0], b);
+            state.set(gate.targets()[1], a);
             break;
         }
         default:

@@ -61,7 +61,7 @@ Amplitude StateVector::amplitude(std::uint64_t index) const {
 }
 
 void StateVector::apply_one_qubit(const Amplitude m[2][2], circuit::Qubit target,
-                                  const std::vector<circuit::Qubit>& controls) {
+                                  std::span<const circuit::Qubit> controls) {
     const std::uint64_t target_bit = 1ULL << target;
     std::uint64_t control_mask = 0;
     for (const circuit::Qubit c : controls) control_mask |= 1ULL << c;
@@ -78,7 +78,7 @@ void StateVector::apply_one_qubit(const Amplitude m[2][2], circuit::Qubit target
 }
 
 void StateVector::apply_swap(circuit::Qubit a, circuit::Qubit b,
-                             const std::vector<circuit::Qubit>& controls) {
+                             std::span<const circuit::Qubit> controls) {
     const std::uint64_t bit_a = 1ULL << a;
     const std::uint64_t bit_b = 1ULL << b;
     std::uint64_t control_mask = 0;
@@ -100,16 +100,16 @@ void StateVector::apply(const circuit::Gate& gate) {
         case circuit::GateKind::Cnot:
         case circuit::GateKind::Toffoli: {
             const OneQubitMatrix x = matrix_for(circuit::GateKind::X);
-            apply_one_qubit(x.m, gate.targets[0], gate.controls);
+            apply_one_qubit(x.m, gate.targets()[0], gate.controls());
             break;
         }
         case circuit::GateKind::Swap:
         case circuit::GateKind::Fredkin:
-            apply_swap(gate.targets[0], gate.targets[1], gate.controls);
+            apply_swap(gate.targets()[0], gate.targets()[1], gate.controls());
             break;
         default: {
             const OneQubitMatrix m = matrix_for(gate.kind);
-            apply_one_qubit(m.m, gate.targets[0], gate.controls);
+            apply_one_qubit(m.m, gate.targets()[0], gate.controls());
             break;
         }
     }

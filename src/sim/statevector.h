@@ -48,9 +48,9 @@ public:
 
 private:
     void apply_one_qubit(const Amplitude m[2][2], circuit::Qubit target,
-                         const std::vector<circuit::Qubit>& controls);
+                         std::span<const circuit::Qubit> controls);
     void apply_swap(circuit::Qubit a, circuit::Qubit b,
-                    const std::vector<circuit::Qubit>& controls);
+                    std::span<const circuit::Qubit> controls);
 
     std::size_t num_qubits_;
     std::vector<Amplitude> amplitudes_;

@@ -1,95 +1,6 @@
 #include "synth/decompose.h"
 
-#include "util/error.h"
-
 namespace leqa::synth {
-
-using circuit::Gate;
-using circuit::GateKind;
-using circuit::Qubit;
-
-void emit_toffoli_ft(Qubit a, Qubit b, Qubit t, const GateSink& sink) {
-    // Standard CNOT-optimal network (6 CNOT, 7 T/T-dagger, 2 H); this is the
-    // circuit depicted in the paper's Figure 2(a).
-    sink(circuit::make_h(t));
-    sink(circuit::make_cnot(b, t));
-    sink(circuit::make_tdg(t));
-    sink(circuit::make_cnot(a, t));
-    sink(circuit::make_t(t));
-    sink(circuit::make_cnot(b, t));
-    sink(circuit::make_tdg(t));
-    sink(circuit::make_cnot(a, t));
-    sink(circuit::make_t(b));
-    sink(circuit::make_t(t));
-    sink(circuit::make_cnot(a, b));
-    sink(circuit::make_h(t));
-    sink(circuit::make_t(a));
-    sink(circuit::make_tdg(b));
-    sink(circuit::make_cnot(a, b));
-}
-
-void emit_fredkin_as_toffoli(Qubit c, Qubit a, Qubit b, const GateSink& sink) {
-    // Controlled SWAP = the three-CNOT swap with every CNOT promoted to a
-    // Toffoli by the extra control (the paper replaces each 3-input Fredkin
-    // by three 3-input Toffolis).
-    sink(circuit::make_toffoli(c, a, b));
-    sink(circuit::make_toffoli(c, b, a));
-    sink(circuit::make_toffoli(c, a, b));
-}
-
-void emit_swap_as_cnot(Qubit a, Qubit b, const GateSink& sink) {
-    sink(circuit::make_cnot(a, b));
-    sink(circuit::make_cnot(b, a));
-    sink(circuit::make_cnot(a, b));
-}
-
-namespace {
-
-/// Compute the AND of all controls into a fresh ancilla chain; returns the
-/// qubit holding the final conjunction and the gates needed to uncompute.
-Qubit emit_and_chain(const std::vector<Qubit>& controls, const AncillaAllocator& alloc,
-                     const GateSink& sink, std::vector<Gate>& uncompute) {
-    LEQA_CHECK(controls.size() >= 2, "AND chain needs at least two controls");
-    Qubit acc = alloc();
-    Gate first = circuit::make_toffoli(controls[0], controls[1], acc);
-    sink(first);
-    uncompute.push_back(first);
-    for (std::size_t i = 2; i < controls.size(); ++i) {
-        const Qubit next = alloc();
-        Gate step = circuit::make_toffoli(controls[i], acc, next);
-        sink(step);
-        uncompute.push_back(step);
-        acc = next;
-    }
-    return acc;
-}
-
-void emit_uncompute(const std::vector<Gate>& uncompute, const GateSink& sink) {
-    // All chain gates are self-inverse Toffolis; replay them in reverse.
-    for (auto it = uncompute.rbegin(); it != uncompute.rend(); ++it) sink(*it);
-}
-
-} // namespace
-
-void emit_mcx_chain(const std::vector<Qubit>& controls, Qubit target,
-                    const AncillaAllocator& alloc, const GateSink& sink) {
-    LEQA_REQUIRE(controls.size() >= 3,
-                 "emit_mcx_chain: use plain CNOT/Toffoli below three controls");
-    std::vector<Gate> uncompute;
-    const Qubit conjunction = emit_and_chain(controls, alloc, sink, uncompute);
-    sink(circuit::make_cnot(conjunction, target));
-    emit_uncompute(uncompute, sink);
-}
-
-void emit_mcswap_chain(const std::vector<Qubit>& controls, Qubit a, Qubit b,
-                       const AncillaAllocator& alloc, const GateSink& sink) {
-    LEQA_REQUIRE(controls.size() >= 2,
-                 "emit_mcswap_chain: use plain Fredkin below two controls");
-    std::vector<Gate> uncompute;
-    const Qubit conjunction = emit_and_chain(controls, alloc, sink, uncompute);
-    sink(circuit::make_fredkin(conjunction, a, b));
-    emit_uncompute(uncompute, sink);
-}
 
 std::size_t ft_ops_for_mcx(std::size_t num_controls) {
     if (num_controls <= 1) return 1;

@@ -15,40 +15,118 @@
 ///     in the paper's Figure 2 (Shende & Markov's CNOT-optimal realization).
 #pragma once
 
-#include <functional>
+#include <span>
+#include <vector>
 
 #include "circuit/circuit.h"
+#include "util/error.h"
 
 namespace leqa::synth {
 
-/// Sink receiving rewritten gates in program order.
-using GateSink = std::function<void(const circuit::Gate&)>;
-
-/// Allocator returning a fresh |0> ancilla qubit index on each call.
-using AncillaAllocator = std::function<circuit::Qubit()>;
+// The emitters hand each rewritten gate, in program order, to a `sink`
+// callable taking `const circuit::Gate&`; the chain emitters draw fresh |0>
+// ancilla indices from an `alloc` callable returning circuit::Qubit.  Both
+// are template parameters, so the rewrite inlines into its caller.
 
 /// Emit the 15-gate FT realization of Toffoli(c0, c1 -> t).
-void emit_toffoli_ft(circuit::Qubit c0, circuit::Qubit c1, circuit::Qubit t,
-                     const GateSink& sink);
+template <class Sink>
+void emit_toffoli_ft(circuit::Qubit c0, circuit::Qubit c1, circuit::Qubit t, Sink&& sink) {
+    // Standard CNOT-optimal network (6 CNOT, 7 T/T-dagger, 2 H); this is the
+    // circuit depicted in the paper's Figure 2(a).
+    sink(circuit::make_h(t));
+    sink(circuit::make_cnot(c1, t));
+    sink(circuit::make_tdg(t));
+    sink(circuit::make_cnot(c0, t));
+    sink(circuit::make_t(t));
+    sink(circuit::make_cnot(c1, t));
+    sink(circuit::make_tdg(t));
+    sink(circuit::make_cnot(c0, t));
+    sink(circuit::make_t(c1));
+    sink(circuit::make_t(t));
+    sink(circuit::make_cnot(c0, c1));
+    sink(circuit::make_h(t));
+    sink(circuit::make_t(c0));
+    sink(circuit::make_tdg(c1));
+    sink(circuit::make_cnot(c0, c1));
+}
 
 /// Emit Fredkin(c; a, b) as three Toffolis:
 /// Tof(c,a->b) Tof(c,b->a) Tof(c,a->b).
+template <class Sink>
 void emit_fredkin_as_toffoli(circuit::Qubit c, circuit::Qubit a, circuit::Qubit b,
-                             const GateSink& sink);
+                             Sink&& sink) {
+    // Controlled SWAP = the three-CNOT swap with every CNOT promoted to a
+    // Toffoli by the extra control (the paper replaces each 3-input Fredkin
+    // by three 3-input Toffolis).
+    sink(circuit::make_toffoli(c, a, b));
+    sink(circuit::make_toffoli(c, b, a));
+    sink(circuit::make_toffoli(c, a, b));
+}
 
 /// Emit SWAP(a, b) as three CNOTs.
-void emit_swap_as_cnot(circuit::Qubit a, circuit::Qubit b, const GateSink& sink);
+template <class Sink>
+void emit_swap_as_cnot(circuit::Qubit a, circuit::Qubit b, Sink&& sink) {
+    sink(circuit::make_cnot(a, b));
+    sink(circuit::make_cnot(b, a));
+    sink(circuit::make_cnot(a, b));
+}
+
+namespace detail {
+
+/// Compute the AND of all controls into a chain of fresh ancillas, returned
+/// in allocation order; the last one holds the conjunction.  The chain is
+/// Tof(c0,c1->a0), then Tof(c_i, a_{i-2} -> a_{i-1}) for i >= 2.
+template <class Alloc, class Sink>
+std::vector<circuit::Qubit> emit_and_chain(std::span<const circuit::Qubit> controls,
+                                           Alloc&& alloc, Sink&& sink) {
+    LEQA_CHECK(controls.size() >= 2, "AND chain needs at least two controls");
+    std::vector<circuit::Qubit> chain;
+    chain.reserve(controls.size() - 1);
+    chain.push_back(alloc());
+    sink(circuit::make_toffoli(controls[0], controls[1], chain[0]));
+    for (std::size_t i = 2; i < controls.size(); ++i) {
+        chain.push_back(alloc());
+        sink(circuit::make_toffoli(controls[i], chain[i - 2], chain[i - 1]));
+    }
+    return chain;
+}
+
+/// Uncompute an AND chain: its gates are self-inverse Toffolis, replayed in
+/// reverse.
+template <class Sink>
+void emit_and_unchain(std::span<const circuit::Qubit> controls,
+                      std::span<const circuit::Qubit> chain, Sink&& sink) {
+    for (std::size_t i = controls.size() - 1; i >= 2; --i) {
+        sink(circuit::make_toffoli(controls[i], chain[i - 2], chain[i - 1]));
+    }
+    sink(circuit::make_toffoli(controls[0], controls[1], chain[0]));
+}
+
+} // namespace detail
 
 /// Emit a k-controlled X (k >= 3) as an AND-chain with k-1 fresh ancillas:
 /// 2(k-1) Toffolis + 1 CNOT.  Ancillas are uncomputed back to |0>.
-void emit_mcx_chain(const std::vector<circuit::Qubit>& controls, circuit::Qubit target,
-                    const AncillaAllocator& alloc, const GateSink& sink);
+template <class Alloc, class Sink>
+void emit_mcx_chain(std::span<const circuit::Qubit> controls, circuit::Qubit target,
+                    Alloc&& alloc, Sink&& sink) {
+    LEQA_REQUIRE(controls.size() >= 3,
+                 "emit_mcx_chain: use plain CNOT/Toffoli below three controls");
+    const std::vector<circuit::Qubit> chain = detail::emit_and_chain(controls, alloc, sink);
+    sink(circuit::make_cnot(chain.back(), target));
+    detail::emit_and_unchain(controls, chain, sink);
+}
 
 /// Emit a k-controlled SWAP (k >= 2) as an AND-chain plus one 3-input
 /// Fredkin on the chain output.  k-1 fresh ancillas, uncomputed.
-void emit_mcswap_chain(const std::vector<circuit::Qubit>& controls, circuit::Qubit a,
-                       circuit::Qubit b, const AncillaAllocator& alloc,
-                       const GateSink& sink);
+template <class Alloc, class Sink>
+void emit_mcswap_chain(std::span<const circuit::Qubit> controls, circuit::Qubit a,
+                       circuit::Qubit b, Alloc&& alloc, Sink&& sink) {
+    LEQA_REQUIRE(controls.size() >= 2,
+                 "emit_mcswap_chain: use plain Fredkin below two controls");
+    const std::vector<circuit::Qubit> chain = detail::emit_and_chain(controls, alloc, sink);
+    sink(circuit::make_fredkin(chain.back(), a, b));
+    detail::emit_and_unchain(controls, chain, sink);
+}
 
 /// Gate-count bookkeeping for the closed-form count checks in the tests:
 /// FT op count of one k-controlled X after full synthesis (fresh ancillas):

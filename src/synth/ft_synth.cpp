@@ -71,35 +71,37 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
     out.add_comment("ft-synthesized (ancilla sharing: " +
                     std::string(options.share_ancillas ? "on" : "off") + ")");
     for (Qubit q = 0; q < input.num_qubits(); ++q) out.add_qubit(input.qubit_name(q));
+    out.reserve_gates(predicted_ft_ops(input));
 
     AncillaManager ancillas(out, options.share_ancillas, options.ancilla_prefix);
     FtSynthStats& stats = result.stats;
     stats.input_gates = input.size();
     stats.input_qubits = input.num_qubits();
 
-    // Stage-2 sink: lowers 3-input Toffolis to the FT network unless
+    const auto emit = [&out](const Gate& g) { out.add_gate(g); };
+
+    // Stage 2: lowers 3-input Toffolis to the FT network unless
     // keep_toffoli is set; everything else is appended as-is.
-    const GateSink lower_sink = [&](const Gate& g) {
-        if (g.kind == GateKind::Toffoli && g.controls.size() == 2 && !options.keep_toffoli) {
+    const auto lower = [&](const Gate& g) {
+        if (g.kind == GateKind::Toffoli && g.controls().size() == 2 && !options.keep_toffoli) {
             ++stats.toffolis_lowered;
-            emit_toffoli_ft(g.controls[0], g.controls[1], g.targets[0],
-                            [&](const Gate& ft) { out.add_gate(ft); });
+            emit_toffoli_ft(g.controls()[0], g.controls()[1], g.targets()[0], emit);
         } else {
             out.add_gate(g);
         }
     };
 
-    // Stage-1 sink: 3-input Fredkin -> three Toffolis, then stage 2.
-    const GateSink stage1_sink = [&](const Gate& g) {
-        if (g.kind == GateKind::Fredkin && g.controls.size() == 1) {
+    // Stage 1: 3-input Fredkin -> three Toffolis, then stage 2.
+    const auto stage1 = [&](const Gate& g) {
+        if (g.kind == GateKind::Fredkin && g.controls().size() == 1) {
             ++stats.fredkins_lowered;
-            emit_fredkin_as_toffoli(g.controls[0], g.targets[0], g.targets[1], lower_sink);
+            emit_fredkin_as_toffoli(g.controls()[0], g.targets()[0], g.targets()[1], lower);
         } else {
-            lower_sink(g);
+            lower(g);
         }
     };
 
-    const AncillaAllocator alloc = [&] { return ancillas.allocate(); };
+    const auto alloc = [&ancillas] { return ancillas.allocate(); };
 
     for (const Gate& g : input.gates()) {
         ancillas.begin_gate();
@@ -116,23 +118,23 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
                 out.add_gate(g);
                 break;
             case GateKind::Swap:
-                emit_swap_as_cnot(g.targets[0], g.targets[1], stage1_sink);
+                emit_swap_as_cnot(g.targets()[0], g.targets()[1], stage1);
                 break;
             case GateKind::Toffoli:
-                if (g.controls.size() <= 2) {
-                    stage1_sink(g);
+                if (g.controls().size() <= 2) {
+                    stage1(g);
                 } else {
                     ++stats.chains_expanded;
-                    emit_mcx_chain(g.controls, g.targets[0], alloc, stage1_sink);
+                    emit_mcx_chain(g.controls(), g.targets()[0], alloc, stage1);
                 }
                 break;
             case GateKind::Fredkin:
-                if (g.controls.size() == 1) {
-                    stage1_sink(g);
+                if (g.controls().size() == 1) {
+                    stage1(g);
                 } else {
                     ++stats.chains_expanded;
-                    emit_mcswap_chain(g.controls, g.targets[0], g.targets[1], alloc,
-                                      stage1_sink);
+                    emit_mcswap_chain(g.controls(), g.targets()[0], g.targets()[1], alloc,
+                                      stage1);
                 }
                 break;
         }
@@ -151,10 +153,10 @@ std::size_t predicted_ft_ops(const Circuit& input) {
     for (const Gate& g : input.gates()) {
         switch (g.kind) {
             case GateKind::Toffoli:
-                total += ft_ops_for_mcx(g.controls.size() + 0);
+                total += ft_ops_for_mcx(g.controls().size());
                 break;
             case GateKind::Fredkin:
-                total += ft_ops_for_mcswap(g.controls.size());
+                total += ft_ops_for_mcswap(g.controls().size());
                 break;
             case GateKind::Swap:
                 total += 3;
@@ -172,10 +174,10 @@ std::size_t predicted_ancillas(const Circuit& input) {
     for (const Gate& g : input.gates()) {
         switch (g.kind) {
             case GateKind::Toffoli:
-                total += ancillas_for_mcx(g.controls.size());
+                total += ancillas_for_mcx(g.controls().size());
                 break;
             case GateKind::Fredkin:
-                total += ancillas_for_mcswap(g.controls.size());
+                total += ancillas_for_mcswap(g.controls().size());
                 break;
             default:
                 break;

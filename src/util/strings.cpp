@@ -6,18 +6,6 @@
 
 namespace leqa::util {
 
-namespace {
-bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
-} // namespace
-
-std::string trim(std::string_view text) {
-    std::size_t begin = 0;
-    std::size_t end = text.size();
-    while (begin < end && is_space(text[begin])) ++begin;
-    while (end > begin && is_space(text[end - 1])) --end;
-    return std::string(text.substr(begin, end - begin));
-}
-
 std::string to_lower(std::string_view text) {
     std::string out(text);
     for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -32,18 +20,6 @@ std::vector<std::string> split(std::string_view text, char sep) {
             parts.emplace_back(text.substr(begin, i - begin));
             begin = i + 1;
         }
-    }
-    return parts;
-}
-
-std::vector<std::string> split_whitespace(std::string_view text) {
-    std::vector<std::string> parts;
-    std::size_t i = 0;
-    while (i < text.size()) {
-        while (i < text.size() && is_space(text[i])) ++i;
-        const std::size_t begin = i;
-        while (i < text.size() && !is_space(text[i])) ++i;
-        if (i > begin) parts.emplace_back(text.substr(begin, i - begin));
     }
     return parts;
 }
@@ -65,8 +41,10 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     return out;
 }
 
+std::string trim(std::string_view text) { return std::string(trim_view(text)); }
+
 std::optional<long long> parse_int(std::string_view text) {
-    const std::string trimmed = trim(text);
+    const std::string_view trimmed = trim_view(text);
     if (trimmed.empty()) return std::nullopt;
     long long value = 0;
     const char* begin = trimmed.data();
@@ -77,7 +55,7 @@ std::optional<long long> parse_int(std::string_view text) {
 }
 
 std::optional<double> parse_double(std::string_view text) {
-    const std::string trimmed = trim(text);
+    const std::string_view trimmed = trim_view(text);
     if (trimmed.empty()) return std::nullopt;
     // std::from_chars for double is available in libstdc++ 11+.
     double value = 0.0;

@@ -2,6 +2,7 @@
 /// \brief Small string utilities shared by the parsers and CLI tools.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -9,17 +10,48 @@
 
 namespace leqa::util {
 
+/// Transparent string hash: with std::equal_to<> it lets an unordered
+/// container keyed by std::string be searched with a std::string_view,
+/// without building a temporary key.
+struct StringHash {
+    using is_transparent = void;
+    [[nodiscard]] std::size_t operator()(std::string_view text) const {
+        return std::hash<std::string_view>{}(text);
+    }
+};
+
+/// ASCII whitespace as the C locale defines it: space, \t, \n, \v, \f, \r.
+[[nodiscard]] constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Remove leading and trailing ASCII whitespace; a view into \p text.
+[[nodiscard]] constexpr std::string_view trim_view(std::string_view text) {
+    std::size_t begin = 0;
+    std::size_t end = text.size();
+    while (begin < end && is_space(text[begin])) ++begin;
+    while (end > begin && is_space(text[end - 1])) --end;
+    return text.substr(begin, end - begin);
+}
+
 /// Remove leading and trailing ASCII whitespace.
 [[nodiscard]] std::string trim(std::string_view text);
+
+/// ASCII case-insensitive equality against an already lower-case \p lower.
+[[nodiscard]] constexpr bool iequals(std::string_view text, std::string_view lower) {
+    if (text.size() != lower.size()) return false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if ((c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c) != lower[i]) {
+            return false;
+        }
+    }
+    return true;
+}
 
 /// Lower-case ASCII copy.
 [[nodiscard]] std::string to_lower(std::string_view text);
 
 /// Split on a single character; empty fields are kept.
 [[nodiscard]] std::vector<std::string> split(std::string_view text, char sep);
-
-/// Split on any run of ASCII whitespace; empty fields are dropped.
-[[nodiscard]] std::vector<std::string> split_whitespace(std::string_view text);
 
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 [[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix);

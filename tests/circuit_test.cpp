@@ -1,6 +1,10 @@
 // Unit tests for the circuit module: gates, metadata, container.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string_view>
+#include <vector>
+
 #include "circuit/circuit.h"
 #include "util/error.h"
 
@@ -22,8 +26,11 @@ TEST(GateInfo, Aliases) {
     EXPECT_EQ(lc::parse_gate_name("CCX"), lc::GateKind::Toffoli);
     EXPECT_EQ(lc::parse_gate_name("cswap"), lc::GateKind::Fredkin);
     EXPECT_THROW((void)lc::parse_gate_name("bogus"), InputError);
-    EXPECT_TRUE(lc::is_gate_name("tdg"));
-    EXPECT_FALSE(lc::is_gate_name("qubit"));
+    EXPECT_EQ(lc::find_gate_name("tdg"), lc::GateKind::Tdg);
+    EXPECT_EQ(lc::find_gate_name("TDAG"), lc::GateKind::Tdg);
+    EXPECT_FALSE(lc::find_gate_name("qubit").has_value());
+    EXPECT_FALSE(lc::find_gate_name("").has_value());
+    EXPECT_FALSE(lc::find_gate_name("toffolix").has_value());
 }
 
 TEST(GateInfo, FtMembership) {
@@ -49,11 +56,13 @@ TEST(Gate, ValidationCatchesDuplicates) {
 }
 
 TEST(Gate, ValidationCatchesArity) {
-    lc::Gate bad(lc::GateKind::Cnot, {0, 1}, {2}); // two controls on CNOT
+    const std::vector<lc::Qubit> two{0, 1};
+    const std::vector<lc::Qubit> one{2};
+    lc::Gate bad(lc::GateKind::Cnot, two, one); // two controls on CNOT
     EXPECT_THROW(bad.validate(), InputError);
     lc::Gate no_target(lc::GateKind::H, {}, {});
     EXPECT_THROW(no_target.validate(), InputError);
-    lc::Gate no_controls(lc::GateKind::Toffoli, {}, {0});
+    lc::Gate no_controls(lc::GateKind::Toffoli, {}, one);
     EXPECT_THROW(no_controls.validate(), InputError);
 }
 
@@ -63,15 +72,107 @@ TEST(Gate, RangeValidation) {
 }
 
 TEST(Gate, QubitsAndArity) {
-    const auto gate = lc::make_mcx({0, 1, 2}, 3);
+    const auto gate = lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2}, 3);
     EXPECT_EQ(gate.arity(), 4u);
-    EXPECT_EQ(gate.qubits(), (std::vector<lc::Qubit>{0, 1, 2, 3}));
+    EXPECT_EQ(std::vector<lc::Qubit>(gate.qubits().begin(), gate.qubits().end()),
+              (std::vector<lc::Qubit>{0, 1, 2, 3}));
     EXPECT_FALSE(gate.is_two_qubit());
     EXPECT_TRUE(lc::make_cnot(0, 1).is_two_qubit());
 }
 
+namespace {
+std::vector<lc::Qubit> as_vector(std::span<const lc::Qubit> qubits) {
+    return {qubits.begin(), qubits.end()};
+}
+} // namespace
+
+TEST(Gate, RecordStaysCompact) {
+    EXPECT_LE(sizeof(lc::Gate), 40u);
+}
+
+TEST(Gate, OperandSpansInlineAndSpilled) {
+    const lc::Gate tof = lc::make_toffoli(4, 5, 6); // inline: 3 operands
+    EXPECT_EQ(as_vector(tof.controls()), (std::vector<lc::Qubit>{4, 5}));
+    EXPECT_EQ(as_vector(tof.targets()), (std::vector<lc::Qubit>{6}));
+    EXPECT_EQ(as_vector(tof.qubits()), (std::vector<lc::Qubit>{4, 5, 6}));
+
+    const lc::Gate mcx = lc::make_mcx(std::vector<lc::Qubit>{9, 1, 7, 3, 5}, 2); // spilled
+    EXPECT_EQ(mcx.kind, lc::GateKind::Toffoli);
+    EXPECT_EQ(mcx.arity(), 6u);
+    EXPECT_EQ(as_vector(mcx.controls()), (std::vector<lc::Qubit>{9, 1, 7, 3, 5}));
+    EXPECT_EQ(as_vector(mcx.targets()), (std::vector<lc::Qubit>{2}));
+    EXPECT_EQ(as_vector(mcx.qubits()), (std::vector<lc::Qubit>{9, 1, 7, 3, 5, 2}));
+
+    const lc::Gate mcswap = lc::make_mcswap(std::vector<lc::Qubit>{0, 1, 2}, 3, 4);
+    EXPECT_EQ(mcswap.kind, lc::GateKind::Fredkin);
+    EXPECT_EQ(as_vector(mcswap.controls()), (std::vector<lc::Qubit>{0, 1, 2}));
+    EXPECT_EQ(as_vector(mcswap.targets()), (std::vector<lc::Qubit>{3, 4}));
+    EXPECT_NO_THROW(mcx.validate_against(10));
+    EXPECT_NO_THROW(mcswap.validate_against(5));
+}
+
+TEST(Gate, CopyMoveAndEqualityForWideGates) {
+    for (const lc::Gate& original :
+         {lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3, 4}, 5),
+          lc::make_mcswap(std::vector<lc::Qubit>{0, 1, 2}, 3, 4), lc::make_cnot(0, 1)}) {
+        lc::Gate copy = original;
+        EXPECT_EQ(copy, original);
+        EXPECT_EQ(as_vector(copy.qubits()), as_vector(original.qubits()));
+
+        lc::Gate moved = std::move(copy);
+        EXPECT_EQ(moved, original);
+        EXPECT_EQ(as_vector(moved.controls()), as_vector(original.controls()));
+        EXPECT_EQ(as_vector(moved.targets()), as_vector(original.targets()));
+
+        lc::Gate assigned;
+        assigned = moved;
+        EXPECT_EQ(assigned, original);
+        lc::Gate move_assigned;
+        move_assigned = std::move(assigned);
+        EXPECT_EQ(move_assigned, original);
+    }
+    // Same operands, split differently, or in another order: not equal.
+    EXPECT_NE(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3, 4}, 5),
+              lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3, 5}, 4));
+    EXPECT_NE(lc::make_mcswap(std::vector<lc::Qubit>{0, 1, 2}, 3, 4),
+              lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
+    EXPECT_NE(lc::make_cnot(0, 1), lc::make_cnot(1, 0));
+}
+
+TEST(Gate, DuplicateAndRangeChecksInlineAndSpilled) {
+    EXPECT_THROW(lc::make_swap(3, 3).validate(), InputError);
+    EXPECT_THROW(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 1}, 5).validate(), InputError);
+    EXPECT_THROW(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 0).validate(), InputError);
+    EXPECT_THROW(lc::make_mcswap(std::vector<lc::Qubit>{0, 1, 2}, 4, 4).validate(), InputError);
+    std::vector<lc::Qubit> wide(40);
+    for (std::size_t i = 0; i < wide.size(); ++i) wide[i] = static_cast<lc::Qubit>(i);
+    EXPECT_NO_THROW(lc::make_mcx(wide, 40).validate_against(41));
+    EXPECT_THROW(lc::make_mcx(wide, 7).validate(), InputError); // sorted-copy path
+
+    EXPECT_THROW(lc::make_toffoli(0, 1, 3).validate_against(3), InputError);
+    EXPECT_THROW(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 9).validate_against(9),
+                 InputError);
+    EXPECT_THROW(lc::make_mcswap(std::vector<lc::Qubit>{7, 1, 2}, 3, 4).validate_against(5),
+                 InputError);
+    lc::Circuit circ(5);
+    EXPECT_THROW(circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 5)),
+                 InputError);
+    EXPECT_TRUE(circ.empty());
+}
+
+TEST(Circuit, FindQubitByView) {
+    lc::Circuit circ;
+    circ.add_qubit("alpha");
+    circ.add_qubit("b0");
+    const std::string line = "cnot alpha,b0";
+    EXPECT_EQ(circ.find_qubit(std::string_view(line).substr(5, 5)), 0u);
+    EXPECT_EQ(circ.find_qubit(std::string_view(line).substr(11)), 1u);
+    EXPECT_FALSE(circ.find_qubit("alph").has_value());
+    EXPECT_FALSE(circ.find_qubit("").has_value());
+}
+
 TEST(Gate, McxWithSingleControlIsCnot) {
-    const auto gate = lc::make_mcx({4}, 2);
+    const auto gate = lc::make_mcx(std::vector<lc::Qubit>{4}, 2);
     EXPECT_EQ(gate.kind, lc::GateKind::Cnot);
 }
 
@@ -88,10 +189,9 @@ TEST(Circuit, QubitManagement) {
     EXPECT_EQ(circ.add_qubit(), 1u); // auto-named q1
     EXPECT_EQ(circ.qubit_name(0), "a");
     EXPECT_EQ(circ.qubit_name(1), "q1");
-    EXPECT_EQ(circ.qubit_index("a"), 0u);
-    EXPECT_TRUE(circ.has_qubit("q1"));
-    EXPECT_FALSE(circ.has_qubit("b"));
-    EXPECT_THROW((void)circ.qubit_index("b"), InputError);
+    EXPECT_EQ(circ.find_qubit("a"), 0u);
+    EXPECT_EQ(circ.find_qubit("q1"), 1u);
+    EXPECT_FALSE(circ.find_qubit("b").has_value());
     EXPECT_THROW((void)circ.add_qubit("a"), InputError);
 }
 

@@ -174,16 +174,14 @@ struct ReferenceQodg {
             const auto me = static_cast<lq::NodeId>(i + 1);
             const lc::Gate& gate = circ.gate(i);
             preds.clear();
-            for (const lc::Qubit q : gate.controls) preds.push_back(last[q]);
-            for (const lc::Qubit q : gate.targets) preds.push_back(last[q]);
+            for (const lc::Qubit q : gate.qubits()) preds.push_back(last[q]);
             std::sort(preds.begin(), preds.end());
             preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
             for (const lq::NodeId p : preds) {
                 out_edges[p].push_back(me);
                 ++edge_count;
             }
-            for (const lc::Qubit q : gate.controls) last[q] = me;
-            for (const lc::Qubit q : gate.targets) last[q] = me;
+            for (const lc::Qubit q : gate.qubits()) last[q] = me;
         }
         std::vector<lq::NodeId> tails(last.begin(), last.end());
         if (circ.num_qubits() == 0) tails.push_back(0);
@@ -265,4 +263,66 @@ TEST(GraphParity, CsrQodgMatchesNestedVectorReferenceOnBenchSuite) {
             EXPECT_EQ(census.total_ops, path.size() - 2);
         }
     }
+}
+
+TEST(GraphParity, DirectBuiltQodgMatchesCsrBuilderReferenceOnBenchSuite) {
+    // The QODG writes its predecessor CSR directly and reverses it; the
+    // reference pushes every last-writer edge through CsrBuilder, which
+    // sorts and merges them at freeze time.
+    std::vector<lc::Circuit> circuits = parity_circuits();
+    circuits.push_back(leqa::benchgen::ham3()); // pre-FT: a 3-operand gate
+    circuits.emplace_back(0);                   // no qubits: start -> end
+    for (const lc::Circuit& circ : circuits) {
+        const lq::Qodg qodg(circ);
+        const std::size_t n_nodes = circ.size() + 2;
+        const auto end_id = static_cast<lq::NodeId>(n_nodes - 1);
+        lg::CsrBuilder builder(n_nodes);
+        std::vector<lq::NodeId> last(circ.num_qubits(), 0);
+        for (std::size_t i = 0; i < circ.size(); ++i) {
+            const auto me = static_cast<lq::NodeId>(i + 1);
+            for (const lc::Qubit q : circ.gate(i).qubits()) builder.add_edge(last[q], me);
+            for (const lc::Qubit q : circ.gate(i).qubits()) last[q] = me;
+        }
+        if (last.empty()) last.push_back(0);
+        for (const lq::NodeId t : last) builder.add_edge(t, end_id);
+        const lg::CsrDigraph forward = builder.build(/*merge_parallel=*/true);
+        const lg::CsrDigraph backward = forward.reversed();
+
+        ASSERT_EQ(qodg.num_nodes(), n_nodes) << circ.name();
+        ASSERT_EQ(qodg.num_edges(), forward.num_edges()) << circ.name();
+        EXPECT_TRUE(qodg.csr().topologically_ordered());
+        for (lq::NodeId u = 0; u < n_nodes; ++u) {
+            const auto succ = qodg.successors(u);
+            const auto pred = qodg.predecessors(u);
+            const auto want_succ = forward.successors(u);
+            const auto want_pred = backward.successors(u);
+            ASSERT_TRUE(std::equal(succ.begin(), succ.end(), want_succ.begin(), want_succ.end()))
+                << circ.name() << " successors of node " << u;
+            ASSERT_TRUE(std::equal(pred.begin(), pred.end(), want_pred.begin(), want_pred.end()))
+                << circ.name() << " predecessors of node " << u;
+        }
+
+        // Node records derive from the id: start, ops in program order, end.
+        EXPECT_EQ(qodg.node(qodg.start()).kind, lq::NodeKind::Start);
+        EXPECT_EQ(qodg.node(qodg.end()).kind, lq::NodeKind::End);
+        for (std::size_t i = 0; i < circ.size(); ++i) {
+            const lq::Node node = qodg.node(qodg.node_of_gate(i));
+            ASSERT_EQ(node.kind, lq::NodeKind::Op);
+            ASSERT_EQ(node.gate_index, i);
+            ASSERT_EQ(node.gate_kind, circ.gate(i).kind);
+        }
+        EXPECT_THROW((void)qodg.node(static_cast<lq::NodeId>(n_nodes)), leqa::util::InputError);
+    }
+}
+
+TEST(CsrDigraph, ReversingAPredecessorCsrYieldsTheTopologicalGraph) {
+    // Rows list predecessors: 1 <- 0, 2 <- {0, 1}.
+    const lg::CsrDigraph preds({0, 0, 1, 3}, {0, 0, 1}, /*topological=*/false);
+    const lg::CsrDigraph forward = preds.reversed();
+    EXPECT_TRUE(forward.topologically_ordered());
+    EXPECT_EQ(lg::validate_csr(forward), "");
+    const auto succ = forward.successors(0);
+    EXPECT_EQ(std::vector<lq::NodeId>(succ.begin(), succ.end()),
+              (std::vector<lq::NodeId>{1, 2}));
+    EXPECT_FALSE(forward.reversed().topologically_ordered());
 }

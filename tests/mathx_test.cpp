@@ -5,10 +5,12 @@
 #include <cmath>
 
 #include "mathx/binomial.h"
+#include "mathx/gf2poly.h"
 #include "mathx/queueing.h"
 #include "mathx/stats.h"
 #include "mathx/tsp.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace lm = leqa::mathx;
 
@@ -284,4 +286,80 @@ TEST(Stats, PowerLawFitRejectsNonPositive) {
     const std::vector<double> x{1.0, -2.0};
     const std::vector<double> y{1.0, 2.0};
     EXPECT_THROW((void)lm::power_law_fit(x, y), leqa::util::InputError);
+}
+
+// ---------------------------------------------------------------- gf2poly --
+
+namespace {
+
+/// Shift-and-add product and long division through the public primitives
+/// only: an independent oracle for the word-level mulmod/mod.
+lm::Gf2Poly reference_mulmod(const lm::Gf2Poly& a, const lm::Gf2Poly& b,
+                             const lm::Gf2Poly& modulus) {
+    lm::Gf2Poly product;
+    for (const int e : a.exponents()) product ^= b.shifted(e);
+    while (product.degree() >= modulus.degree()) {
+        product ^= modulus.shifted(product.degree() - modulus.degree());
+    }
+    return product;
+}
+
+/// Random coefficients below \p max_degree; x^top too when top >= 0.
+lm::Gf2Poly random_poly(leqa::util::Rng& rng, int max_degree, int top = -1) {
+    lm::Gf2Poly p;
+    for (int e = 0; e <= max_degree; ++e) {
+        if (rng.chance(0.5)) p.set_coeff(e, true);
+    }
+    if (top >= 0) p.set_coeff(top, true);
+    return p;
+}
+
+} // namespace
+
+TEST(Gf2Poly, MulmodAndModMatchLongDivision) {
+    leqa::util::Rng rng(0x6F2);
+    const std::vector<lm::Gf2Poly> moduli = {
+        lm::Gf2Poly::from_exponents({0}),                 // 1: everything reduces to 0
+        lm::Gf2Poly::from_exponents({1}),                 // x
+        lm::Gf2Poly::from_exponents({63, 1, 0}),          // top bit at a word edge
+        lm::Gf2Poly::from_exponents({64, 4, 3, 1, 0}),    // one bit into word 1
+        lm::Gf2Poly::from_exponents({256, 10, 5, 2, 0}),  // the gf2^256mult pentanomial
+        random_poly(rng, 130, 131),                       // dense
+    };
+    for (const lm::Gf2Poly& modulus : moduli) {
+        const int d = modulus.degree();
+        for (int trial = 0; trial < 20; ++trial) {
+            const lm::Gf2Poly a = random_poly(rng, 2 * d + 70);
+            const lm::Gf2Poly b = random_poly(rng, d + 3);
+            EXPECT_EQ(lm::Gf2Poly::mulmod(a, b, modulus), reference_mulmod(a, b, modulus))
+                << "mod " << modulus.to_string();
+            EXPECT_EQ(lm::Gf2Poly::mulmod(a, a, modulus), reference_mulmod(a, a, modulus))
+                << "square mod " << modulus.to_string();
+            EXPECT_EQ(a.mod(modulus), reference_mulmod(a, lm::Gf2Poly::monomial(0), modulus));
+            EXPECT_LT(a.mod(modulus).degree(), d);
+        }
+    }
+}
+
+TEST(Gf2Poly, SuiteReductionPolynomialsArePinned) {
+    // Middle terms of the reduction polynomial for every gf2^N suite
+    // degree, recorded before the word-level arithmetic replaced the
+    // bit-serial one: the search order, and so its answer, is unchanged.
+    struct Pin {
+        int n;
+        std::vector<int> automatic;   // trinomial when one exists
+        std::vector<int> pentanomial; // forced
+    };
+    const std::vector<Pin> pins = {
+        {16, {5, 3, 1}, {5, 3, 1}},   {18, {3}, {5, 2, 1}},       {19, {5, 2, 1}, {5, 2, 1}},
+        {20, {3}, {3, 2, 1}},         {50, {4, 3, 2}, {4, 3, 2}}, {64, {4, 3, 1}, {4, 3, 1}},
+        {100, {15}, {6, 5, 2}},       {128, {7, 2, 1}, {7, 2, 1}},
+        {256, {10, 5, 2}, {10, 5, 2}},
+    };
+    for (const Pin& pin : pins) {
+        EXPECT_EQ(lm::irreducible_middle_terms(pin.n, false), pin.automatic) << "n=" << pin.n;
+        EXPECT_EQ(lm::irreducible_middle_terms(pin.n, true), pin.pentanomial) << "n=" << pin.n;
+    }
+    EXPECT_EQ(lm::find_irreducible_trinomial(20), 3);
+    EXPECT_FALSE(lm::find_irreducible_trinomial(256).has_value());
 }

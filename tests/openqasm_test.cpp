@@ -45,8 +45,8 @@ TEST(OpenQasm, MultipleRegisters) {
         "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ncx a[1], b[0];\n";
     const auto circ = lp::parse_openqasm(text);
     EXPECT_EQ(circ.num_qubits(), 4u);
-    EXPECT_EQ(circ.gate(0).controls[0], 1u);
-    EXPECT_EQ(circ.gate(0).targets[0], 2u);
+    EXPECT_EQ(circ.gate(0).controls()[0], 1u);
+    EXPECT_EQ(circ.gate(0).targets()[0], 2u);
 }
 
 TEST(OpenQasm, StatementsSpanLines) {
@@ -98,7 +98,7 @@ TEST(OpenQasm, WriterRoundTrip) {
 
 TEST(OpenQasm, WriterRejectsWideGates) {
     lc::Circuit circ(5);
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3}, 4));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
     EXPECT_THROW((void)lp::write_openqasm(circ), leqa::util::InputError);
 }
 

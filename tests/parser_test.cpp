@@ -7,6 +7,8 @@
 
 #include "parser/diagnostics.h"
 #include "parser/io.h"
+#include "parser/lexer.h"
+#include "parser/openqasm.h"
 #include "parser/qasm.h"
 #include "parser/real.h"
 #include "util/rng.h"
@@ -33,8 +35,9 @@ toffoli q0 q1 q2
     EXPECT_EQ(circ.gate(0).kind, lc::GateKind::H);
     EXPECT_EQ(circ.gate(3).kind, lc::GateKind::Cnot);
     EXPECT_EQ(circ.gate(4).kind, lc::GateKind::Toffoli);
-    EXPECT_EQ(circ.gate(4).controls, (std::vector<lc::Qubit>{0, 1}));
-    EXPECT_EQ(circ.gate(4).targets, (std::vector<lc::Qubit>{2}));
+    EXPECT_EQ(std::vector<lc::Qubit>(circ.gate(4).qubits().begin(), circ.gate(4).qubits().end()),
+              (std::vector<lc::Qubit>{0, 1, 2}));
+    EXPECT_EQ(circ.gate(4).controls().size(), 2u);
 }
 
 TEST(QasmParser, NamedQubitDeclarations) {
@@ -45,18 +48,18 @@ cnot alpha, beta
     const auto circ = lp::parse_qasm(text);
     EXPECT_EQ(circ.num_qubits(), 2u);
     EXPECT_EQ(circ.qubit_name(0), "alpha");
-    EXPECT_EQ(circ.gate(0).controls[0], 0u);
-    EXPECT_EQ(circ.gate(0).targets[0], 1u);
+    EXPECT_EQ(circ.gate(0).controls()[0], 0u);
+    EXPECT_EQ(circ.gate(0).targets()[0], 1u);
 }
 
 TEST(QasmParser, MultiControlledGates) {
     const std::string text = ".qubits 5\ntoffoli q0 q1 q2 q3 q4\nfredkin q0, q1, q2\n";
     const auto circ = lp::parse_qasm(text);
     ASSERT_EQ(circ.size(), 2u);
-    EXPECT_EQ(circ.gate(0).controls.size(), 4u);
+    EXPECT_EQ(circ.gate(0).controls().size(), 4u);
     EXPECT_EQ(circ.gate(1).kind, lc::GateKind::Fredkin);
-    EXPECT_EQ(circ.gate(1).controls.size(), 1u);
-    EXPECT_EQ(circ.gate(1).targets.size(), 2u);
+    EXPECT_EQ(circ.gate(1).controls().size(), 1u);
+    EXPECT_EQ(circ.gate(1).targets().size(), 2u);
 }
 
 TEST(QasmParser, ErrorsCarryLineNumbers) {
@@ -185,7 +188,7 @@ TEST(RealParser, LargeToffoli) {
     const auto circ = lp::parse_real(text);
     ASSERT_EQ(circ.size(), 1u);
     EXPECT_EQ(circ.gate(0).kind, lc::GateKind::Toffoli);
-    EXPECT_EQ(circ.gate(0).controls.size(), 4u);
+    EXPECT_EQ(circ.gate(0).controls().size(), 4u);
 }
 
 TEST(RealParser, Diagnostics) {
@@ -204,7 +207,7 @@ TEST(RealParser, Diagnostics) {
 TEST(RealWriter, RoundTripsClassicalCircuit) {
     lc::Circuit circ(4, "rev");
     circ.x(0).cnot(0, 1).toffoli(0, 1, 2).fredkin(0, 2, 3).swap(1, 3);
-    circ.add_gate(lc::make_mcx({0, 1, 2}, 3));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2}, 3));
     const std::string text = lp::write_real(circ);
     const auto parsed = lp::parse_real(text);
     EXPECT_TRUE(circ.same_structure(parsed));
@@ -239,4 +242,166 @@ TEST(Io, SaveAndLoadByExtension) {
 TEST(Io, MissingFileThrows) {
     EXPECT_THROW((void)lp::load_netlist("/nonexistent/path/foo.qasm"),
                  leqa::util::InputError);
+}
+
+// ------------------------------------------------------------------ lexer --
+
+TEST(Lexer, NextTokenDropsEmptyFields) {
+    std::string_view rest = "  t3  a   b c\t";
+    EXPECT_EQ(lp::lex::count_tokens(rest), 4u);
+    EXPECT_EQ(lp::lex::next_token(rest), "t3");
+    EXPECT_EQ(lp::lex::next_token(rest), "a");
+    EXPECT_EQ(lp::lex::next_token(rest), "b");
+    EXPECT_EQ(lp::lex::next_token(rest), "c");
+    EXPECT_EQ(lp::lex::next_token(rest), "");
+
+    std::string_view operands = " a0,b0 ,, c0";
+    EXPECT_EQ(lp::lex::count_tokens(operands, /*commas=*/true), 3u);
+    EXPECT_EQ(lp::lex::count_tokens(operands), 3u); // "a0,b0", ",,", "c0"
+}
+
+TEST(Lexer, LinesFollowGetline) {
+    lp::lex::Lines lines("a\r\n\nb");
+    std::string_view line;
+    ASSERT_TRUE(lines.next(line));
+    EXPECT_EQ(line, "a\r");
+    ASSERT_TRUE(lines.next(line));
+    EXPECT_EQ(line, "");
+    ASSERT_TRUE(lines.next(line));
+    EXPECT_EQ(line, "b");
+    EXPECT_EQ(lines.number(), 3u);
+    EXPECT_FALSE(lines.next(line));
+
+    lp::lex::Lines trailing("x\n");
+    ASSERT_TRUE(trailing.next(line));
+    EXPECT_FALSE(trailing.next(line)); // a final newline starts no line
+    EXPECT_EQ(lp::lex::strip_comment("h q0 # c // d", false), "h q0 ");
+    EXPECT_EQ(lp::lex::strip_comment("h q0 // c # d", true), "h q0 ");
+    EXPECT_EQ(lp::lex::strip_comment("h q0 // c", false), "h q0 // c");
+}
+
+// ----------------------------------------------------- lexical edge cases --
+
+namespace {
+
+using Parse = lc::Circuit (*)(std::string_view, const std::string&);
+
+/// Parse \p text and expect a ParseError at \p line whose message holds
+/// \p fragment.
+void expect_error(Parse parse, const std::string& text, std::size_t line,
+                  const std::string& fragment) {
+    try {
+        (void)parse(text, "edge.txt");
+        ADD_FAILURE() << "expected ParseError for:\n" << text;
+    } catch (const lp::ParseError& e) {
+        EXPECT_EQ(e.location().line, line) << e.what();
+        EXPECT_NE(std::string(e.what()).find("edge.txt:" + std::to_string(line) + ": "),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos) << e.what();
+    }
+}
+
+/// The gate sequence as (kind, operands) pairs, for compact comparisons.
+std::vector<std::pair<lc::GateKind, std::vector<lc::Qubit>>> gates_of(const lc::Circuit& circ) {
+    std::vector<std::pair<lc::GateKind, std::vector<lc::Qubit>>> out;
+    for (const lc::Gate& g : circ.gates()) {
+        out.emplace_back(g.kind, std::vector<lc::Qubit>(g.qubits().begin(), g.qubits().end()));
+    }
+    return out;
+}
+
+const std::vector<std::pair<lc::GateKind, std::vector<lc::Qubit>>> kEdgeGates = {
+    {lc::GateKind::Cnot, {0, 1}},
+    {lc::GateKind::H, {1}},
+    {lc::GateKind::Toffoli, {0, 1, 2}},
+};
+
+} // namespace
+
+TEST(LexicalEdgeCases, Qasm) {
+    // CRLF endings, tabs, '#' and '//' after operands, "a0,b0" without
+    // spaces, and no newline after the last line all parse the same.
+    const std::string text =
+        "qubit a0\r\nqubit b0\r\n\tqubit\tc0  \r\n\r\n"
+        "cnot a0,b0 # first\r\n"
+        "\th\tb0\t// second\r\n"
+        "toffoli a0 ,b0,\tc0";
+    const auto circ = lp::parse_qasm(text);
+    EXPECT_EQ(circ.num_qubits(), 3u);
+    EXPECT_EQ(gates_of(circ), kEdgeGates);
+
+    const auto blank = lp::parse_qasm("\n\r\n  \t\n\n");
+    EXPECT_EQ(blank.num_qubits(), 0u);
+    EXPECT_TRUE(blank.empty());
+
+    const std::string head = ".qubits 2\r\n\r\nh q0\r\n";
+    expect_error(lp::parse_qasm, head + "cnot q0,\tq7 # q7?\r\n", 4, "unknown qubit 'q7'");
+    expect_error(lp::parse_qasm, head + "h q0\nccz q0 q1", 5, "unknown gate or keyword 'ccz'");
+    expect_error(lp::parse_qasm, head + "swap q1 // one operand\r\n", 4,
+                 "swap: expected at least 2 operand(s)");
+    expect_error(lp::parse_qasm, head + "\tcnot q1,q1\r\n", 4, "duplicate qubit operand");
+}
+
+TEST(LexicalEdgeCases, Real) {
+    const std::string text =
+        ".version 1.0\r\n.numvars 3\r\n.variables\ta0 b0  c0\r\n\r\n.begin\r\n"
+        "t2 a0\tb0 # first\r\n"
+        "\tt1 b0\r\n"
+        "t3 a0 b0 c0\t#third\r\n"
+        ".end";
+    const auto circ = lp::parse_real(text);
+    EXPECT_EQ(circ.num_qubits(), 3u);
+    EXPECT_EQ(gates_of(circ)[0], kEdgeGates[0]);
+    EXPECT_EQ(gates_of(circ)[1], (std::pair<lc::GateKind, std::vector<lc::Qubit>>{
+                                     lc::GateKind::X, {1}}));
+    EXPECT_EQ(gates_of(circ)[2], kEdgeGates[2]);
+
+    const auto blank = lp::parse_real("\n\r\n  \t\n\n");
+    EXPECT_EQ(blank.num_qubits(), 0u);
+    EXPECT_TRUE(blank.empty());
+
+    // .real separates operands by whitespace only, and '#' is its only
+    // comment marker: "a0,b0" is one operand, "//" starts two more.
+    const std::string head = ".numvars 2\r\n.variables a0 b0\r\n.begin\r\n";
+    expect_error(lp::parse_real, head + "t2 a0,b0\r\n.end\r\n", 4,
+                 "expects 2 operands, got 1");
+    expect_error(lp::parse_real, head + "t2 a0 b0 // c\r\n.end\r\n", 4,
+                 "expects 2 operands, got 4");
+    expect_error(lp::parse_real, head + "t1 a0\r\nt2 a0\tzz # ?\r\n.end", 5,
+                 "unknown variable 'zz'");
+    expect_error(lp::parse_real, head + "\r\ng2 a0 b0\r\n.end", 5, "unknown gate 'g2'");
+    expect_error(lp::parse_real, head + "t3 a0 b0\r\n.end", 4, "expects 3 operands, got 2");
+    expect_error(lp::parse_real, head + "f1 a0\r\n.end", 4, "fN gates need at least 2");
+    expect_error(lp::parse_real, head + "t2 b0 b0\r\n.end", 4, "duplicate qubit operand");
+    expect_error(lp::parse_real, head + "t1 a0", 4, "missing .end");
+}
+
+TEST(LexicalEdgeCases, OpenQasm) {
+    const std::string text =
+        "OPENQASM 2.0;\r\ninclude \"qelib1.inc\";\r\n\tqreg q[3];\r\n\r\n"
+        "cx q[0],q[1]; // first\r\n"
+        "\th\tq[1];\t// second\r\n"
+        "ccx q[0] ,q[1],\tq[2];";
+    const auto circ = lp::parse_openqasm(text);
+    EXPECT_EQ(circ.num_qubits(), 3u);
+    EXPECT_EQ(gates_of(circ), kEdgeGates);
+    EXPECT_TRUE(lp::looks_like_openqasm(text));
+
+    const auto blank = lp::parse_openqasm("\n\r\n  \t\n\n");
+    EXPECT_EQ(blank.num_qubits(), 0u);
+    EXPECT_TRUE(blank.empty());
+    EXPECT_FALSE(lp::looks_like_openqasm("\n\r\n  \t\n\n"));
+
+    const std::string head = "OPENQASM 2.0;\r\nqreg q[2];\r\n";
+    expect_error(lp::parse_openqasm, head + "\r\ncx q[0],\tr[1]; // r?\r\n", 4,
+                 "unknown qreg 'r'");
+    expect_error(lp::parse_openqasm, head + "h q[0];\nccz q[0],q[1];", 4,
+                 "unknown gate 'ccz'");
+    expect_error(lp::parse_openqasm, head + "ccx q[0],\r\n  q[1]; // two\r\n", 3,
+                 "'ccx' expects 3 operands, got 2");
+    expect_error(lp::parse_openqasm, head + "\tcx q[1],q[1];\r\n", 3,
+                 "duplicate qubit operand");
+    expect_error(lp::parse_openqasm, head + "h q[0]; // ;\r\nh q[1]", 4,
+                 "statement not terminated by ';': 'h q[1]'");
 }

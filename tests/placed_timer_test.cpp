@@ -146,8 +146,8 @@ TEST(PlacedDelays, MatchesTimerAndHopModel) {
         const double delay = delays[tc.graph->node_of_gate(i)];
         if (gate.kind == leqa::circuit::GateKind::Cnot) {
             const int hops = topology->distance(
-                topology->ulb_coord(homes[gate.controls.at(0)]),
-                topology->ulb_coord(homes[gate.targets.at(0)]));
+                topology->ulb_coord(homes[gate.controls()[0]]),
+                topology->ulb_coord(homes[gate.targets()[0]]));
             EXPECT_EQ(delay, params.d_cnot_us + params.t_move_us * hops);
         } else {
             EXPECT_EQ(delay, params.delay_us(gate.kind) +

@@ -66,7 +66,7 @@ TEST(ClassicalSim, GateSemantics) {
 
 TEST(ClassicalSim, MultiControlled) {
     lc::Circuit circ(5);
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3}, 4));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
     EXPECT_EQ(ls::run_classical(circ, 0b01111u), 0b11111u);
     EXPECT_EQ(ls::run_classical(circ, 0b00111u), 0b00111u);
 }

@@ -16,7 +16,9 @@ namespace lsyn = leqa::synth;
 namespace {
 constexpr double kTol = 1e-9;
 
-lc::Circuit collect(std::size_t num_qubits, const std::function<void(lsyn::GateSink)>& emit) {
+/// Run an emitter into a fresh circuit; `emit` receives the gate sink.
+template <class Emit>
+lc::Circuit collect(std::size_t num_qubits, Emit emit) {
     lc::Circuit circ(num_qubits);
     emit([&](const lc::Gate& g) { circ.add_gate(g); });
     return circ;
@@ -30,7 +32,7 @@ TEST(Decompose, ToffoliFtNetworkIsExact) {
     // up to phase): compare all basis-state images amplitude-wise.
     lc::Circuit spec(3);
     spec.toffoli(0, 1, 2);
-    const auto ft = collect(3, [](const lsyn::GateSink& sink) {
+    const auto ft = collect(3, [](const auto& sink) {
         lsyn::emit_toffoli_ft(0, 1, 2, sink);
     });
     EXPECT_EQ(ft.size(), 15u);
@@ -40,7 +42,7 @@ TEST(Decompose, ToffoliFtNetworkIsExact) {
 
 TEST(Decompose, ToffoliFtGateMix) {
     // 2 H + 4 T + 3 Tdg + 6 CNOT, matching the paper's Figure 2(a).
-    const auto ft = collect(3, [](const lsyn::GateSink& sink) {
+    const auto ft = collect(3, [](const auto& sink) {
         lsyn::emit_toffoli_ft(0, 1, 2, sink);
     });
     const auto counts = ft.counts();
@@ -53,7 +55,7 @@ TEST(Decompose, ToffoliFtGateMix) {
 TEST(Decompose, FredkinAsThreeToffoli) {
     lc::Circuit spec(3);
     spec.fredkin(0, 1, 2);
-    const auto lowered = collect(3, [](const lsyn::GateSink& sink) {
+    const auto lowered = collect(3, [](const auto& sink) {
         lsyn::emit_fredkin_as_toffoli(0, 1, 2, sink);
     });
     EXPECT_EQ(lowered.size(), 3u);
@@ -64,7 +66,7 @@ TEST(Decompose, FredkinAsThreeToffoli) {
 TEST(Decompose, SwapAsThreeCnot) {
     lc::Circuit spec(2);
     spec.swap(0, 1);
-    const auto lowered = collect(2, [](const lsyn::GateSink& sink) {
+    const auto lowered = collect(2, [](const auto& sink) {
         lsyn::emit_swap_as_cnot(0, 1, sink);
     });
     EXPECT_EQ(lowered.counts().of(lc::GateKind::Cnot), 3u);
@@ -183,7 +185,7 @@ TEST(FtSynth, MultiControlledFunctionalEquivalence) {
     // decompose test; here we validate the whole pipeline output + count
     // formulas on a wider gate).
     lc::Circuit circ(6);
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3, 4}, 5));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3, 4}, 5));
     const auto result = lsyn::ft_synthesize(circ);
     EXPECT_TRUE(result.circuit.is_ft());
     EXPECT_EQ(result.stats.ancillas_added, 4u);
@@ -205,8 +207,8 @@ TEST(FtSynth, MultiControlledFunctionalEquivalence) {
 
 TEST(FtSynth, FreshAncillasPerGate) {
     lc::Circuit circ(5);
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3}, 4));
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3}, 4));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
     const auto result = lsyn::ft_synthesize(circ);
     // Two 4-controlled gates, 3 ancillas each, no sharing (paper §4.1).
     EXPECT_EQ(result.stats.ancillas_added, 6u);
@@ -214,8 +216,8 @@ TEST(FtSynth, FreshAncillasPerGate) {
 
 TEST(FtSynth, SharedAncillasReducesQubits) {
     lc::Circuit circ(5);
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3}, 4));
-    circ.add_gate(lc::make_mcx({0, 1, 2, 3}, 4));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
+    circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 4));
     lsyn::FtSynthOptions options;
     options.share_ancillas = true;
     const auto result = lsyn::ft_synthesize(circ, options);

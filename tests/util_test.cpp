@@ -41,13 +41,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
     EXPECT_EQ(parts[2], "b");
 }
 
-TEST(Strings, SplitWhitespaceDropsEmptyFields) {
-    const auto parts = lu::split_whitespace("  t3  a   b c\t");
-    ASSERT_EQ(parts.size(), 4u);
-    EXPECT_EQ(parts[0], "t3");
-    EXPECT_EQ(parts[3], "c");
-}
-
 TEST(Strings, StartsEndsWith) {
     EXPECT_TRUE(lu::starts_with("gf2^16mult", "gf2"));
     EXPECT_FALSE(lu::starts_with("gf", "gf2"));

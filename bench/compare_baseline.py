@@ -13,9 +13,10 @@ array of objects -- and checks it against the metric's bounds:
 A metric may also carry `requires`: a list of preconditions (same schema,
 against the same artifact) that must all hold for the metric to be
 judgeable at all.  The canonical case is thread-scaling: a 4-thread
-speedup bound is meaningless on a 1-core box, so the metric requires
-`explore.hardware_threads >= 4` and resolves to UNKNOWN -- not PASS, not
-FAIL -- when the precondition is unmet.  Precondition-unmet UNKNOWNs are
+speedup bound is meaningless where 4 threads share fewer cores, so the
+metric requires the measured `explore.effective_parallelism >= 3` and
+resolves to UNKNOWN -- not PASS, not FAIL -- when the precondition is
+unmet.  Precondition-unmet UNKNOWNs are
 environmental, not rot, and are exempt from --strict.
 
 Verdicts per metric: PASS, FAIL (a gated bound was violated), REPORT

@@ -102,9 +102,10 @@ void BM_LeqaEndToEnd(benchmark::State& state) {
     const auto circ = ft_mult(static_cast<int>(state.range(0)));
     const qodg::Qodg graph(circ);
     const iig::Iig iig(circ);
-    const core::LeqaEstimator estimator(fabric::PhysicalParams{});
     for (auto _ : state) {
-        const auto estimate = estimator.estimate(graph, iig);
+        // A fresh profile and engine per call: the whole post-graph estimate.
+        const auto estimate = core::EstimationEngine(fabric::PhysicalParams{})
+                                  .estimate(core::CircuitProfile::build(graph, iig));
         benchmark::DoNotOptimize(estimate.latency_us);
     }
 }

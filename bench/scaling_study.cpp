@@ -13,10 +13,12 @@
 #include <cstdio>
 
 #include "benchgen/gf2_mult.h"
-#include "core/leqa.h"
+#include "core/engine.h"
 #include "fabric/params.h"
 #include "harness.h"
+#include "iig/iig.h"
 #include "mathx/stats.h"
+#include "qodg/qodg.h"
 #include "qspr/qspr.h"
 #include "synth/ft_synth.h"
 #include "util/stopwatch.h"
@@ -40,7 +42,6 @@ int main() {
 
     fabric::PhysicalParams params; // Table 1
     const qspr::QsprMapper mapper(params);
-    const core::LeqaEstimator estimator(params);
 
     util::Table table({"gf2^Nmult", "FT ops", "QSPR (s)", "LEQA (s)", "Speedup (X)"});
     std::vector<double> ops, qspr_times;
@@ -73,7 +74,13 @@ int main() {
             qspr_times.push_back(std::max(qspr_s, 1e-6));
         }
 
-        const double leqa_s = best_of(3, [&] { (void)estimator.estimate(ft); });
+        const double leqa_s = best_of(3, [&] {
+            // The whole estimator: dependency graphs, profile, parameter stage.
+            const qodg::Qodg graph(ft);
+            const iig::Iig iig(ft);
+            (void)core::EstimationEngine(params).estimate(
+                core::CircuitProfile::build(graph, iig));
+        });
         leqa_ops.push_back(static_cast<double>(ft.size()));
         leqa_times.push_back(std::max(leqa_s, 1e-6));
         if (ft.size() >= 50000) { // asymptotic region for the LEQA fit

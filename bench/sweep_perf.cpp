@@ -23,11 +23,17 @@
 ///   - explore: the parallel multi-dimensional explorer on a 200-point
 ///     topology x side x Nc x v cross-product at 1/2/4 worker threads —
 ///     points/sec, speedup vs the serial evaluation, and a bit-identity
-///     check of the 4-thread result against serial.  `hardware_threads`
-///     qualifies the scaling numbers (a 1-core box cannot speed up).
+///     check of the 4-thread result against serial.  Always on gf2^32mult:
+///     a smaller circuit leaves too little work per thread to scale.
+///     `effective_parallelism` (a spin probe: 4 threads of fixed work
+///     against one) qualifies the scaling numbers — a shared box may run 4
+///     threads on far fewer than 4 cores.
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
-/// shrink the circuit; LEQA_SWEEP_JSON overrides the artifact path.
+/// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
+/// overrides the artifact path.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -51,6 +57,46 @@
 namespace {
 
 using namespace leqa;
+
+std::uint64_t spin(std::uint64_t iterations, std::uint64_t state) {
+    for (std::uint64_t i = 0; i < iterations; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        state ^= state >> 29;
+    }
+    return state;
+}
+
+/// N threads of fixed spin work against one: N * t1 / tN.  Calibrated so
+/// one thread spins about 40 ms; the median of three trials.
+double effective_parallelism(unsigned threads) {
+    std::uint64_t iterations = 1u << 20;
+    for (;;) {
+        const util::Stopwatch clock;
+        volatile std::uint64_t sink = spin(iterations, 1);
+        (void)sink;
+        if (clock.seconds() > 0.04 || iterations > (1ull << 40)) break;
+        iterations *= 2;
+    }
+    std::vector<double> trials;
+    for (int trial = 0; trial < 3; ++trial) {
+        const util::Stopwatch one_clock;
+        volatile std::uint64_t sink = spin(iterations, 3);
+        const double one = one_clock.seconds();
+        std::vector<std::thread> pool;
+        std::vector<std::uint64_t> out(threads);
+        const util::Stopwatch many_clock;
+        for (unsigned t = 0; t < threads; ++t) {
+            pool.emplace_back([&, t] { out[t] = spin(iterations, t + 5); });
+        }
+        for (auto& thread : pool) thread.join();
+        const double many = many_clock.seconds();
+        sink = out[0];
+        (void)sink;
+        trials.push_back(static_cast<double>(threads) * one / many);
+    }
+    std::sort(trials.begin(), trials.end());
+    return trials[1];
+}
 
 /// Best-of-N wall time of a callable, in seconds.
 template <typename F>
@@ -231,6 +277,16 @@ int main() {
     // --- parallel explore: cross-product scaling at 1/2/4 threads ----------
     // 2 topologies x 10 sides x 2 capacities x 5 speeds = 200 points, the
     // acceptance-bar shape.  The serial result is the bit-identity baseline.
+    // Full size even under LEQA_BENCH_FAST: on gf2^16mult a serial pass is
+    // ~5 ms, too short for 4 threads to amortize their start-up.
+    benchgen::Gf2MultSpec explore_circuit = spec;
+    explore_circuit.n = 32;
+    const circuit::Circuit explore_ft =
+        synth::ft_synthesize(benchgen::gf2_mult(explore_circuit)).circuit;
+    const qodg::Qodg explore_graph(explore_ft);
+    const iig::Iig explore_iig(explore_ft);
+    const core::CircuitProfile explore_profile =
+        core::CircuitProfile::build(explore_graph, explore_iig);
     core::ExplorationSpec explore_spec;
     explore_spec.topologies = {fabric::TopologyKind::Grid, fabric::TopologyKind::Torus};
     explore_spec.sides = {40, 44, 48, 50, 52, 56, 60, 64, 72, 80};
@@ -239,10 +295,10 @@ int main() {
 
     fabric::PhysicalParams explore_base; // Table 1 defaults, grid 60x60
     const std::vector<fabric::PhysicalParams> explore_points =
-        core::exploration_configurations(profile.num_qubits, explore_base,
+        core::exploration_configurations(explore_profile.num_qubits, explore_base,
                                          explore_spec);
     const auto serial_explore =
-        core::evaluate_configurations(profile, explore_points, {}, 1);
+        core::evaluate_configurations(explore_profile, explore_points, {}, 1);
 
     struct ExploreRow {
         std::size_t threads = 1;
@@ -257,7 +313,8 @@ int main() {
         row.threads = threads;
         core::ExplorationResult last;
         row.seconds = best_of(3, [&] {
-            last = core::evaluate_configurations(profile, explore_points, {}, threads);
+            last = core::evaluate_configurations(explore_profile, explore_points, {},
+                                                 threads);
         });
         row.points_per_s = row.seconds > 0.0
                                ? static_cast<double>(explore_points.size()) / row.seconds
@@ -274,7 +331,7 @@ int main() {
         row.speedup = row.seconds > 0.0 ? explore_rows.front().seconds / row.seconds
                                         : 0.0;
     }
-    const unsigned hardware_threads = std::thread::hardware_concurrency();
+    const double parallelism = effective_parallelism(4);
 
     // --- batched vs scalar parameter stage on a (Nc, v) axis ---------------
     // The tentpole number: a fixed-geometry 64-point (Nc x v) axis on the
@@ -368,8 +425,9 @@ int main() {
     std::printf("  direct Pipeline::run : %.3e s/request\n", direct_req_s);
     std::printf("  Service submit+wait  : %.3e s/request  (%.3fx direct)\n",
                 service_req_s, service_overhead);
-    std::printf("parallel explore (%zu-point cross-product, %u hardware threads):\n",
-                explore_points.size(), hardware_threads);
+    std::printf("parallel explore (%zu-point cross-product, effective parallelism "
+                "%.2f of 4 threads):\n",
+                explore_points.size(), parallelism);
     for (const auto& row : explore_rows) {
         std::printf("  %zu thread%s : %.4f s  (%.0f points/s, %.2fx serial, "
                     "bit-identical %s)\n",
@@ -424,7 +482,7 @@ int main() {
     json.end_object();
     json.key("explore").begin_object();
     json.kv("points", explore_points.size());
-    json.kv("hardware_threads", static_cast<long long>(hardware_threads));
+    json.kv("effective_parallelism", parallelism);
     json.key("threads").begin_array();
     for (const auto& row : explore_rows) {
         json.begin_object();

@@ -39,14 +39,22 @@ int main(int argc, char** argv) {
         compact.label = name + "@40x40";
         requests.push_back(std::move(compact));
     }
-    const std::vector<pipeline::EstimationResult> results = pipe.run_batch(requests);
+    const std::vector<util::Result<pipeline::EstimationResult>> outcomes =
+        pipe.run_batch_results(requests);
 
-    // The whole batch as one JSON document.
+    // The whole batch as one JSON document (a failed request becomes an
+    // error entry instead of aborting the batch).
     const std::string batch_path = dir + "/pipeline_batch.json";
-    parser::write_file(batch_path, report::batch_to_json(results));
+    parser::write_file(batch_path, report::batch_results_to_json(outcomes));
+    for (const util::Result<pipeline::EstimationResult>& outcome : outcomes) {
+        if (!outcome.ok()) {
+            std::fprintf(stderr, "error: %s\n", outcome.status().to_string().c_str());
+            return 1;
+        }
+    }
 
     // The detailed mapping of the first request: JSON + schedule CSV.
-    const pipeline::EstimationResult& full = results.front();
+    const pipeline::EstimationResult& full = outcomes.front().value();
     const std::string result_path = dir + "/qspr_result.json";
     parser::write_file(result_path,
                        report::qspr_result_to_json(*full.mapping, full.params,
@@ -64,7 +72,7 @@ int main(int argc, char** argv) {
                 100.0 * (full.estimate->latency_us - full.mapping->latency_us) /
                     full.mapping->latency_us);
     std::printf("  40x40 estimate: %.4E s (cached graphs: %s)\n",
-                results[1].estimate->latency_seconds(),
+                outcomes[1].value().estimate->latency_seconds(),
                 pipe.cache_stats().to_string().c_str());
     std::printf("  batch JSON:    %s\n", batch_path.c_str());
     std::printf("  QSPR JSON:     %s\n", result_path.c_str());

@@ -66,7 +66,15 @@ int main(int argc, char** argv) {
         request.label = profile.name;
         requests.push_back(std::move(request));
     }
-    const std::vector<pipeline::EstimationResult> results = pipe.run_batch(requests);
+    std::vector<pipeline::EstimationResult> results;
+    for (util::Result<pipeline::EstimationResult>& outcome :
+         pipe.run_batch_results(requests)) {
+        if (!outcome.ok()) {
+            std::fprintf(stderr, "error: %s\n", outcome.status().to_string().c_str());
+            return 1;
+        }
+        results.push_back(std::move(outcome).value());
+    }
 
     std::printf("%-24s %14s %12s %18s\n", "QECC profile", "D (s)", "vs Steane",
                 "critical T-ops");

@@ -15,8 +15,9 @@
 ///   - service totality: the decoded request — clamped to a small fabric /
 ///     tiny budgets so hostile numerals cannot buy unbounded compute, with
 ///     the source pinned to "bench:ham3" so there is no file-system
-///     dependence — submits, completes, and its serialized result parses
-///     back as a response.  No exception may escape the Service boundary.
+///     dependence — submits through the daemon's `wire::submit`, completes,
+///     and its serialized result parses back as a response.  No exception
+///     may escape the Service boundary.
 #include <algorithm>
 #include <cstdint>
 #include <optional>
@@ -85,6 +86,8 @@ void clamp_request(wire::WireRequest& request) {
 
     request.sources.resize(std::min<std::size_t>(request.sources.size(), 2));
     for (std::string& s : request.sources) s = "bench:ham3";
+    // One input must not retune the session every later input runs on.
+    request.apply_calibration = false;
 }
 
 Service& shared_service() {
@@ -93,66 +96,20 @@ Service& shared_service() {
     return service;
 }
 
-/// Mirror of the session dispatch (net/session.cpp) minus the per-client
-/// job table: run the clamped request to completion, return the response
-/// line (empty only for ops the harness answers inline without one).
+/// Run the clamped request to completion through the daemon's own dispatch
+/// (`wire::submit`) and return its response line.  Cancel and stats are
+/// the ops a session answers inline; with no per-client job table here, a
+/// cancel never finds its target.
 std::string run_request(const wire::WireRequest& request) {
     Service& service = shared_service();
-    switch (request.op) {
-        case wire::WireRequest::Op::Estimate:
-        case wire::WireRequest::Op::Map:
-        case wire::WireRequest::Op::Both: {
-            std::optional<leqa::fabric::PhysicalParams> params;
-            if (!request.params.empty()) {
-                params = request.params.apply(service.pipeline().config().params);
-            }
-            return wire::serialize_result(
-                request.id, service
-                                .submit(request.source, wire::run_mode_of(request.op),
-                                        std::move(params))
-                                .wait());
-        }
-        case wire::WireRequest::Op::Sweep: {
-            leqa::service::SweepRequest sweep;
-            sweep.source = request.source;
-            sweep.axis = request.axis;
-            sweep.values = request.values;
-            sweep.kinds = request.kinds;
-            return wire::serialize_result(request.id,
-                                          service.submit_sweep(std::move(sweep)).wait());
-        }
-        case wire::WireRequest::Op::Explore: {
-            leqa::service::ExploreRequest explore;
-            explore.source = request.source;
-            explore.spec = request.explore;
-            return wire::serialize_result(
-                request.id, service.submit_explore(std::move(explore)).wait());
-        }
-        case wire::WireRequest::Op::Optimize: {
-            leqa::service::OptimizeRequest optimize;
-            optimize.source = request.source;
-            optimize.options = request.optimize;
-            if (!request.params.empty()) {
-                optimize.params =
-                    request.params.apply(service.pipeline().config().params);
-            }
-            return wire::serialize_result(
-                request.id, service.submit_optimize(std::move(optimize)).wait());
-        }
-        case wire::WireRequest::Op::Calibrate: {
-            leqa::service::CalibrationRequest calibrate;
-            calibrate.sources = request.sources;
-            calibrate.apply = false; // keep the shared session parameters fixed
-            return wire::serialize_result(
-                request.id, service.submit_calibration(std::move(calibrate)).wait());
-        }
-        case wire::WireRequest::Op::Cancel:
-            return wire::serialize_cancel_ack(request.id, request.target,
-                                              /*cancelled=*/false);
-        case wire::WireRequest::Op::Stats:
-            return wire::serialize_stats(request.id, service.stats());
+    if (request.op == wire::WireRequest::Op::Cancel) {
+        return wire::serialize_cancel_ack(request.id, request.target,
+                                          /*cancelled=*/false);
     }
-    return {};
+    if (request.op == wire::WireRequest::Op::Stats) {
+        return wire::serialize_stats(request.id, service.stats());
+    }
+    return wire::serialize_result(request.id, wire::submit(service, request).wait());
 }
 
 } // namespace

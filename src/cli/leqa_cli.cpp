@@ -171,8 +171,8 @@ int run_optimize(pipeline::Pipeline& pipe, const std::string& spec_text,
     return 0;
 }
 
-int run_batch(pipeline::Pipeline& pipe, const std::vector<std::string>& specs,
-              std::size_t threads, const util::ArgParser& parser) {
+int run_many(pipeline::Pipeline& pipe, const std::vector<std::string>& specs,
+             std::size_t threads, const util::ArgParser& parser) {
     // A bad spec (unknown bench, missing file) must cost only its own slot:
     // parse failures become pre-failed outcomes instead of throwing here and
     // aborting the whole batch.
@@ -302,7 +302,7 @@ int body(int argc, char** argv) {
         }
         std::vector<std::string> specs = {*parser.positional("input")};
         specs.insert(specs.end(), parser.rest().begin(), parser.rest().end());
-        exit_code = run_batch(pipe, specs, parser.option_size("threads"), parser);
+        exit_code = run_many(pipe, specs, parser.option_size("threads"), parser);
     } else {
         pipeline::EstimationRequest request(
             pipeline::parse_source(*parser.positional("input")));

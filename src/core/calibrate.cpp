@@ -66,49 +66,7 @@ double error_at(const std::vector<ProfiledSample>& samples,
     return total / static_cast<double>(samples.size());
 }
 
-/// Owned graph storage backing the circuit-sample entry points.
-struct PreparedSamples {
-    std::vector<std::unique_ptr<qodg::Qodg>> graphs;
-    std::vector<std::unique_ptr<iig::Iig>> iigs;
-    std::vector<GraphSample> samples;
-};
-
-PreparedSamples prepare(const std::vector<CalibrationSample>& samples) {
-    PreparedSamples prepared;
-    prepared.graphs.reserve(samples.size());
-    prepared.iigs.reserve(samples.size());
-    prepared.samples.reserve(samples.size());
-    for (const CalibrationSample& sample : samples) {
-        LEQA_REQUIRE(sample.ft_circuit != nullptr, "null circuit in calibration sample");
-        LEQA_REQUIRE(sample.actual_latency_us > 0.0,
-                     "calibration sample must have positive actual latency");
-        prepared.graphs.push_back(std::make_unique<qodg::Qodg>(*sample.ft_circuit));
-        prepared.iigs.push_back(std::make_unique<iig::Iig>(*sample.ft_circuit));
-        prepared.samples.push_back({prepared.graphs.back().get(),
-                                    prepared.iigs.back().get(),
-                                    sample.actual_latency_us});
-    }
-    return prepared;
-}
-
 } // namespace
-
-double mean_abs_relative_error(const std::vector<CalibrationSample>& samples,
-                               const fabric::PhysicalParams& params,
-                               const LeqaOptions& options) {
-    LEQA_REQUIRE(!samples.empty(), "need at least one calibration sample");
-    LeqaEstimator estimator(params, options);
-    double total = 0.0;
-    for (const CalibrationSample& sample : samples) {
-        LEQA_REQUIRE(sample.ft_circuit != nullptr, "null circuit in calibration sample");
-        LEQA_REQUIRE(sample.actual_latency_us > 0.0,
-                     "calibration sample must have positive actual latency");
-        const LeqaEstimate estimate = estimator.estimate(*sample.ft_circuit);
-        total += std::abs(estimate.latency_us - sample.actual_latency_us) /
-                 sample.actual_latency_us;
-    }
-    return total / static_cast<double>(samples.size());
-}
 
 double mean_abs_relative_error(const std::vector<GraphSample>& samples,
                                const fabric::PhysicalParams& params,
@@ -218,15 +176,6 @@ CalibrationResult calibrate_v(const std::vector<GraphSample>& samples,
         result.mean_abs_rel_error = best_error;
     }
     return result;
-}
-
-CalibrationResult calibrate_v(const std::vector<CalibrationSample>& samples,
-                              const fabric::PhysicalParams& base_params,
-                              const LeqaOptions& options,
-                              const CalibratorOptions& calibrator_options) {
-    LEQA_REQUIRE(!samples.empty(), "need at least one calibration sample");
-    const PreparedSamples prepared = prepare(samples);
-    return calibrate_v(prepared.samples, base_params, options, calibrator_options);
 }
 
 } // namespace leqa::core

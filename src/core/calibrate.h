@@ -10,11 +10,8 @@
 /// the paper's methodology of one fixed v per mapper.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "circuit/circuit.h"
 #include "core/leqa.h"
 #include "fabric/params.h"
 #include "iig/iig.h"
@@ -22,14 +19,9 @@
 
 namespace leqa::core {
 
-/// One training pair.
-struct CalibrationSample {
-    const circuit::Circuit* ft_circuit = nullptr; ///< borrowed, not owned
-    double actual_latency_us = 0.0;
-};
-
-/// One training pair with prebuilt graphs (the pipeline's cached
-/// intermediates); lets the v sweep reuse QODG/IIG instead of rebuilding.
+/// One training pair: a circuit's prebuilt graphs (the pipeline's cached
+/// intermediates, so the v search never rebuilds a QODG/IIG) and the
+/// mapper's latency for it.
 struct GraphSample {
     const qodg::Qodg* graph = nullptr; ///< borrowed, not owned
     const iig::Iig* iig = nullptr;     ///< borrowed, not owned
@@ -51,23 +43,13 @@ struct CalibratorOptions {
 
 /// Mean absolute relative error of LEQA over samples at the given params.
 [[nodiscard]] double mean_abs_relative_error(
-    const std::vector<CalibrationSample>& samples,
-    const fabric::PhysicalParams& params, const LeqaOptions& options);
-
-/// As above, over prebuilt graphs (no QODG/IIG construction).
-[[nodiscard]] double mean_abs_relative_error(
     const std::vector<GraphSample>& samples, const fabric::PhysicalParams& params,
     const LeqaOptions& options);
 
 /// Fit v: coarse log-grid scan followed by golden-section refinement of the
 /// best bracket.  Deterministic.  Throws InputError on an empty sample set.
-[[nodiscard]] CalibrationResult calibrate_v(
-    const std::vector<CalibrationSample>& samples,
-    const fabric::PhysicalParams& base_params, const LeqaOptions& options = {},
-    const CalibratorOptions& calibrator_options = {});
-
-/// As above, over prebuilt graphs: the whole search runs without a single
-/// QODG/IIG construction.  This is the pipeline facade's entry point.
+/// The whole search runs on the samples' graphs without a single QODG/IIG
+/// construction; `Pipeline::calibrate` is the facade over it.
 [[nodiscard]] CalibrationResult calibrate_v(
     const std::vector<GraphSample>& samples, const fabric::PhysicalParams& base_params,
     const LeqaOptions& options = {}, const CalibratorOptions& calibrator_options = {});

@@ -46,8 +46,6 @@ CircuitProfile CircuitProfile::build(const qodg::Qodg& graph, const iig::Iig& ii
 }
 
 // ------------------------------------------------------ EstimationEngine --
-// (CoverageHistogram moved to fabric/topology.{h,cpp}: every topology now
-// supplies its own compressed Eq. 5 table.)
 
 EstimationEngine::EstimationEngine(const fabric::PhysicalParams& params,
                                    LeqaOptions options)
@@ -69,7 +67,7 @@ void EstimationEngine::set_params(const fabric::PhysicalParams& params) {
 }
 
 std::vector<double> EstimationEngine::expected_surfaces(
-    const CoverageHistogram& coverage, long long num_zones, long long terms) {
+    const fabric::CoverageHistogram& coverage, long long num_zones, long long terms) {
     LEQA_REQUIRE(num_zones >= 0, "zone count must be non-negative");
     LEQA_REQUIRE(terms >= 0 && terms <= num_zones, "terms must be in [0, Q]");
 
@@ -103,7 +101,7 @@ std::vector<double> EstimationEngine::expected_surfaces(
 }
 
 std::vector<double> EstimationEngine::expected_surfaces_reference(
-    const CoverageHistogram& coverage, long long num_zones, long long terms) {
+    const fabric::CoverageHistogram& coverage, long long num_zones, long long terms) {
     LEQA_REQUIRE(num_zones >= 0, "zone count must be non-negative");
     LEQA_REQUIRE(terms >= 0 && terms <= num_zones, "terms must be in [0, Q]");
 
@@ -111,7 +109,7 @@ std::vector<double> EstimationEngine::expected_surfaces_reference(
     // each q advances every recursion by one multiplicative step.
     std::vector<mathx::BinomialTermRecursion> rows;
     rows.reserve(coverage.bins().size());
-    for (const CoverageHistogram::Bin& bin : coverage.bins()) {
+    for (const fabric::CoverageHistogram::Bin& bin : coverage.bins()) {
         rows.emplace_back(num_zones, bin.probability);
     }
 

@@ -15,16 +15,16 @@
 ///
 ///   stage 2 — `EstimationEngine::estimate(profile)` (per parameter point):
 ///     the coverage table of Eq. 5 is compressed to its O(s^2) distinct
-///     (probability, multiplicity) bins (`CoverageHistogram`; see DESIGN.md
-///     for the counting argument), and E[S_q] (Eq. 4) is evaluated with the
-///     paper's Eq. 18 running recursion — two multiplies per (bin, q)
-///     instead of three lgammas, two logs and an exp per (cell, q).  The
-///     remaining per-point work is the critical-path pass over the CSR
-///     QODG.
+///     (probability, multiplicity) bins (`fabric::CoverageHistogram`; see
+///     DESIGN.md for the counting argument), and E[S_q] (Eq. 4) is
+///     evaluated with the paper's Eq. 18 running recursion — two multiplies
+///     per (bin, q) instead of three lgammas, two logs and an exp per
+///     (cell, q).  The remaining per-point work is the critical-path pass
+///     over the CSR QODG.
 ///
-/// `LeqaEstimator::estimate` delegates here; `estimate_reference` keeps the
-/// pre-refactor O(a*b*T) evaluation as the golden path the parity tests
-/// compare against.
+/// This is the only estimation path; `LeqaEstimator::estimate_reference`
+/// keeps the pre-refactor O(a*b*T) evaluation as the golden reference the
+/// parity tests compare against.
 #pragma once
 
 #include <array>
@@ -69,14 +69,6 @@ struct CircuitProfile {
                                               const iig::Iig& iig);
 };
 
-/// The coverage table of Eq. 5 compressed to its distinct values (now a
-/// fabric-layer type: every `fabric::Topology` supplies its own histogram).
-/// On an a x b grid with zone side s the table holds at most s^2 distinct
-/// probabilities regardless of fabric area; a torus collapses to one bin
-/// and a line to at most s.  Summing multiplicity-weighted bins replaces
-/// the O(a*b) per-q cell sweep.
-using CoverageHistogram = fabric::CoverageHistogram;
-
 /// One (Nc, v) point of a batched parameter-stage evaluation.  Geometry and
 /// gate delays come from the engine's params; only the congestion inputs
 /// vary per point, which is exactly what sweep/explore axes vary within a
@@ -117,9 +109,8 @@ public:
     explicit EstimationEngine(const fabric::PhysicalParams& params,
                               LeqaOptions options = {});
 
-    /// Estimate at the engine's parameter point.  Bit-compatible with
-    /// `LeqaEstimator::estimate` (which delegates here) and within 1e-9
-    /// relative of `LeqaEstimator::estimate_reference`.
+    /// Estimate at the engine's parameter point; within 1e-9 relative of
+    /// `LeqaEstimator::estimate_reference`.
     [[nodiscard]] LeqaEstimate estimate(const CircuitProfile& profile) const;
 
     /// Batched parameter stage: estimate the profile at every (Nc, v) point
@@ -142,14 +133,14 @@ public:
     /// lockstep through one SoA Eq. 18 recursion (`mathx::BinomialRowBatch`)
     /// — flat multiply/renormalize loops over contiguous lanes.
     [[nodiscard]] static std::vector<double> expected_surfaces(
-        const CoverageHistogram& coverage, long long num_zones, long long terms);
+        const fabric::CoverageHistogram& coverage, long long num_zones, long long terms);
 
     /// Pre-SoA evaluation: one scalar `BinomialTermRecursion` object per
     /// bin, advanced bin-by-bin.  Kept as the parity reference for the SoA
     /// kernel (tests assert bit-identity) and as the scalar side of the
     /// surfaces microbenchmarks.
     [[nodiscard]] static std::vector<double> expected_surfaces_reference(
-        const CoverageHistogram& coverage, long long num_zones, long long terms);
+        const fabric::CoverageHistogram& coverage, long long num_zones, long long terms);
 
     [[nodiscard]] const fabric::PhysicalParams& params() const { return params_; }
     [[nodiscard]] const LeqaOptions& options() const { return options_; }

@@ -22,8 +22,8 @@
 ///     output is bit-identical to a serial evaluation of the same
 ///     configurations regardless of the thread count.
 ///
-/// The 1-D `core::sweep_*` helpers are thin wrappers over single-axis
-/// specs, so this file owns the only evaluation loop.
+/// A 1-D sweep is a single-axis spec (`Pipeline::sweep`), so this file owns
+/// the only evaluation loop.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +43,7 @@ namespace leqa::core {
 /// fabric on grid/torus and the area-equivalent s*s x 1 row on a line; with
 /// no side axis the base geometry is kept (a line flattens the base area to
 /// an (a*b) x 1 row).  Sides too small to host the circuit's qubits are
-/// skipped, as in `sweep_fabric_sides`.
+/// skipped.
 struct ExplorationSpec {
     std::vector<fabric::TopologyKind> topologies; ///< empty: base topology
     std::vector<int> sides;                       ///< empty: base geometry

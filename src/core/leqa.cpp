@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/engine.h"
 #include "mathx/binomial.h"
 #include "mathx/queueing.h"
 #include "mathx/tsp.h"
@@ -15,11 +14,6 @@ LeqaEstimator::LeqaEstimator(const fabric::PhysicalParams& params, LeqaOptions o
     : params_(params), options_(options) {
     params_.validate();
     LEQA_REQUIRE(options_.sq_terms >= 1, "sq_terms must be >= 1");
-}
-
-void LeqaEstimator::set_params(const fabric::PhysicalParams& params) {
-    params.validate();
-    params_ = params;
 }
 
 int LeqaEstimator::zone_side(double zone_area_b, int a, int b) {
@@ -53,25 +47,12 @@ double LeqaEstimator::expected_surface(const std::vector<double>& coverage,
     return total;
 }
 
-LeqaEstimate LeqaEstimator::estimate(const circuit::Circuit& ft_circuit) const {
-    LEQA_REQUIRE(ft_circuit.is_ft(),
-                 "LEQA estimates FT circuits; run synth::ft_synthesize first");
-    const qodg::Qodg graph(ft_circuit);
-    const iig::Iig iig(ft_circuit);
-    return estimate(graph, iig);
-}
-
-LeqaEstimate LeqaEstimator::estimate(const qodg::Qodg& graph, const iig::Iig& iig) const {
-    const EstimationEngine engine(params_, options_);
-    return engine.estimate(CircuitProfile::build(graph, iig));
-}
-
 LeqaEstimate LeqaEstimator::estimate_reference(const qodg::Qodg& graph,
                                                const iig::Iig& iig) const {
     LEQA_REQUIRE(params_.topology == fabric::TopologyKind::Grid,
                  "estimate_reference is the pre-topology golden path and only "
-                 "evaluates grid fabrics; use LeqaEstimator::estimate (the "
-                 "staged engine) for torus/line topologies");
+                 "evaluates grid fabrics; use the staged EstimationEngine for "
+                 "torus/line topologies");
     LeqaEstimate out;
     out.num_qubits = iig.num_qubits();
     out.num_ops = graph.num_ops();

@@ -23,7 +23,6 @@
 
 #include <vector>
 
-#include "circuit/circuit.h"
 #include "fabric/params.h"
 #include "iig/iig.h"
 #include "qodg/qodg.h"
@@ -64,33 +63,22 @@ struct LeqaEstimate {
     [[nodiscard]] double latency_seconds() const { return latency_us * 1e-6; }
 };
 
+/// The golden reference for Algorithm 1.  Estimates come from the staged
+/// `EstimationEngine` (core/engine.h) on a `CircuitProfile`, usually through
+/// `pipeline::Pipeline`; this class keeps the pre-refactor evaluation the
+/// engine's parity tests and the benchmark oracle compare against, plus the
+/// closed-form model pieces of Eqs. 4 and 5.
 class LeqaEstimator {
 public:
     explicit LeqaEstimator(const fabric::PhysicalParams& params, LeqaOptions options = {});
 
-    /// Estimate from an FT circuit (builds QODG and IIG internally).
-    [[nodiscard]] LeqaEstimate estimate(const circuit::Circuit& ft_circuit) const;
-
-    /// Estimate from prebuilt graphs (avoids rebuilding during calibration
-    /// sweeps).  `iig.num_qubits()` supplies Q.  Delegates to the staged
-    /// `EstimationEngine` (see engine.h), building a throwaway
-    /// `CircuitProfile`; sweep-heavy callers should build the profile once
-    /// and drive the engine directly.
-    [[nodiscard]] LeqaEstimate estimate(const qodg::Qodg& graph, const iig::Iig& iig) const;
-
     /// The pre-refactor evaluation of Algorithm 1: full a x b coverage
-    /// table, per-cell log-space binomial PMF.  O(a*b*T) per call — kept as
-    /// the golden path the engine parity tests compare against.  Grid
-    /// topology only (throws InputError otherwise); the staged engine is
-    /// the topology-generic path.
+    /// table, per-cell log-space binomial PMF.  O(a*b*T) per call.
+    /// `iig.num_qubits()` supplies Q.  Grid topology only (throws
+    /// InputError otherwise); the staged engine is the topology-generic
+    /// path.
     [[nodiscard]] LeqaEstimate estimate_reference(const qodg::Qodg& graph,
                                                   const iig::Iig& iig) const;
-
-    [[nodiscard]] const fabric::PhysicalParams& params() const { return params_; }
-    [[nodiscard]] const LeqaOptions& options() const { return options_; }
-
-    /// Replace the physical parameters (used by the calibrator's v sweep).
-    void set_params(const fabric::PhysicalParams& params);
 
     // --- exposed model pieces (unit-tested directly) -----------------------
 

@@ -8,27 +8,6 @@
 
 namespace leqa::core {
 
-namespace {
-
-/// Every 1-D sweep is a single-axis exploration; the extras (Pareto front,
-/// per-topology best) are dropped, the points and best selection carry over.
-SweepResult from_exploration(ExplorationResult&& explored) {
-    SweepResult result;
-    result.points = std::move(explored.points);
-    result.best_index = explored.best_index;
-    result.non_finite_points = explored.non_finite_points;
-    result.surface_cache = explored.surface_cache;
-    return result;
-}
-
-/// An explicitly empty axis list never was a valid sweep; keep the historic
-/// error text instead of falling through to a one-point base evaluation.
-void require_axis_values(bool non_empty) {
-    LEQA_REQUIRE(non_empty, "sweep has no feasible configurations");
-}
-
-} // namespace
-
 std::size_t best_point_index(const std::vector<SweepPoint>& points,
                              std::size_t* non_finite) {
     std::size_t best = kNoBestPoint;
@@ -47,75 +26,18 @@ std::size_t best_point_index(const std::vector<SweepPoint>& points,
     return best;
 }
 
+SweepResult SweepResult::from(ExplorationResult&& explored) {
+    SweepResult result;
+    result.points = std::move(explored.points);
+    result.best_index = explored.best_index;
+    result.non_finite_points = explored.non_finite_points;
+    result.surface_cache = explored.surface_cache;
+    return result;
+}
+
 const SweepPoint& SweepResult::best() const {
     LEQA_REQUIRE(has_best(), "sweep has no finite-latency point");
     return points.at(best_index);
-}
-
-SweepResult sweep_fabric_sides(const CircuitProfile& profile,
-                               const fabric::PhysicalParams& base,
-                               const std::vector<int>& sides,
-                               const LeqaOptions& options,
-                               const std::function<void()>& between_points) {
-    require_axis_values(!sides.empty());
-    ExplorationSpec spec;
-    spec.sides = sides;
-    return from_exploration(explore(profile, base, spec, options, between_points));
-}
-
-SweepResult sweep_topology(const CircuitProfile& profile,
-                           const fabric::PhysicalParams& base,
-                           const std::vector<fabric::TopologyKind>& kinds,
-                           const LeqaOptions& options,
-                           const std::function<void()>& between_points) {
-    require_axis_values(!kinds.empty());
-    ExplorationSpec spec;
-    spec.topologies = kinds;
-    return from_exploration(explore(profile, base, spec, options, between_points));
-}
-
-SweepResult sweep_channel_capacity(const CircuitProfile& profile,
-                                   const fabric::PhysicalParams& base,
-                                   const std::vector<int>& capacities,
-                                   const LeqaOptions& options,
-                                   const std::function<void()>& between_points) {
-    require_axis_values(!capacities.empty());
-    ExplorationSpec spec;
-    spec.capacities = capacities;
-    return from_exploration(explore(profile, base, spec, options, between_points));
-}
-
-SweepResult sweep_speed(const CircuitProfile& profile,
-                        const fabric::PhysicalParams& base,
-                        const std::vector<double>& speeds,
-                        const LeqaOptions& options,
-                        const std::function<void()>& between_points) {
-    require_axis_values(!speeds.empty());
-    ExplorationSpec spec;
-    spec.speeds = speeds;
-    return from_exploration(explore(profile, base, spec, options, between_points));
-}
-
-SweepResult sweep_fabric_sides(const qodg::Qodg& graph, const iig::Iig& iig,
-                               const fabric::PhysicalParams& base,
-                               const std::vector<int>& sides,
-                               const LeqaOptions& options) {
-    return sweep_fabric_sides(CircuitProfile::build(graph, iig), base, sides, options);
-}
-
-SweepResult sweep_channel_capacity(const qodg::Qodg& graph, const iig::Iig& iig,
-                                   const fabric::PhysicalParams& base,
-                                   const std::vector<int>& capacities,
-                                   const LeqaOptions& options) {
-    return sweep_channel_capacity(CircuitProfile::build(graph, iig), base, capacities,
-                                  options);
-}
-
-SweepResult sweep_speed(const qodg::Qodg& graph, const iig::Iig& iig,
-                        const fabric::PhysicalParams& base,
-                        const std::vector<double>& speeds,
-                        const LeqaOptions& options) {
-    return sweep_speed(CircuitProfile::build(graph, iig), base, speeds, options);
 }
 
 } // namespace leqa::core

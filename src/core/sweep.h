@@ -1,36 +1,24 @@
 /// \file sweep.h
-/// \brief Design-space sweeps built on the staged estimation engine.
+/// \brief The result of a one-parameter design-space sweep.
 ///
 /// The paper positions LEQA as the inner loop of design exploration: "Size
 /// of the fabric ... can be changed to find the optimal size for the
-/// fabric which results in the minimum delay."  These helpers run the
-/// estimator across one-parameter families (fabric side, channel capacity,
-/// qubit speed) and report the latency-minimal point.
-///
-/// The profile-based overloads are the fast path: the circuit-invariant
-/// `CircuitProfile` is built once and only the parameter-dependent stage
-/// runs per point, so a sweep costs O(points) parameter-stage evaluations
-/// rather than O(points x circuit) table rebuilds.  The graph-based
-/// overloads build the profile internally and delegate.
-///
-/// Since the multi-dimensional explorer (core/explore.h) these are thin
-/// wrappers over single-axis `ExplorationSpec`s: one evaluation loop serves
-/// the 1-D sweeps and the parallel cross-product exploration.  That loop
-/// feeds each fixed-geometry (Nc, v) run to `EstimationEngine::estimate_batch`
-/// as one call, so capacity and speed sweeps evaluate through the SoA
-/// batch parameter stage (bit-identical to per-point scalar estimation).
+/// fabric which results in the minimum delay."  A sweep over one family
+/// (fabric side, channel capacity, qubit speed, topology) is a single-axis
+/// `ExplorationSpec` evaluated by core/explore.h; `Pipeline::sweep` runs it
+/// on the session cache and hands back this result: the evaluated points
+/// and the latency-minimal one.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/leqa.h"
 #include "fabric/params.h"
-#include "iig/iig.h"
-#include "qodg/qodg.h"
 
 namespace leqa::core {
+
+struct ExplorationResult;
 
 struct SweepPoint {
     fabric::PhysicalParams params;
@@ -60,60 +48,13 @@ struct SweepResult {
     /// contract — different thread counts partition the work differently).
     SurfaceCacheStats surface_cache;
 
+    /// A single-axis exploration as a sweep: the points and best selection
+    /// carry over, the Pareto front and per-topology bests are dropped.
+    [[nodiscard]] static SweepResult from(ExplorationResult&& explored);
+
     [[nodiscard]] bool has_best() const { return best_index != kNoBestPoint; }
     /// Throws InputError when no point has a finite latency.
     [[nodiscard]] const SweepPoint& best() const;
 };
-
-// --- profile-based fast path ------------------------------------------------
-
-/// Sweep fabrics of the given sides.  On grid/torus topologies a side s
-/// means an s x s fabric; on a line it means the area-equivalent s*s x 1
-/// row, so points stay comparable across topologies.  Sides too small to
-/// host the circuit's qubits are skipped; throws InputError if none remain.
-/// `between_points` (here and in the other profile-based sweeps) is called
-/// before each point -- cancellation/deadline checkpoints may throw out of
-/// it to abort the sweep.
-[[nodiscard]] SweepResult sweep_fabric_sides(
-    const CircuitProfile& profile, const fabric::PhysicalParams& base,
-    const std::vector<int>& sides, const LeqaOptions& options = {},
-    const std::function<void()>& between_points = {});
-
-/// Sweep the fabric topology itself on a fixed area: grid/torus keep the
-/// base geometry, line flattens it to the area-equivalent (a*b) x 1 row.
-[[nodiscard]] SweepResult sweep_topology(
-    const CircuitProfile& profile, const fabric::PhysicalParams& base,
-    const std::vector<fabric::TopologyKind>& kinds, const LeqaOptions& options = {},
-    const std::function<void()>& between_points = {});
-
-/// Sweep channel capacities Nc.
-[[nodiscard]] SweepResult sweep_channel_capacity(
-    const CircuitProfile& profile, const fabric::PhysicalParams& base,
-    const std::vector<int>& capacities, const LeqaOptions& options = {},
-    const std::function<void()>& between_points = {});
-
-/// Sweep the qubit-speed parameter v.
-[[nodiscard]] SweepResult sweep_speed(
-    const CircuitProfile& profile, const fabric::PhysicalParams& base,
-    const std::vector<double>& speeds, const LeqaOptions& options = {},
-    const std::function<void()>& between_points = {});
-
-// --- graph-based convenience overloads (profile built once, internally) ----
-
-[[nodiscard]] SweepResult sweep_fabric_sides(const qodg::Qodg& graph, const iig::Iig& iig,
-                                             const fabric::PhysicalParams& base,
-                                             const std::vector<int>& sides,
-                                             const LeqaOptions& options = {});
-
-[[nodiscard]] SweepResult sweep_channel_capacity(const qodg::Qodg& graph,
-                                                 const iig::Iig& iig,
-                                                 const fabric::PhysicalParams& base,
-                                                 const std::vector<int>& capacities,
-                                                 const LeqaOptions& options = {});
-
-[[nodiscard]] SweepResult sweep_speed(const qodg::Qodg& graph, const iig::Iig& iig,
-                                      const fabric::PhysicalParams& base,
-                                      const std::vector<double>& speeds,
-                                      const LeqaOptions& options = {});
 
 } // namespace leqa::core

@@ -9,9 +9,6 @@ std::string UlbCoord::to_string() const {
     return "(" + std::to_string(x) + "," + std::to_string(y) + ")";
 }
 
-FabricGeometry::FabricGeometry(int width, int height)
-    : FabricGeometry(make_topology(TopologyKind::Grid, width, height)) {}
-
 FabricGeometry::FabricGeometry(std::shared_ptr<const Topology> topology)
     : topology_(std::move(topology)) {
     LEQA_REQUIRE(topology_ != nullptr, "fabric geometry needs a topology");

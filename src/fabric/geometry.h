@@ -9,8 +9,8 @@
 /// `FabricGeometry` is a coordinate-level view over a `fabric::Topology`
 /// (see topology.h): which ULBs are adjacent, what the hop metric is, and
 /// what a shortest route looks like all come from the topology's CSR
-/// adjacency.  The historical `FabricGeometry(width, height)` constructor
-/// keeps building the paper's square grid.
+/// adjacency; `make_topology(TopologyKind::Grid, w, h)` gives the paper's
+/// open-boundary grid.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +39,7 @@ using SegmentId = std::int32_t;
 
 class FabricGeometry {
 public:
-    /// The paper's open-boundary grid (back-compat constructor).
-    FabricGeometry(int width, int height);
-
-    /// A view over an explicit topology (grid, torus, line, ...).
+    /// A view over a topology (grid, torus, line, ...).
     explicit FabricGeometry(std::shared_ptr<const Topology> topology);
 
     [[nodiscard]] const Topology& topology() const { return *topology_; }
@@ -72,11 +69,6 @@ public:
     /// when a == b).  Dimension-ordered XY on a grid; BFS next-hop tables
     /// on other topologies.
     [[nodiscard]] std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const;
-
-    /// Historical name for `route` (grid routes are XY dimension-ordered).
-    [[nodiscard]] std::vector<SegmentId> xy_route(UlbCoord a, UlbCoord b) const {
-        return route(a, b);
-    }
 
     /// ULBs at ring radius r around center in deterministic order; r = 0
     /// yields {center}.  Rings for r = 0..max(width, height) cover every

@@ -128,83 +128,33 @@ void Session::handle_line(const std::string& line) {
         }
     }
 
-    service::SubmitOptions options = wire::submit_options(request);
-    options.nowait = options_.reject_when_full;
-    options.on_complete = [self = shared_from_this(),
-                           id](const service::JobHandle& handle) {
-        self->complete(id, handle);
-    };
-
-    switch (request.op) {
-        case wire::WireRequest::Op::Estimate:
-        case wire::WireRequest::Op::Map:
-        case wire::WireRequest::Op::Both: {
-            std::optional<fabric::PhysicalParams> params;
-            if (!request.params.empty()) {
-                params = request.params.apply(service_.pipeline().config().params);
-            }
-            track(id, service_.submit(request.source, wire::run_mode_of(request.op),
-                                      std::move(params), std::move(options)));
-            break;
-        }
-        case wire::WireRequest::Op::Sweep: {
-            service::SweepRequest sweep;
-            sweep.source = request.source;
-            sweep.axis = request.axis;
-            sweep.values = request.values;
-            sweep.kinds = request.kinds;
-            track(id, service_.submit_sweep(std::move(sweep), std::move(options)));
-            break;
-        }
-        case wire::WireRequest::Op::Explore: {
-            service::ExploreRequest explore;
-            explore.source = request.source;
-            explore.spec = request.explore;
-            track(id, service_.submit_explore(std::move(explore), std::move(options)));
-            break;
-        }
-        case wire::WireRequest::Op::Optimize: {
-            service::OptimizeRequest optimize;
-            optimize.source = request.source;
-            optimize.options = request.optimize;
-            if (!request.params.empty()) {
-                optimize.params =
-                    request.params.apply(service_.pipeline().config().params);
-            }
-            track(id,
-                  service_.submit_optimize(std::move(optimize), std::move(options)));
-            break;
-        }
-        case wire::WireRequest::Op::Calibrate: {
-            service::CalibrationRequest calibrate;
-            calibrate.sources = request.sources;
-            calibrate.apply = request.apply_calibration;
-            track(id, service_.submit_calibration(std::move(calibrate),
-                                                  std::move(options)));
-            break;
-        }
-        case wire::WireRequest::Op::Cancel: {
-            service::JobHandle target;
-            {
-                const util::MutexLock lock(mutex_);
-                const auto it = jobs_.find(request.target);
-                if (it != jobs_.end()) target = it->second;
-            }
-            if (!target.valid()) {
-                emit(wire::serialize_error(
-                    id, util::Status(util::StatusCode::NotFound,
-                                     "no job with id " +
-                                         std::to_string(request.target),
-                                     "queue")));
-            } else {
-                emit(wire::serialize_cancel_ack(id, request.target, target.cancel()));
-            }
-            break;
-        }
-        case wire::WireRequest::Op::Stats:
-            emit(wire::serialize_stats(id, service_.stats()));
-            break;
+    // Cancel and stats are answered inline; every other op is a job.
+    if (request.op == wire::WireRequest::Op::Stats) {
+        emit(wire::serialize_stats(id, service_.stats()));
+        return;
     }
+    if (request.op == wire::WireRequest::Op::Cancel) {
+        service::JobHandle target;
+        {
+            const util::MutexLock lock(mutex_);
+            const auto it = jobs_.find(request.target);
+            if (it != jobs_.end()) target = it->second;
+        }
+        if (!target.valid()) {
+            emit(wire::serialize_error(
+                id, util::Status(util::StatusCode::NotFound,
+                                 "no job with id " + std::to_string(request.target),
+                                 "queue")));
+        } else {
+            emit(wire::serialize_cancel_ack(id, request.target, target.cancel()));
+        }
+        return;
+    }
+
+    track(id, wire::submit(service_, request, options_.reject_when_full,
+                           [self = shared_from_this(), id](const service::JobHandle& handle) {
+                               self->complete(id, handle);
+                           }));
 }
 
 } // namespace leqa::net

@@ -60,7 +60,9 @@ public:
     void set_on_settled(Notify notify) LEQA_EXCLUDES(mutex_);
 
     /// Dispatch one request line (already framed, may be malformed): zero
-    /// or more responses go out through emit, now or on completion.
+    /// or more responses go out through emit, now or on completion.  Cancel
+    /// and stats are answered inline; every other op is a job submitted
+    /// through `wire::submit`.
     void handle_line(const std::string& line) LEQA_EXCLUDES(mutex_);
 
     /// Answer the one-shot overlong-line event with a ParseError (id 0 --

@@ -320,100 +320,62 @@ std::vector<util::Result<EstimationResult>> Pipeline::run_batch_results(
     return results;
 }
 
-std::vector<EstimationResult> Pipeline::run_batch(
-    const std::vector<EstimationRequest>& requests, std::size_t threads) {
-    std::vector<util::Result<EstimationResult>> outcomes =
-        run_batch_results(requests, threads);
-    for (const util::Result<EstimationResult>& outcome : outcomes) {
-        if (!outcome.ok()) util::throw_status(outcome.status()); // lowest index first
-    }
-    std::vector<EstimationResult> results;
-    results.reserve(outcomes.size());
-    for (util::Result<EstimationResult>& outcome : outcomes) {
-        results.push_back(std::move(outcome).value());
-    }
-    return results;
-}
-
 // --------------------------------------------------------------- sweeps --
 
 namespace {
 
-/// Adapt an optional RunControl to the core sweeps' between-points hook.
-std::function<void()> point_checkpoint(const RunControl* control,
-                                       const char* stage = "sweep") {
+/// Adapt an optional RunControl to core's between-points hook.
+std::function<void()> point_checkpoint(const RunControl* control, const char* stage) {
     if (control == nullptr) return {};
     return [control, stage] { control->checkpoint(stage); };
 }
 
 } // namespace
 
+core::SweepResult Pipeline::sweep(const CircuitSource& source,
+                                  const core::ExplorationSpec& spec,
+                                  const RunControl* control) {
+    // An explicitly empty axis never was a valid sweep; keep the historic
+    // error text instead of falling through to a one-point base evaluation.
+    LEQA_REQUIRE(!spec.topologies.empty() || !spec.sides.empty() ||
+                     !spec.capacities.empty() || !spec.speeds.empty(),
+                 "sweep has no feasible configurations");
+    return core::SweepResult::from(explore_cached(source, spec, control, "sweep"));
+}
+
 core::SweepResult Pipeline::sweep_fabric_sides(const CircuitSource& source,
                                                const std::vector<int>& sides,
                                                const RunControl* control) {
-    if (control != nullptr) control->checkpoint("resolve");
-    const CachedCircuitPtr entry = resolve(source);
-    ensure_graphs(*entry);
-    const auto [params, leqa_options] = snapshot_estimation_config();
-    core::SweepResult result =
-        core::sweep_fabric_sides(entry->profile(), params, sides, leqa_options,
-                                point_checkpoint(control));
-    note_surface_stats(result.surface_cache);
-    return result;
-}
-
-core::SweepResult Pipeline::sweep_channel_capacity(const CircuitSource& source,
-                                                   const std::vector<int>& capacities,
-                                                   const RunControl* control) {
-    if (control != nullptr) control->checkpoint("resolve");
-    const CachedCircuitPtr entry = resolve(source);
-    ensure_graphs(*entry);
-    const auto [params, leqa_options] = snapshot_estimation_config();
-    core::SweepResult result =
-        core::sweep_channel_capacity(entry->profile(), params, capacities,
-                                    leqa_options, point_checkpoint(control));
-    note_surface_stats(result.surface_cache);
-    return result;
+    core::ExplorationSpec spec;
+    spec.sides = sides;
+    return sweep(source, spec, control);
 }
 
 core::SweepResult Pipeline::sweep_speed(const CircuitSource& source,
                                         const std::vector<double>& speeds,
                                         const RunControl* control) {
-    if (control != nullptr) control->checkpoint("resolve");
-    const CachedCircuitPtr entry = resolve(source);
-    ensure_graphs(*entry);
-    const auto [params, leqa_options] = snapshot_estimation_config();
-    core::SweepResult result =
-        core::sweep_speed(entry->profile(), params, speeds, leqa_options,
-                         point_checkpoint(control));
-    note_surface_stats(result.surface_cache);
-    return result;
-}
-
-core::SweepResult Pipeline::sweep_topology(
-    const CircuitSource& source, const std::vector<fabric::TopologyKind>& kinds,
-    const RunControl* control) {
-    if (control != nullptr) control->checkpoint("resolve");
-    const CachedCircuitPtr entry = resolve(source);
-    ensure_graphs(*entry);
-    const auto [params, leqa_options] = snapshot_estimation_config();
-    core::SweepResult result =
-        core::sweep_topology(entry->profile(), params, kinds, leqa_options,
-                            point_checkpoint(control));
-    note_surface_stats(result.surface_cache);
-    return result;
+    core::ExplorationSpec spec;
+    spec.speeds = speeds;
+    return sweep(source, spec, control);
 }
 
 core::ExplorationResult Pipeline::explore(const CircuitSource& source,
                                           const core::ExplorationSpec& spec,
                                           const RunControl* control) {
+    return explore_cached(source, spec, control, "explore");
+}
+
+core::ExplorationResult Pipeline::explore_cached(const CircuitSource& source,
+                                                 const core::ExplorationSpec& spec,
+                                                 const RunControl* control,
+                                                 const char* stage) {
     if (control != nullptr) control->checkpoint("resolve");
     const CachedCircuitPtr entry = resolve(source);
     ensure_graphs(*entry);
     const auto [params, leqa_options] = snapshot_estimation_config();
     core::ExplorationResult result =
         core::explore(entry->profile(), params, spec, leqa_options,
-                     point_checkpoint(control, "explore"));
+                     point_checkpoint(control, stage));
     note_surface_stats(result.surface_cache);
     return result;
 }
@@ -469,14 +431,12 @@ Pipeline::TrainingSet Pipeline::training_samples(
     const qspr::QsprMapper mapper(params, qspr_options);
     TrainingSet training;
     training.circuits.reserve(sources.size());
-    training.samples.reserve(sources.size());
     training.graph_samples.reserve(sources.size());
     for (const CircuitSource& source : sources) {
         if (control != nullptr) control->checkpoint("calibrate");
         CachedCircuitPtr entry = resolve(source);
         ensure_graphs(*entry);
         const double actual_us = mapper.map(entry->ft()).latency_us;
-        training.samples.push_back({&entry->ft(), actual_us});
         training.graph_samples.push_back({&entry->qodg(), &entry->iig(), actual_us});
         training.circuits.push_back(std::move(entry));
     }

@@ -12,14 +12,14 @@
 ///     QODG/IIG + the circuit-invariant `core::CircuitProfile`) per circuit
 ///     identity, so fabric sweeps, QECC exploration and calibration reuse
 ///     the stage-1 artifacts instead of rebuilding them;
-///   - `run(request)` for one circuit, `run_batch(requests)` with optional
-///     thread-pool parallelism for many;
-///   - `sweep_*` / `calibrate` entry points that re-home core/sweep and
-///     core/calibrate onto the shared cache;
+///   - `run(request)` for one circuit, `run_batch_results(requests)` with
+///     optional thread-pool parallelism for many;
+///   - `sweep` / `explore` / `optimize` / `calibrate` entry points that run
+///     core/explore, core/optimize and core/calibrate on the shared cache;
 ///   - per-stage wall times and cache statistics for the perf trajectory.
 ///
-/// All cache access is mutex-guarded; `run_batch` is safe with any thread
-/// count and bit-identical to sequential `run` calls.
+/// All cache access is mutex-guarded; `run_batch_results` is safe with any
+/// thread count and bit-identical to sequential `run` calls.
 #pragma once
 
 #include <atomic>
@@ -224,29 +224,23 @@ public:
         const std::vector<EstimationRequest>& requests, std::size_t threads = 0,
         const RunControl* control = nullptr);
 
-    /// Thin throwing wrapper over run_batch_results for back-compat: the
-    /// first (lowest-index) failed request's Status is rethrown as the
-    /// matching exception type after the pool drains.
-    [[nodiscard]] std::vector<EstimationResult> run_batch(
-        const std::vector<EstimationRequest>& requests, std::size_t threads = 0);
-
     // --- design-space sweeps on the shared cache --------------------------
 
-    /// The sweeps observe an optional RunControl before the resolve and
-    /// before every point, so a cancel/deadline aborts mid-sweep.
+    /// A one-parameter sweep: \p spec names one axis (sides, topologies,
+    /// capacities or speeds) and evaluates through the same code as
+    /// `explore`, with the Pareto front and per-topology bests dropped.  The
+    /// optional RunControl is observed before the resolve and before every
+    /// point (stage "sweep").  Throws InputError("sweep has no feasible
+    /// configurations") when every axis is empty.
+    [[nodiscard]] core::SweepResult sweep(const CircuitSource& source,
+                                          const core::ExplorationSpec& spec,
+                                          const RunControl* control = nullptr);
     [[nodiscard]] core::SweepResult sweep_fabric_sides(
         const CircuitSource& source, const std::vector<int>& sides,
-        const RunControl* control = nullptr);
-    [[nodiscard]] core::SweepResult sweep_channel_capacity(
-        const CircuitSource& source, const std::vector<int>& capacities,
         const RunControl* control = nullptr);
     [[nodiscard]] core::SweepResult sweep_speed(const CircuitSource& source,
                                                 const std::vector<double>& speeds,
                                                 const RunControl* control = nullptr);
-    /// Sweep the fabric topology on the session's (area-fixed) geometry.
-    [[nodiscard]] core::SweepResult sweep_topology(
-        const CircuitSource& source, const std::vector<fabric::TopologyKind>& kinds,
-        const RunControl* control = nullptr);
 
     /// Multi-dimensional design-space exploration on the shared cache: the
     /// circuit profile is resolved (and reused) from the session cache, then
@@ -283,7 +277,6 @@ public:
     /// borrowed alive.
     struct TrainingSet {
         std::vector<CachedCircuitPtr> circuits;
-        std::vector<core::CalibrationSample> samples;
         std::vector<core::GraphSample> graph_samples;
     };
     [[nodiscard]] TrainingSet training_samples(const std::vector<CircuitSource>& sources,
@@ -326,6 +319,10 @@ private:
     /// Fold one engine's E[S_q] cache counters into the session stats.
     void note_surface_stats(const core::SurfaceCacheStats& stats)
         LEQA_EXCLUDES(mutex_);
+    /// The body of explore() and sweep(): point checkpoints name \p stage.
+    [[nodiscard]] core::ExplorationResult explore_cached(
+        const CircuitSource& source, const core::ExplorationSpec& spec,
+        const RunControl* control, const char* stage) LEQA_EXCLUDES(mutex_);
     /// The throwing core of run()/run_result(); \p stage tracks the stage
     /// in flight so run_result can attribute a failure's origin.
     [[nodiscard]] EstimationResult run_impl(const EstimationRequest& request,

@@ -135,21 +135,6 @@ void write_result_object(util::JsonWriter& json,
 
 } // namespace
 
-std::string estimate_to_json(const core::LeqaEstimate& estimate,
-                             const fabric::PhysicalParams& params,
-                             const std::string& circuit_name) {
-    util::JsonWriter json;
-    json.begin_object();
-    json.kv("tool", "leqa");
-    json.kv("circuit", circuit_name);
-    json.kv("num_qubits", estimate.num_qubits);
-    json.kv("num_ops", estimate.num_ops);
-    write_params_json(json, params);
-    write_estimate_body(json, estimate);
-    json.end_object();
-    return json.str();
-}
-
 std::string qspr_result_to_json(const qspr::QsprResult& result,
                                 const fabric::PhysicalParams& params,
                                 const std::string& circuit_name) {
@@ -180,20 +165,6 @@ std::string schedule_to_csv(const qspr::QsprResult& result, const circuit::Circu
 std::string result_to_json(const pipeline::EstimationResult& result) {
     util::JsonWriter json;
     write_result_object(json, result);
-    return json.str();
-}
-
-std::string batch_to_json(const std::vector<pipeline::EstimationResult>& results) {
-    util::JsonWriter json;
-    json.begin_object();
-    json.kv("tool", "leqa-pipeline");
-    json.kv("count", results.size());
-    json.key("results").begin_array();
-    for (const pipeline::EstimationResult& result : results) {
-        write_result_object(json, result);
-    }
-    json.end_array();
-    json.end_object();
     return json.str();
 }
 

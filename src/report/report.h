@@ -28,13 +28,6 @@ namespace leqa::report {
 /// object.  Shared by every document in this module and by service::wire.
 void write_params_json(util::JsonWriter& json, const fabric::PhysicalParams& params);
 
-/// Full LEQA estimate as a JSON document: inputs (fabric parameters,
-/// circuit identity), the model intermediates (B, d_uncongest, L_CNOT,
-/// E[S_q]/d_q series), the critical-path census, and the final latency.
-[[nodiscard]] std::string estimate_to_json(const core::LeqaEstimate& estimate,
-                                           const fabric::PhysicalParams& params,
-                                           const std::string& circuit_name);
-
 /// QSPR mapping result as JSON (latency + mapper statistics).
 [[nodiscard]] std::string qspr_result_to_json(const qspr::QsprResult& result,
                                               const fabric::PhysicalParams& params,
@@ -49,12 +42,6 @@ void write_params_json(util::JsonWriter& json, const fabric::PhysicalParams& par
 /// parameters used, per-stage wall times, and whichever of the LEQA
 /// estimate / QSPR mapping the request produced.
 [[nodiscard]] std::string result_to_json(const pipeline::EstimationResult& result);
-
-/// A batch of pipeline results as one JSON document (the shape a sweep
-/// dashboard or regression tracker ingests): {"tool": "leqa-pipeline",
-/// "results": [...]}.
-[[nodiscard]] std::string batch_to_json(
-    const std::vector<pipeline::EstimationResult>& results);
 
 /// A non-OK Status as {"code": "...", "message": "...", "origin": "..."}
 /// (origin omitted when empty) -- the error object of the wire format.

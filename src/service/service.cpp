@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <limits>
 #include <queue>
 
 #include "mathx/stats.h"
@@ -48,28 +46,6 @@ LatencySummary summarize(std::vector<double> samples) {
     summary.p99_s = mathx::nearest_rank_percentile_inplace(samples, 0.99);
     summary.p999_s = mathx::nearest_rank_percentile_inplace(samples, 0.999);
     return summary;
-}
-
-/// Integral sweep axis values with validation.
-std::vector<int> to_int_values(const std::vector<double>& values, const char* axis) {
-    std::vector<int> out;
-    out.reserve(values.size());
-    for (const double value : values) {
-        const double rounded = std::nearbyint(value);
-        if (rounded != value) {
-            throw util::InputError(std::string("sweep axis ") + axis +
-                                   " expects integers, got " +
-                                   util::format_double(value, 12));
-        }
-        if (rounded < static_cast<double>(std::numeric_limits<int>::min()) ||
-            rounded > static_cast<double>(std::numeric_limits<int>::max())) {
-            throw util::InputError(std::string("sweep axis ") + axis +
-                                   " value out of range: " +
-                                   util::format_double(value, 12));
-        }
-        out.push_back(static_cast<int>(rounded));
-    }
-    return out;
 }
 
 } // namespace
@@ -341,124 +317,6 @@ JobHandle Service::submit(pipeline::EstimationRequest request, SubmitOptions opt
             util::Result<pipeline::EstimationResult> run = pipe.run_result(request, &control);
             if (!run.ok()) return run.status();
             return JobOutput{std::move(run).value()};
-        },
-        std::move(options));
-}
-
-JobHandle Service::submit(const std::string& source_spec, pipeline::RunMode mode,
-                          std::optional<fabric::PhysicalParams> params,
-                          SubmitOptions options) {
-    if (options.label.empty()) options.label = source_spec;
-    const std::string label = options.label;
-    return submit_fn(
-        [source_spec, mode, params = std::move(params), label](
-            pipeline::Pipeline& pipe, const pipeline::RunControl& control) -> JobResult {
-            try {
-                pipeline::EstimationRequest request(pipeline::parse_source(source_spec),
-                                                    mode);
-                request.params = params;
-                request.label = label;
-                util::Result<pipeline::EstimationResult> run =
-                    pipe.run_result(request, &control);
-                if (!run.ok()) return run.status();
-                return JobOutput{std::move(run).value()};
-            } catch (...) {
-                // parse_source failures (bad spec, unknown bench).
-                return util::status_from_exception(std::current_exception(), "resolve");
-            }
-        },
-        std::move(options));
-}
-
-JobHandle Service::submit_sweep(SweepRequest request, SubmitOptions options) {
-    if (options.label.empty()) {
-        options.label = "sweep:" + sweep_axis_name(request.axis) + ":" + request.source;
-    }
-    return submit_fn(
-        [request = std::move(request)](pipeline::Pipeline& pipe,
-                                       const pipeline::RunControl& control) -> JobResult {
-            try {
-                control.checkpoint("sweep");
-                const pipeline::CircuitSource source =
-                    pipeline::parse_source(request.source);
-                core::SweepResult sweep;
-                switch (request.axis) {
-                    case SweepAxis::FabricSides:
-                        sweep = pipe.sweep_fabric_sides(
-                            source, to_int_values(request.values, "fabric_sides"),
-                            &control);
-                        break;
-                    case SweepAxis::ChannelCapacity:
-                        sweep = pipe.sweep_channel_capacity(
-                            source, to_int_values(request.values, "nc"), &control);
-                        break;
-                    case SweepAxis::Speed:
-                        sweep = pipe.sweep_speed(source, request.values, &control);
-                        break;
-                    case SweepAxis::Topology:
-                        sweep = pipe.sweep_topology(source, request.kinds, &control);
-                        break;
-                }
-                return JobOutput{std::move(sweep)};
-            } catch (...) {
-                return util::status_from_exception(std::current_exception(), "sweep");
-            }
-        },
-        std::move(options));
-}
-
-JobHandle Service::submit_explore(ExploreRequest request, SubmitOptions options) {
-    if (options.label.empty()) options.label = "explore:" + request.source;
-    return submit_fn(
-        [request = std::move(request)](pipeline::Pipeline& pipe,
-                                       const pipeline::RunControl& control) -> JobResult {
-            try {
-                control.checkpoint("explore");
-                return JobOutput{pipe.explore(pipeline::parse_source(request.source),
-                                              request.spec, &control)};
-            } catch (...) {
-                return util::status_from_exception(std::current_exception(), "explore");
-            }
-        },
-        std::move(options));
-}
-
-JobHandle Service::submit_optimize(OptimizeRequest request, SubmitOptions options) {
-    if (options.label.empty()) options.label = "optimize:" + request.source;
-    return submit_fn(
-        [request = std::move(request)](pipeline::Pipeline& pipe,
-                                       const pipeline::RunControl& control) -> JobResult {
-            try {
-                control.checkpoint("optimize");
-                return JobOutput{pipe.optimize(pipeline::parse_source(request.source),
-                                               request.options, request.params,
-                                               &control)};
-            } catch (...) {
-                return util::status_from_exception(std::current_exception(), "optimize");
-            }
-        },
-        std::move(options));
-}
-
-JobHandle Service::submit_calibration(CalibrationRequest request, SubmitOptions options) {
-    if (options.label.empty()) options.label = "calibrate";
-    return submit_fn(
-        [request = std::move(request)](pipeline::Pipeline& pipe,
-                                       const pipeline::RunControl& control) -> JobResult {
-            try {
-                control.checkpoint("calibrate");
-                std::vector<pipeline::CircuitSource> sources;
-                sources.reserve(request.sources.size());
-                for (const std::string& spec : request.sources) {
-                    sources.push_back(pipeline::parse_source(spec));
-                }
-                core::CalibrationResult fit =
-                    pipe.calibrate(sources, request.options, &control);
-                if (request.apply) pipe.apply_calibration(fit);
-                return JobOutput{fit};
-            } catch (...) {
-                return util::status_from_exception(std::current_exception(), "calibrate");
-            }
         },
         std::move(options));
 }

@@ -25,7 +25,8 @@
 ///
 /// Estimate/map jobs, design-space sweeps, and calibration fits all run
 /// through the same queue, so one daemon (see cli/leqa_server.cpp) serves
-/// every request kind the pipeline facade supports.
+/// every request kind the pipeline facade supports; `wire::submit` is the
+/// one place that turns a decoded request into a job.
 #pragma once
 
 #include <chrono>
@@ -138,40 +139,6 @@ enum class SweepAxis { FabricSides, ChannelCapacity, Speed, Topology };
 [[nodiscard]] const std::string& sweep_axis_name(SweepAxis axis);
 [[nodiscard]] std::optional<SweepAxis> parse_sweep_axis(const std::string& name);
 
-/// A design-space sweep over one axis.  The source spec is resolved inside
-/// the job (a bad spec becomes a NotFound/ParseError status, not a throw).
-struct SweepRequest {
-    std::string source; ///< circuit spec ("bench:<name>" or a path)
-    SweepAxis axis = SweepAxis::FabricSides;
-    std::vector<double> values; ///< sides / capacities / speeds
-    std::vector<fabric::TopologyKind> kinds; ///< for SweepAxis::Topology
-};
-
-/// A multi-dimensional design-space exploration (the cross-product axes and
-/// worker count live in the spec; see core/explore.h).  As with sweeps, the
-/// source spec is resolved inside the job.
-struct ExploreRequest {
-    std::string source; ///< circuit spec ("bench:<name>" or a path)
-    core::ExplorationSpec spec;
-};
-
-/// A latency-driven placement optimization (see core/optimize.h and
-/// pipeline::Pipeline::optimize).  The source spec is resolved inside the
-/// job.
-struct OptimizeRequest {
-    std::string source; ///< circuit spec ("bench:<name>" or a path)
-    core::OptimizeOptions options;
-    /// Per-request fabric override (the session default otherwise).
-    std::optional<fabric::PhysicalParams> params;
-};
-
-/// A calibration fit against the session mapper.
-struct CalibrationRequest {
-    std::vector<std::string> sources; ///< training circuit specs
-    core::CalibratorOptions options;
-    bool apply = false; ///< adopt the fitted v into the session parameters
-};
-
 /// A job body: runs on a worker with the shared pipeline and this job's
 /// run control; returns a JobResult and must not throw (the service still
 /// catches as a last resort and maps to StatusCode::Internal).
@@ -225,30 +192,9 @@ public:
     [[nodiscard]] JobHandle submit(pipeline::EstimationRequest request,
                                    SubmitOptions options = {});
 
-    /// Enqueue one pipeline run from a raw circuit spec; the spec is parsed
-    /// inside the job so that unknown benches / missing files surface as a
-    /// Status instead of throwing on the submitting thread.
-    [[nodiscard]] JobHandle submit(const std::string& source_spec,
-                                   pipeline::RunMode mode,
-                                   std::optional<fabric::PhysicalParams> params = {},
-                                   SubmitOptions options = {});
-
-    /// Enqueue a design-space sweep.
-    [[nodiscard]] JobHandle submit_sweep(SweepRequest request, SubmitOptions options = {});
-
-    /// Enqueue a multi-dimensional design-space exploration.
-    [[nodiscard]] JobHandle submit_explore(ExploreRequest request,
-                                           SubmitOptions options = {});
-
-    /// Enqueue a placement optimization.
-    [[nodiscard]] JobHandle submit_optimize(OptimizeRequest request,
-                                            SubmitOptions options = {});
-
-    /// Enqueue a calibration fit.
-    [[nodiscard]] JobHandle submit_calibration(CalibrationRequest request,
-                                               SubmitOptions options = {});
-
-    /// Enqueue an arbitrary job body (the primitive the typed submits use).
+    /// Enqueue an arbitrary job body.  Sweeps, explorations, optimizations
+    /// and calibration fits are such bodies, built from a wire request by
+    /// `wire::submit` (service/wire.h).
     [[nodiscard]] JobHandle submit_fn(JobFn fn, SubmitOptions options = {});
 
     /// Block until every job submitted so far has completed.

@@ -1,11 +1,13 @@
 #include "service/wire.h"
 
+#include <cmath>
 #include <limits>
 #include <utility>
 
 #include "report/report.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 namespace leqa::service::wire {
 
@@ -73,6 +75,48 @@ ParamsPatch parse_params_patch(const JsonValue& object) {
         }
     }
     return patch;
+}
+
+/// Integral sweep axis values with validation.
+std::vector<int> to_int_values(const std::vector<double>& values, const char* axis) {
+    std::vector<int> out;
+    out.reserve(values.size());
+    for (const double value : values) {
+        const double rounded = std::nearbyint(value);
+        if (rounded != value) {
+            throw util::InputError(std::string("sweep axis ") + axis +
+                                   " expects integers, got " +
+                                   util::format_double(value, 12));
+        }
+        if (rounded < static_cast<double>(std::numeric_limits<int>::min()) ||
+            rounded > static_cast<double>(std::numeric_limits<int>::max())) {
+            throw util::InputError(std::string("sweep axis ") + axis +
+                                   " value out of range: " +
+                                   util::format_double(value, 12));
+        }
+        out.push_back(static_cast<int>(rounded));
+    }
+    return out;
+}
+
+/// The one-axis exploration a sweep request names.
+core::ExplorationSpec sweep_spec(const WireRequest& request) {
+    core::ExplorationSpec spec;
+    switch (request.axis) {
+        case SweepAxis::FabricSides:
+            spec.sides = to_int_values(request.values, "fabric_sides");
+            break;
+        case SweepAxis::ChannelCapacity:
+            spec.capacities = to_int_values(request.values, "nc");
+            break;
+        case SweepAxis::Speed:
+            spec.speeds = request.values;
+            break;
+        case SweepAxis::Topology:
+            spec.topologies = request.kinds;
+            break;
+    }
+    return spec;
 }
 
 WireRequest parse_request_object(const JsonValue& root) {
@@ -418,12 +462,110 @@ std::uint64_t extract_id(const std::string& line) {
     }
 }
 
-SubmitOptions submit_options(const WireRequest& request) {
+// -------------------------------------------------------------- dispatch --
+
+JobHandle submit(Service& service, const WireRequest& request, bool nowait,
+                 std::function<void(const JobHandle&)> on_complete) {
     SubmitOptions options;
     options.priority = request.priority;
     options.deadline_s = request.deadline_s;
     options.label = request.label;
-    return options;
+    options.nowait = nowait;
+    options.on_complete = std::move(on_complete);
+    std::optional<fabric::PhysicalParams> params;
+    if (!request.params.empty()) {
+        params = request.params.apply(service.pipeline().config().params);
+    }
+
+    const char* origin = nullptr; // the Status origin of a body that throws
+    JobFn body;
+    switch (request.op) {
+        case WireRequest::Op::Estimate:
+        case WireRequest::Op::Map:
+        case WireRequest::Op::Both:
+            // The label is echoed into the result document.
+            if (options.label.empty()) options.label = request.source;
+            origin = "resolve"; // run_result names the stage of any later failure
+            body = [request, params, label = options.label](
+                       pipeline::Pipeline& pipe,
+                       const pipeline::RunControl& control) -> JobResult {
+                pipeline::EstimationRequest run(pipeline::parse_source(request.source),
+                                                run_mode_of(request.op));
+                run.params = params;
+                run.label = label;
+                util::Result<pipeline::EstimationResult> result =
+                    pipe.run_result(run, &control);
+                if (!result.ok()) return result.status();
+                return JobOutput{std::move(result).value()};
+            };
+            break;
+        case WireRequest::Op::Sweep:
+            if (options.label.empty()) {
+                options.label =
+                    "sweep:" + sweep_axis_name(request.axis) + ":" + request.source;
+            }
+            origin = "sweep";
+            body = [request](pipeline::Pipeline& pipe,
+                             const pipeline::RunControl& control) -> JobResult {
+                control.checkpoint("sweep");
+                // Source before axis values: an unknown bench outranks a
+                // non-integral side.
+                const pipeline::CircuitSource source =
+                    pipeline::parse_source(request.source);
+                return JobOutput{pipe.sweep(source, sweep_spec(request), &control)};
+            };
+            break;
+        case WireRequest::Op::Explore:
+            if (options.label.empty()) options.label = "explore:" + request.source;
+            origin = "explore";
+            body = [request](pipeline::Pipeline& pipe,
+                             const pipeline::RunControl& control) -> JobResult {
+                control.checkpoint("explore");
+                return JobOutput{pipe.explore(pipeline::parse_source(request.source),
+                                              request.explore, &control)};
+            };
+            break;
+        case WireRequest::Op::Optimize:
+            if (options.label.empty()) options.label = "optimize:" + request.source;
+            origin = "optimize";
+            body = [request, params](pipeline::Pipeline& pipe,
+                                     const pipeline::RunControl& control) -> JobResult {
+                control.checkpoint("optimize");
+                return JobOutput{pipe.optimize(pipeline::parse_source(request.source),
+                                               request.optimize, params, &control)};
+            };
+            break;
+        case WireRequest::Op::Calibrate:
+            if (options.label.empty()) options.label = "calibrate";
+            origin = "calibrate";
+            body = [request](pipeline::Pipeline& pipe,
+                             const pipeline::RunControl& control) -> JobResult {
+                control.checkpoint("calibrate");
+                std::vector<pipeline::CircuitSource> sources;
+                sources.reserve(request.sources.size());
+                for (const std::string& spec : request.sources) {
+                    sources.push_back(pipeline::parse_source(spec));
+                }
+                core::CalibrationResult fit = pipe.calibrate(sources, {}, &control);
+                if (request.apply_calibration) pipe.apply_calibration(fit);
+                return JobOutput{fit};
+            };
+            break;
+        case WireRequest::Op::Cancel:
+        case WireRequest::Op::Stats:
+            throw util::InternalError("wire::submit: op \"" + op_name(request.op) +
+                                      "\" is answered inline, not as a job");
+    }
+    return service.submit_fn(
+        [origin, body = std::move(body)](pipeline::Pipeline& pipe,
+                                         const pipeline::RunControl& control) -> JobResult {
+            try {
+                return body(pipe, control);
+            } catch (...) {
+                return util::status_from_exception(std::current_exception(), origin);
+            }
+        },
+        std::move(options));
 }
 
 // ------------------------------------------------------------- responses --

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -125,8 +126,26 @@ struct WireRequest {
 /// response can still be correlated; 0 when unrecoverable.
 [[nodiscard]] std::uint64_t extract_id(const std::string& line);
 
-/// Scheduling options carried by a request (priority/deadline/label).
-[[nodiscard]] SubmitOptions submit_options(const WireRequest& request);
+/// The one dispatch from a decoded request to a job: enqueue \p request's
+/// op (every op but cancel and stats, which the transport answers inline;
+/// those throw InternalError).  Priority, deadline and label come from the
+/// request; the transport supplies only its backpressure policy (\p nowait,
+/// see SubmitOptions::nowait) and \p on_complete.
+///
+///   - the source spec is parsed inside the job, so a bad spec completes
+///     as a NotFound/ParseError status instead of throwing here;
+///   - a "params" patch applies to the session parameters at submit time;
+///   - a sweep becomes a one-axis `Pipeline::sweep` (sides and Nc must be
+///     integral: "sweep axis <name> expects integers, got <v>");
+///   - a failure's origin names the op ("sweep", "explore", "optimize",
+///     "calibrate"), or the pipeline stage for estimate/map/both runs
+///     ("resolve" for an unparsable spec);
+///   - an empty label defaults to the source spec (runs, which echo it
+///     into the result), "<op>:<source>" ("sweep:<axis>:<source>" for a
+///     sweep) or "calibrate".
+[[nodiscard]] JobHandle submit(Service& service, const WireRequest& request,
+                               bool nowait = false,
+                               std::function<void(const JobHandle&)> on_complete = {});
 
 // --- responses -------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 #include "util/env.h"
 
+#include <cstdio>
 #include <cstdlib>
 
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace leqa::util {
@@ -26,7 +26,8 @@ long long env_int(const std::string& name, long long fallback) {
     if (!value) return fallback;
     const auto parsed = parse_int(*value);
     if (!parsed) {
-        LEQA_LOG_WARN << "ignoring malformed integer in $" << name << "='" << *value << "'";
+        std::fprintf(stderr, "[leqa WARN ] ignoring malformed integer in $%s='%s'\n",
+                     name.c_str(), value->c_str());
         return fallback;
     }
     return *parsed;

@@ -172,14 +172,14 @@ TEST(BinomialRowBatch, EmptyLaneSetIsValid) {
 
 TEST(ExpectedSurfacesSoA, MatchesReferenceAcrossHistograms) {
     const struct {
-        lcore::CoverageHistogram histogram;
+        lf::CoverageHistogram histogram;
         const char* name;
     } cases[] = {
-        {lcore::CoverageHistogram::build(60, 60, 6), "grid 60x60 s=6"},
-        {lcore::CoverageHistogram::build(50, 49, 7), "grid 50x49 s=7"},
+        {lf::CoverageHistogram::build(60, 60, 6), "grid 60x60 s=6"},
+        {lf::CoverageHistogram::build(50, 49, 7), "grid 50x49 s=7"},
         // Zone covers the fabric: every bin probability is exactly 1 (the
         // p == 1 indicator lanes).
-        {lcore::CoverageHistogram::build(5, 5, 5), "grid 5x5 s=5"},
+        {lf::CoverageHistogram::build(5, 5, 5), "grid 5x5 s=5"},
         {lf::make_topology(lf::TopologyKind::Torus, 32, 32)->coverage_histogram(5),
          "torus 32x32 s=5"},
         {lf::make_topology(lf::TopologyKind::Line, 900, 1)->coverage_histogram(4),

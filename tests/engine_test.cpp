@@ -15,8 +15,10 @@
 #include "benchgen/suite.h"
 #include "core/engine.h"
 #include "core/leqa.h"
+#include "fabric/topology.h"
 #include "iig/iig.h"
 #include "mathx/binomial.h"
+#include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
 #include "synth/ft_synth.h"
 #include "util/error.h"
@@ -109,7 +111,7 @@ TEST(BinomialTermRecursion, AgreesWithEq18Row) {
 TEST(CoverageHistogram, MatchesPerCellTableAndStaysSmall) {
     for (const auto& [a, b, s] : std::vector<std::array<int, 3>>{
              {10, 10, 3}, {60, 60, 6}, {50, 50, 7}, {7, 13, 5}, {5, 5, 5}, {9, 4, 1}}) {
-        const auto histogram = lcore::CoverageHistogram::build(a, b, s);
+        const auto histogram = lf::CoverageHistogram::build(a, b, s);
 
         // Bin count is bounded by s^2 however large the fabric is.
         EXPECT_LE(histogram.bins().size(),
@@ -140,7 +142,7 @@ TEST(CoverageHistogram, MatchesPerCellTableAndStaysSmall) {
 
 TEST(CoverageHistogram, ExpectedSurfacesMatchReferenceSummation) {
     const int a = 60, b = 60, s = 6;
-    const auto histogram = lcore::CoverageHistogram::build(a, b, s);
+    const auto histogram = lf::CoverageHistogram::build(a, b, s);
     std::vector<double> coverage;
     for (int x = 1; x <= a; ++x) {
         for (int y = 1; y <= b; ++y) {
@@ -158,9 +160,9 @@ TEST(CoverageHistogram, ExpectedSurfacesMatchReferenceSummation) {
 }
 
 TEST(CoverageHistogram, InvalidArguments) {
-    EXPECT_THROW((void)lcore::CoverageHistogram::build(0, 5, 1), leqa::util::InputError);
-    EXPECT_THROW((void)lcore::CoverageHistogram::build(5, 5, 0), leqa::util::InputError);
-    EXPECT_THROW((void)lcore::CoverageHistogram::build(5, 5, 6), leqa::util::InputError);
+    EXPECT_THROW((void)lf::CoverageHistogram::build(0, 5, 1), leqa::util::InputError);
+    EXPECT_THROW((void)lf::CoverageHistogram::build(5, 5, 0), leqa::util::InputError);
+    EXPECT_THROW((void)lf::CoverageHistogram::build(5, 5, 6), leqa::util::InputError);
 }
 
 // ------------------------------------------------------- golden parity -----
@@ -237,19 +239,24 @@ TEST(EngineParity, ExactSqPathMatchesReference) {
                            estimator.estimate_reference(graph, iig), "gf2^16mult exact");
 }
 
-TEST(EngineParity, EstimatorDelegatesToEngine) {
-    // LeqaEstimator::estimate and the engine must agree bit for bit: the
-    // estimator is now a thin wrapper over the staged path.
+TEST(EngineParity, PipelineRunIsTheEngine) {
+    // Pipeline::run and the engine on the same circuit's profile must agree
+    // bit for bit: the pipeline has no estimation path of its own.
     const auto ft = lb::make_ft_benchmark("8bitadder").circuit;
     const leqa::qodg::Qodg graph(ft);
     const leqa::iig::Iig iig(ft);
     const lf::PhysicalParams params;
-    const auto via_estimator = lcore::LeqaEstimator(params).estimate(graph, iig);
+    leqa::pipeline::Pipeline pipe;
+    const auto via_pipeline =
+        pipe.run(leqa::pipeline::EstimationRequest(
+                     leqa::pipeline::CircuitSource::from_bench("8bitadder")))
+            .estimate;
+    ASSERT_TRUE(via_pipeline.has_value());
     const auto via_engine =
         lcore::EstimationEngine(params).estimate(lcore::CircuitProfile::build(graph, iig));
-    EXPECT_DOUBLE_EQ(via_estimator.latency_us, via_engine.latency_us);
-    EXPECT_DOUBLE_EQ(via_estimator.l_cnot_avg_us, via_engine.l_cnot_avg_us);
-    EXPECT_EQ(via_estimator.critical_census.total_ops,
+    EXPECT_DOUBLE_EQ(via_pipeline->latency_us, via_engine.latency_us);
+    EXPECT_DOUBLE_EQ(via_pipeline->l_cnot_avg_us, via_engine.l_cnot_avg_us);
+    EXPECT_EQ(via_pipeline->critical_census.total_ops,
               via_engine.critical_census.total_ops);
 }
 

@@ -17,6 +17,7 @@
 #include "qodg/qodg.h"
 #include "report/report.h"
 #include "service/service.h"
+#include "service/wire.h"
 #include "synth/ft_synth.h"
 #include "util/error.h"
 
@@ -24,6 +25,7 @@ namespace lcore = leqa::core;
 namespace lf = leqa::fabric;
 namespace lp = leqa::pipeline;
 namespace lu = leqa::util;
+namespace lw = leqa::service::wire;
 
 namespace {
 
@@ -129,8 +131,9 @@ TEST(Explore, MatchesOneDimensionalSweepsOnSharedAxisPoints) {
     const lf::PhysicalParams base;
     const std::vector<int> sides = {10, 12, 14};
 
+    lp::Pipeline pipe;
     const lcore::SweepResult sweep =
-        lcore::sweep_fabric_sides(circuit.profile, base, sides);
+        pipe.sweep_fabric_sides(lp::CircuitSource::from_bench("8bitadder"), sides);
     lcore::ExplorationSpec spec;
     spec.sides = sides;
     spec.threads = 4;
@@ -250,13 +253,19 @@ TEST(Explore, AllSidesInfeasibleKeepsSweepErrorText) {
                   std::string::npos)
             << error.what();
     }
-    EXPECT_THROW(
-        (void)lcore::sweep_fabric_sides(circuit.profile, lf::PhysicalParams{}, {2, 3}),
-        lu::InputError);
+    lp::Pipeline pipe;
+    const lp::CircuitSource source = lp::CircuitSource::from_bench("8bitadder");
+    EXPECT_THROW((void)pipe.sweep_fabric_sides(source, {2, 3}), lu::InputError);
     // An explicitly empty axis list is also not a valid sweep.
-    EXPECT_THROW(
-        (void)lcore::sweep_fabric_sides(circuit.profile, lf::PhysicalParams{}, {}),
-        lu::InputError);
+    try {
+        (void)pipe.sweep(source, lcore::ExplorationSpec{});
+        FAIL() << "expected InputError";
+    } catch (const lu::InputError& error) {
+        EXPECT_NE(std::string(error.what()).find(
+                      "sweep has no feasible configurations"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 // ------------------------------------------- overflow regression (satellite) --
@@ -267,8 +276,10 @@ TEST(Explore, LineSideAreaOverflowThrowsInsteadOfWrapping) {
     base.topology = lf::TopologyKind::Line;
     base.height = 1;
     // 50000^2 = 2.5e9 overflows int; the pre-fix code wrapped it silently.
+    lcore::ExplorationSpec spec;
+    spec.sides = {50000};
     try {
-        (void)lcore::sweep_fabric_sides(circuit.profile, base, {50000});
+        (void)lcore::explore(circuit.profile, base, spec);
         FAIL() << "expected InputError";
     } catch (const lu::InputError& error) {
         EXPECT_NE(std::string(error.what()).find("50000"), std::string::npos)
@@ -277,8 +288,8 @@ TEST(Explore, LineSideAreaOverflowThrowsInsteadOfWrapping) {
             << error.what();
     }
     // A feasible large side on a non-line topology is untouched by the guard.
-    const lcore::SweepResult grid_ok =
-        lcore::sweep_fabric_sides(circuit.profile, lf::PhysicalParams{}, {50000});
+    const lcore::ExplorationResult grid_ok =
+        lcore::explore(circuit.profile, lf::PhysicalParams{}, spec);
     EXPECT_EQ(grid_ok.points.at(0).params.width, 50000);
 }
 
@@ -287,8 +298,10 @@ TEST(Explore, TopologySweepLineAreaOverflowThrows) {
     lf::PhysicalParams base;
     base.width = 60000;
     base.height = 60000; // 3.6e9 ULBs: fine as a grid, unrepresentable as a row
+    lcore::ExplorationSpec spec;
+    spec.topologies = {lf::TopologyKind::Line};
     try {
-        (void)lcore::sweep_topology(circuit.profile, base, {lf::TopologyKind::Line});
+        (void)lcore::explore(circuit.profile, base, spec);
         FAIL() << "expected InputError";
     } catch (const lu::InputError& error) {
         // The 64-bit guard names the unrepresentable area; the pre-fix
@@ -299,8 +312,8 @@ TEST(Explore, TopologySweepLineAreaOverflowThrows) {
             << error.what();
     }
     // Grid and torus at the same area are unaffected.
-    const lcore::SweepResult ok = lcore::sweep_topology(
-        circuit.profile, base, {lf::TopologyKind::Grid, lf::TopologyKind::Torus});
+    spec.topologies = {lf::TopologyKind::Grid, lf::TopologyKind::Torus};
+    const lcore::ExplorationResult ok = lcore::explore(circuit.profile, base, spec);
     EXPECT_EQ(ok.points.size(), 2u);
 }
 
@@ -349,11 +362,11 @@ TEST(Sweep, NoFiniteBestIsExplicit) {
 }
 
 TEST(Sweep, SubnormalSpeedProducesNonFinitePointButSaneBest) {
-    const ProfiledCircuit circuit = profiled("ham3");
     // v = 1e-310 makes d_uncongest = d_uncongest_v / v overflow to infinity;
     // the point is kept (flagged), never selected as best.
-    const lcore::SweepResult result = lcore::sweep_speed(
-        circuit.profile, lf::PhysicalParams{}, {1e-310, 0.001});
+    lp::Pipeline pipe;
+    const lcore::SweepResult result =
+        pipe.sweep_speed(lp::CircuitSource::from_bench("ham3"), {1e-310, 0.001});
     ASSERT_EQ(result.points.size(), 2u);
     EXPECT_FALSE(std::isfinite(result.points[0].estimate.latency_us));
     ASSERT_TRUE(result.has_best());
@@ -373,11 +386,12 @@ TEST(Explore, ServiceExploreJobMatchesDirectPipeline) {
         pipeline->explore(lp::parse_source("bench:ham3"), spec);
 
     leqa::service::Service service(pipeline, {});
-    leqa::service::ExploreRequest request;
+    lw::WireRequest request;
+    request.id = 1;
+    request.op = lw::WireRequest::Op::Explore;
     request.source = "bench:ham3";
-    request.spec = spec;
-    const leqa::service::JobResult result =
-        service.submit_explore(std::move(request)).wait();
+    request.explore = spec;
+    const leqa::service::JobResult result = lw::submit(service, request).wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     const auto& explored = std::get<lcore::ExplorationResult>(result.value());
     ASSERT_EQ(explored.points.size(), direct.points.size());
@@ -387,11 +401,8 @@ TEST(Explore, ServiceExploreJobMatchesDirectPipeline) {
     }
     EXPECT_EQ(explored.best_index, direct.best_index);
 
-    leqa::service::ExploreRequest bad;
-    bad.source = "bench:nosuchbench";
-    bad.spec = spec;
-    const leqa::service::JobResult failure =
-        service.submit_explore(std::move(bad)).wait();
+    request.source = "bench:nosuchbench";
+    const leqa::service::JobResult failure = lw::submit(service, request).wait();
     ASSERT_FALSE(failure.ok());
     EXPECT_EQ(failure.status().code(), lu::StatusCode::NotFound);
     EXPECT_EQ(failure.status().origin(), "explore");

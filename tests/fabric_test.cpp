@@ -6,6 +6,7 @@
 #include <set>
 
 #include "fabric/geometry.h"
+#include "fabric/topology.h"
 #include "fabric/params.h"
 #include "util/error.h"
 
@@ -123,7 +124,7 @@ TEST(Params, FileRoundTrip) {
 // --------------------------------------------------------------- geometry --
 
 TEST(Geometry, UlbIndexRoundTrip) {
-    const lf::FabricGeometry geo(7, 5);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 7, 5));
     EXPECT_EQ(geo.num_ulbs(), 35u);
     for (int y = 0; y < 5; ++y) {
         for (int x = 0; x < 7; ++x) {
@@ -136,7 +137,7 @@ TEST(Geometry, UlbIndexRoundTrip) {
 }
 
 TEST(Geometry, SegmentCountAndUniqueness) {
-    const lf::FabricGeometry geo(4, 3);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 4, 3));
     // horizontal: 3*3 = 9, vertical: 4*2 = 8.
     EXPECT_EQ(geo.num_segments(), 17u);
     std::set<lf::SegmentId> ids;
@@ -154,7 +155,7 @@ TEST(Geometry, SegmentCountAndUniqueness) {
 }
 
 TEST(Geometry, SegmentSymmetric) {
-    const lf::FabricGeometry geo(5, 5);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 5, 5));
     EXPECT_EQ(geo.segment_between({1, 1}, {2, 1}), geo.segment_between({2, 1}, {1, 1}));
     EXPECT_EQ(geo.segment_between({3, 2}, {3, 3}), geo.segment_between({3, 3}, {3, 2}));
     EXPECT_THROW((void)geo.segment_between({0, 0}, {2, 0}), InputError); // not adjacent
@@ -162,27 +163,27 @@ TEST(Geometry, SegmentSymmetric) {
 }
 
 TEST(Geometry, XyRouteLengthEqualsManhattan) {
-    const lf::FabricGeometry geo(10, 8);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 8));
     const lf::UlbCoord a{1, 2};
     const lf::UlbCoord b{7, 6};
-    const auto route = geo.xy_route(a, b);
+    const auto route = geo.route(a, b);
     EXPECT_EQ(route.size(), static_cast<std::size_t>(geo.manhattan(a, b)));
     EXPECT_EQ(geo.manhattan(a, b), 10);
-    EXPECT_TRUE(geo.xy_route(a, a).empty());
+    EXPECT_TRUE(geo.route(a, a).empty());
     // Route in reverse direction also works (negative steps).
-    EXPECT_EQ(geo.xy_route(b, a).size(), 10u);
+    EXPECT_EQ(geo.route(b, a).size(), 10u);
 }
 
 TEST(Geometry, XyRouteSegmentsAreConnected) {
-    const lf::FabricGeometry geo(6, 6);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 6, 6));
     // The route's segments must be pairwise distinct for a shortest path.
-    const auto route = geo.xy_route({0, 0}, {5, 5});
+    const auto route = geo.route({0, 0}, {5, 5});
     const std::set<lf::SegmentId> unique(route.begin(), route.end());
     EXPECT_EQ(unique.size(), route.size());
 }
 
 TEST(Geometry, RingsCoverFabricExactlyOnce) {
-    const lf::FabricGeometry geo(5, 4);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 5, 4));
     const lf::UlbCoord center{2, 1};
     std::set<std::pair<int, int>> seen;
     for (int r = 0; r <= 6; ++r) {
@@ -198,35 +199,35 @@ TEST(Geometry, RingsCoverFabricExactlyOnce) {
 }
 
 TEST(Geometry, RingZeroIsCenter) {
-    const lf::FabricGeometry geo(3, 3);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 3, 3));
     const auto ring = geo.ring({1, 1}, 0);
     ASSERT_EQ(ring.size(), 1u);
     EXPECT_EQ(ring[0], (lf::UlbCoord{1, 1}));
 }
 
 TEST(Geometry, NeighborsClippedAtBoundary) {
-    const lf::FabricGeometry geo(3, 3);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 3, 3));
     EXPECT_EQ(geo.neighbors({0, 0}).size(), 2u);
     EXPECT_EQ(geo.neighbors({1, 0}).size(), 3u);
     EXPECT_EQ(geo.neighbors({1, 1}).size(), 4u);
 }
 
 TEST(Geometry, Midpoint) {
-    const lf::FabricGeometry geo(10, 10);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 10));
     EXPECT_EQ(geo.midpoint({0, 0}, {4, 6}), (lf::UlbCoord{2, 3}));
     EXPECT_EQ(geo.midpoint({3, 3}, {3, 3}), (lf::UlbCoord{3, 3}));
     EXPECT_EQ(geo.midpoint({0, 0}, {1, 1}), (lf::UlbCoord{0, 0}));
 }
 
 TEST(Geometry, DegenerateOneByOne) {
-    const lf::FabricGeometry geo(1, 1);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 1, 1));
     EXPECT_EQ(geo.num_ulbs(), 1u);
     EXPECT_EQ(geo.num_segments(), 0u);
-    EXPECT_TRUE(geo.xy_route({0, 0}, {0, 0}).empty());
+    EXPECT_TRUE(geo.route({0, 0}, {0, 0}).empty());
 }
 
 TEST(Geometry, SingleRowFabric) {
-    const lf::FabricGeometry geo(8, 1);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 8, 1));
     EXPECT_EQ(geo.num_segments(), 7u);
-    EXPECT_EQ(geo.xy_route({0, 0}, {7, 0}).size(), 7u);
+    EXPECT_EQ(geo.route({0, 0}, {7, 0}).size(), 7u);
 }

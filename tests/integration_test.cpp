@@ -5,12 +5,11 @@
 
 #include "benchgen/gf2_mult.h"
 #include "benchgen/suite.h"
-#include "core/calibrate.h"
-#include "core/leqa.h"
+#include "estimate.h"
 #include "fabric/params.h"
-#include "iig/iig.h"
 #include "parser/qasm.h"
 #include "parser/real.h"
+#include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
 #include "qspr/qspr.h"
 #include "sim/classical.h"
@@ -20,11 +19,12 @@
 
 namespace lb = leqa::benchgen;
 namespace lc = leqa::circuit;
-namespace lcore = leqa::core;
 namespace lf = leqa::fabric;
 namespace lp = leqa::parser;
+namespace lpipe = leqa::pipeline;
 namespace lq = leqa::qspr;
 namespace ls = leqa::synth;
+namespace lt = leqa::test_support;
 
 TEST(Integration, BenchmarkSurvivesNetlistRoundTrip) {
     // generate -> write qasm -> parse -> FT synth must equal the direct
@@ -44,28 +44,20 @@ TEST(Integration, EstimateWithinBandOfActualOnSmallSuite) {
     // The Table 2 claim in miniature: after calibrating v on the three
     // smallest benchmarks, LEQA must track QSPR within a conservative 10%
     // on every benchmark up to 7k ops (the bench covers the full suite).
-    lf::PhysicalParams params;
-    const lq::QsprMapper mapper(params);
-
-    std::vector<lc::Circuit> training;
-    for (const std::string name : {"8bitadder", "gf2^16mult", "hwb15ps"}) {
-        training.push_back(lb::make_ft_benchmark(name).circuit);
-    }
-    std::vector<lcore::CalibrationSample> samples;
-    for (const auto& circ : training) {
-        samples.push_back({&circ, mapper.map(circ).latency_us});
-    }
-    const auto calibration = lcore::calibrate_v(samples, params);
+    lpipe::Pipeline pipe; // Table 1 fabric, default QSPR mapper
+    const auto calibration =
+        pipe.calibrate({lpipe::CircuitSource::from_bench("8bitadder"),
+                        lpipe::CircuitSource::from_bench("gf2^16mult"),
+                        lpipe::CircuitSource::from_bench("hwb15ps")});
     EXPECT_LT(calibration.mean_abs_rel_error, 0.05);
-    params.v = calibration.v;
+    pipe.apply_calibration(calibration);
 
-    const lcore::LeqaEstimator estimator(params);
     for (const auto& spec : lb::paper_suite()) {
         if (spec.paper_ops > 7000) continue;
-        const auto ft = lb::make_ft_benchmark(spec.name).circuit;
-        const double actual = mapper.map(ft).latency_us;
-        const double estimate = estimator.estimate(ft).latency_us;
-        EXPECT_NEAR(estimate / actual, 1.0, 0.10) << spec.name;
+        const lpipe::EstimationResult both = pipe.run(lpipe::EstimationRequest(
+            lpipe::CircuitSource::from_bench(spec.name), lpipe::RunMode::Both));
+        EXPECT_NEAR(both.estimate->latency_us / both.mapping->latency_us, 1.0, 0.10)
+            << spec.name;
     }
 }
 
@@ -86,10 +78,10 @@ TEST(Integration, EstimatorUsesMappedCriticalPath) {
     }
     lf::PhysicalParams slow_routing;
     slow_routing.v = 1e-4; // makes L_CNOT large
-    const auto slow = lcore::LeqaEstimator(slow_routing).estimate(circ);
+    const auto slow = lt::estimate(circ, slow_routing);
     lf::PhysicalParams fast_routing;
     fast_routing.v = 1.0; // routing nearly free
-    const auto fast = lcore::LeqaEstimator(fast_routing).estimate(circ);
+    const auto fast = lt::estimate(circ, fast_routing);
     // With slow routing the CNOT chain dominates; with fast routing the
     // critical path can shift toward the T chain.  At minimum, the CNOT
     // count on the critical path must not increase when routing gets fast.
@@ -109,8 +101,8 @@ TEST(Integration, FabricSizeTrendAgreesBetweenTools) {
     comfy.height = 30;
     const double actual_cramped = lq::QsprMapper(cramped).map(ft).latency_us;
     const double actual_comfy = lq::QsprMapper(comfy).map(ft).latency_us;
-    const double est_cramped = lcore::LeqaEstimator(cramped).estimate(ft).latency_us;
-    const double est_comfy = lcore::LeqaEstimator(comfy).estimate(ft).latency_us;
+    const double est_cramped = lt::estimate(ft, cramped).latency_us;
+    const double est_comfy = lt::estimate(ft, comfy).latency_us;
     EXPECT_GE(actual_cramped, actual_comfy * 0.999);
     EXPECT_GE(est_cramped, est_comfy * 0.999);
 }
@@ -164,7 +156,7 @@ TEST(Integration, EstimatorAndMapperShareCriticalFloor) {
     const double floor_us = graph.longest_path(delays).length;
 
     EXPECT_GE(lq::QsprMapper(params).map(ft).latency_us, floor_us * 0.9999);
-    EXPECT_GE(lcore::LeqaEstimator(params).estimate(ft).latency_us, floor_us * 0.9999);
+    EXPECT_GE(lt::estimate(ft, params).latency_us, floor_us * 0.9999);
 }
 
 TEST(Integration, LeqaRuntimeFarBelowQsprOnMidSize) {
@@ -176,7 +168,7 @@ TEST(Integration, LeqaRuntimeFarBelowQsprOnMidSize) {
     (void)lq::QsprMapper(params).map(ft);
     const double qspr_s = qspr_clock.seconds();
     leqa::util::Stopwatch leqa_clock;
-    (void)lcore::LeqaEstimator(params).estimate(ft);
+    (void)lt::estimate(ft, params);
     const double leqa_s = leqa_clock.seconds();
     EXPECT_GT(qspr_s / leqa_s, 3.0);
 }

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <numeric>
 
 #include "core/calibrate.h"
+#include "core/engine.h"
 #include "core/leqa.h"
+#include "estimate.h"
+#include "pipeline/pipeline.h"
 #include "synth/ft_synth.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -14,6 +18,8 @@
 namespace lc = leqa::circuit;
 namespace lf = leqa::fabric;
 namespace lcore = leqa::core;
+namespace lp = leqa::pipeline;
+namespace lt = leqa::test_support;
 using leqa::util::InputError;
 
 namespace {
@@ -37,6 +43,13 @@ lc::Circuit random_ft_circuit(std::size_t qubits, std::size_t gates, std::uint64
     }
     return circ;
 }
+
+/// The dependency graphs a calibration sample borrows.
+struct Graphs {
+    explicit Graphs(const lc::Circuit& circ) : qodg(circ), iig(circ) {}
+    leqa::qodg::Qodg qodg;
+    leqa::iig::Iig iig;
+};
 
 } // namespace
 
@@ -163,10 +176,14 @@ TEST(Surfaces, LargeQStaysFinite) {
 // --------------------------------------------------- estimator (Alg. 1) --
 
 TEST(Estimator, RejectsNonFtCircuit) {
+    // With synthesis off, a Toffoli has no FT delay to price.
     lc::Circuit circ(3);
     circ.toffoli(0, 1, 2);
-    const lcore::LeqaEstimator estimator(paper_params());
-    EXPECT_THROW((void)estimator.estimate(circ), InputError);
+    lp::PipelineConfig config;
+    config.auto_synthesize = false;
+    lp::Pipeline pipe(config);
+    EXPECT_THROW((void)pipe.run(lp::EstimationRequest(lp::CircuitSource::from_circuit(circ))),
+                 InputError);
 }
 
 TEST(Estimator, OneQubitChainMatchesHandComputation) {
@@ -174,8 +191,7 @@ TEST(Estimator, OneQubitChainMatchesHandComputation) {
     lc::Circuit circ(1);
     circ.h(0).t(0).h(0);
     const auto params = paper_params();
-    const lcore::LeqaEstimator estimator(params);
-    const auto estimate = estimator.estimate(circ);
+    const auto estimate = lt::estimate(circ, params);
     const double expected = (5440.0 + 200.0) + (10940.0 + 200.0) + (5440.0 + 200.0);
     EXPECT_NEAR(estimate.latency_us, expected, 1e-9);
     EXPECT_DOUBLE_EQ(estimate.l_cnot_avg_us, 0.0); // no interactions
@@ -188,8 +204,7 @@ TEST(Estimator, SingleCnotDegenerateZones) {
     // path and the CNOT routing latency vanishes; D = d_CNOT.
     lc::Circuit circ(2);
     circ.cnot(0, 1);
-    const lcore::LeqaEstimator estimator(paper_params());
-    const auto estimate = estimator.estimate(circ);
+    const auto estimate = lt::estimate(circ, paper_params());
     EXPECT_DOUBLE_EQ(estimate.d_uncongest_us, 0.0);
     EXPECT_DOUBLE_EQ(estimate.l_cnot_avg_us, 0.0);
     EXPECT_NEAR(estimate.latency_us, 4930.0, 1e-9);
@@ -198,8 +213,7 @@ TEST(Estimator, SingleCnotDegenerateZones) {
 
 TEST(Estimator, RicherInteractionsYieldPositiveRoutingLatency) {
     const auto circ = random_ft_circuit(12, 200, 11);
-    const lcore::LeqaEstimator estimator(paper_params());
-    const auto estimate = estimator.estimate(circ);
+    const auto estimate = lt::estimate(circ, paper_params());
     EXPECT_GT(estimate.zone_area_b, 1.0);
     EXPECT_GT(estimate.d_uncongest_us, 0.0);
     EXPECT_GT(estimate.l_cnot_avg_us, 0.0);
@@ -214,14 +228,12 @@ TEST(Estimator, EsqTermsCappedByQubitsAndOption) {
     const auto circ = random_ft_circuit(6, 60, 4);
     lcore::LeqaOptions options;
     options.sq_terms = 20;
-    const lcore::LeqaEstimator estimator(paper_params(), options);
-    const auto estimate = estimator.estimate(circ);
+    const auto estimate = lt::estimate(circ, paper_params(), options);
     EXPECT_LE(estimate.e_sq.size(), 6u); // min(Q, 20)
 
     lcore::LeqaOptions few;
     few.sq_terms = 3;
-    const lcore::LeqaEstimator estimator_few(paper_params(), few);
-    EXPECT_EQ(estimator_few.estimate(circ).e_sq.size(), 3u);
+    EXPECT_EQ(lt::estimate(circ, paper_params(), few).e_sq.size(), 3u);
 }
 
 TEST(Estimator, ExactSqMatchesTruncationForSmallQ) {
@@ -231,8 +243,8 @@ TEST(Estimator, ExactSqMatchesTruncationForSmallQ) {
     truncated.sq_terms = 20;
     lcore::LeqaOptions exact;
     exact.exact_sq = true;
-    const auto e_trunc = lcore::LeqaEstimator(paper_params(), truncated).estimate(circ);
-    const auto e_exact = lcore::LeqaEstimator(paper_params(), exact).estimate(circ);
+    const auto e_trunc = lt::estimate(circ, paper_params(), truncated);
+    const auto e_exact = lt::estimate(circ, paper_params(), exact);
     EXPECT_NEAR(e_trunc.latency_us, e_exact.latency_us, 1e-9);
 }
 
@@ -243,8 +255,8 @@ TEST(Estimator, TwentyTermTruncationIsAccurateAtScale) {
     const auto circ = random_ft_circuit(64, 2000, 21);
     lcore::LeqaOptions exact;
     exact.exact_sq = true;
-    const auto e_trunc = lcore::LeqaEstimator(paper_params()).estimate(circ);
-    const auto e_exact = lcore::LeqaEstimator(paper_params(), exact).estimate(circ);
+    const auto e_trunc = lt::estimate(circ, paper_params());
+    const auto e_exact = lt::estimate(circ, paper_params(), exact);
     EXPECT_NEAR(e_trunc.latency_us / e_exact.latency_us, 1.0, 5e-3);
 }
 
@@ -254,8 +266,8 @@ TEST(Estimator, FasterQubitsLowerTheEstimate) {
     slow.v = 0.0005;
     auto fast = paper_params();
     fast.v = 0.01;
-    const auto d_slow = lcore::LeqaEstimator(slow).estimate(circ).latency_us;
-    const auto d_fast = lcore::LeqaEstimator(fast).estimate(circ).latency_us;
+    const auto d_slow = lt::estimate(circ, slow).latency_us;
+    const auto d_fast = lt::estimate(circ, fast).latency_us;
     EXPECT_GT(d_slow, d_fast);
 }
 
@@ -265,32 +277,35 @@ TEST(Estimator, LargerChannelCapacityNeverHurts) {
     narrow.nc = 1;
     auto wide = paper_params();
     wide.nc = 10;
-    const auto d_narrow = lcore::LeqaEstimator(narrow).estimate(circ).latency_us;
-    const auto d_wide = lcore::LeqaEstimator(wide).estimate(circ).latency_us;
+    const auto d_narrow = lt::estimate(circ, narrow).latency_us;
+    const auto d_wide = lt::estimate(circ, wide).latency_us;
     EXPECT_GE(d_narrow, d_wide);
 }
 
-TEST(Estimator, PrebuiltGraphOverloadMatches) {
+TEST(Estimator, PipelineMatchesEngineOnPrebuiltGraphs) {
     const auto circ = random_ft_circuit(10, 150, 19);
-    const lcore::LeqaEstimator estimator(paper_params());
-    const auto direct = estimator.estimate(circ);
-    const leqa::qodg::Qodg graph(circ);
-    const leqa::iig::Iig iig(circ);
-    const auto prebuilt = estimator.estimate(graph, iig);
-    EXPECT_DOUBLE_EQ(direct.latency_us, prebuilt.latency_us);
-    EXPECT_DOUBLE_EQ(direct.l_cnot_avg_us, prebuilt.l_cnot_avg_us);
+    lp::Pipeline pipe;
+    const auto via_pipeline =
+        pipe.run(lp::EstimationRequest(lp::CircuitSource::from_circuit(circ))).estimate;
+    ASSERT_TRUE(via_pipeline.has_value());
+    const auto direct = lt::estimate(circ, paper_params());
+    EXPECT_DOUBLE_EQ(direct.latency_us, via_pipeline->latency_us);
+    EXPECT_DOUBLE_EQ(direct.l_cnot_avg_us, via_pipeline->l_cnot_avg_us);
 }
 
 TEST(Estimator, DeterministicAcrossCalls) {
     const auto circ = random_ft_circuit(10, 150, 19);
-    const lcore::LeqaEstimator estimator(paper_params());
-    EXPECT_DOUBLE_EQ(estimator.estimate(circ).latency_us,
-                     estimator.estimate(circ).latency_us);
+    const leqa::qodg::Qodg graph(circ);
+    const leqa::iig::Iig iig(circ);
+    const auto profile = lcore::CircuitProfile::build(graph, iig);
+    const lcore::EstimationEngine engine(paper_params());
+    EXPECT_DOUBLE_EQ(engine.estimate(profile).latency_us,
+                     engine.estimate(profile).latency_us);
 }
 
 TEST(Estimator, CriticalCensusConsistent) {
     const auto circ = random_ft_circuit(8, 100, 5);
-    const auto estimate = lcore::LeqaEstimator(paper_params()).estimate(circ);
+    const auto estimate = lt::estimate(circ, paper_params());
     EXPECT_EQ(estimate.critical_cnots + estimate.critical_one_qubit,
               estimate.critical_census.total_ops);
     // Hand-check Eq. 1: D = sum over path kinds of N_kind * (d_kind + L_kind).
@@ -310,7 +325,7 @@ TEST(Estimator, CriticalCensusConsistent) {
 TEST(Estimator, LatencySecondsConversion) {
     lc::Circuit circ(1);
     circ.h(0);
-    const auto estimate = lcore::LeqaEstimator(paper_params()).estimate(circ);
+    const auto estimate = lt::estimate(circ, paper_params());
     EXPECT_NEAR(estimate.latency_seconds() * 1e6, estimate.latency_us, 1e-12);
 }
 
@@ -318,6 +333,7 @@ TEST(Estimator, InvalidOptions) {
     lcore::LeqaOptions options;
     options.sq_terms = 0;
     EXPECT_THROW(lcore::LeqaEstimator(paper_params(), options), InputError);
+    EXPECT_THROW(lcore::EstimationEngine(paper_params(), options), InputError);
 }
 
 // -------------------------------------------------------------- calibrate --
@@ -328,16 +344,14 @@ TEST(Calibrate, RecoversGeneratingV) {
     const double secret_v = 0.0031;
     auto generator_params = paper_params();
     generator_params.v = secret_v;
-    const lcore::LeqaEstimator generator(generator_params);
 
-    std::vector<lc::Circuit> circuits;
-    circuits.push_back(random_ft_circuit(16, 400, 100));
-    circuits.push_back(random_ft_circuit(24, 600, 101));
-    circuits.push_back(random_ft_circuit(12, 300, 102));
-
-    std::vector<lcore::CalibrationSample> samples;
-    for (const auto& circ : circuits) {
-        samples.push_back({&circ, generator.estimate(circ).latency_us});
+    std::deque<Graphs> graphs;
+    std::vector<lcore::GraphSample> samples;
+    for (const auto& circ : {random_ft_circuit(16, 400, 100), random_ft_circuit(24, 600, 101),
+                             random_ft_circuit(12, 300, 102)}) {
+        const Graphs& built = graphs.emplace_back(circ);
+        samples.push_back(
+            {&built.qodg, &built.iig, lt::estimate(circ, generator_params).latency_us});
     }
     const auto result = lcore::calibrate_v(samples, paper_params());
     EXPECT_LT(result.mean_abs_rel_error, 1e-4);
@@ -347,19 +361,21 @@ TEST(Calibrate, RecoversGeneratingV) {
 
 TEST(Calibrate, ErrorMetricMatchesDefinition) {
     const auto circ = random_ft_circuit(10, 200, 7);
-    const lcore::LeqaEstimator estimator(paper_params());
-    const double actual = estimator.estimate(circ).latency_us * 1.10; // 10% off
-    const std::vector<lcore::CalibrationSample> samples{{&circ, actual}};
+    const double actual = lt::estimate(circ, paper_params()).latency_us * 1.10; // 10% off
+    const Graphs graphs(circ);
+    const std::vector<lcore::GraphSample> samples{{&graphs.qodg, &graphs.iig, actual}};
     const double error =
         lcore::mean_abs_relative_error(samples, paper_params(), lcore::LeqaOptions{});
     EXPECT_NEAR(error, 0.10 / 1.10, 1e-9);
 }
 
 TEST(Calibrate, RejectsBadInput) {
-    EXPECT_THROW((void)lcore::calibrate_v(std::vector<lcore::CalibrationSample>{},
+    EXPECT_THROW((void)lcore::calibrate_v(std::vector<lcore::GraphSample>{},
                                           paper_params()),
                  InputError);
-    const auto circ = random_ft_circuit(4, 20, 3);
-    std::vector<lcore::CalibrationSample> bad{{&circ, 0.0}};
-    EXPECT_THROW((void)lcore::calibrate_v(bad, paper_params()), InputError);
+    const Graphs graphs(random_ft_circuit(4, 20, 3));
+    const std::vector<lcore::GraphSample> unpriced{{&graphs.qodg, &graphs.iig, 0.0}};
+    EXPECT_THROW((void)lcore::calibrate_v(unpriced, paper_params()), InputError);
+    const std::vector<lcore::GraphSample> no_graphs{{nullptr, nullptr, 1.0}};
+    EXPECT_THROW((void)lcore::calibrate_v(no_graphs, paper_params()), InputError);
 }

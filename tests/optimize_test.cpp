@@ -225,10 +225,12 @@ TEST(PipelineOptimize, RunsAndRespectsCancellation) {
 
 TEST(ServiceOptimize, SubmitCompletesWithOptimizeResult) {
     ls::Service service;
-    ls::OptimizeRequest request;
+    wire::WireRequest request;
+    request.id = 1;
+    request.op = wire::WireRequest::Op::Optimize;
     request.source = "bench:ham3";
-    request.options.max_moves = 300;
-    const ls::JobResult result = service.submit_optimize(request).wait();
+    request.optimize.max_moves = 300;
+    const ls::JobResult result = wire::submit(service, request).wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     const auto* optimized = std::get_if<lc::OptimizeResult>(&result.value());
     ASSERT_NE(optimized, nullptr);
@@ -236,8 +238,10 @@ TEST(ServiceOptimize, SubmitCompletesWithOptimizeResult) {
 
     // Unknown bench surfaces as a status, not a throw.
     request.source = "bench:no-such-circuit";
-    const ls::JobResult failure = service.submit_optimize(request).wait();
-    EXPECT_FALSE(failure.ok());
+    const ls::JobResult failure = wire::submit(service, request).wait();
+    ASSERT_FALSE(failure.ok());
+    EXPECT_EQ(failure.status().code(), leqa::util::StatusCode::NotFound);
+    EXPECT_EQ(failure.status().origin(), "optimize");
 }
 
 // ------------------------------------------------------------------ wire --

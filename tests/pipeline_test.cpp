@@ -22,6 +22,7 @@
 
 namespace lp = leqa::pipeline;
 namespace lf = leqa::fabric;
+namespace lcore = leqa::core;
 using leqa::util::InputError;
 
 namespace {
@@ -115,7 +116,9 @@ TEST(PipelineCache, FabricSweepBuildsGraphsOnce) {
     EXPECT_EQ(stats.evictions, 0u);
 
     // A second sweep over the same circuit is pure cache hits.
-    (void)pipe.sweep_channel_capacity(source, {1, 2, 5});
+    lcore::ExplorationSpec capacities;
+    capacities.capacities = {1, 2, 5};
+    (void)pipe.sweep(source, capacities);
     const lp::CacheStats after = pipe.cache_stats();
     EXPECT_EQ(after.circuit_misses, 1u);
     EXPECT_EQ(after.graph_misses, 1u);
@@ -205,9 +208,10 @@ TEST(PipelineCache, SessionFabricIsPartOfIdentity) {
 TEST(PipelineSweeps, TopologySweepSharesOneEntry) {
     lp::Pipeline pipe;
     const auto source = lp::CircuitSource::from_bench("ham3");
-    const auto sweep = pipe.sweep_topology(
-        source, {lf::TopologyKind::Grid, lf::TopologyKind::Torus,
-                 lf::TopologyKind::Line});
+    lcore::ExplorationSpec spec;
+    spec.topologies = {lf::TopologyKind::Grid, lf::TopologyKind::Torus,
+                       lf::TopologyKind::Line};
+    const auto sweep = pipe.sweep(source, spec);
     ASSERT_EQ(sweep.points.size(), 3u);
     for (const auto& point : sweep.points) {
         EXPECT_GT(point.estimate.latency_us, 0.0);
@@ -254,14 +258,15 @@ TEST(PipelineBatch, ParallelMatchesSequential) {
     }
 
     lp::Pipeline parallel_pipe;
-    const auto parallel = parallel_pipe.run_batch(make_requests(), 4);
+    const auto parallel = parallel_pipe.run_batch_results(make_requests(), 4);
 
     ASSERT_EQ(parallel.size(), sequential.size());
     for (std::size_t i = 0; i < parallel.size(); ++i) {
-        EXPECT_DOUBLE_EQ(parallel[i].estimate->latency_us,
+        ASSERT_TRUE(parallel[i].ok()) << parallel[i].status().to_string();
+        EXPECT_DOUBLE_EQ(parallel[i].value().estimate->latency_us,
                          sequential[i].estimate->latency_us)
             << "batch result " << i << " diverged";
-        EXPECT_EQ(parallel[i].circuit.ft_ops, sequential[i].circuit.ft_ops);
+        EXPECT_EQ(parallel[i].value().circuit.ft_ops, sequential[i].circuit.ft_ops);
     }
     // 3 distinct circuits across 6 requests: the cache still converges to
     // 3 builds regardless of thread interleaving.
@@ -269,9 +274,8 @@ TEST(PipelineBatch, ParallelMatchesSequential) {
 }
 
 TEST(PipelineBatch, ResultsCarryEveryFailureIndividually) {
-    // The historical run_batch swallowed all failures but the first; the
-    // per-request API must report each one, with the right codes, without
-    // losing the successes around them.
+    // The per-request API must report each failure, with the right codes,
+    // without losing the successes around them.
     lp::Pipeline pipe;
     std::vector<lp::EstimationRequest> requests;
     requests.emplace_back(lp::CircuitSource::from_bench("ham3"));
@@ -309,8 +313,9 @@ TEST(PipelineBatch, ColdConcurrentBatchBuildsOnce) {
     for (int i = 0; i < 6; ++i) {
         requests.emplace_back(lp::CircuitSource::from_bench("gf2^16mult"));
     }
-    const auto results = pipe.run_batch(requests, 4);
+    const auto results = pipe.run_batch_results(requests, 4);
     EXPECT_EQ(results.size(), 6u);
+    for (const auto& result : results) EXPECT_TRUE(result.ok());
     const lp::CacheStats stats = pipe.cache_stats();
     EXPECT_EQ(stats.circuit_misses, 1u);
     EXPECT_EQ(stats.circuit_hits, 5u);
@@ -319,7 +324,7 @@ TEST(PipelineBatch, ColdConcurrentBatchBuildsOnce) {
 
 TEST(PipelineBatch, CacheStatsSnapshotsStayConsistentDuringBatch) {
     // cache_stats() copies the counters under the pipeline mutex; a reader
-    // polling it while run_batch hammers the cache from four workers must
+    // polling it while run_batch_results hammers the cache from four workers must
     // only ever observe monotone counters (every field is cumulative).
     // Under TSan (the CI tsan job runs this suite) this is the data-race
     // regression test for the CacheStats / surface-stats snapshot path.
@@ -346,7 +351,7 @@ TEST(PipelineBatch, CacheStatsSnapshotsStayConsistentDuringBatch) {
             requests.emplace_back(lp::CircuitSource::from_bench(name));
         }
     }
-    const auto results = pipe.run_batch(requests, 4);
+    const auto results = pipe.run_batch_results(requests, 4);
     done.store(true);
     reader.join();
 
@@ -421,8 +426,8 @@ TEST(PipelineSweeps, RunControlCancelsBeforeWork) {
 }
 
 TEST(PipelineSweeps, BetweenPointsHookAbortsMidSweep) {
-    // The core sweeps call the between-points hook before every point, so a
-    // cancellation/deadline raised there stops a long sweep mid-way.
+    // The evaluation loop calls the between-points hook before every point,
+    // so a cancellation/deadline raised there stops a long sweep mid-way.
     lp::Pipeline pipe;
     const auto source = lp::CircuitSource::from_bench("ham3");
     const auto full = pipe.sweep_fabric_sides(source, {40, 50, 60});
@@ -430,8 +435,10 @@ TEST(PipelineSweeps, BetweenPointsHookAbortsMidSweep) {
 
     const lp::CachedCircuitPtr entry = pipe.resolve(source);
     int calls = 0;
-    EXPECT_THROW((void)leqa::core::sweep_fabric_sides(
-                     entry->profile(), lf::PhysicalParams{}, {40, 50, 60}, {},
+    lcore::ExplorationSpec spec;
+    spec.sides = {40, 50, 60};
+    EXPECT_THROW((void)lcore::explore(
+                     entry->profile(), lf::PhysicalParams{}, spec, {},
                      [&] {
                          if (++calls == 3) {
                              throw leqa::util::CancelledError("stop mid-sweep");
@@ -455,16 +462,6 @@ TEST(PipelineErrors, MalformedNetlistContentPropagates) {
     lp::Pipeline pipe;
     lp::EstimationRequest request(lp::CircuitSource::from_path(path));
     EXPECT_THROW((void)pipe.run(request), leqa::util::Error);
-}
-
-TEST(PipelineErrors, BatchRethrowsFirstFailure) {
-    lp::Pipeline pipe;
-    std::vector<lp::EstimationRequest> requests;
-    requests.emplace_back(lp::CircuitSource::from_bench("ham3"));
-    requests.emplace_back(lp::CircuitSource::from_path("/nonexistent/a.qasm"));
-    requests.emplace_back(lp::CircuitSource::from_bench("ham3"));
-    EXPECT_THROW((void)pipe.run_batch(requests, 2), InputError);
-    EXPECT_THROW((void)pipe.run_batch(requests, 1), InputError);
 }
 
 TEST(PipelineErrors, InvalidParamOverrideRejected) {
@@ -515,18 +512,19 @@ TEST(PipelineReport, BatchJsonContainsResults) {
     requests.emplace_back(lp::CircuitSource::from_bench("ham3"), lp::RunMode::Both);
     requests.emplace_back(lp::CircuitSource::from_bench("ham3"));
     requests[1].label = "ham3-estimate-only";
-    const auto results = pipe.run_batch(requests, 1);
+    const auto results = pipe.run_batch_results(requests, 1);
 
-    const std::string json = leqa::report::batch_to_json(results);
+    const std::string json = leqa::report::batch_results_to_json(results);
     EXPECT_NE(json.find("\"tool\":\"leqa-pipeline\""), std::string::npos);
     EXPECT_NE(json.find("\"count\":2"), std::string::npos);
+    EXPECT_NE(json.find("\"failed\":0"), std::string::npos);
     EXPECT_NE(json.find("\"ham3-estimate-only\""), std::string::npos);
     EXPECT_NE(json.find("\"latency_us\""), std::string::npos);
     EXPECT_NE(json.find("\"stage_times_s\""), std::string::npos);
     // The estimate-only result has a null mapping.
     EXPECT_NE(json.find("\"mapping\":null"), std::string::npos);
 
-    const std::string single = leqa::report::result_to_json(results[0]);
+    const std::string single = leqa::report::result_to_json(results[0].value());
     EXPECT_NE(single.find("\"cache_key\""), std::string::npos);
     EXPECT_NE(single.find("\"mapping\":{"), std::string::npos);
 }

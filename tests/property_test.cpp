@@ -9,6 +9,7 @@
 
 #include "core/engine.h"
 #include "core/leqa.h"
+#include "estimate.h"
 #include "fabric/geometry.h"
 #include "fabric/params.h"
 #include "fabric/topology.h"
@@ -24,6 +25,7 @@ namespace lcore = leqa::core;
 namespace lf = leqa::fabric;
 namespace lm = leqa::mathx;
 namespace lq = leqa::qspr;
+namespace lt = leqa::test_support;
 
 namespace {
 
@@ -131,7 +133,7 @@ TEST_P(EstimatorSweep, EstimateIsFinitepositiveAndScalesWithFabric) {
     params.width = side;
     params.height = side;
     params.nc = nc;
-    const auto estimate = lcore::LeqaEstimator(params).estimate(circ);
+    const auto estimate = lt::estimate(circ, params);
     ASSERT_TRUE(std::isfinite(estimate.latency_us));
     ASSERT_GT(estimate.latency_us, 0.0);
     // Estimate is bounded below by the pure gate-delay critical path.
@@ -150,7 +152,7 @@ class EstimatorSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(EstimatorSeedSweep, CriticalCensusConsistentAcrossRandomCircuits) {
     const auto circ = random_ft_circuit(14, 250, GetParam());
     const lf::PhysicalParams params;
-    const auto estimate = lcore::LeqaEstimator(params).estimate(circ);
+    const auto estimate = lt::estimate(circ, params);
     // Reconstruct Eq. 1 from the census and the model terms.
     double reconstructed = 0.0;
     for (std::size_t k = 0; k < lc::kGateKindCount; ++k) {
@@ -228,14 +230,14 @@ class GeometrySweep : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(GeometrySweep, RoutesConnectAndRingsPartition) {
     const auto [w, h] = GetParam();
-    const lf::FabricGeometry geo(w, h);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, w, h));
     leqa::util::Rng rng(71);
     for (int trial = 0; trial < 20; ++trial) {
         const lf::UlbCoord a{static_cast<int>(rng.index(static_cast<std::size_t>(w))),
                              static_cast<int>(rng.index(static_cast<std::size_t>(h)))};
         const lf::UlbCoord b{static_cast<int>(rng.index(static_cast<std::size_t>(w))),
                              static_cast<int>(rng.index(static_cast<std::size_t>(h)))};
-        const auto route = geo.xy_route(a, b);
+        const auto route = geo.route(a, b);
         ASSERT_EQ(route.size(), static_cast<std::size_t>(geo.manhattan(a, b)));
         for (const auto segment : route) {
             ASSERT_GE(segment, 0);
@@ -307,8 +309,7 @@ TEST_P(StructuredFuzzSweep, RandomCircuitAndTopologyHoldEveryContract) {
     }
 
     // Estimates stay finite and bounded on every topology kind.
-    const lcore::LeqaEstimator estimator(params);
-    const auto estimate = estimator.estimate(circ);
+    const auto estimate = lt::estimate(circ, params);
     ASSERT_TRUE(std::isfinite(estimate.latency_us));
     ASSERT_GT(estimate.latency_us, 0.0);
     ASSERT_LE(estimate.covered_area, static_cast<double>(params.area()) + 1e-6);
@@ -318,7 +319,7 @@ TEST_P(StructuredFuzzSweep, RandomCircuitAndTopologyHoldEveryContract) {
         const leqa::iig::Iig iig(circ);
         const auto profile = lcore::CircuitProfile::build(graph, iig);
         const auto staged = lcore::EstimationEngine(params).estimate(profile);
-        const auto reference = estimator.estimate_reference(graph, iig);
+        const auto reference = lcore::LeqaEstimator(params).estimate_reference(graph, iig);
         const double scale = std::max(
             {std::abs(reference.latency_us), std::abs(staged.latency_us), 1e-300});
         EXPECT_LE(std::abs(staged.latency_us - reference.latency_us) / scale, 1e-9)

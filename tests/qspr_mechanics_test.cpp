@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fabric/geometry.h"
+#include "fabric/topology.h"
 #include "qspr/channels.h"
 #include "qspr/qspr.h"
 #include "qspr/router.h"
@@ -90,7 +91,7 @@ TEST(QsprMechanics, MazeRouterAvoidsCongestedCorridor) {
     // each jammed hop costs 2x, so the straight path costs 6 hops-worth
     // while the clean detour through row 0 costs 5: the maze router must
     // take the detour, where XY routing would march through the jam.
-    const lf::FabricGeometry geo(6, 3);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 6, 3));
     lq::ChannelReservations channels(geo.num_segments(), 1, 100.0);
     std::vector<lf::SegmentId> jammed;
     for (int x = 0; x < 3; ++x) {
@@ -113,7 +114,7 @@ TEST(QsprMechanics, MazeRouterAvoidsCongestedCorridor) {
 }
 
 TEST(QsprMechanics, MazeEqualsXyOnEmptyFabric) {
-    const lf::FabricGeometry geo(10, 10);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 10));
     lq::ChannelReservations channels(geo.num_segments(), 5, 100.0);
     const lq::MazeRouter router(geo, 4);
     for (const auto& [from, to] :
@@ -157,7 +158,7 @@ TEST(QsprMechanics, SaturatedFabricStillCompletes) {
 }
 
 TEST(QsprMechanics, RouterMarginValidation) {
-    const lf::FabricGeometry geo(5, 5);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 5, 5));
     EXPECT_THROW(lq::MazeRouter(geo, -1), leqa::util::InputError);
     lq::ChannelReservations channels(geo.num_segments(), 1, 100.0);
     const lq::MazeRouter router(geo, 0);

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "fabric/topology.h"
 #include "qspr/channels.h"
 #include "qspr/placement.h"
 #include "qspr/qspr.h"
@@ -89,7 +90,7 @@ TEST(Channels, InvalidArguments) {
 // -------------------------------------------------------------- placement --
 
 TEST(Placement, StrategiesProduceDistinctHomes) {
-    const lf::FabricGeometry geo(10, 10);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 10));
     for (const auto strategy :
          {lq::PlacementStrategy::CenteredBlock, lq::PlacementStrategy::RowMajor,
           lq::PlacementStrategy::Random}) {
@@ -105,7 +106,7 @@ TEST(Placement, StrategiesProduceDistinctHomes) {
 }
 
 TEST(Placement, CenteredBlockIsCentered) {
-    const lf::FabricGeometry geo(11, 11);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 11, 11));
     const auto homes =
         lq::initial_placement(geo, 9, lq::PlacementStrategy::CenteredBlock, 1);
     // 9 qubits -> 3x3 block centered at (4..6, 4..6).
@@ -119,7 +120,7 @@ TEST(Placement, CenteredBlockIsCentered) {
 }
 
 TEST(Placement, RandomIsSeedDeterministic) {
-    const lf::FabricGeometry geo(10, 10);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 10));
     const auto a = lq::initial_placement(geo, 20, lq::PlacementStrategy::Random, 5);
     const auto b = lq::initial_placement(geo, 20, lq::PlacementStrategy::Random, 5);
     const auto c = lq::initial_placement(geo, 20, lq::PlacementStrategy::Random, 6);
@@ -128,7 +129,7 @@ TEST(Placement, RandomIsSeedDeterministic) {
 }
 
 TEST(Placement, FabricTooSmallThrows) {
-    const lf::FabricGeometry geo(3, 3);
+    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 3, 3));
     EXPECT_THROW(
         (void)lq::initial_placement(geo, 10, lq::PlacementStrategy::RowMajor, 1),
         InputError);

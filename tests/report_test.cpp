@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/suite.h"
-#include "core/leqa.h"
-#include "core/sweep.h"
+#include "core/explore.h"
+#include "pipeline/pipeline.h"
 #include "qspr/qspr.h"
 #include "report/report.h"
 #include "synth/ft_synth.h"
@@ -13,6 +13,7 @@
 namespace lb = leqa::benchgen;
 namespace lcore = leqa::core;
 namespace lf = leqa::fabric;
+namespace lpipe = leqa::pipeline;
 namespace lq = leqa::qspr;
 namespace lu = leqa::util;
 using leqa::util::InternalError;
@@ -108,13 +109,12 @@ TEST(JsonWriter, MisuseIsCaught) {
 // ---------------------------------------------------------------- report --
 
 TEST(Report, EstimateJsonContainsModelFields) {
-    const auto ft = leqa::synth::ft_synthesize(lb::ham3()).circuit;
-    const lf::PhysicalParams params;
-    const auto estimate = lcore::LeqaEstimator(params).estimate(ft);
-    const std::string json = leqa::report::estimate_to_json(estimate, params, "ham3");
+    lpipe::Pipeline pipe;
+    const std::string json = leqa::report::result_to_json(
+        pipe.run(lpipe::EstimationRequest(lpipe::CircuitSource::from_bench("ham3"))));
     EXPECT_TRUE(json_balanced(json));
     for (const char* field :
-         {"\"tool\":\"leqa\"", "\"circuit\":\"ham3\"", "\"zone_area_b\"",
+         {"\"name\":\"ham3\"", "\"zone_area_b\"",
           "\"l_cnot_avg_us\"", "\"e_sq\"", "\"critical_path\"", "\"latency_us\"",
           "\"gate_delays_us\"", "\"cnot\""}) {
         EXPECT_NE(json.find(field), std::string::npos) << field;
@@ -159,12 +159,9 @@ TEST(Report, ScheduleCsvRequiresCollectedSchedule) {
 // ----------------------------------------------------------------- sweeps --
 
 TEST(Sweep, FabricSidesFindsMinimumAndSkipsInfeasible) {
-    const auto ft = lb::make_ft_benchmark("gf2^16mult").circuit; // 48 qubits
-    const leqa::qodg::Qodg graph(ft);
-    const leqa::iig::Iig iig(ft);
-    const lf::PhysicalParams base;
-    const auto result =
-        lcore::sweep_fabric_sides(graph, iig, base, {2, 6, 10, 20, 40, 60});
+    lpipe::Pipeline pipe;
+    const auto result = pipe.sweep_fabric_sides(
+        lpipe::CircuitSource::from_bench("gf2^16mult"), {2, 6, 10, 20, 40, 60}); // 48 qubits
     // side 2 and 6 cannot host 48 qubits -> skipped.
     EXPECT_EQ(result.points.size(), 4u);
     for (const auto& point : result.points) {
@@ -176,20 +173,17 @@ TEST(Sweep, FabricSidesFindsMinimumAndSkipsInfeasible) {
 }
 
 TEST(Sweep, AllSidesInfeasibleThrows) {
-    const auto ft = lb::make_ft_benchmark("gf2^16mult").circuit;
-    const leqa::qodg::Qodg graph(ft);
-    const leqa::iig::Iig iig(ft);
-    EXPECT_THROW(
-        (void)lcore::sweep_fabric_sides(graph, iig, lf::PhysicalParams{}, {2, 3}),
-        leqa::util::InputError);
+    lpipe::Pipeline pipe;
+    EXPECT_THROW((void)pipe.sweep_fabric_sides(
+                     lpipe::CircuitSource::from_bench("gf2^16mult"), {2, 3}),
+                 leqa::util::InputError);
 }
 
 TEST(Sweep, ChannelCapacityMonotone) {
-    const auto ft = lb::make_ft_benchmark("hwb15ps").circuit;
-    const leqa::qodg::Qodg graph(ft);
-    const leqa::iig::Iig iig(ft);
-    const auto result = lcore::sweep_channel_capacity(graph, iig, lf::PhysicalParams{},
-                                                      {1, 2, 5, 10});
+    lpipe::Pipeline pipe;
+    lcore::ExplorationSpec spec;
+    spec.capacities = {1, 2, 5, 10};
+    const auto result = pipe.sweep(lpipe::CircuitSource::from_bench("hwb15ps"), spec);
     ASSERT_EQ(result.points.size(), 4u);
     for (std::size_t i = 0; i + 1 < result.points.size(); ++i) {
         EXPECT_GE(result.points[i].estimate.latency_us,
@@ -200,15 +194,12 @@ TEST(Sweep, ChannelCapacityMonotone) {
 }
 
 TEST(Sweep, SpeedMonotone) {
-    const auto ft = lb::make_ft_benchmark("hwb15ps").circuit;
-    const leqa::qodg::Qodg graph(ft);
-    const leqa::iig::Iig iig(ft);
-    const auto result = lcore::sweep_speed(graph, iig, lf::PhysicalParams{},
-                                           {1e-4, 1e-3, 1e-2});
+    lpipe::Pipeline pipe;
+    const auto source = lpipe::CircuitSource::from_bench("hwb15ps");
+    const auto result = pipe.sweep_speed(source, {1e-4, 1e-3, 1e-2});
     ASSERT_EQ(result.points.size(), 3u);
     EXPECT_GT(result.points[0].estimate.latency_us,
               result.points[2].estimate.latency_us);
     EXPECT_EQ(result.best_index, 2u);
-    EXPECT_THROW((void)lcore::sweep_speed(graph, iig, lf::PhysicalParams{}, {-1.0}),
-                 leqa::util::InputError);
+    EXPECT_THROW((void)pipe.sweep_speed(source, {-1.0}), leqa::util::InputError);
 }

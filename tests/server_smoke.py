@@ -2,10 +2,10 @@
 """NDJSON smoke test for leqa_server (used by CI's server-smoke job).
 
 Four phases:
-  1. stdio: pipes a seven-step script -- estimate, map, sweep, a bad
-     source, a cancel, a design-space explore, then EOF -- into the daemon
-     and validates every response (one per id, completion order free, the
-     daemon drains on EOF and exits 0);
+  1. stdio: pipes a ten-step script -- estimate, map, a sweep on each of
+     the four axes, a bad source, a cancel, a design-space explore, then
+     EOF -- into the daemon and validates every response (one per id,
+     completion order free, the daemon drains on EOF and exits 0);
   2. TCP: starts the daemon with --listen 0, parses the announced
      ephemeral port, replays the same script over a real socket, validates
      the same responses, then SIGTERMs the server and expects exit 0;
@@ -40,6 +40,12 @@ REQUESTS = [
     {"id": 7, "op": "explore", "source": "bench:ham3",
      "topologies": ["grid", "torus"], "sides": [8, 10], "nc": [3, 5],
      "threads": 2},
+    {"id": 8, "op": "sweep", "source": "bench:ham3", "axis": "nc",
+     "values": [1, 3, 5]},
+    {"id": 9, "op": "sweep", "source": "bench:ham3", "axis": "v",
+     "values": [0.001, 0.004]},
+    {"id": 10, "op": "sweep", "source": "bench:ham3", "axis": "topology",
+     "kinds": ["grid", "torus", "line"]},
 ]
 
 script = "".join(json.dumps(request) + "\n" for request in REQUESTS)
@@ -57,7 +63,7 @@ def index_responses(lines):
 
 
 def validate(responses):
-    assert set(responses) == {1, 2, 3, 4, 5, 6, 7}, sorted(responses)
+    assert set(responses) == set(range(1, 11)), sorted(responses)
 
     assert responses[1]["result"]["estimate"]["latency_us"] > 0.0
     assert responses[1]["result"]["mapping"] is None
@@ -69,9 +75,18 @@ def validate(responses):
     assert responses[3]["result"]["mapping"]["latency_us"] > 0.0
     assert responses[3]["result"]["estimate"] is None
 
-    sweep = responses[4]["result"]["sweep"]
-    assert len(sweep["points"]) == 3, sweep
-    assert all(point["latency_us"] > 0.0 for point in sweep["points"])
+    # One sweep per axis: (id, point count, the fabric field the axis moves).
+    for sweep_id, count, field in ((4, 3, "width"), (8, 3, "nc"), (9, 2, "v"),
+                                   (10, 3, "topology")):
+        sweep = responses[sweep_id]["result"]["sweep"]
+        assert len(sweep["points"]) == count, sweep
+        assert all(point["latency_us"] > 0.0 for point in sweep["points"])
+        moved = {point["fabric"][field] for point in sweep["points"]}
+        assert len(moved) == count, (sweep_id, moved)
+        assert 0 <= sweep["best_index"] < count, sweep
+    # A faster qubit never makes the estimate slower.
+    speeds = responses[9]["result"]["sweep"]["points"]
+    assert speeds[1]["latency_us"] <= speeds[0]["latency_us"], speeds
 
     not_found = responses[5]["error"]
     assert not_found["code"] == "NotFound", not_found

@@ -6,19 +6,23 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "service/service.h"
+#include "service/wire.h"
 #include "util/error.h"
 
 namespace ls = leqa::service;
 namespace lp = leqa::pipeline;
 namespace lu = leqa::util;
+namespace lw = leqa::service::wire;
 
 namespace {
 
@@ -44,6 +48,14 @@ private:
 
 const lp::EstimationResult& run_output(const ls::JobResult& result) {
     return std::get<lp::EstimationResult>(result.value());
+}
+
+/// Submit one request line through the daemon's wire-to-job dispatch.
+ls::JobHandle submit_line(ls::Service& service, const std::string& line,
+                          std::function<void(const ls::JobHandle&)> on_complete = {}) {
+    const lu::Result<lw::WireRequest> request = lw::parse_request(line);
+    EXPECT_TRUE(request.ok()) << request.status().to_string();
+    return lw::submit(service, request.value(), /*nowait=*/false, std::move(on_complete));
 }
 
 ls::ServiceOptions with_threads(std::size_t threads) {
@@ -239,22 +251,25 @@ TEST(Service, FailuresSurfaceAsStatusNotExceptions) {
 
     // Unknown bench -> NotFound (spec parsed inside the job).
     const auto not_found =
-        service.submit("bench:nosuchbench", lp::RunMode::Estimate).wait();
+        submit_line(service, R"({"id":1,"op":"estimate","source":"bench:nosuchbench"})")
+            .wait();
     ASSERT_FALSE(not_found.ok());
     EXPECT_EQ(not_found.status().code(), lu::StatusCode::NotFound);
     EXPECT_EQ(not_found.status().origin(), "resolve");
 
     // Missing file -> NotFound.
     const auto missing =
-        service.submit("/nonexistent/leqa/x.qasm", lp::RunMode::Estimate).wait();
+        submit_line(service,
+                    R"({"id":2,"op":"estimate","source":"/nonexistent/leqa/x.qasm"})")
+            .wait();
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), lu::StatusCode::NotFound);
 
     // Invalid parameter override -> InvalidArgument from the config stage.
-    leqa::fabric::PhysicalParams bad;
-    bad.width = -4;
     const auto invalid =
-        service.submit("bench:ham3", lp::RunMode::Estimate, bad).wait();
+        submit_line(service,
+                    R"({"id":3,"op":"estimate","source":"bench:ham3","params":{"width":-4}})")
+            .wait();
     ASSERT_FALSE(invalid.ok());
     EXPECT_EQ(invalid.status().code(), lu::StatusCode::InvalidArgument);
     EXPECT_EQ(invalid.status().origin(), "config");
@@ -286,7 +301,9 @@ TEST(Service, ParseFailureSurfacesAsParseError) {
         std::fclose(out);
     }
     ls::Service service(lp::PipelineConfig{}, with_threads(1));
-    const auto result = service.submit(path, lp::RunMode::Estimate).wait();
+    const auto result =
+        submit_line(service, R"({"id":1,"op":"estimate","source":")" + path + R"("})")
+            .wait();
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), lu::StatusCode::ParseError);
     std::remove(path.c_str());
@@ -296,11 +313,11 @@ TEST(Service, ParseFailureSurfacesAsParseError) {
 
 TEST(Service, SweepJobMatchesPipelineSweep) {
     ls::Service service(lp::PipelineConfig{}, with_threads(1));
-    ls::SweepRequest request;
-    request.source = "bench:ham3";
-    request.axis = ls::SweepAxis::FabricSides;
-    request.values = {40, 60};
-    const ls::JobResult& result = service.submit_sweep(request).wait();
+    const ls::JobHandle job = submit_line(
+        service,
+        R"({"id":1,"op":"sweep","source":"bench:ham3","axis":"fabric_sides","values":[40,60]})");
+    EXPECT_EQ(job.label(), "sweep:fabric_sides:bench:ham3");
+    const ls::JobResult& result = job.wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     const auto& sweep = std::get<leqa::core::SweepResult>(result.value());
     ASSERT_EQ(sweep.points.size(), 2u);
@@ -314,18 +331,85 @@ TEST(Service, SweepJobMatchesPipelineSweep) {
     }
 
     // Fractional sides are an InvalidArgument, not a crash.
-    request.values = {40.5};
-    const ls::JobResult& bad = service.submit_sweep(request).wait();
+    const ls::JobResult bad =
+        submit_line(
+            service,
+            R"({"id":2,"op":"sweep","source":"bench:ham3","axis":"fabric_sides","values":[40.5]})")
+            .wait();
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().code(), lu::StatusCode::InvalidArgument);
+    EXPECT_EQ(bad.status().origin(), "sweep");
+}
+
+TEST(Service, CancelledQueuedSweepNeverTouchesThePipeline) {
+    Blocker blocker;
+    ls::Service service(lp::PipelineConfig{}, with_threads(1));
+    const ls::JobHandle gate = service.submit_fn(blocker.job());
+    blocker.wait_until_running();
+
+    const ls::JobHandle sweep = submit_line(
+        service,
+        R"({"id":1,"op":"sweep","source":"bench:ham3","axis":"nc","values":[1,3]})");
+    EXPECT_TRUE(sweep.cancel());
+    blocker.release();
+    (void)gate.wait();
+    const ls::JobResult& result = sweep.wait();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), lu::StatusCode::Cancelled);
+    EXPECT_EQ(result.status().origin(), "queue");
+    EXPECT_EQ(service.pipeline().cache_stats().circuit_misses, 0u);
+}
+
+TEST(Service, WireJobsCarryOpLabels) {
+    // Labels only: the WireGolden tests pin each op's response and error
+    // lines.  An unknown bench keeps every job cheap.
+    ls::Service service(lp::PipelineConfig{}, with_threads(1));
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {R"({"id":1,"op":"estimate","source":"bench:nosuchbench"})", "bench:nosuchbench"},
+        {R"({"id":2,"op":"sweep","source":"bench:nosuchbench","axis":"v","values":[0.001]})",
+         "sweep:v:bench:nosuchbench"},
+        {R"({"id":3,"op":"explore","source":"bench:nosuchbench","sides":[8]})",
+         "explore:bench:nosuchbench"},
+        {R"({"id":4,"op":"optimize","source":"bench:nosuchbench"})",
+         "optimize:bench:nosuchbench"},
+        {R"({"id":5,"op":"calibrate","sources":["bench:nosuchbench"]})", "calibrate"},
+    };
+    for (const auto& [line, label] : cases) {
+        EXPECT_EQ(submit_line(service, line).label(), label) << line;
+    }
+    // A request label wins over the default.
+    EXPECT_EQ(submit_line(service,
+                          R"({"id":6,"op":"estimate","source":"bench:ham3","label":"mine"})")
+                  .label(),
+              "mine");
+    // Cancel and stats are answered inline by the session, never queued.
+    const lw::WireRequest stats = lw::parse_request(R"({"id":7,"op":"stats"})").value();
+    EXPECT_THROW((void)lw::submit(service, stats), lu::InternalError);
+}
+
+TEST(Service, WireDeadlineAppliesToTheJob) {
+    Blocker blocker;
+    ls::Service service(lp::PipelineConfig{}, with_threads(1));
+    const ls::JobHandle gate = service.submit_fn(blocker.job());
+    blocker.wait_until_running();
+    const ls::JobHandle late = submit_line(
+        service,
+        R"({"id":1,"op":"sweep","source":"bench:ham3","axis":"nc","values":[1],"deadline_s":0.0001})");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    blocker.release();
+    (void)gate.wait();
+    const ls::JobResult& result = late.wait();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), lu::StatusCode::DeadlineExceeded);
+    EXPECT_EQ(service.pipeline().cache_stats().circuit_misses, 0u);
 }
 
 TEST(Service, CalibrationJobFitsAndApplies) {
     ls::Service service(lp::PipelineConfig{}, with_threads(1));
-    ls::CalibrationRequest request;
-    request.sources = {"bench:ham3"};
-    request.apply = true;
-    const ls::JobResult& result = service.submit_calibration(request).wait();
+    const ls::JobResult result =
+        submit_line(service,
+                    R"({"id":1,"op":"calibrate","sources":["bench:ham3"],"apply":true})")
+            .wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     const auto& fit = std::get<leqa::core::CalibrationResult>(result.value());
     EXPECT_GT(fit.v, 0.0);
@@ -366,7 +450,8 @@ TEST(Service, OnCompleteFiresForEveryOutcomeBeforeDrainReturns) {
     };
     (void)service.submit(lp::EstimationRequest(lp::CircuitSource::from_bench("ham3")),
                          options);
-    (void)service.submit("bench:nosuchbench", lp::RunMode::Estimate, {}, options);
+    (void)submit_line(service, R"({"id":1,"op":"estimate","source":"bench:nosuchbench"})",
+                      options.on_complete);
     service.drain();
     EXPECT_EQ(completions.load(), 2);
 }

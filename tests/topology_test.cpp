@@ -13,7 +13,7 @@
 #include "benchgen/suite.h"
 #include "core/engine.h"
 #include "core/leqa.h"
-#include "core/sweep.h"
+#include "core/explore.h"
 #include "fabric/geometry.h"
 #include "fabric/topology.h"
 #include "iig/iig.h"
@@ -112,13 +112,13 @@ TEST(GridTopology, SegmentNumberingMatchesLegacyFormulas) {
 
 TEST(GridTopology, RouteIsDimensionOrderedXy) {
     const lf::GridTopology topo(10, 8);
-    const lf::FabricGeometry legacy(10, 8);
+    const lf::FabricGeometry geometry(lf::make_topology(lf::TopologyKind::Grid, 10, 8));
     leqa::util::Rng rng(11);
     for (int trial = 0; trial < 50; ++trial) {
         const auto a = random_coord(rng, topo);
         const auto b = random_coord(rng, topo);
         const auto route = topo.route(a, b);
-        EXPECT_EQ(route, legacy.xy_route(a, b));
+        EXPECT_EQ(route, geometry.route(a, b));
         EXPECT_EQ(route.size(), static_cast<std::size_t>(topo.distance(a, b)));
         EXPECT_EQ(follow_route(topo, topo.ulb_id(a), route), topo.ulb_id(b));
     }
@@ -425,9 +425,11 @@ TEST(EngineTopology, ReferencePathRejectsNonGrid) {
     const leqa::iig::Iig iig(ft);
     lf::PhysicalParams params;
     params.topology = lf::TopologyKind::Torus;
-    const lcore::LeqaEstimator estimator(params);
-    EXPECT_THROW((void)estimator.estimate_reference(graph, iig), InputError);
-    EXPECT_GT(estimator.estimate(graph, iig).latency_us, 0.0); // staged path fine
+    EXPECT_THROW((void)lcore::LeqaEstimator(params).estimate_reference(graph, iig),
+                 InputError);
+    const auto staged =
+        lcore::EstimationEngine(params).estimate(lcore::CircuitProfile::build(graph, iig));
+    EXPECT_GT(staged.latency_us, 0.0); // staged path fine
 }
 
 TEST(EngineTopology, SweepTopologyCoversAllKinds) {
@@ -438,9 +440,10 @@ TEST(EngineTopology, SweepTopologyCoversAllKinds) {
     lf::PhysicalParams base;
     base.width = 20;
     base.height = 20;
-    const auto sweep = lcore::sweep_topology(
-        profile, base,
-        {lf::TopologyKind::Grid, lf::TopologyKind::Torus, lf::TopologyKind::Line});
+    lcore::ExplorationSpec spec;
+    spec.topologies = {lf::TopologyKind::Grid, lf::TopologyKind::Torus,
+                       lf::TopologyKind::Line};
+    const auto sweep = lcore::explore(profile, base, spec);
     ASSERT_EQ(sweep.points.size(), 3u);
     EXPECT_EQ(sweep.points[0].params.topology, lf::TopologyKind::Grid);
     EXPECT_EQ(sweep.points[2].params.topology, lf::TopologyKind::Line);

@@ -10,7 +10,6 @@
 #include "util/error.h"
 #include "util/json.h"
 #include "util/json_value.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -406,23 +405,13 @@ TEST(Env, FlagAndIntParsing) {
     ::setenv("LEQA_TEST_INT", "42", 1);
     EXPECT_EQ(lu::env_int("LEQA_TEST_INT", 7), 42);
     ::setenv("LEQA_TEST_INT", "not-a-number", 1);
+    ::testing::internal::CaptureStderr();
     EXPECT_EQ(lu::env_int("LEQA_TEST_INT", 7), 7);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "ignoring malformed integer in $LEQA_TEST_INT='not-a-number'"),
+              std::string::npos);
     ::unsetenv("LEQA_TEST_INT");
     EXPECT_EQ(lu::env_int("LEQA_TEST_INT", 7), 7);
-}
-
-// ---------------------------------------------------------------- logging --
-
-TEST(Logging, LevelParsingAndFiltering) {
-    EXPECT_EQ(lu::parse_log_level("Debug"), lu::LogLevel::Debug);
-    EXPECT_EQ(lu::parse_log_level("WARN"), lu::LogLevel::Warn);
-    EXPECT_THROW((void)lu::parse_log_level("loud"), lu::InputError);
-
-    const auto previous = lu::log_level();
-    lu::set_log_level(lu::LogLevel::Error);
-    EXPECT_EQ(lu::log_level(), lu::LogLevel::Error);
-    LEQA_LOG_INFO << "this should be filtered"; // must not crash
-    lu::set_log_level(previous);
 }
 
 // --------------------------------------------------------------- stopwatch --

@@ -4,14 +4,20 @@
 // between wire-transported results and direct Pipeline::run.
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
+#include <mutex>
+#include <regex>
 #include <string>
 #include <vector>
 
+#include "net/session.h"
 #include "report/report.h"
 #include "service/service.h"
 #include "service/wire.h"
 #include "util/json_value.h"
 
+namespace ln = leqa::net;
 namespace lw = leqa::service::wire;
 namespace ls = leqa::service;
 namespace lp = leqa::pipeline;
@@ -83,7 +89,7 @@ TEST(Wire, RequestRoundTripsAreLosslessForAllOps) {
         R"({"id":11,"op":"explore","source":"bench:ham3","sides":[40]})");
 }
 
-TEST(Wire, ExploreRequestsDecodeIntoSpecs) {
+TEST(Wire, ExploreLinesDecodeIntoSpecs) {
     const lw::WireRequest request = parse_ok(
         R"({"id":1,"op":"explore","source":"bench:ham3",)"
         R"("topologies":["grid","line"],"sides":[8,10],"nc":[3],)"
@@ -180,15 +186,52 @@ TEST(Wire, ExtractIdRecoversCorrelationFromRejectedLines) {
     EXPECT_EQ(lw::extract_id(R"({"op":"stats"})"), 0u);
 }
 
-TEST(Wire, SubmitOptionsCarrySchedulingFields) {
-    const lw::WireRequest request = parse_ok(
-        R"({"id":1,"op":"estimate","source":"x","priority":9,)"
-        R"("deadline_s":1.5,"label":"hot"})");
-    const ls::SubmitOptions options = lw::submit_options(request);
-    EXPECT_EQ(options.priority, 9);
-    ASSERT_TRUE(options.deadline_s.has_value());
-    EXPECT_DOUBLE_EQ(*options.deadline_s, 1.5);
-    EXPECT_EQ(options.label, "hot");
+TEST(Wire, SubmitCarriesSchedulingFields) {
+    // The request's priority and label reach the job (its deadline is
+    // Service.WireDeadlineAppliesToTheJob's); the completion callback is the
+    // caller's.  Pin the lone worker, queue a priority-0 job, then the
+    // priority-9 request: the request must run first.
+    ls::Service service(lp::PipelineConfig{}, ls::ServiceOptions{1, 64});
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    const ls::JobHandle gate = service.submit_fn(
+        [&](lp::Pipeline&, const lp::RunControl&) -> ls::JobResult {
+            started.set_value();
+            released.wait();
+            return lu::Status(lu::StatusCode::Internal, "blocker");
+        });
+    started.get_future().wait();
+
+    std::vector<std::string> order; // completion order, on the lone worker
+    std::mutex order_mutex;
+    const auto record = [&order, &order_mutex](std::string tag) {
+        return [&order, &order_mutex, tag = std::move(tag)](const ls::JobHandle&) {
+            const std::lock_guard<std::mutex> lock(order_mutex);
+            order.push_back(tag);
+        };
+    };
+    ls::SubmitOptions low;
+    low.on_complete = record("low");
+    const ls::JobHandle queued = service.submit_fn(
+        [](lp::Pipeline&, const lp::RunControl&) -> ls::JobResult {
+            return ls::JobOutput{leqa::core::CalibrationResult{}};
+        },
+        low);
+    const ls::JobHandle job = lw::submit(
+        service,
+        parse_ok(R"({"id":1,"op":"estimate","source":"bench:ham3","priority":9,)"
+                 R"("label":"hot"})"),
+        /*nowait=*/false, record("wire"));
+    EXPECT_EQ(job.label(), "hot");
+    release.set_value();
+    (void)gate.wait();
+    (void)queued.wait();
+    const ls::JobResult& result = job.wait();
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(std::get<lp::EstimationResult>(result.value()).label, "hot");
+    service.drain();
+    EXPECT_EQ(order, (std::vector<std::string>{"wire", "low"}));
 }
 
 // ------------------------------------------------------------- responses --
@@ -243,8 +286,9 @@ TEST(Wire, WireResultIsBitIdenticalToDirectPipelineRun) {
     const lp::EstimationResult expected = direct.run(request);
 
     ls::Service service;
-    const ls::JobResult& result =
-        service.submit("bench:8bitadder", lp::RunMode::Estimate).wait();
+    const ls::JobResult result =
+        lw::submit(service, parse_ok(R"({"id":1,"op":"estimate","source":"bench:8bitadder"})"))
+            .wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
 
     const auto transported =
@@ -262,11 +306,10 @@ TEST(Wire, WireResultIsBitIdenticalToDirectPipelineRun) {
 
 TEST(Wire, SweepAndCalibrationPayloadsSerialize) {
     ls::Service service;
-    ls::SweepRequest sweep;
-    sweep.source = "bench:ham3";
-    sweep.axis = ls::SweepAxis::Topology;
-    sweep.kinds = {lf::TopologyKind::Grid, lf::TopologyKind::Torus};
-    const ls::JobResult& result = service.submit_sweep(sweep).wait();
+    const ls::JobResult result =
+        lw::submit(service, parse_ok(R"({"id":2,"op":"sweep","source":"bench:ham3",)"
+                                     R"("axis":"topology","kinds":["grid","torus"]})"))
+            .wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     const std::string line = lw::serialize_result(2, result);
     const auto parsed = lw::parse_response(line);
@@ -276,9 +319,9 @@ TEST(Wire, SweepAndCalibrationPayloadsSerialize) {
     EXPECT_EQ(payload.at("sweep").at("points").items().size(), 2u);
     EXPECT_EQ(lw::serialize_response(parsed.value()), line);
 
-    ls::CalibrationRequest calibrate;
-    calibrate.sources = {"bench:ham3"};
-    const ls::JobResult& fit = service.submit_calibration(calibrate).wait();
+    const ls::JobResult fit =
+        lw::submit(service, parse_ok(R"({"id":3,"op":"calibrate","sources":["bench:ham3"]})"))
+            .wait();
     ASSERT_TRUE(fit.ok()) << fit.status().to_string();
     const auto fit_parsed = lw::parse_response(lw::serialize_result(3, fit));
     ASSERT_TRUE(fit_parsed.ok());
@@ -287,11 +330,10 @@ TEST(Wire, SweepAndCalibrationPayloadsSerialize) {
 
 TEST(Wire, ExplorePayloadSerializes) {
     ls::Service service;
-    ls::ExploreRequest explore;
-    explore.source = "bench:ham3";
-    explore.spec.sides = {8, 10};
-    explore.spec.capacities = {3, 5};
-    const ls::JobResult& result = service.submit_explore(explore).wait();
+    const ls::JobResult result =
+        lw::submit(service, parse_ok(R"({"id":4,"op":"explore","source":"bench:ham3",)"
+                                     R"("sides":[8,10],"nc":[3,5]})"))
+            .wait();
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     const std::string line = lw::serialize_result(4, result);
     const auto parsed = lw::parse_response(line);
@@ -315,7 +357,7 @@ TEST(Wire, CancelAckAndStatsSerialize) {
     EXPECT_TRUE(parsed.value().result.at("cancelled").as_bool());
 
     ls::Service service;
-    (void)service.submit("bench:ham3", lp::RunMode::Estimate).wait();
+    (void)service.submit(lp::EstimationRequest(lp::CircuitSource::from_bench("ham3"))).wait();
     const std::string stats_line = lw::serialize_stats(6, service.stats());
     const auto stats = lw::parse_response(stats_line);
     ASSERT_TRUE(stats.ok());
@@ -340,4 +382,147 @@ TEST(Wire, MalformedResponsesAreStatuses) {
         lw::parse_response(R"({"id":1,"error":{"code":"Nope","message":"x"}})").ok());
     EXPECT_FALSE(
         lw::parse_response(R"({"id":1,"error":{"code":"Ok","message":"x"}})").ok());
+}
+
+// ------------------------------------------------------ dispatch goldens --
+//
+// Response lines recorded from the session dispatch before sweeps, explores,
+// optimizations and calibrations shared one wire-to-job path, with the wall
+// times masked.  Any change to codes, origins, labels, checkpoint names or
+// result bytes shows up here.
+
+namespace {
+
+/// A response line with its nondeterministic wall times masked: the stage
+/// times of a pipeline result and the elapsed seconds of an optimization.
+std::string mask_wall_times(std::string line) {
+    static const std::regex stage_times(R"("stage_times_s":\{[^}]*\})");
+    static const std::regex seconds(R"("seconds":[^,}]*)");
+    line = std::regex_replace(line, stage_times, R"("stage_times_s":"*")");
+    return std::regex_replace(line, seconds, R"("seconds":"*")");
+}
+
+/// Request lines fed to one session, and the masked lines it answered.
+struct Exchange {
+    std::vector<std::string> requests;
+    std::vector<std::string> responses;
+};
+
+/// A session over a one-worker service that collects what it emits.
+class RecordingSession {
+public:
+    RecordingSession()
+        : service_(lp::PipelineConfig{}, ls::ServiceOptions{1, 64}),
+          session_(ln::Session::make(service_, [this](std::string line) {
+              const std::lock_guard<std::mutex> lock(mutex_);
+              lines_.push_back(mask_wall_times(std::move(line)));
+          })) {}
+
+    ls::Service& service() { return service_; }
+
+    /// Feed \p requests without waiting for their jobs.
+    void send(const std::vector<std::string>& requests) {
+        for (const std::string& request : requests) session_->handle_line(request);
+    }
+
+    /// The masked lines emitted since the last call.
+    std::vector<std::string> take() {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        std::vector<std::string> out;
+        out.swap(lines_);
+        return out;
+    }
+
+    /// Feed one exchange's requests, let their jobs finish, and check the
+    /// responses line for line.
+    void expect(const Exchange& exchange) {
+        send(exchange.requests);
+        service_.drain();
+        EXPECT_EQ(take(), exchange.responses) << exchange.requests.front();
+    }
+
+private:
+    ls::Service service_;
+    std::mutex mutex_;
+    std::vector<std::string> lines_;
+    std::shared_ptr<ln::Session> session_;
+};
+
+} // namespace
+
+TEST(WireGolden, EveryJobOpAnswersAsRecorded) {
+    const std::vector<Exchange> goldens = {
+        {{R"({"id":1,"op":"sweep","source":"bench:ham3","axis":"fabric_sides","values":[2,8,12]})"},
+         {R"({"id":1,"result":{"sweep":{"best_index":0,"points":[{"fabric":{"topology":"grid","width":2,"height":2,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":8,"height":8,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":12,"height":12,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277}]}}})"}},
+        {{R"({"id":2,"op":"sweep","source":"bench:ham3","axis":"nc","values":[1,3,5]})"},
+         {R"({"id":2,"result":{"sweep":{"best_index":1,"points":[{"fabric":{"topology":"grid","width":60,"height":60,"nc":1,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113037.327575,"latency_s":0.113037327575},{"fabric":{"topology":"grid","width":60,"height":60,"nc":3,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":60,"height":60,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277}]}}})"}},
+        {{R"({"id":3,"op":"sweep","source":"bench:ham3","axis":"v","values":[0.001,0.004]})"},
+         {R"({"id":3,"result":{"sweep":{"best_index":1,"points":[{"fabric":{"topology":"grid","width":60,"height":60,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":60,"height":60,"nc":5,"v":0.004,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":107537.700069,"latency_s":0.107537700069}]}}})"}},
+        {{R"({"id":4,"op":"sweep","source":"bench:ham3","axis":"topology","kinds":["grid","torus","line"]})"},
+         {R"({"id":4,"result":{"sweep":{"best_index":0,"points":[{"fabric":{"topology":"grid","width":60,"height":60,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"torus","width":60,"height":60,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"line","width":3600,"height":1,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277}]}}})"}},
+        {{R"({"id":5,"op":"explore","source":"bench:ham3","topologies":["grid","torus"],"sides":[8,10],"nc":[3,5],"threads":2})"},
+         {R"({"id":5,"result":{"exploration":{"points_total":8,"threads_used":2,"best_index":0,"best_per_topology":[{"topology":"grid","index":0,"latency_us":113020.800277},{"topology":"torus","index":4,"latency_us":113020.800277}],"pareto_front":[{"index":0,"area":64,"latency_us":113020.800277}],"points":[{"fabric":{"topology":"grid","width":8,"height":8,"nc":3,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":8,"height":8,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":10,"height":10,"nc":3,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"grid","width":10,"height":10,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"torus","width":8,"height":8,"nc":3,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"torus","width":8,"height":8,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"torus","width":10,"height":10,"nc":3,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277},{"fabric":{"topology":"torus","width":10,"height":10,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"latency_us":113020.800277,"latency_s":0.113020800277}]}}})"}},
+        {{R"({"id":6,"op":"optimize","source":"bench:ham3","moves":200,"seed":7,"params":{"width":8,"height":8}})"},
+         {R"({"id":6,"result":{"optimize":{"initial_latency_us":106910,"final_latency_us":106910,"improved":false,"improvement_pct":0,"moves":{"attempted":200,"accepted":159,"fast_rejected":30},"nodes_retimed":2245,"seconds":"*","homes":[27,28,35]}}})"}},
+        {{R"({"id":7,"op":"calibrate","sources":["bench:ham3"]})"},
+         {R"({"id":7,"result":{"calibration":{"v":0.00451283967608,"mean_abs_rel_error":4.05482277774e-12,"evaluations":90}}})"}},
+        {{R"({"id":8,"op":"estimate","source":"bench:ham3","params":{"nc":4,"topology":"torus"},"label":"what-if"})"},
+         {R"({"id":8,"result":{"label":"what-if","circuit":{"name":"ham3","cache_key":"bench:ham3|synth:fresh,p=anc|fabric:grid:60x60","pre_ft_gates":5,"qubits":3,"ft_ops":19,"synthesized":true},"fabric":{"topology":"torus","width":60,"height":60,"nc":4,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"stage_times_s":"*","estimate":{"model":{"zone_area_b":3,"d_uncongest_us":812.311141913,"l_cnot_avg_us":812.311141913,"l_one_qubit_avg_us":200,"covered_area":11.9866716049,"e_sq":[11.9733481481,0.0133185185185,4.93827160494e-06],"d_q_us":[812.311141913,812.311141913,812.311141913]},"critical_path":{"cnots":9,"one_qubit_ops":6,"gate_delay_us":104510,"census":{"h":1,"t":3,"tdg":2,"cnot":9,"total":15}},"latency_us":113020.800277,"latency_s":0.113020800277},"mapping":null}})"}},
+        {{R"({"id":9,"op":"both","source":"bench:ham3","params":{"width":10,"height":10}})"},
+         {R"({"id":9,"result":{"label":"bench:ham3","circuit":{"name":"ham3","cache_key":"bench:ham3|synth:fresh,p=anc|fabric:grid:60x60","pre_ft_gates":5,"qubits":3,"ft_ops":19,"synthesized":true},"fabric":{"topology":"grid","width":10,"height":10,"nc":5,"v":0.001,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"stage_times_s":"*","estimate":{"model":{"zone_area_b":3,"d_uncongest_us":812.311141913,"l_cnot_avg_us":812.311141913,"l_one_qubit_avg_us":200,"covered_area":11.4796186218,"e_sq":[10.9674338261,0.503988213179,0.00819658249928],"d_q_us":[812.311141913,812.311141913,812.311141913]},"critical_path":{"cnots":9,"one_qubit_ops":6,"gate_delay_us":104510,"census":{"h":1,"t":3,"tdg":2,"cnot":9,"total":15}},"latency_us":113020.800277,"latency_s":0.113020800277},"mapping":{"latency_us":107030,"latency_s":0.10703,"stats":{"one_qubit_ops":10,"cnot_ops":9,"total_hops":38,"evictions":9,"relocations":0,"total_route_us":4950,"channels":{"reservations":38,"delayed_hops":0,"total_wait_us":1150,"max_occupancy":2}},"scheduled_ops":0}}})"}},
+        {{R"({"id":10,"op":"sweep","source":"bench:ham3","axis":"fabric_sides","values":[40.5]})"},
+         {R"({"id":10,"error":{"code":"InvalidArgument","message":"sweep axis fabric_sides expects integers, got 40.5","origin":"sweep"}})"}},
+        {{R"({"id":11,"op":"sweep","source":"bench:ham3","axis":"nc","values":[1e12]})"},
+         {R"({"id":11,"error":{"code":"InvalidArgument","message":"sweep axis nc value out of range: 1e+12","origin":"sweep"}})"}},
+        {{R"({"id":12,"op":"sweep","source":"bench:ham3","axis":"fabric_sides","values":[1]})"},
+         {R"({"id":12,"error":{"code":"InvalidArgument","message":"requirement failed: sweep has no feasible configurations","origin":"sweep"}})"}},
+        {{R"({"id":13,"op":"sweep","source":"bench:nosuchbench","axis":"v","values":[0.001]})"},
+         {R"({"id":13,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"sweep"}})"}},
+        {{R"({"id":14,"op":"estimate","source":"bench:nosuchbench"})"},
+         {R"({"id":14,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"resolve"}})"}},
+        {{R"({"id":15,"op":"explore","source":"bench:nosuchbench","sides":[8]})"},
+         {R"({"id":15,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"explore"}})"}},
+        {{R"({"id":16,"op":"optimize","source":"bench:nosuchbench"})"},
+         {R"({"id":16,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"optimize"}})"}},
+        {{R"({"id":17,"op":"calibrate","sources":["bench:nosuchbench"]})"},
+         {R"({"id":17,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"calibrate"}})"}},
+    };
+    RecordingSession session;
+    for (const Exchange& exchange : goldens) session.expect(exchange);
+}
+
+TEST(WireGolden, CancelledQueuedSweepAnswersAsRecorded) {
+    const std::vector<Exchange> goldens = {
+        {{R"({"id":20,"op":"sweep","source":"bench:ham3","axis":"fabric_sides","values":[8]})", R"({"id":21,"op":"cancel","target":20})"},
+         {R"({"id":20,"error":{"code":"Cancelled","message":"cancelled while queued","origin":"queue"}})",
+          R"({"id":21,"result":{"target":20,"cancelled":true}})"}},
+    };
+    RecordingSession session;
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    const ls::JobHandle gate = session.service().submit_fn(
+        [&](lp::Pipeline&, const lp::RunControl&) -> ls::JobResult {
+            started.set_value();
+            released.wait();
+            return lu::Status(lu::StatusCode::Internal, "blocker");
+        });
+    started.get_future().wait(); // the lone worker is pinned: the sweep queues
+    session.send(goldens.front().requests);
+    EXPECT_EQ(session.take(), goldens.front().responses);
+    release.set_value();
+    (void)gate.wait();
+    session.service().drain();
+    EXPECT_TRUE(session.take().empty()); // the cancelled sweep never ran
+}
+
+TEST(WireGolden, AppliedCalibrationRetunesLaterRunsAsRecorded) {
+    const std::vector<Exchange> goldens = {
+        {{R"({"id":30,"op":"calibrate","sources":["bench:ham3"],"apply":true})"},
+         {R"({"id":30,"result":{"calibration":{"v":0.00451283967608,"mean_abs_rel_error":4.05482277774e-12,"evaluations":90}}})"}},
+        {{R"({"id":31,"op":"estimate","source":"bench:ham3"})"},
+         {R"({"id":31,"result":{"label":"bench:ham3","circuit":{"name":"ham3","cache_key":"bench:ham3|synth:fresh,p=anc|fabric:grid:60x60","pre_ft_gates":5,"qubits":3,"ft_ops":19,"synthesized":true},"fabric":{"topology":"grid","width":60,"height":60,"nc":5,"v":0.00451283967608,"t_move_us":100,"gate_delays_us":{"h":5440,"t":10940,"pauli":5240,"s":5240,"cnot":4930}},"stage_times_s":"*","estimate":{"model":{"zone_area_b":3,"d_uncongest_us":180.000000048,"l_cnot_avg_us":180.000000048,"l_one_qubit_avg_us":200,"covered_area":11.9864487311,"e_sq":[11.9729026105,0.0135409723561,5.1482516046e-06],"d_q_us":[180.000000048,180.000000048,180.000000048]},"critical_path":{"cnots":9,"one_qubit_ops":6,"gate_delay_us":104510,"census":{"h":1,"t":3,"tdg":2,"cnot":9,"total":15}},"latency_us":107330,"latency_s":0.10733},"mapping":null}})"}},
+    };
+    RecordingSession session;
+    for (const Exchange& exchange : goldens) session.expect(exchange);
 }

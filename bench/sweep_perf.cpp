@@ -27,12 +27,18 @@
 ///     a smaller circuit leaves too little work per thread to scale.
 ///     `effective_parallelism` (a spin probe: 4 threads of fixed work
 ///     against one) qualifies the scaling numbers — a shared box may run 4
-///     threads on far fewer than 4 cores.
+///     threads on far fewer than 4 cores;
+///   - batched vs scalar: a 64-point (Nc, v) axis through one
+///     estimate_batch call against a scalar estimate() per point, with two
+///     parity flags: `parity_ok` (batch == scalar engine) and
+///     `reference_parity_ok` (every batched latency and census == the
+///     push-based longest path over the same delays).
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
 /// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
 /// overrides the artifact path.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -381,6 +387,27 @@ int main() {
                         scalar_estimates[i].critical_cnots &&
                     batched_estimates[i].e_sq == scalar_estimates[i].e_sq;
     }
+    // The scalar engine runs the same lane kernel, so parity_ok alone
+    // cannot catch a kernel bug.  Check every batched point against the
+    // push-based sweep (graph::longest_path and its predecessor walk) over
+    // the point's own per-kind delays: latency and census must be equal.
+    bool reference_parity_ok = batched_estimates.size() == axis_points.size();
+    for (std::size_t i = 0; reference_parity_ok && i < batched_estimates.size(); ++i) {
+        const core::LeqaEstimate& estimate = batched_estimates[i];
+        std::array<double, circuit::kGateKindCount> delays{};
+        for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
+            if (profile.gate_counts[k] == 0) continue;
+            const auto kind = static_cast<circuit::GateKind>(k);
+            delays[k] = params.delay_us(kind) + (kind == circuit::GateKind::Cnot
+                                                     ? estimate.l_cnot_avg_us
+                                                     : estimate.l_one_qubit_avg_us);
+        }
+        const qodg::LongestPath lp = graph.longest_path(graph.node_delays(delays));
+        const qodg::PathCensus census = graph.census(graph.critical_path(lp));
+        reference_parity_ok = estimate.latency_us == lp.length &&
+                              estimate.critical_census.by_kind == census.by_kind &&
+                              estimate.critical_census.total_ops == census.total_ops;
+    }
 
     // Toolchain note: vectorization silently turning off (an -O0 build, or
     // a compiler losing the SIMD lanes) shows up here, next to the ratio it
@@ -437,8 +464,10 @@ int main() {
     std::printf("batched vs scalar parameter stage (%zu-point Nc x v axis, 50x50):\n",
                 axis_points.size());
     std::printf("  scalar engine loop : %.3e s/point\n", scalar_axis_point_s);
-    std::printf("  estimate_batch     : %.3e s/point  (%.2fx, parity %s)\n",
-                batched_axis_point_s, batched_ratio, parity_ok ? "ok" : "BROKEN");
+    std::printf("  estimate_batch     : %.3e s/point  (%.2fx, parity %s, push-based "
+                "reference %s)\n",
+                batched_axis_point_s, batched_ratio, parity_ok ? "ok" : "BROKEN",
+                reference_parity_ok ? "ok" : "BROKEN");
     std::printf("  toolchain: %s, simd %s, optimized %s\n", __VERSION__, simd,
                 optimized ? "yes" : "NO");
 
@@ -503,6 +532,7 @@ int main() {
     json.kv("batched_per_point_s", batched_axis_point_s);
     json.kv("per_point_ratio", batched_ratio);
     json.kv("parity_ok", parity_ok);
+    json.kv("reference_parity_ok", reference_parity_ok);
     json.key("toolchain").begin_object();
     json.kv("compiler", __VERSION__);
     json.kv("simd", simd);

@@ -148,80 +148,8 @@ const std::vector<double>& EstimationEngine::SurfaceCache::get(
 }
 
 LeqaEstimate EstimationEngine::estimate(const CircuitProfile& profile) const {
-    LEQA_REQUIRE(profile.graph != nullptr, "profile has no QODG attached");
-    const qodg::Qodg& graph = *profile.graph;
-
-    LeqaEstimate out;
-    out.num_qubits = profile.num_qubits;
-    out.num_ops = profile.num_ops;
-    out.l_one_qubit_avg_us = params_.one_qubit_routing_latency_us();
-
-    const long long q_total = static_cast<long long>(profile.num_qubits);
-    const fabric::Topology& topo = *topology_;
-    const int a = topo.width();
-    const int b = topo.height();
-
-    // --- lines 1-3 came from the profile (Eqs. 6-7) ------------------------
-    out.zone_area_b = profile.zone_area_b;
-
-    // --- lines 4-8: d_uncongest (Eq. 12); v divides back in ----------------
-    out.d_uncongest_us = profile.d_uncongest_v / params_.v;
-
-    // --- lines 9-13: coverage histogram (Eq. 5, topology-provided) ---------
-    // --- lines 14-17: E[S_q] (Eq. 4, via Eq. 18) and d_q (Eq. 8) -----------
-    // --- line 18: L_CNOT^avg (Eq. 2) ---------------------------------------
-    if (q_total > 0 && out.d_uncongest_us > 0.0) {
-        const int side = topo.zone_extent(out.zone_area_b);
-        const long long terms =
-            options_.exact_sq ? q_total
-                              : std::min<long long>(q_total, options_.sq_terms);
-        out.e_sq = surface_cache_.get(
-            SurfaceCache::Key{topo.kind(), a, b, side, q_total, terms}, [&] {
-                return expected_surfaces(topo.coverage_histogram(side), q_total,
-                                         terms);
-            });
-        out.d_q.reserve(static_cast<std::size_t>(terms));
-        double weighted_delay = 0.0;
-        for (long long q = 1; q <= terms; ++q) {
-            const double surface = out.e_sq[static_cast<std::size_t>(q - 1)];
-            const double delay = mathx::congested_delay(
-                static_cast<double>(q), static_cast<double>(params_.nc),
-                out.d_uncongest_us);
-            out.d_q.push_back(delay);
-            out.covered_area += surface;
-            weighted_delay += surface * delay;
-        }
-        out.l_cnot_avg_us = out.covered_area > 0.0 ? weighted_delay / out.covered_area : 0.0;
-    }
-
-    // --- lines 19-20: update QODG delays, critical path, D (Eq. 1) ---------
-    // Per-kind delay table instead of a per-node functor; only kinds the
-    // circuit contains are queried (delay_us rejects non-FT kinds).
-    std::array<double, circuit::kGateKindCount> delay_by_kind{};
-    for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
-        if (profile.gate_counts[k] == 0) continue;
-        const auto kind = static_cast<circuit::GateKind>(k);
-        const double routing = kind == circuit::GateKind::Cnot
-                                   ? out.l_cnot_avg_us
-                                   : out.l_one_qubit_avg_us;
-        delay_by_kind[k] = params_.delay_us(kind) + routing;
-    }
-    const std::vector<double> delays = graph.node_delays(delay_by_kind);
-    const qodg::LongestPath lp = graph.longest_path(delays);
-    const std::vector<qodg::NodeId> path = graph.critical_path(lp);
-    out.critical_census = graph.census(path);
-    out.critical_cnots = out.critical_census.of(circuit::GateKind::Cnot);
-    out.critical_one_qubit = out.critical_census.total_ops - out.critical_cnots;
-    out.latency_us = lp.length;
-
-    for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
-        const auto kind = static_cast<circuit::GateKind>(k);
-        const std::size_t count = out.critical_census.by_kind[k];
-        if (count > 0) {
-            out.critical_gate_delay_us += static_cast<double>(count) * params_.delay_us(kind);
-        }
-    }
-    return out;
+    const ParameterPoint point{params_.nc, params_.v};
+    return std::move(estimate_batch(profile, {&point, 1}).front());
 }
 
 std::vector<LeqaEstimate> EstimationEngine::estimate_batch(
@@ -270,19 +198,19 @@ std::vector<LeqaEstimate> EstimationEngine::estimate_batch(
         shared_delays[k] = params_.delay_us(kind) + routing;
     }
 
-    // Process the axis in fixed-width blocks: the per-point congestion
-    // algebra stays scalar (it is O(terms) on a handful of doubles), and
-    // the expensive critical-path pass runs once per block with one lane
-    // per point.  The last block is padded by repeating its final point so
-    // the lane kernel always runs at full width.
-    constexpr std::size_t kLanes = 8;
-    std::array<std::array<double, circuit::kGateKindCount>, kLanes> tables;
-    std::array<qodg::PathCensus, kLanes> censuses;
+    // Process the axis in blocks: 32 lanes while they last, then 8, and
+    // the rest in one block the lane kernel widens (a lone point runs at
+    // width 1).  The per-point congestion algebra stays scalar (it is
+    // O(terms) on a handful of doubles); the critical-path pass runs once
+    // per block with one lane per point.
+    constexpr std::size_t kMaxLanes = 32;
+    std::array<std::array<double, circuit::kGateKindCount>, kMaxLanes> tables;
+    std::array<qodg::PathCensus, kMaxLanes> censuses;
     qodg::LongestPathLanes lanes;
-    const qodg::NodeId end_node = graph.end();
 
-    for (std::size_t block = 0; block < points.size(); block += kLanes) {
-        const std::size_t width = std::min(kLanes, points.size() - block);
+    for (std::size_t block = 0, width = 0; block < points.size(); block += width) {
+        const std::size_t remaining = points.size() - block;
+        width = remaining >= 32 ? 32 : remaining >= 8 ? 8 : remaining;
         for (std::size_t lane = 0; lane < width; ++lane) {
             const std::size_t index = block + lane;
             if (before_point) before_point();
@@ -321,16 +249,13 @@ std::vector<LeqaEstimate> EstimationEngine::estimate_batch(
                     params_.delay_us(circuit::GateKind::Cnot) + est.l_cnot_avg_us;
             }
         }
-        for (std::size_t lane = width; lane < kLanes; ++lane) {
-            tables[lane] = tables[width - 1];
-        }
 
-        graph.longest_path_lanes(tables, lanes);
+        graph.longest_path_lanes({tables.data(), width}, lanes);
         graph.critical_census_lanes(lanes, {censuses.data(), width});
 
         for (std::size_t lane = 0; lane < width; ++lane) {
             LeqaEstimate& est = out[block + lane];
-            est.latency_us = lanes.at(end_node, lane);
+            est.latency_us = lanes.length[lane];
             est.critical_census = censuses[lane];
             est.critical_cnots = est.critical_census.of(circuit::GateKind::Cnot);
             est.critical_one_qubit =

@@ -20,7 +20,7 @@
 ///     evaluated with the paper's Eq. 18 running recursion — two multiplies
 ///     per (bin, q) instead of three lgammas, two logs and an exp per
 ///     (cell, q).  The remaining per-point work is the critical-path pass
-///     over the CSR QODG.
+///     over the QODG (`Qodg::longest_path_lanes`, up to 32 points a pass).
 ///
 /// This is the only estimation path; `LeqaEstimator::estimate_reference`
 /// keeps the pre-refactor O(a*b*T) evaluation as the golden reference the
@@ -109,17 +109,18 @@ public:
     explicit EstimationEngine(const fabric::PhysicalParams& params,
                               LeqaOptions options = {});
 
-    /// Estimate at the engine's parameter point; within 1e-9 relative of
+    /// Estimate at the engine's parameter point: a one-point
+    /// estimate_batch(), within 1e-9 relative of
     /// `LeqaEstimator::estimate_reference`.
     [[nodiscard]] LeqaEstimate estimate(const CircuitProfile& profile) const;
 
     /// Batched parameter stage: estimate the profile at every (Nc, v) point
-    /// against the engine's fixed geometry and gate delays, amortizing the
-    /// shared work one scalar estimate() pays per point — the E[S_q] lookup
-    /// is done once, and the critical-path pass runs lane-blocked (one CSR
-    /// edge sweep updates up to 8 points' distances at a time).  Results
-    /// are bit-identical to calling estimate() per point with params whose
-    /// nc/v are overridden (the parity the tests assert).
+    /// against the engine's fixed geometry and gate delays.  The E[S_q]
+    /// lookup is done once, and the critical-path pass runs lane-blocked:
+    /// one forward pass over the QODG serves up to 32 points (blocks of
+    /// 32, then 8, then the rest; a lone point runs at width 1).  Each
+    /// point's result is bit-identical to estimate() at params whose nc/v
+    /// are overridden, whatever block it lands in.
     ///
     /// `before_point`, when set, is invoked once per point before that
     /// point's evaluation (sweep cancellation hooks); a throw from it

@@ -112,7 +112,7 @@ PlacedTimer::PlacedTimer(const qodg::Qodg& graph, const circuit::Circuit& circ,
     }
 
     // Full forward pass: the pull-based gather that is bit-identical to the
-    // push-based graph::longest_path kernel (see qodg.h).
+    // push-based graph::longest_path kernel (see Qodg::predecessors).
     arrival_.assign(n, -1.0);
     arrival_[0] = delay_[0];
     for (qodg::NodeId v = 1; v < n; ++v) {

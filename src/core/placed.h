@@ -18,10 +18,10 @@
 ///   - a per-qubit -> CNOT-node index (CSR layout) finds the changed nodes
 ///     in O(gates touching the moved qubits);
 ///   - a forward dirty-scan in ascending node id (QODG ids are topological)
-///     recomputes arrivals with the same pull-based gather
-///     `Qodg::longest_path_lanes` documents (predecessors ascending,
-///     `>= 0` reachability guard, strict `>`), which is bit-identical to
-///     the push-based `graph::longest_path` kernel; successors are marked
+///     recomputes arrivals with a pull-based gather (`Qodg::predecessors`
+///     ascending, `>= 0` reachability guard, strict `>`), which is
+///     bit-identical to the push-based `graph::longest_path` kernel;
+///     successors are marked
 ///     dirty only when a node's arrival actually changed, so propagation
 ///     stops at the cone boundary.  A flat scan beats a heap worklist here:
 ///     search-move cones are dense in their id span, and the scan costs a

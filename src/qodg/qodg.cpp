@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/error.h"
 
@@ -28,26 +34,53 @@ Qodg::Qodg(const circuit::Circuit& circ) {
     constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
     delay_row_.reserve(n_nodes);
     delay_row_.push_back(kZeroRow);
+    operands_.reserve(n_gates);
+    num_qubits_ = circ.num_qubits();
 
     NodeId me = start();
     for (const circuit::Gate& gate : circ.gates()) {
         ++me;
-        // Rows hold at most three entries for every gate but the pre-FT
-        // multi-controlled ones.
-        const auto row = static_cast<std::ptrdiff_t>(preds.size());
-        for (const circuit::Qubit q : gate.qubits()) preds.push_back(last[q]);
-        std::sort(preds.begin() + row, preds.end());
-        preds.erase(std::unique(preds.begin() + row, preds.end()), preds.end());
+        const std::span<const circuit::Qubit> qubits = gate.qubits();
+        if (qubits.size() <= 2) {
+            // The operand pair of the lane kernel, the one whose last node
+            // has the lower id first ((q, q) for a one-qubit op), and the
+            // predecessor row, those last nodes once each, ascending.
+            circuit::Qubit first = qubits.front();
+            circuit::Qubit second = qubits.back();
+            if (last[second] < last[first]) std::swap(first, second);
+            operands_.push_back({first, second});
+            preds.push_back(last[first]);
+            if (last[second] != last[first]) preds.push_back(last[second]);
+        } else {
+            // A pre-FT gate on three or more qubits: the lane kernel
+            // rejects the graph; the row is sorted and deduplicated.
+            has_wide_ops_ = true;
+            operands_.push_back({qubits[0], qubits[0]});
+            const auto row = static_cast<std::ptrdiff_t>(preds.size());
+            for (const circuit::Qubit q : qubits) preds.push_back(last[q]);
+            std::sort(preds.begin() + row, preds.end());
+            preds.erase(std::unique(preds.begin() + row, preds.end()), preds.end());
+        }
         offsets.push_back(static_cast<std::uint32_t>(preds.size()));
-        for (const circuit::Qubit q : gate.qubits()) last[q] = me;
+        for (const circuit::Qubit q : qubits) last[q] = me;
         delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
     }
 
     // End depends on every qubit's last node (start for untouched qubits,
-    // or start alone when the circuit has no qubits).
-    if (last.empty()) last.push_back(start());
-    std::sort(last.begin(), last.end());
-    preds.insert(preds.end(), last.begin(), std::unique(last.begin(), last.end()));
+    // or start alone when the circuit has no qubits), each distinct node
+    // once, ascending; the lane kernel reads it through one qubit per node.
+    std::vector<std::pair<NodeId, circuit::Qubit>> ends;
+    ends.reserve(last.size());
+    for (circuit::Qubit q = 0; q < last.size(); ++q) ends.emplace_back(last[q], q);
+    std::sort(ends.begin(), ends.end());
+    ends.erase(std::unique(ends.begin(), ends.end(),
+                           [](const auto& x, const auto& y) { return x.first == y.first; }),
+               ends.end());
+    if (ends.empty()) preds.push_back(start());
+    for (const auto& [node, qubit] : ends) {
+        preds.push_back(node);
+        end_qubits_.push_back(qubit);
+    }
     offsets.push_back(static_cast<std::uint32_t>(preds.size()));
     delay_row_.push_back(kZeroRow);
 
@@ -110,36 +143,182 @@ std::vector<NodeId> Qodg::critical_path(const LongestPath& lp) const {
 
 namespace {
 
-/// One pull-based gather sweep with a compile-time lane count, so the lane
-/// accumulators live in registers and the inner loop has a known trip
-/// count the compiler unrolls and vectorizes.  Per lane this computes
-/// exactly what graph::longest_path computes push-style: a node's
-/// predecessors are visited in the same ascending-id order the forward
-/// sweep relaxes them in, with the same reachability guard (`du >= 0`)
-/// and the same strict `>` comparison, so the running max sees an
-/// identical sequence of doubles and lands on identical bits.  NaN
-/// candidates (a NaN delay lane) fail `>` both here and there, leaving
-/// the node unreachable (-1) in that lane only.
-template <std::size_t kLanes>
-void gather_lanes(const graph::CsrDigraph& rcsr, std::size_t num_nodes,
-                  const std::uint16_t* delay_row, const double* delay_soa,
-                  double* distance) {
-    for (std::size_t lane = 0; lane < kLanes; ++lane) distance[lane] = 0.0;
-    for (NodeId v = 1; v < num_nodes; ++v) {
-        const double* delay =
-            delay_soa + static_cast<std::size_t>(delay_row[v]) * kLanes;
-        double acc[kLanes];
-        for (std::size_t lane = 0; lane < kLanes; ++lane) acc[lane] = -1.0;
-        for (const NodeId u : rcsr.successors(v)) {
-            const double* du = distance + static_cast<std::size_t>(u) * kLanes;
-            for (std::size_t lane = 0; lane < kLanes; ++lane) {
-                const double candidate = du[lane] + delay[lane];
-                const bool better = du[lane] >= 0.0 && candidate > acc[lane];
-                acc[lane] = better ? candidate : acc[lane];
+// The lane kernels below are written over two-double vector types, which
+// GCC and Clang vectorize without -march (plain lane loops with a select
+// did not vectorize).
+using Lanes2 = double __attribute__((vector_size(16)));
+using Mask2 = std::int64_t __attribute__((vector_size(16)));
+
+Lanes2 load2(const double* from) {
+    Lanes2 lanes{};
+    std::memcpy(&lanes, from, sizeof lanes);
+    return lanes;
+}
+
+void store2(double* to, Lanes2 lanes) { std::memcpy(to, &lanes, sizeof lanes); }
+
+#if defined(__SSE2__)
+/// Bit j set when lane j of a comparison result is true.
+unsigned lane_bits(Mask2 mask) {
+    return static_cast<unsigned>(_mm_movemask_pd(std::bit_cast<__m128d>(mask)));
+}
+
+/// Lane by lane, `greater ? cs : cf` for `greater = cs > cf`: exactly what
+/// MAXPD computes.
+Lanes2 keep_greater(Lanes2 cs, Lanes2 cf, Mask2 /*greater*/) {
+    return std::bit_cast<Lanes2>(
+        _mm_max_pd(std::bit_cast<__m128d>(cs), std::bit_cast<__m128d>(cf)));
+}
+#else
+unsigned lane_bits(Mask2 mask) {
+    return static_cast<unsigned>(mask[0] & 1) | (static_cast<unsigned>(mask[1] & 1) << 1);
+}
+
+Lanes2 keep_greater(Lanes2 cs, Lanes2 cf, Mask2 greater) { return greater ? cs : cf; }
+#endif
+
+/// One winner-bit word per op of a width-W kernel.
+template <std::size_t W>
+using LaneMask = std::conditional_t<(W > 8), std::uint32_t, std::uint8_t>;
+
+using OperandPair = std::array<circuit::Qubit, 2>;
+
+/// The forward pass at compile-time width W over per-qubit registers
+/// (`regs[q * W + lane]`, all zero = start's distance on entry) and a
+/// kind-major delay table (`delays[kind * W + lane]`).  Op i on (f, s)
+/// computes cf = reg[f] + d and cs = reg[s] + d, keeps cs iff cs > cf and
+/// writes the winner to both registers; a one-qubit op is (q, q), where
+/// the equal candidates never set the winner bit.
+template <std::size_t W>
+void forward_lanes(std::span<const OperandPair> ops, const std::uint16_t* kinds,
+                   const double* delays, double* regs, std::uint8_t* via_second) {
+    if constexpr (W == 1) {
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const auto [f, s] = ops[i];
+            const double delay = delays[kinds[i]];
+            const double cf = regs[f] + delay;
+            const double cs = regs[s] + delay;
+            const bool won = cs > cf;
+            const double best = won ? cs : cf;
+            regs[f] = best;
+            regs[s] = best;
+            via_second[i] = static_cast<std::uint8_t>(won);
+        }
+    } else {
+        using Mask = LaneMask<W>;
+        constexpr std::size_t kVecs = W / 2;
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            const auto [f, s] = ops[i];
+            double* rf = regs + static_cast<std::size_t>(f) * W;
+            double* rs = regs + static_cast<std::size_t>(s) * W;
+            const double* delay = delays + static_cast<std::size_t>(kinds[i]) * W;
+            // All loads before any store: rf and rs may be one register.
+            Lanes2 best[kVecs];
+            Mask won = 0;
+            for (std::size_t j = 0; j < kVecs; ++j) {
+                const Lanes2 d = load2(delay + 2 * j);
+                const Lanes2 cf = load2(rf + 2 * j) + d;
+                const Lanes2 cs = load2(rs + 2 * j) + d;
+                const Mask2 second = cs > cf;
+                best[j] = keep_greater(cs, cf, second);
+                won = static_cast<Mask>(won | (lane_bits(second) << (2 * j)));
+            }
+            for (std::size_t j = 0; j < kVecs; ++j) store2(rf + 2 * j, best[j]);
+            for (std::size_t j = 0; j < kVecs; ++j) store2(rs + 2 * j, best[j]);
+            std::memcpy(via_second + i * sizeof(Mask), &won, sizeof(Mask));
+        }
+    }
+}
+
+/// The reverse census pass at width W: `mask[q]` holds the lanes whose
+/// path, walked back from the end, next meets qubit q's latest op.  An op
+/// is on the lanes in either operand's mask; its winner bits then send
+/// each lane on to the operand its path entered through.
+///
+/// About half of all ops lie on the critical path, so a branch on path
+/// membership mispredicts often: one lane counts without one.  Wider
+/// kernels skip off-path ops and count bit-sliced: bit `lane` of
+/// `plane[kind][b]` is bit b of that lane's count, so one ripple-carry add
+/// counts an op for every lane on it.
+template <std::size_t W>
+void census_lanes(std::span<const OperandPair> ops, const std::uint16_t* kinds,
+                  const std::uint8_t* via_second, std::span<const circuit::Qubit> end_qubit,
+                  std::size_t num_qubits, std::span<PathCensus> out) {
+    using Mask = LaneMask<W>;
+    std::vector<Mask> mask(num_qubits, 0);
+    for (std::size_t lane = 0; lane < out.size() && num_qubits > 0; ++lane) {
+        mask[end_qubit[lane]] = static_cast<Mask>(mask[end_qubit[lane]] | (Mask{1} << lane));
+    }
+    std::array<std::size_t, circuit::kGateKindCount> single{}; // W == 1
+    std::array<std::array<Mask, 32>, circuit::kGateKindCount> plane{}; // W > 1; counts < 2^32
+    for (std::size_t i = ops.size(); i-- > 0;) {
+        const auto [f, s] = ops[i];
+        const auto on_path = static_cast<Mask>(mask[f] | mask[s]);
+        if (W > 1 && on_path == 0) continue;
+        Mask won = 0;
+        std::memcpy(&won, via_second + i * sizeof(Mask), sizeof(Mask));
+        // For (q, q) the winner bits are clear, so the second store keeps
+        // every lane on q.
+        mask[s] = static_cast<Mask>(on_path & won);
+        mask[f] = static_cast<Mask>(on_path & ~won);
+        if constexpr (W == 1) {
+            single[kinds[i]] += on_path;
+        } else {
+            Mask* bit = plane[kinds[i]].data();
+            for (Mask carry = on_path; carry != 0; ++bit) {
+                const auto next = static_cast<Mask>(*bit & carry);
+                *bit = static_cast<Mask>(*bit ^ carry);
+                carry = next;
             }
         }
-        double* dv = distance + static_cast<std::size_t>(v) * kLanes;
-        for (std::size_t lane = 0; lane < kLanes; ++lane) dv[lane] = acc[lane];
+    }
+    for (std::size_t lane = 0; lane < out.size(); ++lane) {
+        PathCensus& census = out[lane];
+        for (std::size_t kind = 0; kind < circuit::kGateKindCount; ++kind) {
+            std::size_t count = single[kind];
+            for (std::size_t b = 0; b < 32; ++b) {
+                count += static_cast<std::size_t>((plane[kind][b] >> lane) & 1u) << b;
+            }
+            census.by_kind[kind] = count;
+            census.total_ops += count;
+        }
+    }
+}
+
+/// Everything but the census at width W: widen the tables (lanes past
+/// `tables.size()` repeat the last one), run the forward pass, and pick
+/// each lane's end-node winner.
+template <std::size_t W>
+void longest_path_width(std::span<const std::array<double, circuit::kGateKindCount>> tables,
+                        std::span<const OperandPair> ops, const std::uint16_t* kinds,
+                        std::span<const circuit::Qubit> end_qubits, std::size_t num_qubits,
+                        LongestPathLanes& out) {
+    std::array<double, circuit::kGateKindCount * W> delays{};
+    for (std::size_t lane = 0; lane < W; ++lane) {
+        const auto& table = tables[std::min(lane, tables.size() - 1)];
+        for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
+            delays[k * W + lane] = table[k];
+        }
+    }
+    std::vector<double> regs(num_qubits * W, 0.0);
+    out.via_second.resize(ops.size() * sizeof(LaneMask<W>));
+    forward_lanes<W>(ops, kinds, delays.data(), regs.data(), out.via_second.data());
+
+    // The end node relaxes from its predecessors in ascending id order
+    // with a strict `>`: the largest register wins, ties to the lowest id.
+    // Without qubits, end's one predecessor is start: length 0.
+    for (std::size_t lane = 0; lane < out.length.size() && !end_qubits.empty(); ++lane) {
+        circuit::Qubit winner = end_qubits.front();
+        double best = regs[static_cast<std::size_t>(winner) * W + lane];
+        for (const circuit::Qubit q : end_qubits.subspan(1)) {
+            const double value = regs[static_cast<std::size_t>(q) * W + lane];
+            if (value > best) {
+                best = value;
+                winner = q;
+            }
+        }
+        out.length[lane] = best;
+        out.end_qubit[lane] = winner;
     }
 }
 
@@ -149,182 +328,55 @@ void Qodg::longest_path_lanes(
     std::span<const std::array<double, circuit::kGateKindCount>> tables,
     LongestPathLanes& out) const {
     const std::size_t lanes = tables.size();
-    LEQA_REQUIRE(lanes >= 1, "longest_path_lanes needs at least one delay table");
-    const std::size_t n = num_nodes();
-
-    out.lanes = lanes;
-    // Every slot is written by the gather (start explicitly, the rest once
-    // each in topological order), so resize without a fill.
-    out.distance.resize(n * lanes);
-
-    // Kind-major delay SoA — delay of kind k in lane l at [k * lanes + l] —
-    // with one extra all-zero row that start/end nodes index (see
-    // delay_row_), replacing the per-node kind branch of node_delays()
-    // with a row lookup.  Kept in `out` for critical_path_lane recovery.
-    out.delay_soa.assign((circuit::kGateKindCount + 1) * lanes, 0.0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-        for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
-            out.delay_soa[k * lanes + lane] = tables[lane][k];
+    LEQA_REQUIRE(lanes >= 1 && lanes <= 32,
+                 "longest_path_lanes takes 1 to 32 delay tables");
+    LEQA_REQUIRE(!has_wide_ops_,
+                 "longest_path_lanes needs an FT graph (an op touches more than two qubits)");
+    for (const auto& table : tables) {
+        for (const double delay : table) {
+            LEQA_REQUIRE(delay >= 0.0, "lane delays must be >= 0 (got NaN or a negative)");
         }
     }
 
-    switch (lanes) {
+    out.width = lanes == 1 ? 1 : lanes <= 8 ? 8 : 32;
+    out.length.assign(lanes, 0.0);
+    out.end_qubit.assign(lanes, 0);
+    const std::uint16_t* kinds = delay_row_.data() + 1; // op i is node i + 1
+    switch (out.width) {
+        case 1:
+            longest_path_width<1>(tables, operands_, kinds, end_qubits_, num_qubits_, out);
+            break;
         case 8:
-            gather_lanes<8>(rcsr_, n, delay_row_.data(), out.delay_soa.data(),
-                            out.distance.data());
+            longest_path_width<8>(tables, operands_, kinds, end_qubits_, num_qubits_, out);
             break;
-        case 4:
-            gather_lanes<4>(rcsr_, n, delay_row_.data(), out.delay_soa.data(),
-                            out.distance.data());
+        default:
+            longest_path_width<32>(tables, operands_, kinds, end_qubits_, num_qubits_, out);
             break;
-        default: {
-            std::vector<double> acc(lanes);
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-                out.distance[lane] = 0.0;
-            }
-            for (NodeId v = 1; v < n; ++v) {
-                const double* delay =
-                    &out.delay_soa[static_cast<std::size_t>(delay_row_[v]) * lanes];
-                std::fill(acc.begin(), acc.end(), -1.0);
-                for (const NodeId u : rcsr_.successors(v)) {
-                    const double* du =
-                        &out.distance[static_cast<std::size_t>(u) * lanes];
-                    for (std::size_t lane = 0; lane < lanes; ++lane) {
-                        const double candidate = du[lane] + delay[lane];
-                        const bool better =
-                            du[lane] >= 0.0 && candidate > acc[lane];
-                        acc[lane] = better ? candidate : acc[lane];
-                    }
-                }
-                std::copy(acc.begin(), acc.end(),
-                          &out.distance[static_cast<std::size_t>(v) * lanes]);
-            }
-            break;
-        }
     }
-}
-
-std::vector<NodeId> Qodg::critical_path_lane(const LongestPathLanes& lanes,
-                                             std::size_t lane) const {
-    const std::size_t width = lanes.lanes;
-    LEQA_REQUIRE(lanes.distance.size() == num_nodes() * width,
-                 "lane-blocked result does not match this graph");
-    LEQA_REQUIRE(lane < width, "lane index out of range");
-    LEQA_REQUIRE(lanes.at(end(), lane) >= 0.0, "sink unreachable from source");
-    std::vector<NodeId> path;
-    NodeId cursor = end();
-    path.push_back(cursor);
-    while (cursor != start()) {
-        const double target = lanes.at(cursor, lane);
-        const double delay =
-            lanes.delay_soa[static_cast<std::size_t>(delay_row_[cursor]) * width +
-                            lane];
-        NodeId next = cursor;
-        for (const NodeId u : rcsr_.successors(cursor)) {
-            const double du = lanes.at(u, lane);
-            if (du >= 0.0 && du + delay == target) {
-                next = u;
-                break;
-            }
-        }
-        LEQA_REQUIRE(next != cursor, "lane path recovery found no predecessor");
-        cursor = next;
-        path.push_back(cursor);
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
 }
 
 void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
                                  std::span<PathCensus> out) const {
-    const std::size_t width = lanes.lanes;
-    LEQA_REQUIRE(lanes.distance.size() == num_nodes() * width,
+    const std::size_t word = std::max<std::size_t>(1, lanes.width / 8);
+    LEQA_REQUIRE(lanes.via_second.size() == num_ops() * word &&
+                     lanes.end_qubit.size() == lanes.length.size(),
                  "lane-blocked result does not match this graph");
-    LEQA_REQUIRE(out.size() <= width, "more censuses requested than lanes");
-    const NodeId source = start();
-    const NodeId sink = end();
-    for (std::size_t lane = 0; lane < out.size(); ++lane) {
-        LEQA_REQUIRE(lanes.at(sink, lane) >= 0.0, "sink unreachable from source");
-        out[lane] = PathCensus{};
-    }
-
-    constexpr std::size_t kRows = circuit::kGateKindCount + 1;
-    const std::size_t n = num_nodes();
-    const double* dist = lanes.distance.data();
-    const double* delays = lanes.delay_soa.data();
-
-    // Process at most 8 lanes per sweep so the mask array stays one byte
-    // per node; the engine's block width never exceeds that anyway.
-    std::vector<std::uint8_t> mark(n);
-    // Census counts keyed by (lane mask, delay row): one increment per
-    // visited node instead of one per (node, lane), unfolded to the lanes
-    // after the sweep.  The table is 256 * kRows words — L1-resident.
-    std::vector<std::uint32_t> mask_counts(kRows << 8);
-    for (std::size_t base = 0; base < out.size(); base += 8) {
-        const std::size_t group = std::min<std::size_t>(8, out.size() - base);
-        std::fill(mark.begin(), mark.end(), 0);
-        std::fill(mask_counts.begin(), mask_counts.end(), 0);
-        mark[sink] = static_cast<std::uint8_t>((1u << group) - 1u);
-
-        // Descending ids = reverse topological order: by the time v is
-        // reached, every successor that could put v on its path has
-        // already propagated its mask down to v.
-        for (NodeId v = static_cast<NodeId>(n - 1); v != source; --v) {
-            const std::uint8_t m = mark[v];
-            if (m == 0) continue;
-            const std::size_t row = delay_row_[v];
-            ++mask_counts[(static_cast<std::size_t>(m) * kRows) + row];
-            const std::span<const NodeId> preds = rcsr_.successors(v);
-            if (preds.size() == 1) {
-                // The only predecessor is the path predecessor in every
-                // marked lane; no distance reads needed.
-                mark[preds[0]] |= m;
-                continue;
-            }
-            // All marked lanes scan the predecessors together.  Removing
-            // matched lanes from `remaining` keeps first-match semantics
-            // per lane; the per-predecessor compare runs branch-free over
-            // the group's contiguous distance lanes.
-            const double* tv = dist + static_cast<std::size_t>(v) * width;
-            const double* drow = delays + row * width;
-            std::uint8_t remaining = m;
-            for (const NodeId u : preds) {
-                const double* tu = dist + static_cast<std::size_t>(u) * width;
-                std::uint8_t matched = 0;
-                for (std::size_t slot = 0; slot < group; ++slot) {
-                    const std::size_t lane = base + slot;
-                    const bool match = tu[lane] >= 0.0 &&
-                                       tu[lane] + drow[lane] == tv[lane];
-                    matched |= static_cast<std::uint8_t>(
-                        static_cast<unsigned>(match) << slot);
-                }
-                const std::uint8_t take = matched & remaining;
-                mark[u] = static_cast<std::uint8_t>(mark[u] | take);
-                remaining = static_cast<std::uint8_t>(remaining & ~take);
-                if (remaining == 0) break;
-            }
-            LEQA_REQUIRE(remaining == 0,
-                         "lane path recovery found no predecessor");
-        }
-
-        // Unfold the (mask, row) counts into per-lane censuses.  The zero
-        // delay row (start/end nodes) is skipped, matching census()'s
-        // Op-nodes-only rule.
-        for (std::size_t mask = 1; mask < 256; ++mask) {
-            const std::uint32_t* row_counts = &mask_counts[mask * kRows];
-            for (std::size_t row = 0; row < circuit::kGateKindCount; ++row) {
-                const std::uint32_t count = row_counts[row];
-                if (count == 0) continue;
-                for (std::uint8_t bits = static_cast<std::uint8_t>(mask);
-                     bits != 0; bits &= bits - 1) {
-                    PathCensus& census =
-                        out[base +
-                            static_cast<std::size_t>(std::countr_zero(bits))];
-                    census.by_kind[row] += count;
-                    census.total_ops += count;
-                }
-            }
-        }
+    LEQA_REQUIRE(out.size() <= lanes.length.size(), "more censuses requested than lanes");
+    for (PathCensus& census : out) census = PathCensus{};
+    const std::uint16_t* kinds = delay_row_.data() + 1;
+    switch (lanes.width) {
+        case 1:
+            census_lanes<1>(operands_, kinds, lanes.via_second.data(), lanes.end_qubit,
+                            num_qubits_, out);
+            break;
+        case 8:
+            census_lanes<8>(operands_, kinds, lanes.via_second.data(), lanes.end_qubit,
+                            num_qubits_, out);
+            break;
+        default:
+            census_lanes<32>(operands_, kinds, lanes.via_second.data(), lanes.end_qubit,
+                             num_qubits_, out);
+            break;
     }
 }
 

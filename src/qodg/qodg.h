@@ -49,23 +49,23 @@ struct LongestPath {
     double length = 0.0;           ///< distance at the end node
 };
 
-/// Result of a lane-blocked longest-path computation: several per-kind
-/// delay tables relaxed through one shared edge sweep.  Storage is
-/// node-major — lane `l` of node `u` lives at index `u * lanes + l` — so
-/// the per-edge inner loop touches one contiguous run per node.  No
-/// per-node predecessors are materialized; critical_path_lane() recovers a
-/// lane's path from the distances and the kind-major delay table kept here.
+/// Result of a lane-blocked longest-path computation: up to 32 per-kind
+/// delay tables (one per parameter point) run through one forward pass
+/// over per-qubit lane registers.  It keeps each lane's path length and
+/// what critical_census_lanes() needs to recover the paths without any
+/// per-node distance: one winner bit per (op, lane) and the register each
+/// lane's end node took its length from.
 struct LongestPathLanes {
-    std::size_t lanes = 0;
-    std::vector<double> distance;  ///< node-major, [node * lanes + lane]
-    /// Kind-major delay table the distances were computed with: delay of
-    /// kind `k` in lane `l` at [k * lanes + l], plus one trailing all-zero
-    /// row indexed by start/end nodes.
-    std::vector<double> delay_soa;
-
-    [[nodiscard]] double at(NodeId node, std::size_t lane) const {
-        return distance[static_cast<std::size_t>(node) * lanes + lane];
-    }
+    /// Kernel width: 1, 8 or 32.  Lanes past the table count repeat the
+    /// last table.
+    std::size_t width = 0;
+    std::vector<double> length; ///< per delay table: start->end path length
+    /// Per op, max(1, width / 8) bytes: bit l is set when lane l's path
+    /// enters the op through its second operand.
+    std::vector<std::uint8_t> via_second;
+    /// Per lane: the qubit whose register won the end node (unused for a
+    /// qubit-free circuit).
+    std::vector<circuit::Qubit> end_qubit;
 };
 
 /// Per-kind census of operations on a path (plus the total).
@@ -131,42 +131,32 @@ public:
     /// longest-path result.
     [[nodiscard]] std::vector<NodeId> critical_path(const LongestPath& lp) const;
 
-    /// Lane-blocked longest path: relax `tables.size()` per-gate-kind delay
-    /// tables (one per parameter point) through a SINGLE pass over the
-    /// edges.  The sweep is pull-based — for each node in topological
-    /// order, gather the max over its predecessors (reverse CSR built at
-    /// construction) into lane accumulators that live in registers — so
-    /// the inner loop is a pure double add/compare/select over contiguous
-    /// lanes with one store per node, and no distance re-initialization
-    /// between calls.  Each lane's distances are bit-identical to a scalar
-    /// longest_path() over the matching node_delays() vector: the
-    /// predecessors of a node are gathered in the same ascending-id order
-    /// the push-based sweep relaxes them in.  Reuses `out`'s storage
-    /// across calls.  Start/end nodes get zero delay, as in node_delays().
+    /// Lane-blocked longest path: run `tables.size()` (1..32) per-gate-kind
+    /// delay tables, one per parameter point, through ONE forward pass in
+    /// program order.  A node's predecessors are the last nodes on its
+    /// operands, so the pass keeps one register per (qubit, lane) instead
+    /// of a distance per node.  Each op reads its <= 2 operand registers
+    /// (the one whose last node has the lower id first), adds its delay,
+    /// writes the larger candidate to both, and records in a lane bit
+    /// whether the second operand won — the push-based sweep's candidate
+    /// set, relax order and strict `>`, so each lane's length is
+    /// bit-identical to longest_path() over the matching node_delays().
+    /// The end node takes, per lane, the largest register, ties going to
+    /// the smallest last-node id.  Widths 1, 8 and 32 are compiled
+    /// kernels; other counts run at the next one up, the extra lanes
+    /// repeating the last table.  Throws InputError for 0 or more than 32
+    /// tables, a NaN or negative delay, or an op on more than two qubits
+    /// (a pre-FT graph).  Reuses `out`'s storage across calls.
     void longest_path_lanes(
         std::span<const std::array<double, circuit::kGateKindCount>> tables,
         LongestPathLanes& out) const;
 
-    /// Extract one lane's start->end critical path from a lane-blocked
-    /// result (same node sequence as critical_path()).  Predecessors are
-    /// not stored during the sweep; this walks the reverse edges from the
-    /// end taking, at each node v, the first predecessor u (ascending id)
-    /// with distance(u) + delay(v) == distance(v) — exactly the
-    /// predecessor the push-based scalar sweep records, since it is the
-    /// first node to reach v's final distance and later ties never
-    /// overwrite it.
-    [[nodiscard]] std::vector<NodeId> critical_path_lane(
-        const LongestPathLanes& lanes, std::size_t lane) const;
-
-    /// census(critical_path_lane(lanes, lane)) for lanes [0, out.size())
-    /// at once, without materializing any path.  Instead of walking each
-    /// lane's predecessor chain (a serial string of dependent loads), one
-    /// reverse-topological sweep carries a per-node lane bitmask: a node's
-    /// path membership is decided by its already-processed successors, so
-    /// every access streams through the arrays in id order.  Nodes with a
-    /// single predecessor — most of the narrow QODG — forward their mask
-    /// without reading any distances at all; only join nodes run the
-    /// first-match predecessor scan per marked lane.
+    /// census(critical_path(...)) for lanes [0, out.size()) at once,
+    /// without materializing any path: one reverse pass over the ops
+    /// carries a lane mask per qubit.  An op is on a lane's path when the
+    /// lane is in either operand's mask; its winner bit then moves the
+    /// lane to the operand the path entered through.  No distance is
+    /// re-read, and every lane's count is exactly the scalar walk's.
     void critical_census_lanes(const LongestPathLanes& lanes,
                                std::span<PathCensus> out) const;
 
@@ -200,10 +190,19 @@ private:
     /// Predecessor CSR, built first: successors(v) are v's predecessors,
     /// ascending.  csr_ is its reversal.
     graph::CsrDigraph rcsr_;
-    /// Per-node row into a kind-major delay table: the gate kind for Op
-    /// nodes, the trailing zero row (kGateKindCount) for start/end.  The
-    /// only per-node record: its size is the node count.
+    /// Per node: the gate kind of an Op node, the row of the per-kind
+    /// delay table it reads; kGateKindCount for start/end.  Its size is
+    /// the node count.
     std::vector<std::uint16_t> delay_row_;
+    /// Per op (node id - 1): its operand qubits, the one whose last node
+    /// has the lower id first; (q, q) for a one-qubit op.
+    std::vector<std::array<circuit::Qubit, 2>> operands_;
+    /// One qubit per distinct end-node predecessor, ascending by that
+    /// predecessor's id: the qubit it is the last node on (any qubit for
+    /// start).  Empty for a qubit-free circuit.
+    std::vector<circuit::Qubit> end_qubits_;
+    std::size_t num_qubits_ = 0; ///< registers per lane
+    bool has_wide_ops_ = false; ///< some op touches more than two qubits
 };
 
 } // namespace leqa::qodg

@@ -8,7 +8,10 @@
 // the scalar path), the batch reduction accumulates in the scalar's bin
 // order, and the lane-blocked longest path performs the scalar relaxation
 // per lane — so every field of a batched estimate must equal the scalar
-// engine's double for double.
+// engine's double for double.  The scalar engine is a one-point batch at
+// lane width 1, so these tests pin that a point's result does not depend
+// on its block; qodg_test and property_test check the lane kernel itself
+// against the push-based longest path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -97,8 +100,9 @@ void expect_estimates_identical(const leqa::core::LeqaEstimate& batched,
 }
 
 /// A mixed (Nc, v) axis long enough to exercise full lane blocks plus a
-/// ragged tail (10 points = 8 + 2 at the default lane width).
-std::vector<lcore::ParameterPoint> mixed_axis() {
+/// ragged tail: 10 points = 8 + 2, 33 = 32 + 1, 40 = 32 + 8.  Longer axes
+/// extend the 10-point one with distinct points.
+std::vector<lcore::ParameterPoint> mixed_axis(std::size_t length = 10) {
     std::vector<lcore::ParameterPoint> points;
     for (const int nc : {2, 5, 9}) {
         for (const double v : {2e-4, 1e-3, 5e-3}) {
@@ -106,6 +110,9 @@ std::vector<lcore::ParameterPoint> mixed_axis() {
         }
     }
     points.push_back({1, 1.0});
+    for (std::size_t i = points.size(); i < length; ++i) {
+        points.push_back({1 + static_cast<int>(i % 7), 1e-4 * static_cast<double>(i)});
+    }
     return points;
 }
 
@@ -206,25 +213,28 @@ TEST(ExpectedSurfacesSoA, MatchesReferenceAcrossHistograms) {
 
 TEST(EstimateBatch, MatchesScalarAcrossTopologies) {
     const ProfiledCircuit circuit = profiled("8bitadder");
-    const std::vector<lcore::ParameterPoint> points = mixed_axis();
-    for (const lf::TopologyKind kind :
-         {lf::TopologyKind::Grid, lf::TopologyKind::Torus, lf::TopologyKind::Line}) {
-        lf::PhysicalParams base;
-        base.topology = kind;
-        if (kind == lf::TopologyKind::Line) {
-            base.width = 60 * 60;
-            base.height = 1;
-        }
-        const lcore::EstimationEngine engine(base);
-        const std::vector<leqa::core::LeqaEstimate> batched =
-            engine.estimate_batch(circuit.profile, points);
-        ASSERT_EQ(batched.size(), points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            expect_estimates_identical(
-                batched[i],
-                scalar_estimate(circuit.profile, base, points[i].nc, points[i].v),
-                "topology " + std::to_string(static_cast<int>(kind)) + " point " +
-                    std::to_string(i));
+    for (const std::size_t length : {10, 33, 40}) {
+        const std::vector<lcore::ParameterPoint> points = mixed_axis(length);
+        for (const lf::TopologyKind kind :
+             {lf::TopologyKind::Grid, lf::TopologyKind::Torus, lf::TopologyKind::Line}) {
+            lf::PhysicalParams base;
+            base.topology = kind;
+            if (kind == lf::TopologyKind::Line) {
+                base.width = 60 * 60;
+                base.height = 1;
+            }
+            const lcore::EstimationEngine engine(base);
+            const std::vector<leqa::core::LeqaEstimate> batched =
+                engine.estimate_batch(circuit.profile, points);
+            ASSERT_EQ(batched.size(), points.size());
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                expect_estimates_identical(
+                    batched[i],
+                    scalar_estimate(circuit.profile, base, points[i].nc, points[i].v),
+                    "axis " + std::to_string(length) + " topology " +
+                        std::to_string(static_cast<int>(kind)) + " point " +
+                        std::to_string(i));
+            }
         }
     }
 }

@@ -15,6 +15,7 @@
 #include "fabric/topology.h"
 #include "graph/csr.h"
 #include "iig/iig.h"
+#include "lane_reference.h"
 #include "mathx/queueing.h"
 #include "qodg/qodg.h"
 #include "qspr/qspr.h"
@@ -27,27 +28,7 @@ namespace lm = leqa::mathx;
 namespace lq = leqa::qspr;
 namespace lt = leqa::test_support;
 
-namespace {
-
-lc::Circuit random_ft_circuit(std::size_t qubits, std::size_t gates, std::uint64_t seed) {
-    leqa::util::Rng rng(seed);
-    lc::Circuit circ(qubits);
-    for (std::size_t g = 0; g < gates; ++g) {
-        const auto picks = rng.sample_without_replacement(qubits, 2);
-        switch (rng.index(5)) {
-            case 0: circ.h(static_cast<lc::Qubit>(picks[0])); break;
-            case 1: circ.t(static_cast<lc::Qubit>(picks[0])); break;
-            case 2: circ.x(static_cast<lc::Qubit>(picks[0])); break;
-            default:
-                circ.cnot(static_cast<lc::Qubit>(picks[0]),
-                          static_cast<lc::Qubit>(picks[1]));
-                break;
-        }
-    }
-    return circ;
-}
-
-} // namespace
+using lt::random_ft_circuit;
 
 // --------------------------------------------------- coverage properties --
 
@@ -325,6 +306,28 @@ TEST_P(StructuredFuzzSweep, RandomCircuitAndTopologyHoldEveryContract) {
         EXPECT_LE(std::abs(staged.latency_us - reference.latency_us) / scale, 1e-9)
             << staged.latency_us << " vs " << reference.latency_us;
     }
+
+    // The lane-blocked critical path equals the push-based sweep bit for
+    // bit at a random width: lane 0 is this estimate's own delay table
+    // (so its latency and census are checked too), the others scale its
+    // CNOT routing term.
+    std::vector<lt::DelayTable> tables(1 + rng.index(32));
+    for (std::size_t lane = 0; lane < tables.size(); ++lane) {
+        const double scale = lane == 0 ? 1.0 : 0.25 + 2.0 * rng.uniform();
+        for (std::size_t k = 0; k < lc::kGateKindCount; ++k) {
+            const auto kind = static_cast<lc::GateKind>(k);
+            if (!lc::gate_info(kind).is_ft) continue;
+            tables[lane][k] = params.delay_us(kind) +
+                              (kind == lc::GateKind::Cnot
+                                   ? estimate.l_cnot_avg_us * scale
+                                   : estimate.l_one_qubit_avg_us);
+        }
+    }
+    EXPECT_EQ(lt::lane_mismatch(graph, tables), "") << "width " << tables.size();
+    const auto lp = graph.longest_path(graph.node_delays(tables[0]));
+    EXPECT_EQ(estimate.latency_us, lp.length);
+    EXPECT_EQ(estimate.critical_census.by_kind,
+              graph.census(graph.critical_path(lp)).by_kind);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StructuredFuzzSweep,

@@ -1,7 +1,12 @@
 // Tests for the quantum operation dependency graph: construction (start/end
-// sentinels, merged parallel edges), longest path, critical-path census.
+// sentinels, merged parallel edges), longest path, critical-path census,
+// and the lane-blocked critical path against the push-based sweep.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "lane_reference.h"
 #include "qodg/qodg.h"
 #include "synth/decompose.h"
 #include "util/error.h"
@@ -9,6 +14,7 @@
 
 namespace lc = leqa::circuit;
 namespace lq = leqa::qodg;
+namespace lt = leqa::test_support;
 
 namespace {
 
@@ -23,6 +29,21 @@ lc::Circuit ham3_ft() {
 
 std::vector<double> unit_delays(const lq::Qodg& graph) {
     return graph.node_delays([](lc::GateKind) { return 1.0; });
+}
+
+/// `width` delay tables over the FT kinds: fixed one-qubit delays, a
+/// random CNOT delay per lane (every other lane a small integer, so equal
+/// path lengths and hence ties are common).
+std::vector<lt::DelayTable> random_cnot_tables(std::size_t width, leqa::util::Rng& rng) {
+    std::vector<lt::DelayTable> tables(width);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+        for (std::size_t k = 0; k < lc::kGateKindCount; ++k) {
+            if (lc::gate_info(static_cast<lc::GateKind>(k)).is_ft) tables[lane][k] = 1.0;
+        }
+        tables[lane][static_cast<std::size_t>(lc::GateKind::Cnot)] =
+            lane % 2 == 0 ? static_cast<double>(rng.index(4)) : 10.0 * rng.uniform();
+    }
+    return tables;
 }
 
 } // namespace
@@ -196,4 +217,73 @@ TEST(Qodg, GateIndexMapping) {
     EXPECT_EQ(graph.node_of_gate(2), 3u);
     EXPECT_EQ(graph.node(graph.node_of_gate(1)).gate_kind, lc::GateKind::Cnot);
     EXPECT_THROW((void)graph.node_of_gate(3), leqa::util::Error);
+}
+
+// ------------------------------------------------ lane-blocked critical path
+
+TEST(QodgLanes, MatchPushBasedSweepBitForBit) {
+    leqa::util::Rng rng(2013);
+    lc::Circuit idle_qubit(6); // qubit 5 is never touched
+    for (lc::Qubit q = 0; q < 5; ++q) idle_qubit.h(q).cnot(q, (q + 1) % 5).t(q);
+    const lc::Circuit circuits[] = {ham3_ft(), lt::random_ft_circuit(9, 400, 11),
+                                    lt::random_ft_circuit(3, 150, 12), idle_qubit};
+    for (std::size_t c = 0; c < std::size(circuits); ++c) {
+        const lq::Qodg graph(circuits[c]);
+        for (const std::size_t width : {1, 3, 8, 9, 31, 32}) {
+            std::vector<lt::DelayTable> tables = random_cnot_tables(width, rng);
+            EXPECT_EQ(lt::lane_mismatch(graph, tables), "")
+                << "circuit " << c << " width " << width;
+
+            // Every entry equal: paths tie everywhere, so only the tie
+            // rule decides the census.
+            for (lt::DelayTable& table : tables) table.fill(1.0);
+            EXPECT_EQ(lt::lane_mismatch(graph, tables), "")
+                << "circuit " << c << " all-equal width " << width;
+
+            // One +inf lane among finite ones.
+            tables = random_cnot_tables(width, rng);
+            tables[width / 2][static_cast<std::size_t>(lc::GateKind::Cnot)] =
+                std::numeric_limits<double>::infinity();
+            EXPECT_EQ(lt::lane_mismatch(graph, tables), "")
+                << "circuit " << c << " +inf width " << width;
+        }
+    }
+}
+
+TEST(QodgLanes, GateFreeAndQubitFreeCircuits) {
+    leqa::util::Rng rng(5);
+    for (const std::size_t qubits : {0, 3}) {
+        const lq::Qodg graph{lc::Circuit(qubits)};
+        const std::vector<lt::DelayTable> tables = random_cnot_tables(9, rng);
+        EXPECT_EQ(lt::lane_mismatch(graph, tables), "") << qubits << " qubits";
+        lq::LongestPathLanes lanes;
+        graph.longest_path_lanes(tables, lanes);
+        std::vector<lq::PathCensus> census(tables.size());
+        graph.critical_census_lanes(lanes, census);
+        for (std::size_t lane = 0; lane < tables.size(); ++lane) {
+            EXPECT_EQ(lanes.length[lane], 0.0);
+            EXPECT_EQ(census[lane].total_ops, 0u);
+        }
+    }
+}
+
+TEST(QodgLanes, RejectsBadInputs) {
+    const auto circ = ham3_ft();
+    const lq::Qodg graph(circ);
+    leqa::util::Rng rng(3);
+    lq::LongestPathLanes lanes;
+    EXPECT_THROW(graph.longest_path_lanes({}, lanes), leqa::util::InputError);
+    EXPECT_THROW(graph.longest_path_lanes(random_cnot_tables(33, rng), lanes),
+                 leqa::util::InputError);
+    for (const double bad : {std::nan(""), -1.0}) {
+        std::vector<lt::DelayTable> tables = random_cnot_tables(8, rng);
+        tables[5][static_cast<std::size_t>(lc::GateKind::T)] = bad;
+        EXPECT_THROW(graph.longest_path_lanes(tables, lanes), leqa::util::InputError)
+            << bad;
+    }
+    // A pre-FT graph: the Toffoli node has three operands.
+    lc::Circuit toffoli(3);
+    toffoli.h(0).toffoli(0, 1, 2);
+    EXPECT_THROW(lq::Qodg(toffoli).longest_path_lanes(random_cnot_tables(1, rng), lanes),
+                 leqa::util::InputError);
 }

@@ -32,16 +32,25 @@
 ///     estimate_batch call against a scalar estimate() per point, with two
 ///     parity flags: `parity_ok` (batch == scalar engine) and
 ///     `reference_parity_ok` (every batched latency and census == the
-///     push-based longest path over the same delays).
+///     push-based longest path over the same delays).  The push-based
+///     loop is timed too: `reference_speedup` is its per-point cost over
+///     the batched one, a same-box ratio that a slower lane kernel lowers;
+///   - allocations: a counting global `operator new` (this binary only)
+///     records allocations and bytes per FT op of a cold `Pipeline::run`
+///     of bench:gf2^64mult (full size under every knob), and per point of
+///     the serial 200-point explore.  Both counts are deterministic.
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
 /// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
 /// overrides the artifact path.
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +71,55 @@
 
 namespace {
 
+// Every allocation this process makes, counted by the replacement global
+// operator new below.
+std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+void* counted_alloc(std::size_t size, std::size_t alignment) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+    const std::size_t bytes = size == 0 ? 1 : size;
+    void* block = alignment <= alignof(std::max_align_t)
+                      ? std::malloc(bytes)
+                      : std::aligned_alloc(alignment, (bytes + alignment - 1) / alignment * alignment);
+    if (block == nullptr) throw std::bad_alloc();
+    return block;
+}
+
+} // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size, alignof(std::max_align_t)); }
+void* operator new(std::size_t size, std::align_val_t alignment) {
+    return counted_alloc(size, static_cast<std::size_t>(alignment));
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+void operator delete(void* block, std::align_val_t) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t, std::align_val_t) noexcept { std::free(block); }
+
+namespace {
+
 using namespace leqa;
+
+/// Allocations and bytes allocated while `body` runs.
+struct AllocationCount {
+    std::size_t allocations = 0;
+    std::size_t bytes = 0;
+};
+
+template <typename F>
+AllocationCount count_allocations(F&& body) {
+    const std::size_t allocations = g_allocations.load(std::memory_order_relaxed);
+    const std::size_t bytes = g_allocated_bytes.load(std::memory_order_relaxed);
+    body();
+    return {g_allocations.load(std::memory_order_relaxed) - allocations,
+            g_allocated_bytes.load(std::memory_order_relaxed) - bytes};
+}
+
+double per(std::size_t count, std::size_t units) {
+    return units > 0 ? static_cast<double>(count) / static_cast<double>(units) : 0.0;
+}
 
 std::uint64_t spin(std::uint64_t iterations, std::uint64_t state) {
     for (std::uint64_t i = 0; i < iterations; ++i) {
@@ -303,8 +360,10 @@ int main() {
     const std::vector<fabric::PhysicalParams> explore_points =
         core::exploration_configurations(explore_profile.num_qubits, explore_base,
                                          explore_spec);
-    const auto serial_explore =
-        core::evaluate_configurations(explore_profile, explore_points, {}, 1);
+    core::ExplorationResult serial_explore;
+    const AllocationCount explore_allocations = count_allocations([&] {
+        serial_explore = core::evaluate_configurations(explore_profile, explore_points, {}, 1);
+    });
 
     struct ExploreRow {
         std::size_t threads = 1;
@@ -391,23 +450,47 @@ int main() {
     // cannot catch a kernel bug.  Check every batched point against the
     // push-based sweep (graph::longest_path and its predecessor walk) over
     // the point's own per-kind delays: latency and census must be equal.
+    // Timed as well: the per-point cost of that sweep over the batched
+    // per-point cost is the kernel's same-box speedup.
+    std::vector<double> reference_lengths(batched_estimates.size());
+    std::vector<qodg::PathCensus> reference_censuses(batched_estimates.size());
+    const double reference_axis_s = best_of(3, [&] {
+        for (std::size_t i = 0; i < batched_estimates.size(); ++i) {
+            const core::LeqaEstimate& estimate = batched_estimates[i];
+            std::array<double, circuit::kGateKindCount> delays{};
+            for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
+                if (profile.gate_counts[k] == 0) continue;
+                const auto kind = static_cast<circuit::GateKind>(k);
+                delays[k] = params.delay_us(kind) + (kind == circuit::GateKind::Cnot
+                                                         ? estimate.l_cnot_avg_us
+                                                         : estimate.l_one_qubit_avg_us);
+            }
+            const qodg::LongestPath lp = graph.longest_path(graph.node_delays(delays));
+            reference_lengths[i] = lp.length;
+            reference_censuses[i] = graph.census(graph.critical_path(lp));
+        }
+    });
+    const double reference_axis_point_s =
+        reference_axis_s / static_cast<double>(axis_points.size());
+    const double reference_speedup =
+        batched_axis_s > 0.0 ? reference_axis_s / batched_axis_s : 0.0;
     bool reference_parity_ok = batched_estimates.size() == axis_points.size();
     for (std::size_t i = 0; reference_parity_ok && i < batched_estimates.size(); ++i) {
-        const core::LeqaEstimate& estimate = batched_estimates[i];
-        std::array<double, circuit::kGateKindCount> delays{};
-        for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
-            if (profile.gate_counts[k] == 0) continue;
-            const auto kind = static_cast<circuit::GateKind>(k);
-            delays[k] = params.delay_us(kind) + (kind == circuit::GateKind::Cnot
-                                                     ? estimate.l_cnot_avg_us
-                                                     : estimate.l_one_qubit_avg_us);
-        }
-        const qodg::LongestPath lp = graph.longest_path(graph.node_delays(delays));
-        const qodg::PathCensus census = graph.census(graph.critical_path(lp));
-        reference_parity_ok = estimate.latency_us == lp.length &&
-                              estimate.critical_census.by_kind == census.by_kind &&
-                              estimate.critical_census.total_ops == census.total_ops;
+        const qodg::PathCensus& census = batched_estimates[i].critical_census;
+        reference_parity_ok = batched_estimates[i].latency_us == reference_lengths[i] &&
+                              census.by_kind == reference_censuses[i].by_kind &&
+                              census.total_ops == reference_censuses[i].total_ops;
     }
+
+    // --- allocations: cold run per FT op, serial explore per point ---------
+    const char* const cold_circuit = "gf2^64mult";
+    std::size_t cold_ft_ops = 0;
+    const AllocationCount cold_allocations = count_allocations([&] {
+        pipeline::Pipeline fresh;
+        const pipeline::EstimationResult result = fresh.run(
+            pipeline::EstimationRequest(pipeline::CircuitSource::from_bench(cold_circuit)));
+        cold_ft_ops = result.circuit.ft_ops;
+    });
 
     // Toolchain note: vectorization silently turning off (an -O0 build, or
     // a compiler losing the SIMD lanes) shows up here, next to the ratio it
@@ -468,8 +551,22 @@ int main() {
                 "reference %s)\n",
                 batched_axis_point_s, batched_ratio, parity_ok ? "ok" : "BROKEN",
                 reference_parity_ok ? "ok" : "BROKEN");
+    std::printf("  push-based sweep   : %.3e s/point  (batched %.2fx faster)\n",
+                reference_axis_point_s, reference_speedup);
     std::printf("  toolchain: %s, simd %s, optimized %s\n", __VERSION__, simd,
                 optimized ? "yes" : "NO");
+    std::printf("allocations:\n");
+    std::printf("  cold run, %s (%zu FT ops): %zu allocations, %zu bytes "
+                "(%.4f and %.1f per FT op)\n",
+                cold_circuit, cold_ft_ops, cold_allocations.allocations, cold_allocations.bytes,
+                per(cold_allocations.allocations, cold_ft_ops),
+                per(cold_allocations.bytes, cold_ft_ops));
+    std::printf("  serial explore, %zu points: %zu allocations, %zu bytes "
+                "(%.2f and %.0f per point)\n",
+                explore_points.size(), explore_allocations.allocations,
+                explore_allocations.bytes,
+                per(explore_allocations.allocations, explore_points.size()),
+                per(explore_allocations.bytes, explore_points.size()));
 
     // --- artifact ----------------------------------------------------------
     util::JsonWriter json;
@@ -531,12 +628,32 @@ int main() {
     json.kv("scalar_per_point_s", scalar_axis_point_s);
     json.kv("batched_per_point_s", batched_axis_point_s);
     json.kv("per_point_ratio", batched_ratio);
+    json.kv("reference_per_point_s", reference_axis_point_s);
+    json.kv("reference_speedup", reference_speedup);
     json.kv("parity_ok", parity_ok);
     json.kv("reference_parity_ok", reference_parity_ok);
     json.key("toolchain").begin_object();
     json.kv("compiler", __VERSION__);
     json.kv("simd", simd);
     json.kv("optimized", optimized);
+    json.end_object();
+    json.end_object();
+    json.key("allocations").begin_object();
+    json.key("cold_run").begin_object();
+    json.kv("circuit", cold_circuit);
+    json.kv("ft_ops", cold_ft_ops);
+    json.kv("allocations", cold_allocations.allocations);
+    json.kv("bytes", cold_allocations.bytes);
+    json.kv("allocations_per_ft_op", per(cold_allocations.allocations, cold_ft_ops));
+    json.kv("bytes_per_ft_op", per(cold_allocations.bytes, cold_ft_ops));
+    json.end_object();
+    json.key("explore").begin_object();
+    json.kv("circuit", "gf2^" + std::to_string(explore_circuit.n) + "mult");
+    json.kv("points", explore_points.size());
+    json.kv("allocations", explore_allocations.allocations);
+    json.kv("bytes", explore_allocations.bytes);
+    json.kv("allocations_per_point", per(explore_allocations.allocations, explore_points.size()));
+    json.kv("bytes_per_point", per(explore_allocations.bytes, explore_points.size()));
     json.end_object();
     json.end_object();
     json.end_object();

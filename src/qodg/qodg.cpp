@@ -49,6 +49,7 @@ Qodg::Qodg(const circuit::Circuit& circ) {
             circuit::Qubit second = qubits.back();
             if (last[second] < last[first]) std::swap(first, second);
             operands_.push_back({first, second});
+            if (first != second) ++num_two_qubit_ops_;
             preds.push_back(last[first]);
             if (last[second] != last[first]) preds.push_back(last[second]);
         } else {
@@ -158,9 +159,13 @@ Lanes2 load2(const double* from) {
 void store2(double* to, Lanes2 lanes) { std::memcpy(to, &lanes, sizeof lanes); }
 
 #if defined(__SSE2__)
-/// Bit j set when lane j of a comparison result is true.
-unsigned lane_bits(Mask2 mask) {
-    return static_cast<unsigned>(_mm_movemask_pd(std::bit_cast<__m128d>(mask)));
+/// Bits 0-3 set for the true lanes of two comparison results, `low`'s two
+/// lanes first: each 64-bit lane's low half carries its sign, so one
+/// shuffle packs four lanes for MOVMSKPS.
+unsigned lane_bits4(Mask2 low, Mask2 high) {
+    const __m128 packed = _mm_shuffle_ps(std::bit_cast<__m128>(low),
+                                         std::bit_cast<__m128>(high), _MM_SHUFFLE(2, 0, 2, 0));
+    return static_cast<unsigned>(_mm_movemask_ps(packed));
 }
 
 /// Lane by lane, `greater ? cs : cf` for `greater = cs > cf`: exactly what
@@ -170,14 +175,15 @@ Lanes2 keep_greater(Lanes2 cs, Lanes2 cf, Mask2 /*greater*/) {
         _mm_max_pd(std::bit_cast<__m128d>(cs), std::bit_cast<__m128d>(cf)));
 }
 #else
-unsigned lane_bits(Mask2 mask) {
-    return static_cast<unsigned>(mask[0] & 1) | (static_cast<unsigned>(mask[1] & 1) << 1);
+unsigned lane_bits4(Mask2 low, Mask2 high) {
+    return static_cast<unsigned>(low[0] & 1) | (static_cast<unsigned>(low[1] & 1) << 1) |
+           (static_cast<unsigned>(high[0] & 1) << 2) | (static_cast<unsigned>(high[1] & 1) << 3);
 }
 
 Lanes2 keep_greater(Lanes2 cs, Lanes2 cf, Mask2 greater) { return greater ? cs : cf; }
 #endif
 
-/// One winner-bit word per op of a width-W kernel.
+/// One winner-bit word per two-qubit op of a width-W kernel.
 template <std::size_t W>
 using LaneMask = std::conditional_t<(W > 8), std::uint32_t, std::uint8_t>;
 
@@ -185,10 +191,12 @@ using OperandPair = std::array<circuit::Qubit, 2>;
 
 /// The forward pass at compile-time width W over per-qubit registers
 /// (`regs[q * W + lane]`, all zero = start's distance on entry) and a
-/// kind-major delay table (`delays[kind * W + lane]`).  Op i on (f, s)
-/// computes cf = reg[f] + d and cs = reg[s] + d, keeps cs iff cs > cf and
-/// writes the winner to both registers; a one-qubit op is (q, q), where
-/// the equal candidates never set the winner bit.
+/// kind-major delay table (`delays[kind * W + lane]`).  A one-qubit op
+/// (q, q) adds its delay to reg[q]: the two-qubit body's equal candidates
+/// would give the same bits and never set a winner bit.  A two-qubit op
+/// on (f, s) computes cf = reg[f] + d and cs = reg[s] + d, keeps cs iff
+/// cs > cf, writes the winner to both registers and appends its winner
+/// word to `via_second`.
 template <std::size_t W>
 void forward_lanes(std::span<const OperandPair> ops, const std::uint16_t* kinds,
                    const double* delays, double* regs, std::uint8_t* via_second) {
@@ -196,44 +204,62 @@ void forward_lanes(std::span<const OperandPair> ops, const std::uint16_t* kinds,
         for (std::size_t i = 0; i < ops.size(); ++i) {
             const auto [f, s] = ops[i];
             const double delay = delays[kinds[i]];
+            if (f == s) {
+                regs[f] += delay;
+                continue;
+            }
             const double cf = regs[f] + delay;
             const double cs = regs[s] + delay;
             const bool won = cs > cf;
             const double best = won ? cs : cf;
             regs[f] = best;
             regs[s] = best;
-            via_second[i] = static_cast<std::uint8_t>(won);
+            *via_second++ = static_cast<std::uint8_t>(won);
         }
     } else {
         using Mask = LaneMask<W>;
-        constexpr std::size_t kVecs = W / 2;
+        static_assert(W % 4 == 0, "winner bits are read four lanes at a time");
         for (std::size_t i = 0; i < ops.size(); ++i) {
             const auto [f, s] = ops[i];
             double* rf = regs + static_cast<std::size_t>(f) * W;
-            double* rs = regs + static_cast<std::size_t>(s) * W;
             const double* delay = delays + static_cast<std::size_t>(kinds[i]) * W;
-            // All loads before any store: rf and rs may be one register.
-            Lanes2 best[kVecs];
-            Mask won = 0;
-            for (std::size_t j = 0; j < kVecs; ++j) {
-                const Lanes2 d = load2(delay + 2 * j);
-                const Lanes2 cf = load2(rf + 2 * j) + d;
-                const Lanes2 cs = load2(rs + 2 * j) + d;
-                const Mask2 second = cs > cf;
-                best[j] = keep_greater(cs, cf, second);
-                won = static_cast<Mask>(won | (lane_bits(second) << (2 * j)));
+            if (f == s) {
+                for (std::size_t lane = 0; lane < W; lane += 2) {
+                    store2(rf + lane, load2(rf + lane) + load2(delay + lane));
+                }
+                continue;
             }
-            for (std::size_t j = 0; j < kVecs; ++j) store2(rf + 2 * j, best[j]);
-            for (std::size_t j = 0; j < kVecs; ++j) store2(rs + 2 * j, best[j]);
-            std::memcpy(via_second + i * sizeof(Mask), &won, sizeof(Mask));
+            // f != s, so rf and rs are distinct registers: each vector
+            // pair is stored as soon as it is computed.
+            double* rs = regs + static_cast<std::size_t>(s) * W;
+            const auto step = [&](std::size_t lane) {
+                const Lanes2 d = load2(delay + lane);
+                const Lanes2 cf = load2(rf + lane) + d;
+                const Lanes2 cs = load2(rs + lane) + d;
+                const Mask2 second = cs > cf;
+                const Lanes2 best = keep_greater(cs, cf, second);
+                store2(rf + lane, best);
+                store2(rs + lane, best);
+                return second;
+            };
+            Mask won = 0;
+            for (std::size_t lane = 0; lane < W; lane += 4) {
+                const Mask2 low = step(lane);
+                const Mask2 high = step(lane + 2);
+                won = static_cast<Mask>(won | (lane_bits4(low, high) << lane));
+            }
+            std::memcpy(via_second, &won, sizeof(Mask));
+            via_second += sizeof(Mask);
         }
     }
 }
 
 /// The reverse census pass at width W: `mask[q]` holds the lanes whose
 /// path, walked back from the end, next meets qubit q's latest op.  An op
-/// is on the lanes in either operand's mask; its winner bits then send
-/// each lane on to the operand its path entered through.
+/// is on the lanes in its operands' masks.  A one-qubit op leaves its
+/// mask as it is; a two-qubit op's winner bits, read from the back of
+/// `via_second`, send each lane on to the operand its path entered
+/// through.
 ///
 /// About half of all ops lie on the critical path, so a branch on path
 /// membership mispredicts often: one lane counts without one.  Wider
@@ -242,25 +268,31 @@ void forward_lanes(std::span<const OperandPair> ops, const std::uint16_t* kinds,
 /// counts an op for every lane on it.
 template <std::size_t W>
 void census_lanes(std::span<const OperandPair> ops, const std::uint16_t* kinds,
-                  const std::uint8_t* via_second, std::span<const circuit::Qubit> end_qubit,
-                  std::size_t num_qubits, std::span<PathCensus> out) {
+                  std::span<const std::uint8_t> via_second,
+                  std::span<const circuit::Qubit> end_qubit, std::size_t num_qubits,
+                  std::span<PathCensus> out) {
     using Mask = LaneMask<W>;
     std::vector<Mask> mask(num_qubits, 0);
     for (std::size_t lane = 0; lane < out.size() && num_qubits > 0; ++lane) {
         mask[end_qubit[lane]] = static_cast<Mask>(mask[end_qubit[lane]] | (Mask{1} << lane));
     }
+    const std::uint8_t* next_word = via_second.data() + via_second.size();
     std::array<std::size_t, circuit::kGateKindCount> single{}; // W == 1
     std::array<std::array<Mask, 32>, circuit::kGateKindCount> plane{}; // W > 1; counts < 2^32
     for (std::size_t i = ops.size(); i-- > 0;) {
         const auto [f, s] = ops[i];
-        const auto on_path = static_cast<Mask>(mask[f] | mask[s]);
-        if (W > 1 && on_path == 0) continue;
-        Mask won = 0;
-        std::memcpy(&won, via_second + i * sizeof(Mask), sizeof(Mask));
-        // For (q, q) the winner bits are clear, so the second store keeps
-        // every lane on q.
-        mask[s] = static_cast<Mask>(on_path & won);
-        mask[f] = static_cast<Mask>(on_path & ~won);
+        auto on_path = mask[f];
+        if (f != s) {
+            next_word -= sizeof(Mask);
+            on_path = static_cast<Mask>(on_path | mask[s]);
+            if (W > 1 && on_path == 0) continue;
+            Mask won = 0;
+            std::memcpy(&won, next_word, sizeof(Mask));
+            mask[s] = static_cast<Mask>(on_path & won);
+            mask[f] = static_cast<Mask>(on_path & ~won);
+        } else if (W > 1 && on_path == 0) {
+            continue;
+        }
         if constexpr (W == 1) {
             single[kinds[i]] += on_path;
         } else {
@@ -301,7 +333,6 @@ void longest_path_width(std::span<const std::array<double, circuit::kGateKindCou
         }
     }
     std::vector<double> regs(num_qubits * W, 0.0);
-    out.via_second.resize(ops.size() * sizeof(LaneMask<W>));
     forward_lanes<W>(ops, kinds, delays.data(), regs.data(), out.via_second.data());
 
     // The end node relaxes from its predecessors in ascending id order
@@ -341,6 +372,7 @@ void Qodg::longest_path_lanes(
     out.width = lanes == 1 ? 1 : lanes <= 8 ? 8 : 32;
     out.length.assign(lanes, 0.0);
     out.end_qubit.assign(lanes, 0);
+    out.via_second.resize(num_two_qubit_ops_ * std::max<std::size_t>(1, out.width / 8));
     const std::uint16_t* kinds = delay_row_.data() + 1; // op i is node i + 1
     switch (out.width) {
         case 1:
@@ -358,23 +390,26 @@ void Qodg::longest_path_lanes(
 void Qodg::critical_census_lanes(const LongestPathLanes& lanes,
                                  std::span<PathCensus> out) const {
     const std::size_t word = std::max<std::size_t>(1, lanes.width / 8);
-    LEQA_REQUIRE(lanes.via_second.size() == num_ops() * word &&
-                     lanes.end_qubit.size() == lanes.length.size(),
+    const bool end_qubits_fit =
+        std::all_of(lanes.end_qubit.begin(), lanes.end_qubit.end(),
+                    [&](circuit::Qubit q) { return num_qubits_ == 0 || q < num_qubits_; });
+    LEQA_REQUIRE(lanes.via_second.size() == num_two_qubit_ops_ * word &&
+                     lanes.end_qubit.size() == lanes.length.size() && end_qubits_fit,
                  "lane-blocked result does not match this graph");
     LEQA_REQUIRE(out.size() <= lanes.length.size(), "more censuses requested than lanes");
     for (PathCensus& census : out) census = PathCensus{};
     const std::uint16_t* kinds = delay_row_.data() + 1;
     switch (lanes.width) {
         case 1:
-            census_lanes<1>(operands_, kinds, lanes.via_second.data(), lanes.end_qubit,
+            census_lanes<1>(operands_, kinds, lanes.via_second, lanes.end_qubit,
                             num_qubits_, out);
             break;
         case 8:
-            census_lanes<8>(operands_, kinds, lanes.via_second.data(), lanes.end_qubit,
+            census_lanes<8>(operands_, kinds, lanes.via_second, lanes.end_qubit,
                             num_qubits_, out);
             break;
         default:
-            census_lanes<32>(operands_, kinds, lanes.via_second.data(), lanes.end_qubit,
+            census_lanes<32>(operands_, kinds, lanes.via_second, lanes.end_qubit,
                              num_qubits_, out);
             break;
     }

@@ -53,15 +53,16 @@ struct LongestPath {
 /// delay tables (one per parameter point) run through one forward pass
 /// over per-qubit lane registers.  It keeps each lane's path length and
 /// what critical_census_lanes() needs to recover the paths without any
-/// per-node distance: one winner bit per (op, lane) and the register each
-/// lane's end node took its length from.
+/// per-node distance: one winner bit per (two-qubit op, lane) and the
+/// register each lane's end node took its length from.
 struct LongestPathLanes {
     /// Kernel width: 1, 8 or 32.  Lanes past the table count repeat the
     /// last table.
     std::size_t width = 0;
     std::vector<double> length; ///< per delay table: start->end path length
-    /// Per op, max(1, width / 8) bytes: bit l is set when lane l's path
-    /// enters the op through its second operand.
+    /// Per two-qubit op, in program order, max(1, width / 8) bytes: bit l
+    /// is set when lane l's path enters the op through its second operand.
+    /// A one-qubit op has one way in and no word.
     std::vector<std::uint8_t> via_second;
     /// Per lane: the qubit whose register won the end node (unused for a
     /// qubit-free circuit).
@@ -135,12 +136,13 @@ public:
     /// delay tables, one per parameter point, through ONE forward pass in
     /// program order.  A node's predecessors are the last nodes on its
     /// operands, so the pass keeps one register per (qubit, lane) instead
-    /// of a distance per node.  Each op reads its <= 2 operand registers
-    /// (the one whose last node has the lower id first), adds its delay,
-    /// writes the larger candidate to both, and records in a lane bit
-    /// whether the second operand won — the push-based sweep's candidate
-    /// set, relax order and strict `>`, so each lane's length is
-    /// bit-identical to longest_path() over the matching node_delays().
+    /// of a distance per node.  A one-qubit op adds its delay to its
+    /// qubit's register.  A two-qubit op reads both operand registers (the
+    /// one whose last node has the lower id first), adds its delay, writes
+    /// the larger candidate to both, and records in a lane bit whether the
+    /// second operand won — the push-based sweep's candidate set, relax
+    /// order and strict `>`, so each lane's length is bit-identical to
+    /// longest_path() over the matching node_delays().
     /// The end node takes, per lane, the largest register, ties going to
     /// the smallest last-node id.  Widths 1, 8 and 32 are compiled
     /// kernels; other counts run at the next one up, the extra lanes
@@ -154,9 +156,11 @@ public:
     /// census(critical_path(...)) for lanes [0, out.size()) at once,
     /// without materializing any path: one reverse pass over the ops
     /// carries a lane mask per qubit.  An op is on a lane's path when the
-    /// lane is in either operand's mask; its winner bit then moves the
-    /// lane to the operand the path entered through.  No distance is
-    /// re-read, and every lane's count is exactly the scalar walk's.
+    /// lane is in either operand's mask; a two-qubit op's winner bit then
+    /// moves the lane to the operand the path entered through.  No
+    /// distance is re-read, and every lane's count is exactly the scalar
+    /// walk's.  Throws InputError for a result of another graph (a
+    /// different two-qubit op count, or an end qubit out of range).
     void critical_census_lanes(const LongestPathLanes& lanes,
                                std::span<PathCensus> out) const;
 
@@ -202,6 +206,7 @@ private:
     /// start).  Empty for a qubit-free circuit.
     std::vector<circuit::Qubit> end_qubits_;
     std::size_t num_qubits_ = 0; ///< registers per lane
+    std::size_t num_two_qubit_ops_ = 0; ///< ops with f != s: one winner word each
     bool has_wide_ops_ = false; ///< some op touches more than two qubits
 };
 

@@ -310,17 +310,18 @@ TEST_P(StructuredFuzzSweep, RandomCircuitAndTopologyHoldEveryContract) {
     // The lane-blocked critical path equals the push-based sweep bit for
     // bit at a random width: lane 0 is this estimate's own delay table
     // (so its latency and census are checked too), the others scale its
-    // CNOT routing term.
+    // CNOT and one-qubit routing terms, each by its own factor.
     std::vector<lt::DelayTable> tables(1 + rng.index(32));
     for (std::size_t lane = 0; lane < tables.size(); ++lane) {
         const double scale = lane == 0 ? 1.0 : 0.25 + 2.0 * rng.uniform();
+        const double one_qubit_scale = lane == 0 ? 1.0 : 0.25 + 2.0 * rng.uniform();
         for (std::size_t k = 0; k < lc::kGateKindCount; ++k) {
             const auto kind = static_cast<lc::GateKind>(k);
             if (!lc::gate_info(kind).is_ft) continue;
             tables[lane][k] = params.delay_us(kind) +
                               (kind == lc::GateKind::Cnot
                                    ? estimate.l_cnot_avg_us * scale
-                                   : estimate.l_one_qubit_avg_us);
+                                   : estimate.l_one_qubit_avg_us * one_qubit_scale);
         }
     }
     EXPECT_EQ(lt::lane_mismatch(graph, tables), "") << "width " << tables.size();

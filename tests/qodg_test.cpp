@@ -3,6 +3,7 @@
 // and the lane-blocked critical path against the push-based sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -42,6 +43,21 @@ std::vector<lt::DelayTable> random_cnot_tables(std::size_t width, leqa::util::Rn
         }
         tables[lane][static_cast<std::size_t>(lc::GateKind::Cnot)] =
             lane % 2 == 0 ? static_cast<double>(rng.index(4)) : 10.0 * rng.uniform();
+    }
+    return tables;
+}
+
+/// `width` delay tables that draw every FT kind's delay per lane (every
+/// other lane a small integer, zero included, so ties stay common): a
+/// one-qubit step that read another lane's or another kind's row fails.
+std::vector<lt::DelayTable> random_ft_tables(std::size_t width, leqa::util::Rng& rng) {
+    std::vector<lt::DelayTable> tables(width);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+        for (std::size_t k = 0; k < lc::kGateKindCount; ++k) {
+            if (!lc::gate_info(static_cast<lc::GateKind>(k)).is_ft) continue;
+            tables[lane][k] =
+                lane % 2 == 0 ? static_cast<double>(rng.index(4)) : 10.0 * rng.uniform();
+        }
     }
     return tables;
 }
@@ -225,14 +241,41 @@ TEST(QodgLanes, MatchPushBasedSweepBitForBit) {
     leqa::util::Rng rng(2013);
     lc::Circuit idle_qubit(6); // qubit 5 is never touched
     for (lc::Qubit q = 0; q < 5; ++q) idle_qubit.h(q).cnot(q, (q + 1) % 5).t(q);
-    const lc::Circuit circuits[] = {ham3_ft(), lt::random_ft_circuit(9, 400, 11),
-                                    lt::random_ft_circuit(3, 150, 12), idle_qubit};
+    // No CNOT, so no winner word; with equal delays qubits 0, 1 and 3 tie
+    // at the end node.
+    lc::Circuit cnot_free(4);
+    cnot_free.h(0).t(0).t(1).h(1).x(2).h(3).s(3);
+    // 320 one-qubit ops on qubit 1 between two CNOTs.
+    lc::Circuit long_run(3);
+    long_run.h(0).cnot(0, 1);
+    for (int g = 0; g < 40; ++g) long_run.x(1).y(1).z(1).h(1).s(1).sdg(1).t(1).tdg(1);
+    long_run.cnot(1, 2).t(0).cnot(2, 0);
+    const lc::Circuit circuits[] = {ham3_ft(),
+                                    lt::random_ft_circuit(9, 400, 11),
+                                    lt::random_ft_circuit(3, 150, 12),
+                                    idle_qubit,
+                                    cnot_free,
+                                    long_run};
     for (std::size_t c = 0; c < std::size(circuits); ++c) {
         const lq::Qodg graph(circuits[c]);
+        const auto cnots = static_cast<std::size_t>(
+            std::count_if(circuits[c].gates().begin(), circuits[c].gates().end(),
+                          [](const lc::Gate& gate) { return gate.kind == lc::GateKind::Cnot; }));
         for (const std::size_t width : {1, 3, 8, 9, 31, 32}) {
             std::vector<lt::DelayTable> tables = random_cnot_tables(width, rng);
             EXPECT_EQ(lt::lane_mismatch(graph, tables), "")
                 << "circuit " << c << " width " << width;
+
+            // One winner word per CNOT, none per one-qubit op.
+            lq::LongestPathLanes lanes;
+            graph.longest_path_lanes(tables, lanes);
+            EXPECT_EQ(lanes.via_second.size(), cnots * std::max<std::size_t>(1, lanes.width / 8))
+                << "circuit " << c << " width " << width;
+
+            // Every FT kind drawn per lane.
+            tables = random_ft_tables(width, rng);
+            EXPECT_EQ(lt::lane_mismatch(graph, tables), "")
+                << "circuit " << c << " per-kind width " << width;
 
             // Every entry equal: paths tie everywhere, so only the tie
             // rule decides the census.
@@ -281,6 +324,22 @@ TEST(QodgLanes, RejectsBadInputs) {
         EXPECT_THROW(graph.longest_path_lanes(tables, lanes), leqa::util::InputError)
             << bad;
     }
+    // A result of another graph with as many ops but no two-qubit op.
+    lc::Circuit one_qubit_only(3);
+    for (std::size_t g = 0; g < circ.size(); ++g) one_qubit_only.t(static_cast<lc::Qubit>(g % 3));
+    const lq::Qodg other(one_qubit_only);
+    ASSERT_EQ(other.num_ops(), graph.num_ops());
+    other.longest_path_lanes(random_cnot_tables(8, rng), lanes);
+    std::vector<lq::PathCensus> census(8);
+    EXPECT_THROW(graph.critical_census_lanes(lanes, census), leqa::util::InputError);
+    // ...and one with as many two-qubit ops whose end qubit this graph
+    // does not have.
+    lc::Circuit wider(5);
+    for (const lc::Gate& gate : circ.gates()) {
+        if (gate.kind == lc::GateKind::Cnot) wider.cnot(3, 4);
+    }
+    lq::Qodg(wider).longest_path_lanes(random_cnot_tables(8, rng), lanes);
+    EXPECT_THROW(graph.critical_census_lanes(lanes, census), leqa::util::InputError);
     // A pre-FT graph: the Toffoli node has three operands.
     lc::Circuit toffoli(3);
     toffoli.h(0).toffoli(0, 1, 2);

@@ -200,14 +200,13 @@ void BM_PerPointStaged(benchmark::State& state) {
     const qodg::Qodg graph(circ);
     const iig::Iig iig(circ);
     const auto profile = core::CircuitProfile::build(graph, iig);
-    core::EstimationEngine engine(fifty_by_fifty());
-    // Alternate the geometry so every iteration misses the engine's E[S_q]
-    // memo and pays the full parameter stage (a fabric-side sweep's cost).
+    // Alternate the geometry with an engine per iteration, so each pays the
+    // full parameter stage (a fabric-side sweep's cost).
     fabric::PhysicalParams jiggled = fifty_by_fifty();
     jiggled.height = 49;
     bool flip = false;
     for (auto _ : state) {
-        engine.set_params(flip ? jiggled : fifty_by_fifty());
+        const core::EstimationEngine engine(flip ? jiggled : fifty_by_fifty());
         flip = !flip;
         const auto estimate = engine.estimate(profile);
         benchmark::DoNotOptimize(estimate.latency_us);
@@ -220,17 +219,17 @@ void BM_PerPointStagedMemoHit(benchmark::State& state) {
     const qodg::Qodg graph(circ);
     const iig::Iig iig(circ);
     const auto profile = core::CircuitProfile::build(graph, iig);
-    core::EstimationEngine engine(fifty_by_fifty());
-    // Alternate v at fixed geometry: the memo hits (a v / Nc sweep or the
-    // calibrator's search), leaving the congestion algebra + critical path.
-    fabric::PhysicalParams faster = fifty_by_fifty();
-    faster.v *= 2.0;
+    const core::EstimationEngine engine(fifty_by_fifty());
+    // Alternate v at fixed geometry through one-point batches: the E[S_q]
+    // slot hits (a v / Nc sweep or the calibrator's search), leaving the
+    // congestion algebra + critical path.
+    const fabric::PhysicalParams base = fifty_by_fifty();
+    const core::ParameterPoint points[2] = {{base.nc, base.v}, {base.nc, base.v * 2.0}};
     bool flip = false;
     for (auto _ : state) {
-        engine.set_params(flip ? faster : fifty_by_fifty());
+        const auto estimates = engine.estimate_batch(profile, {&points[flip ? 1 : 0], 1});
         flip = !flip;
-        const auto estimate = engine.estimate(profile);
-        benchmark::DoNotOptimize(estimate.latency_us);
+        benchmark::DoNotOptimize(estimates.front().latency_us);
     }
 }
 BENCHMARK(BM_PerPointStagedMemoHit)->Arg(16)->Arg(64);
@@ -310,15 +309,11 @@ public:
 
 BENCHMARK_DEFINE_F(ParameterAxisFixture, BM_ParameterAxisScalar)
 (benchmark::State& state) {
-    core::EstimationEngine engine(fifty_by_fifty());
+    const core::EstimationEngine engine(fifty_by_fifty());
     for (auto _ : state) {
-        fabric::PhysicalParams params = fifty_by_fifty();
         double sum = 0.0;
         for (const core::ParameterPoint& point : points) {
-            params.nc = point.nc;
-            params.v = point.v;
-            engine.set_params(params);
-            sum += engine.estimate(profile).latency_us;
+            sum += engine.estimate_batch(profile, {&point, 1}).front().latency_us;
         }
         benchmark::DoNotOptimize(sum);
     }

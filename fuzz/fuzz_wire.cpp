@@ -76,13 +76,6 @@ void clamp_request(wire::WireRequest& request) {
     auto& opt = request.optimize;
     opt.max_moves = std::min<std::size_t>(std::max<std::size_t>(opt.max_moves, 1), 128);
     opt.max_seconds = 0.0;
-    if (!(opt.relocate_fraction >= 0.0)) opt.relocate_fraction = 0.0;
-    if (opt.relocate_fraction > 1.0) opt.relocate_fraction = 1.0;
-    if (!(opt.final_temperature_frac >= 0.0)) opt.final_temperature_frac = 0.0;
-    if (!(opt.initial_temperature_frac >= opt.final_temperature_frac)) {
-        opt.initial_temperature_frac = opt.final_temperature_frac;
-    }
-    if (opt.initial_temperature_frac > 1.0) opt.initial_temperature_frac = 1.0;
 
     request.sources.resize(std::min<std::size_t>(request.sources.size(), 2));
     for (std::string& s : request.sources) s = "bench:ham3";

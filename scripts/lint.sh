@@ -34,11 +34,15 @@ missing_tool() {
 
 # --- repo-convention greps (always run) ------------------------------------
 
+# The library plus the support libraries tests and benches link: the
+# convention greps cover the same trees as clang-tidy.
+LINTED_DIRS=(src/ tests/support/ bench/support/)
+
 # NO_THREAD_SAFETY_ANALYSIS opts a function out of Clang's capability
 # analysis; shipped code must use proper LEQA_GUARDED_BY / LEQA_REQUIRES
 # annotations instead.  Only the macro's own definition may mention it.
-note "grep: NO_THREAD_SAFETY_ANALYSIS ban under src/"
-if grep -rn "LEQA_NO_THREAD_SAFETY_ANALYSIS" src/ \
+note "grep: NO_THREAD_SAFETY_ANALYSIS ban under ${LINTED_DIRS[*]}"
+if grep -rn "LEQA_NO_THREAD_SAFETY_ANALYSIS" "${LINTED_DIRS[@]}" \
         | grep -v "src/util/thread_annotations.h"; then
     fail "NO_THREAD_SAFETY_ANALYSIS is reserved for test helpers"
 fi
@@ -46,9 +50,10 @@ fi
 # Raw assert() vanishes under NDEBUG with no diagnostic and no fail-handler
 # hook; library code uses LEQA_CHECK (always on) or LEQA_DCHECK (Debug-only,
 # death-testable) from util/check.h instead.
-note "grep: raw assert( ban under src/"
-if grep -rn --include='*.cpp' --include='*.h' -E '(^|[^_[:alnum:]])assert\(' src/; then
-    fail "raw assert( in src/; use LEQA_CHECK / LEQA_DCHECK (util/check.h)"
+note "grep: raw assert( ban under ${LINTED_DIRS[*]}"
+if grep -rn --include='*.cpp' --include='*.h' -E '(^|[^_[:alnum:]])assert\(' \
+        "${LINTED_DIRS[@]}"; then
+    fail "raw assert( in ${LINTED_DIRS[*]}; use LEQA_CHECK / LEQA_DCHECK (util/check.h)"
 fi
 
 # --- clang-tidy -------------------------------------------------------------

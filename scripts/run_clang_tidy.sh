@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run clang-tidy over the library + CLI sources with the checked-in
-# .clang-tidy config, against a CMake compile database.  CI calls this
-# exact script, so a clean local run reproduces the CI gate.
+# Run clang-tidy over the library + CLI sources and the test/bench support
+# libraries with the checked-in .clang-tidy config, against a CMake compile
+# database.  CI calls this exact script, so a clean local run reproduces
+# the CI gate.
 #
 # Usage: scripts/run_clang_tidy.sh [build-dir]
 #
@@ -27,10 +28,12 @@ if [ ! -f "${BUILD_DIR}/compile_commands.json" ]; then
         ${CMAKE_CONFIGURE_ARGS:-}
 fi
 
-# Every translation unit in the compile database that lives under src/.
-# (Tests and benches are covered by the compiler-side -Werror legs; the
-# tidy gate is scoped to the shipped library + CLIs.)
-mapfile -t SOURCES < <(git ls-files 'src/*.cpp' 'src/**/*.cpp' | sort)
+# Every translation unit under src/, tests/support/ and bench/support/.
+# The support libraries are configured with tests and benches off, so the
+# compile database always holds them.  (Test and bench executables are
+# covered by the compiler-side -Werror legs.)
+mapfile -t SOURCES < <(git ls-files 'src/*.cpp' 'tests/support/*.cpp' \
+                           'bench/support/*.cpp' | sort)
 
 if [ "${#SOURCES[@]}" -eq 0 ]; then
     echo "error: no sources found under src/" >&2

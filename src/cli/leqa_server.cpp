@@ -86,12 +86,6 @@ void run_stdio(service::Service& service, std::size_t max_line_bytes,
         net::SessionOptions{/*reject_when_full=*/false});
 
     net::LineReader reader(max_line_bytes);
-    const auto dispatch = [&] {
-        while (std::optional<net::WireLine> line = reader.next()) {
-            if (line->overlong) session->handle_overlong();
-            else session->handle_line(line->text);
-        }
-    };
 
     char buffer[65536];
     bool reading = true;
@@ -110,12 +104,11 @@ void run_stdio(service::Service& service, std::size_t max_line_bytes,
             }
             if (got == 0) { // EOF
                 reader.finish();
-                dispatch();
                 reading = false;
             } else {
                 reader.feed(std::string_view(buffer, static_cast<std::size_t>(got)));
-                dispatch();
             }
+            session->handle_lines(reader);
         }
     }
     // Graceful drain: every accepted job still answers through this

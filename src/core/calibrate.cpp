@@ -10,6 +10,15 @@ namespace leqa::core {
 
 namespace {
 
+// The v search: a log-spaced coarse scan of [kVMin, kVMax], then
+// golden-section refinement of the best grid bracket.
+constexpr double kVMin = 1e-6;
+constexpr double kVMax = 1.0;
+constexpr int kCoarseGrid = 48;
+constexpr int kRefineIterations = 40;
+static_assert(kVMin > 0.0 && kVMax > kVMin, "invalid v search range");
+static_assert(kCoarseGrid >= 2, "coarse grid needs >= 2 points");
+
 void validate_sample(const GraphSample& sample) {
     LEQA_REQUIRE(sample.graph != nullptr && sample.iig != nullptr,
                  "null graphs in calibration sample");
@@ -35,7 +44,7 @@ std::vector<ProfiledSample> profile_samples(const std::vector<GraphSample>& samp
 }
 
 /// One engine per sample, persistent across the whole v search: v does not
-/// move the coverage geometry, so each engine's E[S_q] memo is computed on
+/// move the coverage geometry, so each engine's E[S_q] slot is computed on
 /// the first evaluation and hit on every later one.
 std::vector<EstimationEngine> engines_for(const std::vector<ProfiledSample>& samples,
                                           const fabric::PhysicalParams& params,
@@ -48,17 +57,17 @@ std::vector<EstimationEngine> engines_for(const std::vector<ProfiledSample>& sam
     return engines;
 }
 
-/// Mean error at speed v over index-aligned (sample, engine) pairs.
+/// Mean error at speed v over index-aligned (sample, engine) pairs: a
+/// one-point batch per engine, bit-identical to a fresh engine at v.
 double error_at(const std::vector<ProfiledSample>& samples,
-                std::vector<EstimationEngine>& engines,
+                const std::vector<EstimationEngine>& engines,
                 const fabric::PhysicalParams& params, double v,
                 std::size_t& evaluations) {
-    fabric::PhysicalParams tuned = params;
-    tuned.v = v;
+    const ParameterPoint point{params.nc, v};
     double total = 0.0;
     for (std::size_t i = 0; i < samples.size(); ++i) {
-        engines[i].set_params(tuned);
-        const LeqaEstimate estimate = engines[i].estimate(samples[i].profile);
+        const LeqaEstimate estimate =
+            std::move(engines[i].estimate_batch(samples[i].profile, {&point, 1}).front());
         ++evaluations;
         total += std::abs(estimate.latency_us - samples[i].actual_latency_us) /
                  samples[i].actual_latency_us;
@@ -75,42 +84,35 @@ double mean_abs_relative_error(const std::vector<GraphSample>& samples,
     for (const GraphSample& sample : samples) validate_sample(sample);
     std::size_t evaluations = 0;
     const std::vector<ProfiledSample> profiled = profile_samples(samples);
-    std::vector<EstimationEngine> engines = engines_for(profiled, params, options);
-    return error_at(profiled, engines, params, params.v, evaluations);
+    return error_at(profiled, engines_for(profiled, params, options), params, params.v,
+                    evaluations);
 }
 
 CalibrationResult calibrate_v(const std::vector<GraphSample>& samples,
                               const fabric::PhysicalParams& base_params,
-                              const LeqaOptions& options,
-                              const CalibratorOptions& calibrator_options) {
+                              const LeqaOptions& options) {
     LEQA_REQUIRE(!samples.empty(), "need at least one calibration sample");
-    LEQA_REQUIRE(calibrator_options.v_min > 0.0 &&
-                     calibrator_options.v_max > calibrator_options.v_min,
-                 "invalid v search range");
-    LEQA_REQUIRE(calibrator_options.coarse_grid >= 2, "coarse grid needs >= 2 points");
     for (const GraphSample& sample : samples) validate_sample(sample);
 
     // Stage 1 once per sample; every v evaluation below is parameter-stage
     // work only.
     const std::vector<ProfiledSample> profiled = profile_samples(samples);
-    std::vector<EstimationEngine> engines = engines_for(profiled, base_params, options);
+    const std::vector<EstimationEngine> engines = engines_for(profiled, base_params, options);
 
     CalibrationResult result;
-    const double log_min = std::log10(calibrator_options.v_min);
-    const double log_max = std::log10(calibrator_options.v_max);
+    const double log_min = std::log10(kVMin);
+    const double log_max = std::log10(kVMax);
 
     // Coarse log-spaced scan, batched: the grid varies only v at fixed
     // geometry, which is exactly the engine's batch axis — each sample
     // evaluates the entire grid in one estimate_batch call instead of one
     // scalar estimate per (sample, v) pair.  Error accumulation order over
     // samples matches the scalar error_at, so the scan is bit-identical.
-    const std::size_t grid_size =
-        static_cast<std::size_t>(calibrator_options.coarse_grid);
+    const std::size_t grid_size = static_cast<std::size_t>(kCoarseGrid);
     std::vector<double> grid_log_v(grid_size);
     std::vector<ParameterPoint> grid_points(grid_size);
-    for (int i = 0; i < calibrator_options.coarse_grid; ++i) {
-        const double log_v = log_min + (log_max - log_min) * i /
-                                           (calibrator_options.coarse_grid - 1);
+    for (int i = 0; i < kCoarseGrid; ++i) {
+        const double log_v = log_min + (log_max - log_min) * i / (kCoarseGrid - 1);
         grid_log_v[static_cast<std::size_t>(i)] = log_v;
         grid_points[static_cast<std::size_t>(i)] =
             ParameterPoint{base_params.nc, std::pow(10.0, log_v)};
@@ -138,7 +140,7 @@ CalibrationResult calibrate_v(const std::vector<GraphSample>& samples,
     }
 
     // Golden-section refinement on the bracket around the best grid point.
-    const double step = (log_max - log_min) / (calibrator_options.coarse_grid - 1);
+    const double step = (log_max - log_min) / (kCoarseGrid - 1);
     double lo = std::max(log_min, best_log_v - step);
     double hi = std::min(log_max, best_log_v + step);
     constexpr double kInvPhi = 0.6180339887498949;
@@ -148,7 +150,7 @@ CalibrationResult calibrate_v(const std::vector<GraphSample>& samples,
                          result.evaluations);
     double f2 = error_at(profiled, engines, base_params, std::pow(10.0, x2),
                          result.evaluations);
-    for (int i = 0; i < calibrator_options.refine_iterations; ++i) {
+    for (int i = 0; i < kRefineIterations; ++i) {
         if (f1 <= f2) {
             hi = x2;
             x2 = x1;

@@ -34,24 +34,18 @@ struct CalibrationResult {
     std::size_t evaluations = 0;    ///< estimator invocations spent
 };
 
-struct CalibratorOptions {
-    double v_min = 1e-6;
-    double v_max = 1.0;
-    int coarse_grid = 48;       ///< log-spaced coarse scan points
-    int refine_iterations = 40; ///< golden-section refinement steps
-};
-
 /// Mean absolute relative error of LEQA over samples at the given params.
 [[nodiscard]] double mean_abs_relative_error(
     const std::vector<GraphSample>& samples, const fabric::PhysicalParams& params,
     const LeqaOptions& options);
 
-/// Fit v: coarse log-grid scan followed by golden-section refinement of the
-/// best bracket.  Deterministic.  Throws InputError on an empty sample set.
-/// The whole search runs on the samples' graphs without a single QODG/IIG
-/// construction; `Pipeline::calibrate` is the facade over it.
+/// Fit v: a 48-point log-grid scan of [1e-6, 1] followed by 40
+/// golden-section steps on the best bracket.  Deterministic.  Throws
+/// InputError on an empty sample set.  The whole search runs on the
+/// samples' graphs without a single QODG/IIG construction;
+/// `Pipeline::calibrate` is the facade over it.
 [[nodiscard]] CalibrationResult calibrate_v(
     const std::vector<GraphSample>& samples, const fabric::PhysicalParams& base_params,
-    const LeqaOptions& options = {}, const CalibratorOptions& calibrator_options = {});
+    const LeqaOptions& options = {});
 
 } // namespace leqa::core

@@ -55,17 +55,6 @@ EstimationEngine::EstimationEngine(const fabric::PhysicalParams& params,
     topology_ = fabric::make_topology(params_);
 }
 
-void EstimationEngine::set_params(const fabric::PhysicalParams& params) {
-    params.validate();
-    const bool same_fabric = params.topology == params_.topology &&
-                             params.width == params_.width &&
-                             params.height == params_.height;
-    params_ = params;
-    if (!same_fabric || topology_ == nullptr) {
-        topology_ = fabric::make_topology(params_);
-    }
-}
-
 std::vector<double> EstimationEngine::expected_surfaces(
     const fabric::CoverageHistogram& coverage, long long num_zones, long long terms) {
     LEQA_REQUIRE(num_zones >= 0, "zone count must be non-negative");
@@ -126,27 +115,6 @@ std::vector<double> EstimationEngine::expected_surfaces_reference(
     return surfaces;
 }
 
-const std::vector<double>& EstimationEngine::SurfaceCache::get(
-    const Key& key, const std::function<std::vector<double>()>& make) {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        if (entries_[i].key == key) {
-            ++stats_.hits;
-            if (i != 0) {
-                std::rotate(entries_.begin(), entries_.begin() + i,
-                            entries_.begin() + i + 1);
-            }
-            return entries_.front().e_sq;
-        }
-    }
-    ++stats_.recomputes;
-    if (entries_.size() >= capacity_) {
-        entries_.pop_back();
-        ++stats_.evictions;
-    }
-    entries_.insert(entries_.begin(), Entry{key, make()});
-    return entries_.front().e_sq;
-}
-
 LeqaEstimate EstimationEngine::estimate(const CircuitProfile& profile) const {
     const ParameterPoint point{params_.nc, params_.v};
     return std::move(estimate_batch(profile, {&point, 1}).front());
@@ -162,28 +130,31 @@ std::vector<LeqaEstimate> EstimationEngine::estimate_batch(
     const qodg::Qodg& graph = *profile.graph;
     const long long q_total = static_cast<long long>(profile.num_qubits);
     const fabric::Topology& topo = *topology_;
-    const int a = topo.width();
-    const int b = topo.height();
     const double l_one_qubit = params_.one_qubit_routing_latency_us();
     const long long terms =
         options_.exact_sq ? q_total
                           : std::min<long long>(q_total, options_.sq_terms);
 
     // The surfaces depend only on the geometry and the circuit, never on
-    // (Nc, v): one cache lookup serves the whole batch.  Looked up lazily —
+    // (Nc, v): one slot lookup serves the whole batch.  Looked up lazily —
     // a batch where every point has d_uncongest <= 0 never touches E[S_q],
     // matching the scalar guard.
-    const std::vector<double>* e_sq = nullptr;
+    bool looked_up = false;
     const auto surfaces_for_batch = [&]() -> const std::vector<double>& {
-        if (e_sq == nullptr) {
-            const int side = topo.zone_extent(profile.zone_area_b);
-            e_sq = &surface_cache_.get(
-                SurfaceCache::Key{topo.kind(), a, b, side, q_total, terms}, [&] {
-                    return expected_surfaces(topo.coverage_histogram(side),
-                                             q_total, terms);
-                });
+        if (!looked_up) {
+            looked_up = true;
+            const SurfaceKey key{topo.zone_extent(profile.zone_area_b), q_total, terms};
+            if (key == surface_key_) {
+                ++surface_stats_.hits;
+            } else {
+                ++surface_stats_.recomputes;
+                if (surface_key_.side != -1) ++surface_stats_.evictions;
+                surface_e_sq_ =
+                    expected_surfaces(topo.coverage_histogram(key.side), q_total, terms);
+                surface_key_ = key;
+            }
         }
-        return *e_sq;
+        return surface_e_sq_;
     };
 
     // The per-kind delay table is (Nc, v)-invariant except for the CNOT

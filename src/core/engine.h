@@ -78,9 +78,10 @@ struct ParameterPoint {
     double v = 0.0; ///< qubit movement speed, > 0
 };
 
-/// Counters for the engine's keyed E[S_q] cache (regression-tested: an
-/// explore slice that alternates topology kinds must not recompute the
-/// surfaces per point the way the old single-entry memo did).
+/// Counters for the engine's one E[S_q] slot: a batch that finds the
+/// profile's vector held counts a hit, any other a recompute, and a
+/// recompute that replaces a held vector (a second profile on the same
+/// engine) also counts an eviction.
 struct SurfaceCacheStats {
     std::size_t hits = 0;
     std::size_t recomputes = 0;
@@ -94,16 +95,14 @@ struct SurfaceCacheStats {
 /// same staged evaluation covers grid, torus and line fabrics (grid is
 /// bit-compatible with the pre-topology code).
 ///
-/// The engine caches E[S_q] vectors across estimate() calls: the surfaces
-/// depend only on (topology, a, b, zone extent, Q, terms), which are
-/// invariant across speed (v) and channel-capacity (Nc) sweeps and the
-/// calibrator's entire v search, so those pay only the congestion algebra
-/// and the critical-path pass per point.  The cache is a small keyed LRU
-/// rather than a single entry, so an explore slice that interleaves
-/// topology kinds (or a few fabric sides) keeps all of them warm instead
-/// of recomputing on every alternation.  The cache makes concurrent calls
-/// on one engine instance unsafe; use one engine per thread (the pipeline
-/// constructs one per request).
+/// The parameters are fixed at construction.  The engine holds one E[S_q]
+/// vector across calls: with the geometry fixed, the surfaces depend only
+/// on the profile's (zone extent, Q, terms), never on (Nc, v), so repeated
+/// batches over one profile (the calibrator's v search) pay only the
+/// congestion algebra and the critical-path pass.  The slot makes
+/// concurrent calls on one engine instance unsafe; use one engine per
+/// thread (the pipeline constructs one per request, explore one per
+/// geometry group).
 class EstimationEngine {
 public:
     explicit EstimationEngine(const fabric::PhysicalParams& params,
@@ -146,62 +145,29 @@ public:
     [[nodiscard]] const fabric::PhysicalParams& params() const { return params_; }
     [[nodiscard]] const LeqaOptions& options() const { return options_; }
 
-    /// The topology instance the engine estimates on (rebuilt by
-    /// set_params when the fabric description changes).
+    /// The topology instance the engine estimates on.
     [[nodiscard]] const fabric::Topology& topology() const { return *topology_; }
 
-    /// Replace the parameter point (sweeps and the calibrator's v search).
-    void set_params(const fabric::PhysicalParams& params);
-
-    /// Lifetime counters of the E[S_q] cache (hits / recomputes / evictions).
+    /// Lifetime counters of the E[S_q] slot (hits / recomputes / evictions).
     [[nodiscard]] const SurfaceCacheStats& surface_cache_stats() const {
-        return surface_cache_.stats();
+        return surface_stats_;
     }
 
 private:
-    /// Keyed LRU over E[S_q] vectors.  Capacity is small (an explore worker
-    /// slice touches a handful of distinct geometries); lookup is a linear
-    /// scan with move-to-front, which beats a hash map at this size.
-    class SurfaceCache {
-    public:
-        struct Key {
-            fabric::TopologyKind kind = fabric::TopologyKind::Grid;
-            int a = -1;
-            int b = -1;
-            int side = -1;
-            long long q_total = -1;
-            long long terms = -1;
-            [[nodiscard]] bool operator==(const Key&) const = default;
-        };
-
-        explicit SurfaceCache(std::size_t capacity) : capacity_(capacity) {}
-
-        /// The cached vector for `key`, computing it with `make` on a miss
-        /// (evicting the least recently used entry when full).  The
-        /// returned reference is invalidated by the next get() call.
-        const std::vector<double>& get(
-            const Key& key, const std::function<std::vector<double>()>& make);
-
-        [[nodiscard]] const SurfaceCacheStats& stats() const { return stats_; }
-
-    private:
-        struct Entry {
-            Key key;
-            std::vector<double> e_sq;
-        };
-        std::size_t capacity_;
-        std::vector<Entry> entries_; ///< most recently used first
-        SurfaceCacheStats stats_;
+    /// What identifies the held E[S_q] vector on a fixed geometry.
+    struct SurfaceKey {
+        int side = -1; ///< zone extent; -1 while nothing is held
+        long long q_total = -1;
+        long long terms = -1;
+        [[nodiscard]] bool operator==(const SurfaceKey&) const = default;
     };
-
-    /// Default E[S_q] cache capacity: explore assigns whole geometry groups
-    /// to workers, so a slice cycles through at most a few distinct keys.
-    static constexpr std::size_t kSurfaceCacheCapacity = 8;
 
     fabric::PhysicalParams params_;
     LeqaOptions options_;
     std::shared_ptr<const fabric::Topology> topology_;
-    mutable SurfaceCache surface_cache_{kSurfaceCacheCapacity};
+    mutable SurfaceKey surface_key_;
+    mutable std::vector<double> surface_e_sq_;
+    mutable SurfaceCacheStats surface_stats_;
 };
 
 } // namespace leqa::core

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -52,9 +51,8 @@ void apply_geometry(fabric::PhysicalParams& params, fabric::TopologyKind kind,
 }
 
 /// Contiguous [first, last) runs of identical (topology, width, height).
-/// Geometry is the engine's E[S_q] memo key (together with the circuit), so
-/// a worker that owns whole runs keeps hitting its memo across the (Nc, v)
-/// points inside each run.
+/// A run varies only (Nc, v), the engine's batch axis, so each run is one
+/// engine and one estimate_batch call: one E[S_q] computation per run.
 std::vector<std::pair<std::size_t, std::size_t>> geometry_groups(
     const std::vector<fabric::PhysicalParams>& configurations) {
     std::vector<std::pair<std::size_t, std::size_t>> groups;
@@ -209,21 +207,15 @@ ExplorationResult evaluate_configurations(
         std::exception_ptr first LEQA_GUARDED_BY(mutex);
     };
     FailureSlot failure;
-    // One slot per worker, summed after the join: the totals depend on how
-    // the groups were partitioned (they are effectiveness counters, not
-    // estimates), but for a fixed thread count they are deterministic.
+    // One slot per worker, summed after the join.  Every group builds its
+    // own engine, so the totals do not depend on the thread count.
     std::vector<SurfaceCacheStats> worker_surface(workers);
     const auto run_slice = [&](std::size_t worker) {
         try {
-            std::optional<EstimationEngine> engine;
             std::vector<ParameterPoint> batch;
             for (std::size_t g = worker; g < groups.size(); g += workers) {
                 const auto [first, last] = groups[g];
-                if (!engine.has_value()) {
-                    engine.emplace(configurations[first], options);
-                } else {
-                    engine->set_params(configurations[first]);
-                }
+                const EstimationEngine engine(configurations[first], options);
                 batch.clear();
                 for (std::size_t i = first; i < last; ++i) {
                     batch.push_back(
@@ -236,13 +228,16 @@ ExplorationResult evaluate_configurations(
                     if (between_points) between_points();
                 };
                 std::vector<LeqaEstimate> estimates =
-                    engine->estimate_batch(profile, batch, before_point);
+                    engine.estimate_batch(profile, batch, before_point);
                 for (std::size_t i = first; i < last; ++i) {
                     result.points[i] = SweepPoint{configurations[i],
                                                   std::move(estimates[i - first])};
                 }
+                const SurfaceCacheStats& stats = engine.surface_cache_stats();
+                worker_surface[worker].hits += stats.hits;
+                worker_surface[worker].recomputes += stats.recomputes;
+                worker_surface[worker].evictions += stats.evictions;
             }
-            if (engine.has_value()) worker_surface[worker] = engine->surface_cache_stats();
         } catch (const AbortRequested&) {
             // Another worker failed or cancelled; our partial results are
             // discarded with the grid.

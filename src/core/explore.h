@@ -9,10 +9,10 @@
 /// channel capacities Nc x qubit speeds v, each axis defaulting to the base
 /// parameter point — over a shared thread pool:
 ///
-///   - one `EstimationEngine` per worker (the engine's E[S_q] memo is
-///     documented thread-unsafe), with points partitioned per-thread in
-///     whole *geometry groups* (runs of identical topology/width/height) so
-///     a worker's slice of the (Nc, v) axes keeps hitting its engine memo;
+///   - points are partitioned per-thread in whole *geometry groups* (runs of
+///     identical topology/width/height); each group varies only (Nc, v), so
+///     it is one `EstimationEngine` and one `estimate_batch` call, paying
+///     one E[S_q] computation (an engine is thread-unsafe and never shared);
 ///   - cooperative cancellation: `between_points` runs before every point
 ///     on whichever worker owns it, an exception thrown from it (e.g. a
 ///     `RunControl` checkpoint) aborts the other workers at their next
@@ -74,8 +74,7 @@ struct ExplorationResult {
     std::vector<TopologyBest> best_per_topology; ///< first-appearance order
     std::vector<std::size_t> pareto_front;       ///< fabric-area ascending
     std::size_t threads_used = 1;
-    /// Summed E[S_q] cache counters of the workers' engines (see
-    /// SweepResult::surface_cache for the caveat on thread-count effects).
+    /// Summed E[S_q] slot counters of the per-group engines.
     SurfaceCacheStats surface_cache;
 
     [[nodiscard]] bool has_best() const { return best_index != kNoBestPoint; }

@@ -29,13 +29,6 @@ OptimizeResult optimize_placement(const qodg::Qodg& graph,
                                   const std::function<void()>& between_moves) {
     LEQA_REQUIRE(options.max_moves >= 1, "move budget must be >= 1");
     LEQA_REQUIRE(options.max_seconds >= 0.0, "time budget must be >= 0");
-    LEQA_REQUIRE(options.relocate_fraction >= 0.0 && options.relocate_fraction <= 1.0,
-                 "relocate fraction must be in [0, 1]");
-    LEQA_REQUIRE(options.initial_temperature_frac >= 0.0 &&
-                     options.final_temperature_frac >= 0.0 &&
-                     options.final_temperature_frac <=
-                         options.initial_temperature_frac,
-                 "temperature fractions must satisfy 0 <= final <= initial");
 
     const util::Stopwatch clock;
     PlacedTimer timer(graph, circ, params, std::move(initial_homes));
@@ -63,10 +56,15 @@ OptimizeResult optimize_placement(const qodg::Qodg& graph,
     double latency = timer.latency_us();
     double best_latency = latency;
 
-    // Geometric cooling from T0 to T_end over the move budget; a pure
-    // function of the move index, so runs are replayable.
-    const double t0 = options.initial_temperature_frac * result.initial_latency_us;
-    const double t_end = options.final_temperature_frac * result.initial_latency_us;
+    // Geometric cooling from T0 to T_end (fractions of the initial latency)
+    // over the move budget; a pure function of the move index, so runs are
+    // replayable.  A candidate relocates to a free ULB (vs swapping) with
+    // probability kRelocateFraction.
+    constexpr double kInitialTemperatureFrac = 0.02;
+    constexpr double kFinalTemperatureFrac = 1e-5;
+    constexpr double kRelocateFraction = 0.25;
+    const double t0 = kInitialTemperatureFrac * result.initial_latency_us;
+    const double t_end = kFinalTemperatureFrac * result.initial_latency_us;
     const double cool = (options.max_moves > 1 && t0 > 0.0 && t_end > 0.0)
                             ? std::pow(t_end / t0,
                                        1.0 / static_cast<double>(options.max_moves - 1))
@@ -84,7 +82,7 @@ OptimizeResult optimize_placement(const qodg::Qodg& graph,
         ++result.moves_attempted;
 
         const bool relocate =
-            can_relocate && (!can_swap || rng.uniform() < options.relocate_fraction);
+            can_relocate && (!can_swap || rng.uniform() < kRelocateFraction);
         // The Metropolis u is drawn before the bound screen: rejecting on
         // the bound with the same u the full test would use keeps the
         // accept distribution identical to a screen-free search.

@@ -42,12 +42,6 @@ struct OptimizeOptions {
     double max_seconds = 0.0;      ///< wall-clock budget (0 = unbounded)
     std::uint64_t seed = 1;
     OptimizeMode mode = OptimizeMode::Anneal;
-    /// Initial/final temperature as fractions of the initial latency; the
-    /// schedule cools geometrically from T0 to T_end over max_moves.
-    double initial_temperature_frac = 0.02;
-    double final_temperature_frac = 1e-5;
-    /// Probability a candidate move is a relocate-to-free-ULB (vs a swap).
-    double relocate_fraction = 0.25;
 
     [[nodiscard]] bool operator==(const OptimizeOptions&) const = default;
 };

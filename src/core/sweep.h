@@ -43,9 +43,8 @@ struct SweepResult {
     std::size_t best_index = kNoBestPoint;
     /// Points whose latency was NaN/infinite (skipped for best selection).
     std::size_t non_finite_points = 0;
-    /// Engine E[S_q] cache effectiveness over the sweep, summed across the
-    /// workers' engines (counters only; not part of the bit-identity
-    /// contract — different thread counts partition the work differently).
+    /// E[S_q] slot counters summed over the sweep's engines, one per
+    /// geometry group (counters only; not part of the bit-identity contract).
     SurfaceCacheStats surface_cache;
 
     /// A single-axis exploration as a sweep: the points and best selection

@@ -35,7 +35,7 @@ std::pair<Socket, Socket> make_wake_pipe() {
 Server::Server(service::Service& service, ServerOptions options)
     : service_(service), options_(std::move(options)) {
     LEQA_REQUIRE(options_.max_connections >= 1, "server needs at least one connection");
-    listener_ = listen_tcp(options_.host, options_.port, options_.backlog);
+    listener_ = listen_tcp(options_.host, options_.port);
     port_ = local_port(listener_);
     auto [rd, wr] = make_wake_pipe();
     wake_rd_ = std::move(rd);
@@ -156,21 +156,9 @@ void Server::read_ready(Connection& conn) {
         conn.reader.feed(std::string_view(buffer, static_cast<std::size_t>(got)));
         // Dispatch as we go so a pipelined burst cannot defer all parsing
         // to one giant post-read pass.
-        while (std::optional<WireLine> line = conn.reader.next()) {
-            if (line->overlong) {
-                conn.session->handle_overlong();
-            } else {
-                conn.session->handle_line(line->text);
-            }
-        }
+        conn.session->handle_lines(conn.reader);
     }
-    while (std::optional<WireLine> line = conn.reader.next()) {
-        if (line->overlong) {
-            conn.session->handle_overlong();
-        } else {
-            conn.session->handle_line(line->text);
-        }
-    }
+    conn.session->handle_lines(conn.reader);
 }
 
 void Server::flush_writes(Connection& conn) {

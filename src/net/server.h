@@ -44,7 +44,6 @@ namespace leqa::net {
 struct ServerOptions {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0; ///< 0 = ephemeral; read back via Server::port()
-    int backlog = 128;
     std::size_t max_connections = 1024;
     std::size_t max_line_bytes = 1 << 20; ///< per-request NDJSON line cap
     /// Optional *non-blocking* fd the reactor also polls; readable means

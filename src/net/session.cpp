@@ -89,6 +89,16 @@ void Session::handle_overlong() {
                         "wire")));
 }
 
+void Session::handle_lines(LineReader& reader) {
+    while (std::optional<WireLine> line = reader.next()) {
+        if (line->overlong) {
+            handle_overlong();
+        } else {
+            handle_line(line->text);
+        }
+    }
+}
+
 void Session::handle_line(const std::string& line) {
     if (util::trim(line).empty()) return;
     const util::Result<wire::WireRequest> parsed = wire::parse_request(line);

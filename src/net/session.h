@@ -25,6 +25,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "net/framing.h"
 #include "service/service.h"
 #include "service/wire.h"
 #include "util/thread_annotations.h"
@@ -68,6 +69,10 @@ public:
     /// Answer the one-shot overlong-line event with a ParseError (id 0 --
     /// the line was never parsed, so its id is unknowable by design).
     void handle_overlong() LEQA_EXCLUDES(mutex_);
+
+    /// Drain every framed line \p reader holds through handle_overlong() or
+    /// handle_line(): the dispatch loop of both transports.
+    void handle_lines(LineReader& reader) LEQA_EXCLUDES(mutex_);
 
     /// Stop emitting and cancel every in-flight job (client went away).
     /// Idempotent.  Late completions become no-ops.

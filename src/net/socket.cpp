@@ -53,7 +53,7 @@ void Socket::close() {
     }
 }
 
-Socket listen_tcp(const std::string& host, std::uint16_t port, int backlog) {
+Socket listen_tcp(const std::string& host, std::uint16_t port) {
     Socket socket(::socket(AF_INET, SOCK_STREAM, 0));
     if (!socket.valid()) fail("socket");
     const int one = 1;
@@ -64,7 +64,7 @@ Socket listen_tcp(const std::string& host, std::uint16_t port, int backlog) {
     if (::bind(socket.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
         fail("bind " + host + ":" + std::to_string(port));
     }
-    if (::listen(socket.fd(), backlog) != 0) fail("listen");
+    if (::listen(socket.fd(), 128) != 0) fail("listen");
     set_nonblocking(socket.fd());
     return socket;
 }

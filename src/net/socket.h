@@ -39,11 +39,10 @@ private:
     int fd_ = -1;
 };
 
-/// Bind + listen a non-blocking TCP socket on host:port (port 0 picks an
-/// ephemeral port; read it back with local_port).  SO_REUSEADDR is set so
-/// quick restarts do not trip TIME_WAIT.
-[[nodiscard]] Socket listen_tcp(const std::string& host, std::uint16_t port,
-                                int backlog);
+/// Bind + listen (backlog 128) a non-blocking TCP socket on host:port (port
+/// 0 picks an ephemeral port; read it back with local_port).  SO_REUSEADDR
+/// is set so quick restarts do not trip TIME_WAIT.
+[[nodiscard]] Socket listen_tcp(const std::string& host, std::uint16_t port);
 
 /// The locally bound port of a listening (or connected) socket.
 [[nodiscard]] std::uint16_t local_port(const Socket& socket);

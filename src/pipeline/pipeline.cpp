@@ -101,7 +101,7 @@ std::string Pipeline::cache_key(const CircuitSource& source) const {
     } else {
         key += config_.synth.share_ancillas ? "share" : "fresh";
         if (config_.synth.keep_toffoli) key += ",toffoli";
-        key += ",p=" + config_.synth.ancilla_prefix;
+        key += ",p=anc"; // the ancilla name prefix (anc0, anc1, ...)
     }
     // The full fabric description of the session parameters.  The cached
     // intermediates are circuit-only today, but keying on the fabric means
@@ -444,15 +444,13 @@ Pipeline::TrainingSet Pipeline::training_samples(
 }
 
 core::CalibrationResult Pipeline::calibrate(const std::vector<CircuitSource>& training,
-                                            const core::CalibratorOptions& options,
                                             const RunControl* control) {
-    return calibrate(training_samples(training, control), options);
+    return calibrate(training_samples(training, control));
 }
 
-core::CalibrationResult Pipeline::calibrate(const TrainingSet& training,
-                                            const core::CalibratorOptions& options) {
+core::CalibrationResult Pipeline::calibrate(const TrainingSet& training) {
     const auto [params, leqa_options] = snapshot_estimation_config();
-    return core::calibrate_v(training.graph_samples, params, leqa_options, options);
+    return core::calibrate_v(training.graph_samples, params, leqa_options);
 }
 
 std::pair<fabric::PhysicalParams, core::LeqaOptions>

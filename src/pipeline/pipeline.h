@@ -132,8 +132,8 @@ struct CacheStats {
     std::size_t graph_hits = 0;     ///< QODG/IIG pair served from cache
     std::size_t graph_misses = 0;   ///< QODG/IIG pair built
     std::size_t evictions = 0;      ///< LRU evictions
-    /// Engine E[S_q] surface-cache counters, summed over every engine the
-    /// session ran (runs, sweeps, explorations).
+    /// Engine E[S_q] slot counters, summed over every engine the session
+    /// ran (runs, sweeps, explorations).
     std::size_t surface_hits = 0;
     std::size_t surface_recomputes = 0;
     std::size_t surface_evictions = 0;
@@ -287,14 +287,11 @@ public:
     /// resolved and mapped (the slow part), so a cancel/deadline aborts
     /// between circuits.
     [[nodiscard]] core::CalibrationResult calibrate(
-        const std::vector<CircuitSource>& training,
-        const core::CalibratorOptions& options = {},
-        const RunControl* control = nullptr);
+        const std::vector<CircuitSource>& training, const RunControl* control = nullptr);
 
     /// Fit v on an already-built training set (no re-mapping): the path for
     /// callers that also need the samples themselves (e.g. error curves).
-    [[nodiscard]] core::CalibrationResult calibrate(
-        const TrainingSet& training, const core::CalibratorOptions& options = {});
+    [[nodiscard]] core::CalibrationResult calibrate(const TrainingSet& training);
 
     /// Adopt a calibration result into the session parameters.
     void apply_calibration(const core::CalibrationResult& result);
@@ -316,7 +313,7 @@ private:
         LEQA_EXCLUDES(mutex_);
     /// Force graphs and account the hit/miss.
     void ensure_graphs(const CachedCircuit& entry) LEQA_EXCLUDES(mutex_);
-    /// Fold one engine's E[S_q] cache counters into the session stats.
+    /// Fold one engine's E[S_q] slot counters into the session stats.
     void note_surface_stats(const core::SurfaceCacheStats& stats)
         LEQA_EXCLUDES(mutex_);
     /// The body of explore() and sweep(): point checkpoints name \p stage.

@@ -60,7 +60,7 @@ public:
           options_(options),
           geometry_(fabric::make_topology(params)),
           channels_(geometry_.num_segments(), params.nc, params.t_move_us),
-          router_(geometry_, options.maze_margin),
+          router_(geometry_),
           qubit_free_(circ.num_qubits(), 0.0),
           ulb_busy_(geometry_.num_ulbs(), 0.0),
           occupant_(geometry_.num_ulbs(), kNoQubit) {

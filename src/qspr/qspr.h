@@ -55,7 +55,6 @@ struct QsprOptions {
     /// the original tool); Xy is the fast congestion-oblivious variant.
     RoutingAlgorithm routing = RoutingAlgorithm::Maze;
     SchedulePolicy schedule = SchedulePolicy::ProgramOrder;
-    int maze_margin = 4;              ///< detour margin of the maze router
     std::uint64_t seed = 1;           ///< used by random placement
     bool collect_schedule = false;    ///< record per-op start/finish times
     std::size_t prune_interval = 8192; ///< gates between reservation prunes

@@ -546,7 +546,7 @@ JobHandle submit(Service& service, const WireRequest& request, bool nowait,
                 for (const std::string& spec : request.sources) {
                     sources.push_back(pipeline::parse_source(spec));
                 }
-                core::CalibrationResult fit = pipe.calibrate(sources, {}, &control);
+                core::CalibrationResult fit = pipe.calibrate(sources, &control);
                 if (request.apply_calibration) pipe.apply_calibration(fit);
                 return JobOutput{fit};
             };

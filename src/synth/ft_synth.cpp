@@ -25,11 +25,11 @@ std::string FtSynthStats::to_string() const {
 
 namespace {
 
-/// Allocates ancillas either fresh per request or from a reusable pool.
+/// Allocates ancillas (named anc0, anc1, ...) either fresh per request or
+/// from a reusable pool.
 class AncillaManager {
 public:
-    AncillaManager(Circuit& circ, bool share, std::string prefix)
-        : circ_(circ), share_(share), prefix_(std::move(prefix)) {}
+    AncillaManager(Circuit& circ, bool share) : circ_(circ), share_(share) {}
 
     /// Start a new gate scope; in sharing mode previously used ancillas
     /// become reusable (they were uncomputed back to |0>).
@@ -39,7 +39,7 @@ public:
         if (share_ && next_shared_ < pool_.size()) {
             return pool_[next_shared_++];
         }
-        const Qubit q = circ_.add_qubit(prefix_ + std::to_string(total_allocated_));
+        const Qubit q = circ_.add_qubit("anc" + std::to_string(total_allocated_));
         ++total_allocated_;
         if (share_) {
             pool_.push_back(q);
@@ -53,7 +53,6 @@ public:
 private:
     Circuit& circ_;
     bool share_;
-    std::string prefix_;
     std::vector<Qubit> pool_;
     std::size_t next_shared_ = 0;
     std::size_t total_allocated_ = 0;
@@ -73,7 +72,7 @@ FtSynthResult ft_synthesize(const Circuit& input, const FtSynthOptions& options)
     for (Qubit q = 0; q < input.num_qubits(); ++q) out.add_qubit(input.qubit_name(q));
     out.reserve_gates(predicted_ft_ops(input));
 
-    AncillaManager ancillas(out, options.share_ancillas, options.ancilla_prefix);
+    AncillaManager ancillas(out, options.share_ancillas);
     FtSynthStats& stats = result.stats;
     stats.input_gates = input.size();
     stats.input_qubits = input.num_qubits();

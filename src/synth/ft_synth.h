@@ -28,8 +28,6 @@ struct FtSynthOptions {
     /// Keep 3-input Toffolis instead of lowering to the 15-gate network
     /// (useful for inspecting the intermediate stage).
     bool keep_toffoli = false;
-    /// Name prefix for ancilla qubits.
-    std::string ancilla_prefix = "anc";
 };
 
 struct FtSynthStats {

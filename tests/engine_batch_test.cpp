@@ -1,7 +1,7 @@
 // Tests for the batched SoA parameter stage: the multi-lane Eq. 18
-// recursion (mathx::BinomialRowBatch), the SoA E[S_q] evaluation, the keyed
-// E[S_q] LRU cache that replaced the single-entry memo, the lane-blocked
-// critical-path pass, and EstimationEngine::estimate_batch itself.
+// recursion (mathx::BinomialRowBatch), the SoA E[S_q] evaluation, the
+// engine's one E[S_q] slot, the lane-blocked critical-path pass, and
+// EstimationEngine::estimate_batch itself.
 //
 // The parity bar is BIT-IDENTITY, not a tolerance: the SoA recursion
 // renormalizes by exact powers of two (the same rescaling frexp applies in
@@ -307,50 +307,33 @@ TEST(EstimateBatch, BeforePointRunsOncePerPointAndCanAbort) {
     EXPECT_EQ(until_cancel, 3u);
 }
 
-// ------------------------------------------------- keyed E[S_q] LRU cache --
+// ------------------------------------------------------ one E[S_q] slot --
 
-TEST(SurfaceCache, AlternatingTopologiesDoNotThrash) {
-    // The regression the keyed cache exists for: interleaving two fabric
-    // geometries through one engine recomputed E[S_q] on EVERY point with
-    // the old single-entry memo.  Now each geometry is computed once.
+TEST(SurfaceSlot, FixedGeometryAxisComputesSurfacesOnce) {
+    // A fixed-geometry engine evaluating a v/Nc axis as separate one-point
+    // batches (the calibrator's golden-section shape): E[S_q] is computed
+    // once, every later point hits the slot, and each result equals a
+    // fresh engine's at that point's params.
     const ProfiledCircuit circuit = profiled("8bitadder");
-    lf::PhysicalParams grid;
-    lf::PhysicalParams torus;
-    torus.topology = lf::TopologyKind::Torus;
-
-    lcore::EstimationEngine engine(grid);
-    for (int round = 0; round < 10; ++round) {
-        engine.set_params(round % 2 == 0 ? grid : torus);
-        (void)engine.estimate(circuit.profile);
+    const lf::PhysicalParams params;
+    const lcore::EstimationEngine engine(params);
+    const std::vector<lcore::ParameterPoint> points = mixed_axis();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        expect_estimates_identical(
+            engine.estimate_batch(circuit.profile, {&points[i], 1}).front(),
+            scalar_estimate(circuit.profile, params, points[i].nc, points[i].v),
+            "point " + std::to_string(i));
     }
     const lcore::SurfaceCacheStats& stats = engine.surface_cache_stats();
-    EXPECT_EQ(stats.recomputes, 2u); // one per distinct geometry, not per point
-    EXPECT_EQ(stats.hits, 8u);
+    EXPECT_EQ(stats.recomputes, 1u);
+    EXPECT_EQ(stats.hits, points.size() - 1);
     EXPECT_EQ(stats.evictions, 0u);
-}
 
-TEST(SurfaceCache, CapacityBoundsEntriesAndEvicts) {
-    // More distinct geometries than the cache holds: evictions must kick in
-    // and a re-visit of the oldest geometry recomputes.
-    const ProfiledCircuit circuit = profiled("ham3");
-    lf::PhysicalParams params;
-    lcore::EstimationEngine engine(params);
-    for (int side = 40; side < 50; ++side) { // 10 distinct geometries > capacity 8
-        params.width = side;
-        params.height = side;
-        engine.set_params(params);
-        (void)engine.estimate(circuit.profile);
-    }
-    const lcore::SurfaceCacheStats& stats = engine.surface_cache_stats();
-    EXPECT_EQ(stats.recomputes, 10u);
-    EXPECT_EQ(stats.evictions, 2u);
-    EXPECT_EQ(stats.hits, 0u);
-
-    params.width = 40; // evicted: the revisit is a recompute
-    params.height = 40;
-    engine.set_params(params);
-    (void)engine.estimate(circuit.profile);
-    EXPECT_EQ(engine.surface_cache_stats().recomputes, 11u);
+    // A second profile on the same engine replaces the held vector.
+    const ProfiledCircuit other = profiled("ham3");
+    (void)engine.estimate(other.profile);
+    EXPECT_EQ(stats.recomputes, 2u);
+    EXPECT_EQ(stats.evictions, 1u);
 }
 
 // ------------------------------------------- batch through explore/sweeps --

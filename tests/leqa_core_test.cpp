@@ -357,6 +357,13 @@ TEST(Calibrate, RecoversGeneratingV) {
     EXPECT_LT(result.mean_abs_rel_error, 1e-4);
     EXPECT_NEAR(std::log10(result.v), std::log10(secret_v), 0.02);
     EXPECT_GT(result.evaluations, 0u);
+
+    // The search's errors came from engines whose E[S_q] slot served every
+    // step; cold engines at the fitted v reproduce the error bit for bit.
+    auto fitted_params = paper_params();
+    fitted_params.v = result.v;
+    EXPECT_EQ(lcore::mean_abs_relative_error(samples, fitted_params, {}),
+              result.mean_abs_rel_error);
 }
 
 TEST(Calibrate, ErrorMetricMatchesDefinition) {

@@ -71,12 +71,6 @@ TEST(Optimize, RejectsBadOptions) {
         leqa::util::InputError);
 
     options = {};
-    options.relocate_fraction = 1.5;
-    EXPECT_THROW(
-        (void)lc::optimize_placement(*tc.graph, tc.ft, params, homes, options),
-        leqa::util::InputError);
-
-    options = {};
     options.max_seconds = -1.0;
     EXPECT_THROW(
         (void)lc::optimize_placement(*tc.graph, tc.ft, params, homes, options),

@@ -419,8 +419,7 @@ TEST(PipelineSweeps, RunControlCancelsBeforeWork) {
                                                {40, 50, 60}, &control),
                  leqa::util::CancelledError);
     EXPECT_EQ(pipe.cache_stats().circuit_misses, 0u);
-    EXPECT_THROW((void)pipe.calibrate({lp::CircuitSource::from_bench("ham3")}, {},
-                                      &control),
+    EXPECT_THROW((void)pipe.calibrate({lp::CircuitSource::from_bench("ham3")}, &control),
                  leqa::util::CancelledError);
     EXPECT_EQ(pipe.cache_stats().circuit_misses, 0u);
 }

@@ -20,8 +20,7 @@ static_assert(kVMin > 0.0 && kVMax > kVMin, "invalid v search range");
 static_assert(kCoarseGrid >= 2, "coarse grid needs >= 2 points");
 
 void validate_sample(const GraphSample& sample) {
-    LEQA_REQUIRE(sample.graph != nullptr && sample.iig != nullptr,
-                 "null graphs in calibration sample");
+    LEQA_REQUIRE(sample.graph != nullptr, "null graph in calibration sample");
     LEQA_REQUIRE(sample.actual_latency_us > 0.0,
                  "calibration sample must have positive actual latency");
 }
@@ -38,7 +37,7 @@ std::vector<ProfiledSample> profile_samples(const std::vector<GraphSample>& samp
     profiled.reserve(samples.size());
     for (const GraphSample& sample : samples) {
         profiled.push_back(
-            {CircuitProfile::build(*sample.graph, *sample.iig), sample.actual_latency_us});
+            {CircuitProfile::build(*sample.graph), sample.actual_latency_us});
     }
     return profiled;
 }

@@ -14,17 +14,15 @@
 
 #include "core/leqa.h"
 #include "fabric/params.h"
-#include "iig/iig.h"
 #include "qodg/qodg.h"
 
 namespace leqa::core {
 
-/// One training pair: a circuit's prebuilt graphs (the pipeline's cached
-/// intermediates, so the v search never rebuilds a QODG/IIG) and the
-/// mapper's latency for it.
+/// One training pair: a circuit's prebuilt QODG (the pipeline's cached
+/// intermediate, so the v search never rebuilds it; the profile reads its
+/// IIG statistics from the tape) and the mapper's latency for it.
 struct GraphSample {
     const qodg::Qodg* graph = nullptr; ///< borrowed, not owned
-    const iig::Iig* iig = nullptr;     ///< borrowed, not owned
     double actual_latency_us = 0.0;
 };
 
@@ -42,7 +40,7 @@ struct CalibrationResult {
 /// Fit v: a 48-point log-grid scan of [1e-6, 1] followed by 40
 /// golden-section steps on the best bracket.  Deterministic.  Throws
 /// InputError on an empty sample set.  The whole search runs on the
-/// samples' graphs without a single QODG/IIG construction;
+/// samples' graphs without a single QODG or IIG construction;
 /// `Pipeline::calibrate` is the facade over it.
 [[nodiscard]] CalibrationResult calibrate_v(
     const std::vector<GraphSample>& samples, const fabric::PhysicalParams& base_params,

@@ -12,37 +12,51 @@ namespace leqa::core {
 
 // -------------------------------------------------------- CircuitProfile --
 
-CircuitProfile CircuitProfile::build(const qodg::Qodg& graph, const iig::Iig& iig) {
+namespace {
+
+/// The profile of `graph` with its IIG statistics read from `iig`.
+CircuitProfile profile_from(const qodg::Qodg& graph, const graph::WeightedUndigraph& iig) {
     CircuitProfile profile;
     profile.graph = &graph;
-    profile.num_qubits = iig.num_qubits();
+    profile.num_qubits = graph.num_qubits();
     profile.num_ops = graph.num_ops();
+    profile.gate_counts = graph.gate_counts();
 
-    // Lines 1-3 of Algorithm 1: IIG statistics and B (Eqs. 6-7).
-    profile.zone_area_b = iig.average_zone_area();
-
-    // Lines 4-8 without the parameter: the W_i-weighted average of
-    // E[l_ham,i] / M_i (Eqs. 15-16).  Dividing by v at estimate time
-    // recovers d_uncongest (Eq. 12) exactly up to association order.
+    // Lines 1-3 of Algorithm 1: B, the W_i-weighted mean of B_i = M_i + 1
+    // (Eqs. 6-7); 1.0 (single-ULB zones) without interactions.  Lines 4-8
+    // without the parameter: the W_i-weighted average of E[l_ham,i] / M_i
+    // (Eqs. 15-16).  Dividing by v at estimate time recovers d_uncongest
+    // (Eq. 12) exactly up to association order.
+    double zone_numerator = 0.0;
+    double zone_denominator = 0.0;
     double numerator = 0.0;
     double denominator = 0.0;
-    for (circuit::Qubit i = 0; i < iig.num_qubits(); ++i) {
-        const double w = static_cast<double>(iig.adjacent_weight(i));
+    for (graph::NodeId i = 0; i < iig.num_nodes(); ++i) {
+        const auto w = static_cast<double>(iig.adjacent_weight(i));
+        const auto m = static_cast<double>(iig.degree(i));
+        const double zone_area = m + 1.0;
+        zone_numerator += w * zone_area;
+        zone_denominator += w;
         if (w <= 0.0) continue; // no interactions: no presence-zone travel
-        const double m = static_cast<double>(iig.degree(i));
-        const double l_ham = mathx::expected_hamiltonian_path(iig.zone_area(i), m);
+        const double l_ham = mathx::expected_hamiltonian_path(zone_area, m);
         numerator += w * (l_ham / m);
         denominator += w;
     }
+    profile.zone_area_b = zone_denominator == 0.0 ? 1.0 : zone_numerator / zone_denominator;
     profile.d_uncongest_v = denominator > 0.0 ? numerator / denominator : 0.0;
-
-    for (qodg::NodeId id = 0; id < graph.num_nodes(); ++id) {
-        const qodg::Node node = graph.node(id);
-        if (node.kind == qodg::NodeKind::Op) {
-            ++profile.gate_counts[static_cast<std::size_t>(node.gate_kind)];
-        }
-    }
     return profile;
+}
+
+} // namespace
+
+CircuitProfile CircuitProfile::build(const qodg::Qodg& graph) {
+    return profile_from(graph, graph.interaction_graph());
+}
+
+CircuitProfile CircuitProfile::build(const qodg::Qodg& graph, const iig::Iig& iig) {
+    LEQA_REQUIRE(iig.num_qubits() == graph.num_qubits(),
+                 "IIG and QODG come from different circuits (qubit counts differ)");
+    return profile_from(graph, iig.graph());
 }
 
 // ------------------------------------------------------ EstimationEngine --

@@ -10,8 +10,9 @@
 ///   stage 1 — `CircuitProfile` (per circuit, parameter-free):
 ///     QODG structure, IIG-derived statistics (B of Eq. 7 and the
 ///     circuit-only factor of d_uncongest, Eqs. 12/15/16 — v divides out),
-///     per-kind gate counts.  Build once, reuse across every parameter
-///     point; the pipeline caches it next to the graphs.
+///     per-kind gate counts, all read from the QODG's tape.  Build once,
+///     reuse across every parameter point; the pipeline caches it next to
+///     the QODG.
 ///
 ///   stage 2 — `EstimationEngine::estimate(profile)` (per parameter point):
 ///     the coverage table of Eq. 5 is compressed to its O(s^2) distinct
@@ -63,8 +64,13 @@ struct CircuitProfile {
     /// Dependency structure for the critical-path stage (borrowed).
     const qodg::Qodg* graph = nullptr;
 
-    /// Build from prebuilt graphs; the IIG is consumed statistically and
-    /// not retained.
+    /// Build from the QODG alone: gate counts from its tape, M_i and W_i
+    /// from its interaction graph (the pipeline's path; no IIG is built).
+    [[nodiscard]] static CircuitProfile build(const qodg::Qodg& graph);
+
+    /// Build from prebuilt graphs of one circuit; the IIG is consumed
+    /// statistically and not retained.  Bit-identical to build(graph).
+    /// Throws InputError when the IIG's qubit count is not the QODG's.
     [[nodiscard]] static CircuitProfile build(const qodg::Qodg& graph,
                                               const iig::Iig& iig);
 };

@@ -54,6 +54,8 @@ PlacedTimer::PlacedTimer(const qodg::Qodg& graph, const circuit::Circuit& circ,
                          const fabric::PhysicalParams& params,
                          std::vector<fabric::UlbId> homes)
     : graph_(&graph),
+      successors_(&graph.csr()),
+      predecessors_(&graph.predecessor_csr()),
       topology_(fabric::make_topology(params)),
       t_move_us_(params.t_move_us),
       d_cnot_us_(params.d_cnot_us),
@@ -117,7 +119,7 @@ PlacedTimer::PlacedTimer(const qodg::Qodg& graph, const circuit::Circuit& circ,
     arrival_[0] = delay_[0];
     for (qodg::NodeId v = 1; v < n; ++v) {
         double acc = -1.0;
-        for (const qodg::NodeId u : graph.predecessors(v)) {
+        for (const qodg::NodeId u : predecessors_->successors(v)) {
             const double du = arrival_[u];
             if (du < 0.0) continue;
             const double candidate = du + delay_[v];
@@ -131,7 +133,7 @@ PlacedTimer::PlacedTimer(const qodg::Qodg& graph, const circuit::Circuit& circ,
     tail_.assign(n, 0.0);
     for (qodg::NodeId v = graph.end(); v-- > 0;) {
         double acc = -std::numeric_limits<double>::infinity();
-        for (const qodg::NodeId w : graph.successors(v)) {
+        for (const qodg::NodeId w : successors_->successors(v)) {
             const double candidate = delay_[w] + tail_[w];
             if (candidate > acc) acc = candidate;
         }
@@ -303,7 +305,7 @@ double PlacedTimer::apply_changes() {
         mark_forward(change.node);
         // tail[n] ignores n's own delay, but every predecessor's tail reads
         // delay[n]: seed the (deferred) backward scan there.
-        for (const qodg::NodeId u : graph_->predecessors(change.node)) {
+        for (const qodg::NodeId u : predecessors_->successors(change.node)) {
             mark_backward(u);
         }
     }
@@ -322,7 +324,7 @@ double PlacedTimer::apply_changes() {
         double fresh = delay_[0];
         if (v != 0) {
             fresh = -1.0;
-            for (const qodg::NodeId u : graph_->predecessors(v)) {
+            for (const qodg::NodeId u : predecessors_->successors(v)) {
                 const double du = arrival_[u];
                 if (du < 0.0) continue;
                 const double candidate = du + delay_[v];
@@ -332,7 +334,7 @@ double PlacedTimer::apply_changes() {
         if (fresh != arrival_[v]) {
             undo_arrivals_.push_back(DelayChange{v, arrival_[v]});
             arrival_[v] = fresh;
-            for (const qodg::NodeId w : graph_->successors(v)) mark_forward(w);
+            for (const qodg::NodeId w : successors_->successors(v)) mark_forward(w);
         }
     }
 
@@ -354,7 +356,7 @@ void PlacedTimer::flush_tails() {
             double fresh = 0.0;
             if (v != end) {
                 double acc = -std::numeric_limits<double>::infinity();
-                for (const qodg::NodeId w : graph_->successors(v)) {
+                for (const qodg::NodeId w : successors_->successors(v)) {
                     const double candidate = delay_[w] + tail_[w];
                     if (candidate > acc) acc = candidate;
                 }
@@ -363,7 +365,7 @@ void PlacedTimer::flush_tails() {
             if (fresh != tail_[v]) {
                 undo_tails_.push_back(DelayChange{v, tail_[v]});
                 tail_[v] = fresh;
-                for (const qodg::NodeId u : graph_->predecessors(v)) {
+                for (const qodg::NodeId u : predecessors_->successors(v)) {
                     mark_backward(u);
                 }
             }
@@ -390,7 +392,7 @@ std::string PlacedTimer::audit() {
         double fresh = 0.0;
         if (v != end) {
             double acc = -std::numeric_limits<double>::infinity();
-            for (const qodg::NodeId w : graph_->successors(v)) {
+            for (const qodg::NodeId w : successors_->successors(v)) {
                 const double candidate = delay_[w] + tail_[w];
                 if (candidate > acc) acc = candidate;
             }

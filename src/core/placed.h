@@ -167,6 +167,10 @@ private:
     void mark_backward(qodg::NodeId node);
 
     const qodg::Qodg* graph_;
+    /// The QODG's CSR views, taken once: the per-node loops index them
+    /// directly.
+    const graph::CsrDigraph* successors_;
+    const graph::CsrDigraph* predecessors_;
     std::shared_ptr<const fabric::Topology> topology_;
     double t_move_us_ = 0.0;
     double d_cnot_us_ = 0.0;

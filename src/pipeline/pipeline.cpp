@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "qspr/placement.h"
+#include "synth/decompose.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
 
@@ -35,28 +36,27 @@ std::string CacheStats::to_string() const {
 
 // ------------------------------------------------------- CachedCircuit --
 
-bool CachedCircuit::ensure_graphs() const {
-    bool built_now = false;
-    std::call_once(graphs_once_, [&] {
-        qodg_ = std::make_unique<const qodg::Qodg>(ft_);
-        iig_ = std::make_unique<const iig::Iig>(ft_);
-        // The profile borrows the QODG; both live (and die) together here.
-        profile_ = std::make_unique<const core::CircuitProfile>(
-            core::CircuitProfile::build(*qodg_, *iig_));
-        graphs_ready_.store(true);
-        built_now = true;
+const circuit::Circuit& CachedCircuit::ft() const {
+    std::call_once(ft_once_, [this] {
+        if (info_.synthesized) ft_ = synth::ft_synthesize(pre_ft_, synth_options_).circuit;
     });
-    return built_now;
-}
-
-const qodg::Qodg& CachedCircuit::qodg() const {
-    ensure_graphs();
-    return *qodg_;
+    return ft_;
 }
 
 const iig::Iig& CachedCircuit::iig() const {
-    ensure_graphs();
+    std::call_once(iig_once_, [this] { iig_ = std::make_unique<const iig::Iig>(ft()); });
     return *iig_;
+}
+
+bool CachedCircuit::ensure_graphs() const {
+    bool built_now = false;
+    std::call_once(profile_once_, [&] {
+        // The profile borrows the QODG; both live (and die) together here.
+        profile_ = std::make_unique<const core::CircuitProfile>(
+            core::CircuitProfile::build(*qodg_));
+        built_now = true;
+    });
+    return built_now;
 }
 
 const core::CircuitProfile& CachedCircuit::profile() const {
@@ -155,8 +155,8 @@ CachedCircuitPtr Pipeline::resolve_timed(const CircuitSource& source, double* se
         return entry;
     }
 
-    // Build outside the lock: parsing + synthesis dominate and must not
-    // serialize unrelated batch work.
+    // Build outside the lock: parsing, synthesis and the QODG dominate and
+    // must not serialize unrelated batch work.
     const util::Stopwatch clock;
     CachedCircuitPtr entry;
     try {
@@ -166,14 +166,20 @@ CachedCircuitPtr Pipeline::resolve_timed(const CircuitSource& source, double* se
         building->info_.cache_key = key;
         building->info_.pre_ft_gates = circ.size();
         if (auto_synthesize && !circ.is_ft()) {
-            synth::FtSynthResult synthesized = synth::ft_synthesize(circ, synth_options);
-            building->synth_stats_ = synthesized.stats;
+            // Synthesis streams into the QODG's tape; ft() reruns it on the
+            // kept pre-FT circuit when a map first asks.
+            qodg::Qodg::Builder tape;
+            building->synth_stats_ = synth::synthesize_into(circ, synth_options, tape);
             building->info_.synthesized = true;
-            circ = std::move(synthesized.circuit);
+            building->qodg_ = std::make_unique<const qodg::Qodg>(std::move(tape));
+            building->pre_ft_ = std::move(circ);
+            building->synth_options_ = synth_options;
+        } else {
+            building->qodg_ = std::make_unique<const qodg::Qodg>(circ);
+            building->ft_ = std::move(circ);
         }
-        building->info_.qubits = circ.num_qubits();
-        building->info_.ft_ops = circ.size();
-        building->ft_ = std::move(circ);
+        building->info_.qubits = building->qodg_->num_qubits();
+        building->info_.ft_ops = building->qodg_->num_ops();
         entry = std::move(building);
     } catch (...) {
         {
@@ -398,8 +404,7 @@ core::OptimizeResult Pipeline::optimize(const CircuitSource& source,
         qspr_options = config_.qspr;
     }
     run_params.validate();
-    LEQA_REQUIRE(entry->ft().num_qubits() <=
-                     static_cast<std::size_t>(run_params.area()),
+    LEQA_REQUIRE(entry->info().qubits <= static_cast<std::size_t>(run_params.area()),
                  "circuit has more logical qubits than the fabric has ULBs");
 
     // Start from the same placement the session mapper would use, so the
@@ -408,7 +413,7 @@ core::OptimizeResult Pipeline::optimize(const CircuitSource& source,
         qspr_options.initial_homes.empty()
             ? qspr::initial_placement(
                   fabric::FabricGeometry(fabric::make_topology(run_params)),
-                  entry->ft().num_qubits(), qspr_options.placement,
+                  entry->info().qubits, qspr_options.placement,
                   qspr_options.seed)
             : qspr_options.initial_homes;
 
@@ -437,7 +442,7 @@ Pipeline::TrainingSet Pipeline::training_samples(
         CachedCircuitPtr entry = resolve(source);
         ensure_graphs(*entry);
         const double actual_us = mapper.map(entry->ft()).latency_us;
-        training.graph_samples.push_back({&entry->qodg(), &entry->iig(), actual_us});
+        training.graph_samples.push_back({&entry->qodg(), actual_us});
         training.circuits.push_back(std::move(entry));
     }
     return training;

@@ -1,6 +1,6 @@
 /// \file pipeline.h
-/// \brief The unified session facade: parse -> FT synthesis -> QODG/IIG ->
-///        LEQA estimate and/or QSPR mapping, behind one API.
+/// \brief The unified session facade: parse -> FT synthesis streamed into
+///        the QODG -> LEQA estimate and/or QSPR mapping, behind one API.
 ///
 /// The paper positions LEQA as the fast inner loop of design-space
 /// exploration ("more than four orders of magnitude" faster than a detailed
@@ -8,10 +8,11 @@
 /// plumbing and rebuilt the dependency graphs per parameter point; the
 /// Pipeline owns that plumbing once:
 ///
-///   - a keyed LRU cache of intermediates (FT circuit + lazily built
-///     QODG/IIG + the circuit-invariant `core::CircuitProfile`) per circuit
-///     identity, so fabric sweeps, QECC exploration and calibration reuse
-///     the stage-1 artifacts instead of rebuilding them;
+///   - a keyed LRU cache of intermediates (the QODG synthesis streams into,
+///     the circuit-invariant `core::CircuitProfile`, and the FT circuit and
+///     IIG built on first use) per circuit identity, so fabric sweeps, QECC
+///     exploration and calibration reuse the stage-1 artifacts instead of
+///     rebuilding them;
 ///   - `run(request)` for one circuit, `run_batch_results(requests)` with
 ///     optional thread-pool parallelism for many;
 ///   - `sweep` / `explore` / `optimize` / `calibrate` entry points that run
@@ -98,8 +99,10 @@ struct RunControl {
 
 /// Wall-clock seconds per pipeline stage.  Cached stages report ~0.
 struct StageTimes {
-    double resolve_s = 0.0;  ///< parse/generate + FT synthesis (0 on cache hit)
-    double graphs_s = 0.0;   ///< QODG + IIG construction (0 on cache hit)
+    /// parse/generate + FT synthesis streamed into the QODG's tape (the
+    /// QODG build of an FT input included); 0 on cache hit
+    double resolve_s = 0.0;
+    double graphs_s = 0.0;   ///< circuit profile from the tape (0 on cache hit)
     double estimate_s = 0.0; ///< LEQA Algorithm 1
     double map_s = 0.0;      ///< QSPR map-and-route
     double total_s = 0.0;
@@ -127,10 +130,10 @@ struct EstimationResult {
 
 /// Cache effectiveness counters (cumulative per Pipeline).
 struct CacheStats {
-    std::size_t circuit_hits = 0;   ///< FT circuit served from cache
-    std::size_t circuit_misses = 0; ///< parse + synthesis performed
-    std::size_t graph_hits = 0;     ///< QODG/IIG pair served from cache
-    std::size_t graph_misses = 0;   ///< QODG/IIG pair built
+    std::size_t circuit_hits = 0;   ///< entry served from cache
+    std::size_t circuit_misses = 0; ///< parse + synthesis + QODG performed
+    std::size_t graph_hits = 0;     ///< profile served from cache
+    std::size_t graph_misses = 0;   ///< profile built
     std::size_t evictions = 0;      ///< LRU evictions
     /// Engine E[S_q] slot counters, summed over every engine the session
     /// ran (runs, sweeps, explorations).
@@ -141,42 +144,53 @@ struct CacheStats {
     [[nodiscard]] std::string to_string() const;
 };
 
-/// A cached, immutable FT circuit with lazily built dependency graphs and
-/// the circuit-invariant estimation profile derived from them.  Handles
-/// stay valid after eviction (shared ownership).
+/// A cached circuit: its QODG, built when the entry is resolved, plus
+/// views built once, on first use, safely under concurrent first use.
+/// Handles stay valid after eviction (shared ownership).
+///
+/// A synthesized entry streams FT synthesis straight into the QODG's
+/// tape, which is all an estimate reads: no FT `Circuit`, CSR or `Iig` is
+/// built for it.  The entry keeps the pre-FT circuit and the synthesis
+/// options, and the first `ft()` reruns the (deterministic) synthesis on
+/// them, so a map after an estimate gets the same gates, qubit names,
+/// comments and name.  An FT input (`auto_synthesize` off, or an FT
+/// netlist) keeps the loaded circuit as its `ft()`.
 class CachedCircuit {
 public:
-    [[nodiscard]] const circuit::Circuit& ft() const { return ft_; }
+    /// The FT circuit; a synthesized entry synthesizes it on first call.
+    [[nodiscard]] const circuit::Circuit& ft() const;
     [[nodiscard]] const CircuitInfo& info() const { return info_; }
     [[nodiscard]] const synth::FtSynthStats& synth_stats() const { return synth_stats_; }
 
-    /// Dependency graphs, built on first use (thread-safe).
-    [[nodiscard]] const qodg::Qodg& qodg() const;
+    /// The dependency graph (its CSR views are built on first use; see
+    /// qodg/qodg.h).
+    [[nodiscard]] const qodg::Qodg& qodg() const { return *qodg_; }
+    /// The interaction graph, built from ft() on first call.
     [[nodiscard]] const iig::Iig& iig() const;
 
     /// The circuit-invariant stage-1 artifact (see core/engine.h), built
-    /// together with the graphs: sweeps and calibration re-estimate from it
-    /// without touching the circuit again.
+    /// from the QODG's tape on first call: sweeps and calibration
+    /// re-estimate from it without touching the circuit again.
     [[nodiscard]] const core::CircuitProfile& profile() const;
-
-    /// True once the QODG/IIG pair (and profile) has been built.
-    [[nodiscard]] bool graphs_built() const { return graphs_ready_.load(); }
 
 private:
     friend class Pipeline;
 
-    /// Force-build the graphs + profile; returns true when this call built
-    /// them.
+    /// Force-build the profile; returns true when this call built it.
     bool ensure_graphs() const;
 
-    circuit::Circuit ft_;
     CircuitInfo info_;
     synth::FtSynthStats synth_stats_;
+    std::unique_ptr<const qodg::Qodg> qodg_;
+    /// Synthesized entries: the pre-FT circuit and the options ft() reruns.
+    circuit::Circuit pre_ft_;
+    synth::FtSynthOptions synth_options_;
 
-    mutable std::once_flag graphs_once_;
-    mutable std::atomic<bool> graphs_ready_{false};
-    mutable std::unique_ptr<const qodg::Qodg> qodg_;
+    mutable std::once_flag ft_once_;
+    mutable circuit::Circuit ft_; ///< set at resolve for an FT input
+    mutable std::once_flag iig_once_;
     mutable std::unique_ptr<const iig::Iig> iig_;
+    mutable std::once_flag profile_once_;
     mutable std::unique_ptr<const core::CircuitProfile> profile_;
 };
 
@@ -272,9 +286,9 @@ public:
 
     /// Training pairs for the given sources: each circuit is resolved
     /// through the cache and mapped with the session's QSPR configuration.
-    /// `graph_samples` borrow the cached QODG/IIG pairs, so the calibrator's
-    /// v sweep performs zero graph rebuilds; the handles keep everything
-    /// borrowed alive.
+    /// `graph_samples` borrow the cached QODGs, so the calibrator's v sweep
+    /// performs zero graph rebuilds; the handles keep everything borrowed
+    /// alive.
     struct TrainingSet {
         std::vector<CachedCircuitPtr> circuits;
         std::vector<core::GraphSample> graph_samples;
@@ -311,7 +325,7 @@ private:
     [[nodiscard]] CachedCircuitPtr resolve_timed(const CircuitSource& source,
                                                  double* seconds)
         LEQA_EXCLUDES(mutex_);
-    /// Force graphs and account the hit/miss.
+    /// Force the profile and account the graph hit/miss.
     void ensure_graphs(const CachedCircuit& entry) LEQA_EXCLUDES(mutex_);
     /// Fold one engine's E[S_q] slot counters into the session stats.
     void note_surface_stats(const core::SurfaceCacheStats& stats)

@@ -14,62 +14,81 @@
 
 namespace leqa::qodg {
 
-Qodg::Qodg(const circuit::Circuit& circ) {
-    const std::size_t n_gates = circ.size();
-    const std::size_t n_nodes = n_gates + 2;
+namespace {
 
-    // The predecessor CSR is written directly, one row per node in id
-    // order: a gate's predecessors are the distinct last writers of its
-    // operands (parallel edges -- a CNOT feeding both operands of another
-    // CNOT -- merge here), sorted ascending.
-    std::vector<std::uint32_t> offsets;
-    std::vector<NodeId> preds;
-    offsets.reserve(n_nodes + 1);
-    preds.reserve(2 * n_gates + circ.num_qubits() + 1);
-    offsets.push_back(0);
-    offsets.push_back(0); // start has no predecessors
+constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
 
-    // Last QODG node that touched each qubit (start initially).
-    std::vector<NodeId> last(circ.num_qubits(), start());
-    constexpr auto kZeroRow = static_cast<std::uint16_t>(circuit::kGateKindCount);
-    delay_row_.reserve(n_nodes);
-    delay_row_.push_back(kZeroRow);
-    operands_.reserve(n_gates);
-    num_qubits_ = circ.num_qubits();
+Qodg::Builder feed(const circuit::Circuit& circ) {
+    Qodg::Builder builder;
+    builder.reserve_gates(circ.size());
+    for (circuit::Qubit q = 0; q < circ.num_qubits(); ++q) builder.add_qubit();
+    for (const circuit::Gate& gate : circ.gates()) builder.add_gate(gate);
+    return builder;
+}
 
-    NodeId me = start();
-    for (const circuit::Gate& gate : circ.gates()) {
-        ++me;
-        const std::span<const circuit::Qubit> qubits = gate.qubits();
-        if (qubits.size() <= 2) {
-            // The operand pair of the lane kernel, the one whose last node
-            // has the lower id first ((q, q) for a one-qubit op), and the
-            // predecessor row, those last nodes once each, ascending.
-            circuit::Qubit first = qubits.front();
-            circuit::Qubit second = qubits.back();
-            if (last[second] < last[first]) std::swap(first, second);
-            operands_.push_back({first, second});
-            if (first != second) ++num_two_qubit_ops_;
-            preds.push_back(last[first]);
-            if (last[second] != last[first]) preds.push_back(last[second]);
-        } else {
-            // A pre-FT gate on three or more qubits: the lane kernel
-            // rejects the graph; the row is sorted and deduplicated.
-            has_wide_ops_ = true;
-            operands_.push_back({qubits[0], qubits[0]});
-            const auto row = static_cast<std::ptrdiff_t>(preds.size());
-            for (const circuit::Qubit q : qubits) preds.push_back(last[q]);
-            std::sort(preds.begin() + row, preds.end());
-            preds.erase(std::unique(preds.begin() + row, preds.end()), preds.end());
+} // namespace
+
+Qodg::Builder::Builder() { delay_row_.push_back(kZeroRow); }
+
+circuit::Qubit Qodg::Builder::add_qubit(std::string_view /*name*/) {
+    last_.push_back(0); // start
+    return static_cast<circuit::Qubit>(last_.size() - 1);
+}
+
+void Qodg::Builder::reserve_gates(std::size_t gates) {
+    delay_row_.reserve(gates + 2);
+    operands_.reserve(gates);
+}
+
+bool Qodg::Builder::is_ft() const {
+    for (std::size_t k = 0; k < circuit::kGateKindCount; ++k) {
+        if (gate_counts_[k] > 0 && !circuit::gate_info(static_cast<circuit::GateKind>(k)).is_ft) {
+            return false;
         }
-        offsets.push_back(static_cast<std::uint32_t>(preds.size()));
-        for (const circuit::Qubit q : qubits) last[q] = me;
-        delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
     }
+    return true;
+}
 
+void Qodg::Builder::add_gate(const circuit::Gate& gate) {
+    gate.validate_against(last_.size());
+    const auto me = static_cast<NodeId>(delay_row_.size());
+    const std::span<const circuit::Qubit> qubits = gate.qubits();
+    if (qubits.size() <= 2) {
+        // The operand pair of the lane kernel: the one whose last node has
+        // the lower id first, (q, q) for a one-qubit op.  The predecessor
+        // row, those last nodes once each, ascending, follows from it.
+        circuit::Qubit first = qubits.front();
+        circuit::Qubit second = qubits.back();
+        if (last_[second] < last_[first]) std::swap(first, second);
+        operands_.push_back({first, second});
+        if (first != second) ++num_two_qubit_ops_;
+    } else {
+        // A pre-FT gate on three or more qubits: the lane kernel rejects
+        // the graph, and the CSR views and the interaction graph read the
+        // full operand list from the side table.
+        const auto begin = static_cast<std::uint32_t>(wide_qubits_.size());
+        wide_qubits_.insert(wide_qubits_.end(), qubits.begin(), qubits.end());
+        wide_ops_.push_back({static_cast<std::uint32_t>(operands_.size()), begin,
+                             static_cast<std::uint32_t>(wide_qubits_.size())});
+        operands_.push_back({qubits[0], qubits[0]});
+    }
+    for (const circuit::Qubit q : qubits) last_[q] = me;
+    delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
+    ++gate_counts_[static_cast<std::size_t>(gate.kind)];
+}
+
+Qodg::Qodg(Builder&& builder)
+    : delay_row_(std::move(builder.delay_row_)),
+      operands_(std::move(builder.operands_)),
+      wide_ops_(std::move(builder.wide_ops_)),
+      wide_qubits_(std::move(builder.wide_qubits_)),
+      gate_counts_(builder.gate_counts_),
+      num_qubits_(builder.last_.size()),
+      num_two_qubit_ops_(builder.num_two_qubit_ops_) {
     // End depends on every qubit's last node (start for untouched qubits,
     // or start alone when the circuit has no qubits), each distinct node
     // once, ascending; the lane kernel reads it through one qubit per node.
+    const std::vector<NodeId>& last = builder.last_;
     std::vector<std::pair<NodeId, circuit::Qubit>> ends;
     ends.reserve(last.size());
     for (circuit::Qubit q = 0; q < last.size(); ++q) ends.emplace_back(last[q], q);
@@ -77,19 +96,77 @@ Qodg::Qodg(const circuit::Circuit& circ) {
     ends.erase(std::unique(ends.begin(), ends.end(),
                            [](const auto& x, const auto& y) { return x.first == y.first; }),
                ends.end());
-    if (ends.empty()) preds.push_back(start());
-    for (const auto& [node, qubit] : ends) {
-        preds.push_back(node);
-        end_qubits_.push_back(qubit);
-    }
-    offsets.push_back(static_cast<std::uint32_t>(preds.size()));
+    end_qubits_.reserve(ends.size());
+    for (const auto& [node, qubit] : ends) end_qubits_.push_back(qubit);
     delay_row_.push_back(kZeroRow);
+}
 
-    rcsr_ = graph::CsrDigraph(std::move(offsets), std::move(preds), /*topological=*/false);
-    csr_ = rcsr_.reversed();
-    // Debug stage-boundary contract: the frozen QODG is a clean,
-    // topologically ordered DAG (compiled out of Release).
-    LEQA_DCHECK_OK(graph::validate_csr(csr_));
+Qodg::Qodg(const circuit::Circuit& circ) : Qodg(feed(circ)) {}
+
+const Qodg::Views& Qodg::views() const {
+    std::call_once(views_once_, [this] {
+        // The predecessor CSR is written directly, one row per node in id
+        // order, by replaying the last-writer chain over the tape: a
+        // gate's predecessors are the distinct last nodes of its operands
+        // (parallel edges -- a CNOT feeding both operands of another CNOT
+        // -- merge here), ascending.
+        const std::size_t n_ops = operands_.size();
+        std::vector<std::uint32_t> offsets;
+        std::vector<NodeId> preds;
+        offsets.reserve(n_ops + 3);
+        preds.reserve(2 * n_ops + num_qubits_ + 1);
+        offsets.push_back(0);
+        offsets.push_back(0); // start has no predecessors
+        std::vector<NodeId> last(num_qubits_, start());
+        auto wide = wide_ops_.begin();
+        for (std::size_t i = 0; i < n_ops; ++i) {
+            const auto me = static_cast<NodeId>(i + 1);
+            if (wide != wide_ops_.end() && wide->op == i) {
+                const std::span<const circuit::Qubit> qubits = wide_operands(*wide++);
+                const auto row = static_cast<std::ptrdiff_t>(preds.size());
+                for (const circuit::Qubit q : qubits) preds.push_back(last[q]);
+                std::sort(preds.begin() + row, preds.end());
+                preds.erase(std::unique(preds.begin() + row, preds.end()), preds.end());
+                for (const circuit::Qubit q : qubits) last[q] = me;
+            } else {
+                // The ordered pair has last[first] <= last[second].
+                const auto [first, second] = operands_[i];
+                preds.push_back(last[first]);
+                if (last[second] != last[first]) preds.push_back(last[second]);
+                last[first] = me;
+                last[second] = me;
+            }
+            offsets.push_back(static_cast<std::uint32_t>(preds.size()));
+        }
+        if (end_qubits_.empty()) preds.push_back(start());
+        for (const circuit::Qubit q : end_qubits_) preds.push_back(last[q]);
+        offsets.push_back(static_cast<std::uint32_t>(preds.size()));
+
+        views_.predecessors =
+            graph::CsrDigraph(std::move(offsets), std::move(preds), /*topological=*/false);
+        views_.successors = views_.predecessors.reversed();
+        // Debug stage-boundary contract: the QODG is a clean, topologically
+        // ordered DAG (compiled out of Release).
+        LEQA_DCHECK_OK(graph::validate_csr(views_.successors));
+    });
+    return views_;
+}
+
+graph::WeightedUndigraph Qodg::interaction_graph() const {
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+    pairs.reserve(num_two_qubit_ops_);
+    for (const auto& [first, second] : operands_) {
+        if (first != second) pairs.emplace_back(first, second);
+    }
+    for (const WideOp& op : wide_ops_) {
+        const std::span<const circuit::Qubit> qubits = wide_operands(op);
+        for (std::size_t a = 0; a < qubits.size(); ++a) {
+            for (std::size_t b = a + 1; b < qubits.size(); ++b) {
+                pairs.emplace_back(qubits[a], qubits[b]);
+            }
+        }
+    }
+    return graph::WeightedUndigraph::from_pairs(num_qubits_, pairs);
 }
 
 void Qodg::check_node(NodeId id) const {
@@ -128,7 +205,7 @@ std::vector<double> Qodg::node_delays(
 LongestPath Qodg::longest_path(const std::vector<double>& delays) const {
     LEQA_REQUIRE(delays.size() == num_nodes(),
                  "delay vector size must equal node count");
-    graph::LongestPathResult result = graph::longest_path(csr_, delays, start());
+    graph::LongestPathResult result = graph::longest_path(csr(), delays, start());
     LongestPath lp;
     lp.distance = std::move(result.distance);
     lp.predecessor = std::move(result.predecessor);
@@ -183,11 +260,11 @@ unsigned lane_bits4(Mask2 low, Mask2 high) {
 Lanes2 keep_greater(Lanes2 cs, Lanes2 cf, Mask2 greater) { return greater ? cs : cf; }
 #endif
 
+using OperandPair = std::array<circuit::Qubit, 2>;
+
 /// One winner-bit word per two-qubit op of a width-W kernel.
 template <std::size_t W>
 using LaneMask = std::conditional_t<(W > 8), std::uint32_t, std::uint8_t>;
-
-using OperandPair = std::array<circuit::Qubit, 2>;
 
 /// The forward pass at compile-time width W over per-qubit registers
 /// (`regs[q * W + lane]`, all zero = start's distance on entry) and a
@@ -361,7 +438,7 @@ void Qodg::longest_path_lanes(
     const std::size_t lanes = tables.size();
     LEQA_REQUIRE(lanes >= 1 && lanes <= 32,
                  "longest_path_lanes takes 1 to 32 delay tables");
-    LEQA_REQUIRE(!has_wide_ops_,
+    LEQA_REQUIRE(wide_ops_.empty(),
                  "longest_path_lanes needs an FT graph (an op touches more than two qubits)");
     for (const auto& table : tables) {
         for (const double delay : table) {
@@ -429,7 +506,7 @@ PathCensus Qodg::census(const std::vector<NodeId>& path) const {
 std::vector<double> Qodg::downstream_delay(const std::vector<double>& delays) const {
     LEQA_REQUIRE(delays.size() == num_nodes(),
                  "delay vector size must equal node count");
-    return graph::downstream_delay(csr_, delays);
+    return graph::downstream_delay(csr(), delays);
 }
 
 Qodg::SlackAnalysis Qodg::slack_analysis(const std::vector<double>& delays) const {
@@ -466,8 +543,9 @@ std::string Qodg::to_dot(const circuit::Circuit& circ) const {
         if (op.kind != NodeKind::Op) out << ", shape=box";
         out << "];\n";
     }
+    const graph::CsrDigraph& edges = csr();
     for (NodeId u = 0; u < num_nodes(); ++u) {
-        for (const NodeId v : csr_.successors(u)) {
+        for (const NodeId v : edges.successors(u)) {
             out << "  n" << u << " -> n" << v << ";\n";
         }
     }

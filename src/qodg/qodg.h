@@ -10,23 +10,29 @@
 ///   - node ids are a topological order by construction (gates are appended
 ///     in program order).
 ///
-/// The dependency structure itself lives in a shared `graph::CsrDigraph`
-/// (see graph/csr.h); this class adds the circuit-facing node metadata and
-/// the weighted-longest-path machinery LEQA's Algorithm 1 (lines 19-20) and
-/// the QSPR scheduler both build on: given a per-node delay vector, compute
-/// the critical path, its length, and the per-gate-kind operation census
-/// along it (N^critical of Eq. 1).
+/// The class keeps what LEQA's Algorithm 1 reads, a tape written while
+/// the gates stream in: per op its delay-table row and its operand pair
+/// (10 B), per-kind op counts and the qubits the end node reads.  The
+/// critical-path kernel (lines 19-20: given per-kind delays, the critical
+/// path length and the per-kind census along it, N^critical of Eq. 1) and
+/// the circuit profile run on the tape alone.  The dependency structure
+/// the detailed mapper and the reference sweeps walk, a shared
+/// `graph::CsrDigraph` pair (see graph/csr.h), is a view built from the
+/// tape on first use and then kept.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "graph/csr.h"
+#include "graph/weighted.h"
 
 namespace leqa::qodg {
 
@@ -80,35 +86,99 @@ struct PathCensus {
 };
 
 class Qodg {
+    using OperandPair = std::array<circuit::Qubit, 2>;
+    /// An op on three or more qubits: its operands are
+    /// wide_qubits_[begin, end).
+    struct WideOp {
+        std::uint32_t op = 0; ///< op index (node id - 1)
+        std::uint32_t begin = 0;
+        std::uint32_t end = 0;
+    };
+
 public:
-    /// Build from a circuit.  Every gate becomes one node; edges follow the
-    /// last-writer chain per qubit; parallel edges are merged.  The
-    /// predecessor lists are written straight into CSR form in program
-    /// order and the successor lists derived by reversal.
+    /// Streams gates into the tape in program order: the one construction
+    /// path, fed by FT synthesis directly or by a circuit's gate list.
+    class Builder {
+    public:
+        Builder();
+
+        /// Append a qubit; the name is not kept.  Returns its index.
+        circuit::Qubit add_qubit(std::string_view name = {});
+        /// Append a gate after validating it against the qubit count
+        /// (InputError on invalid operands, as Circuit::add_gate).
+        void add_gate(const circuit::Gate& gate);
+        /// Reserve room for \p gates gates in total.
+        void reserve_gates(std::size_t gates);
+
+        /// Gates so far.
+        [[nodiscard]] std::size_t size() const { return operands_.size(); }
+        /// True if every gate so far is in the FT set (from the per-kind
+        /// counts).
+        [[nodiscard]] bool is_ft() const;
+
+    private:
+        friend class Qodg;
+
+        std::vector<std::uint16_t> delay_row_; ///< start's row, then one per op
+        std::vector<OperandPair> operands_;
+        std::vector<WideOp> wide_ops_;
+        std::vector<circuit::Qubit> wide_qubits_;
+        std::array<std::size_t, circuit::kGateKindCount> gate_counts_{};
+        std::size_t num_two_qubit_ops_ = 0;
+        std::vector<NodeId> last_; ///< per qubit: the last node on it (start initially)
+    };
+
+    /// Freeze a builder's tape.  End depends on every qubit's last node.
+    explicit Qodg(Builder&& builder);
+
+    /// Build from a circuit: its qubits and gates fed through a Builder.
+    /// Every gate becomes one node; edges follow the last-writer chain per
+    /// qubit; parallel edges are merged.
     explicit Qodg(const circuit::Circuit& circ);
 
     [[nodiscard]] std::size_t num_nodes() const { return delay_row_.size(); }
-    [[nodiscard]] std::size_t num_edges() const { return csr_.num_edges(); }
+    /// Builds the CSR views on first call.
+    [[nodiscard]] std::size_t num_edges() const { return csr().num_edges(); }
     [[nodiscard]] std::size_t num_ops() const { return delay_row_.size() - 2; }
+    [[nodiscard]] std::size_t num_qubits() const { return num_qubits_; }
+    /// Per-kind op counts over the whole graph.
+    [[nodiscard]] const std::array<std::size_t, circuit::kGateKindCount>& gate_counts() const {
+        return gate_counts_;
+    }
     [[nodiscard]] NodeId start() const { return 0; }
     [[nodiscard]] NodeId end() const { return static_cast<NodeId>(delay_row_.size() - 1); }
     /// The node record, derived from its id and delay row.  Throws
     /// InputError for an id out of range.
     [[nodiscard]] Node node(NodeId id) const;
+    // The adjacency below comes from the CSR views, built from the tape on
+    // the first call of any of them (or of num_edges, longest_path,
+    // downstream_delay, slack_analysis, to_dot), once, safely under
+    // concurrent first use.  Per-node loops take csr() and
+    // predecessor_csr() once instead of paying the once-check per call.
+
     [[nodiscard]] std::span<const NodeId> successors(NodeId id) const {
         check_node(id); // CSR indexing below is unchecked
-        return csr_.successors(id);
+        return csr().successors(id);
     }
-    /// Predecessors of a node, ascending by id (the reverse-CSR adjacency
-    /// built at construction).  Gathering them in this order reproduces the
-    /// relax order of the push-based longest-path sweep bit for bit — the
-    /// contract core::PlacedTimer's incremental re-timing relies on.
+    /// Predecessors of a node, ascending by id.  Gathering them in this
+    /// order reproduces the relax order of the push-based longest-path
+    /// sweep bit for bit — the contract core::PlacedTimer's incremental
+    /// re-timing relies on.
     [[nodiscard]] std::span<const NodeId> predecessors(NodeId id) const {
         check_node(id);
-        return rcsr_.successors(id);
+        return predecessor_csr().successors(id);
     }
     /// The raw dependency structure (node ids are a topological order).
-    [[nodiscard]] const graph::CsrDigraph& csr() const { return csr_; }
+    [[nodiscard]] const graph::CsrDigraph& csr() const { return views().successors; }
+    /// Its reversal: predecessor_csr().successors(v) are v's predecessors.
+    [[nodiscard]] const graph::CsrDigraph& predecessor_csr() const {
+        return views().predecessors;
+    }
+
+    /// The IIG's weighted interaction graph (§3.1) from the tape: weight 1
+    /// per two-qubit op to its pair, and to every operand pair of a wider
+    /// op, as iig::Iig collects them from the circuit.
+    [[nodiscard]] graph::WeightedUndigraph interaction_graph() const;
 
     /// Node id of the i-th gate: gates map to ids 1..N in program order, so
     /// this is a constant-time offset plus a bounds check.
@@ -188,26 +258,41 @@ public:
     [[nodiscard]] std::string to_dot(const circuit::Circuit& circ) const;
 
 private:
-    void check_node(NodeId id) const;
+    /// The CSR views: the predecessor CSR is written first, one row per
+    /// node in id order; successors is its reversal.
+    struct Views {
+        graph::CsrDigraph successors;
+        graph::CsrDigraph predecessors;
+    };
 
-    graph::CsrDigraph csr_;
-    /// Predecessor CSR, built first: successors(v) are v's predecessors,
-    /// ascending.  csr_ is its reversal.
-    graph::CsrDigraph rcsr_;
+    void check_node(NodeId id) const;
+    [[nodiscard]] const Views& views() const;
+    [[nodiscard]] std::span<const circuit::Qubit> wide_operands(const WideOp& op) const {
+        return {wide_qubits_.data() + op.begin, wide_qubits_.data() + op.end};
+    }
+
     /// Per node: the gate kind of an Op node, the row of the per-kind
     /// delay table it reads; kGateKindCount for start/end.  Its size is
     /// the node count.
     std::vector<std::uint16_t> delay_row_;
     /// Per op (node id - 1): its operand qubits, the one whose last node
-    /// has the lower id first; (q, q) for a one-qubit op.
-    std::vector<std::array<circuit::Qubit, 2>> operands_;
+    /// has the lower id first; (q, q) for a one-qubit op, and the first
+    /// operand twice for a wide op.
+    std::vector<OperandPair> operands_;
+    /// The ops on three or more qubits (pre-FT graphs, keep_toffoli), in
+    /// program order, with their full operand lists.
+    std::vector<WideOp> wide_ops_;
+    std::vector<circuit::Qubit> wide_qubits_;
+    std::array<std::size_t, circuit::kGateKindCount> gate_counts_{};
     /// One qubit per distinct end-node predecessor, ascending by that
     /// predecessor's id: the qubit it is the last node on (any qubit for
     /// start).  Empty for a qubit-free circuit.
     std::vector<circuit::Qubit> end_qubits_;
     std::size_t num_qubits_ = 0; ///< registers per lane
     std::size_t num_two_qubit_ops_ = 0; ///< ops with f != s: one winner word each
-    bool has_wide_ops_ = false; ///< some op touches more than two qubits
+
+    mutable std::once_flag views_once_;
+    mutable Views views_;
 };
 
 } // namespace leqa::qodg

@@ -13,12 +13,17 @@
 ///   - SWAP -> three CNOTs;
 ///   - 3-input Toffoli -> the 15-gate {H, T, T-dagger, CNOT} network shown
 ///     in the paper's Figure 2 (Shende & Markov's CNOT-optimal realization).
+///
+/// `synthesize_into` at the bottom chains them into the whole FT synthesis
+/// over any output that takes qubits and gates.
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "synth/ft_synth.h"
 #include "util/error.h"
 
 namespace leqa::synth {
@@ -144,5 +149,139 @@ void emit_mcswap_chain(std::span<const circuit::Qubit> controls, circuit::Qubit 
 
 /// Ancillas consumed by one k-controlled SWAP:  k >= 2 -> k-1, else 0.
 [[nodiscard]] std::size_t ancillas_for_mcswap(std::size_t num_controls);
+
+namespace detail {
+
+/// Allocates ancillas (named anc0, anc1, ...) on `out` either fresh per
+/// request or from a reusable pool.  A name the input already uses is
+/// rejected here, whatever the output keeps of names.
+template <class Out>
+class AncillaManager {
+public:
+    AncillaManager(const circuit::Circuit& input, Out& out, bool share)
+        : input_(input), out_(out), share_(share) {}
+
+    /// Start a new gate scope; in sharing mode previously used ancillas
+    /// become reusable (they were uncomputed back to |0>).
+    void begin_gate() { next_shared_ = 0; }
+
+    circuit::Qubit allocate() {
+        if (share_ && next_shared_ < pool_.size()) {
+            return pool_[next_shared_++];
+        }
+        const std::string name = "anc" + std::to_string(total_allocated_);
+        LEQA_REQUIRE(!input_.find_qubit(name).has_value(), "duplicate qubit name: " + name);
+        const circuit::Qubit q = out_.add_qubit(name);
+        ++total_allocated_;
+        if (share_) {
+            pool_.push_back(q);
+            ++next_shared_;
+        }
+        return q;
+    }
+
+    [[nodiscard]] std::size_t total_allocated() const { return total_allocated_; }
+
+private:
+    const circuit::Circuit& input_;
+    Out& out_;
+    bool share_;
+    std::vector<circuit::Qubit> pool_;
+    std::size_t next_shared_ = 0;
+    std::size_t total_allocated_ = 0;
+};
+
+} // namespace detail
+
+/// The FT synthesis of ft_synth.h, written to `out` in program order: the
+/// input's qubits by name through `out.add_qubit(name)`, then ancillas and
+/// FT gates through `add_qubit` and `add_gate(const circuit::Gate&)`.
+/// `out.reserve_gates(n)` gets the predicted op count first, and
+/// `out.is_ft()` answers the closing check.  `ft_synthesize` runs it into
+/// a Circuit; the pipeline runs it straight into a `qodg::Qodg::Builder`.
+template <class Out>
+FtSynthStats synthesize_into(const circuit::Circuit& input, const FtSynthOptions& options,
+                             Out& out) {
+    using circuit::Gate;
+    using circuit::GateKind;
+    input.validate();
+
+    for (circuit::Qubit q = 0; q < input.num_qubits(); ++q) out.add_qubit(input.qubit_name(q));
+    out.reserve_gates(predicted_ft_ops(input));
+
+    detail::AncillaManager<Out> ancillas(input, out, options.share_ancillas);
+    FtSynthStats stats;
+    stats.input_gates = input.size();
+    stats.input_qubits = input.num_qubits();
+
+    const auto emit = [&out](const Gate& g) { out.add_gate(g); };
+
+    // Stage 2: lowers 3-input Toffolis to the FT network unless
+    // keep_toffoli is set; everything else is appended as-is.
+    const auto lower = [&](const Gate& g) {
+        if (g.kind == GateKind::Toffoli && g.controls().size() == 2 && !options.keep_toffoli) {
+            ++stats.toffolis_lowered;
+            emit_toffoli_ft(g.controls()[0], g.controls()[1], g.targets()[0], emit);
+        } else {
+            out.add_gate(g);
+        }
+    };
+
+    // Stage 1: 3-input Fredkin -> three Toffolis, then stage 2.
+    const auto stage1 = [&](const Gate& g) {
+        if (g.kind == GateKind::Fredkin && g.controls().size() == 1) {
+            ++stats.fredkins_lowered;
+            emit_fredkin_as_toffoli(g.controls()[0], g.targets()[0], g.targets()[1], lower);
+        } else {
+            lower(g);
+        }
+    };
+
+    const auto alloc = [&ancillas] { return ancillas.allocate(); };
+
+    for (const Gate& g : input.gates()) {
+        ancillas.begin_gate();
+        switch (g.kind) {
+            case GateKind::X:
+            case GateKind::Y:
+            case GateKind::Z:
+            case GateKind::H:
+            case GateKind::S:
+            case GateKind::Sdg:
+            case GateKind::T:
+            case GateKind::Tdg:
+            case GateKind::Cnot:
+                out.add_gate(g);
+                break;
+            case GateKind::Swap:
+                emit_swap_as_cnot(g.targets()[0], g.targets()[1], stage1);
+                break;
+            case GateKind::Toffoli:
+                if (g.controls().size() <= 2) {
+                    stage1(g);
+                } else {
+                    ++stats.chains_expanded;
+                    emit_mcx_chain(g.controls(), g.targets()[0], alloc, stage1);
+                }
+                break;
+            case GateKind::Fredkin:
+                if (g.controls().size() == 1) {
+                    stage1(g);
+                } else {
+                    ++stats.chains_expanded;
+                    emit_mcswap_chain(g.controls(), g.targets()[0], g.targets()[1], alloc,
+                                      stage1);
+                }
+                break;
+        }
+    }
+
+    stats.output_gates = out.size();
+    stats.ancillas_added = ancillas.total_allocated();
+    if (!options.keep_toffoli) {
+        LEQA_CHECK(out.is_ft(), "ft_synthesize produced a non-FT gate");
+    }
+    return stats;
+}
 
 } // namespace leqa::synth

@@ -47,7 +47,8 @@ struct FtSynthResult {
     FtSynthStats stats;
 };
 
-/// Run the full pipeline.  The result circuit satisfies
+/// Run the full pipeline (`synthesize_into` of decompose.h) into a Circuit
+/// named and commented like the input.  The result circuit satisfies
 /// `result.circuit.is_ft()` (unless keep_toffoli is set) and preserves the
 /// original qubits at indices [0, input.num_qubits()); ancillas follow.
 [[nodiscard]] FtSynthResult ft_synthesize(const circuit::Circuit& input,

@@ -286,6 +286,17 @@ TEST(Engine, ProfileCapturesCircuitInvariants) {
     EXPECT_NEAR(d_slow / d_fast, 10.0, 1e-9);
 }
 
+TEST(Engine, ProfileRejectsGraphsOfTwoCircuits) {
+    // An IIG with another qubit count than the QODG's comes from another
+    // circuit; the profile refuses to mix them.
+    const auto ft = lb::make_ft_benchmark("8bitadder").circuit;
+    const leqa::qodg::Qodg graph(ft);
+    const leqa::iig::Iig other(leqa::synth::ft_synthesize(lb::ham3()).circuit);
+    ASSERT_NE(other.num_qubits(), graph.num_qubits());
+    EXPECT_THROW((void)lcore::CircuitProfile::build(graph, other), leqa::util::InputError);
+    EXPECT_NO_THROW((void)lcore::CircuitProfile::build(graph, leqa::iig::Iig(ft)));
+}
+
 TEST(Engine, RejectsDetachedProfile) {
     lcore::CircuitProfile orphan;
     const lcore::EstimationEngine engine(lf::PhysicalParams{});

@@ -271,6 +271,10 @@ TEST(GraphParity, DirectBuiltQodgMatchesCsrBuilderReferenceOnBenchSuite) {
     // sorts and merges them at freeze time.
     std::vector<lc::Circuit> circuits = parity_circuits();
     circuits.push_back(leqa::benchgen::ham3()); // pre-FT: a 3-operand gate
+    const lc::Qubit controls[] = {0, 1, 2};
+    lc::Circuit four_operand(6); // pre-FT: 4-operand gates between 2- and 3-operand ones
+    four_operand.mcx(controls, 3).cnot(3, 4).toffoli(4, 0, 5).mcx(controls, 5).h(1);
+    circuits.push_back(four_operand);
     circuits.emplace_back(0);                   // no qubits: start -> end
     for (const lc::Circuit& circ : circuits) {
         const lq::Qodg qodg(circ);

@@ -44,13 +44,6 @@ lc::Circuit random_ft_circuit(std::size_t qubits, std::size_t gates, std::uint64
     return circ;
 }
 
-/// The dependency graphs a calibration sample borrows.
-struct Graphs {
-    explicit Graphs(const lc::Circuit& circ) : qodg(circ), iig(circ) {}
-    leqa::qodg::Qodg qodg;
-    leqa::iig::Iig iig;
-};
-
 } // namespace
 
 // ------------------------------------------------------ coverage (Eq. 5) --
@@ -345,13 +338,12 @@ TEST(Calibrate, RecoversGeneratingV) {
     auto generator_params = paper_params();
     generator_params.v = secret_v;
 
-    std::deque<Graphs> graphs;
+    std::deque<leqa::qodg::Qodg> graphs;
     std::vector<lcore::GraphSample> samples;
     for (const auto& circ : {random_ft_circuit(16, 400, 100), random_ft_circuit(24, 600, 101),
                              random_ft_circuit(12, 300, 102)}) {
-        const Graphs& built = graphs.emplace_back(circ);
         samples.push_back(
-            {&built.qodg, &built.iig, lt::estimate(circ, generator_params).latency_us});
+            {&graphs.emplace_back(circ), lt::estimate(circ, generator_params).latency_us});
     }
     const auto result = lcore::calibrate_v(samples, paper_params());
     EXPECT_LT(result.mean_abs_rel_error, 1e-4);
@@ -369,8 +361,8 @@ TEST(Calibrate, RecoversGeneratingV) {
 TEST(Calibrate, ErrorMetricMatchesDefinition) {
     const auto circ = random_ft_circuit(10, 200, 7);
     const double actual = lt::estimate(circ, paper_params()).latency_us * 1.10; // 10% off
-    const Graphs graphs(circ);
-    const std::vector<lcore::GraphSample> samples{{&graphs.qodg, &graphs.iig, actual}};
+    const leqa::qodg::Qodg graph(circ);
+    const std::vector<lcore::GraphSample> samples{{&graph, actual}};
     const double error =
         lcore::mean_abs_relative_error(samples, paper_params(), lcore::LeqaOptions{});
     EXPECT_NEAR(error, 0.10 / 1.10, 1e-9);
@@ -380,9 +372,9 @@ TEST(Calibrate, RejectsBadInput) {
     EXPECT_THROW((void)lcore::calibrate_v(std::vector<lcore::GraphSample>{},
                                           paper_params()),
                  InputError);
-    const Graphs graphs(random_ft_circuit(4, 20, 3));
-    const std::vector<lcore::GraphSample> unpriced{{&graphs.qodg, &graphs.iig, 0.0}};
+    const leqa::qodg::Qodg graph(random_ft_circuit(4, 20, 3));
+    const std::vector<lcore::GraphSample> unpriced{{&graph, 0.0}};
     EXPECT_THROW((void)lcore::calibrate_v(unpriced, paper_params()), InputError);
-    const std::vector<lcore::GraphSample> no_graphs{{nullptr, nullptr, 1.0}};
+    const std::vector<lcore::GraphSample> no_graphs{{nullptr, 1.0}};
     EXPECT_THROW((void)lcore::calibrate_v(no_graphs, paper_params()), InputError);
 }

@@ -407,6 +407,153 @@ TEST(PipelineBatch, MapModeProducesMapping) {
     EXPECT_GE(result.times.total_s, 0.0);
 }
 
+// -------------------------------------------------------------- lazy views --
+
+namespace {
+
+/// A named, commented pre-FT circuit whose synthesis draws ancillas (a
+/// 4-control X and a 2-control swap) and lowers Toffolis, a Fredkin and
+/// a swap.
+leqa::circuit::Circuit lazy_view_circuit() {
+    leqa::circuit::Circuit circ(8, "lazy_views");
+    circ.add_comment("provenance line");
+    const leqa::circuit::Qubit controls[] = {0, 1, 2, 3};
+    circ.h(0).toffoli(0, 1, 2).mcx(controls, 4).fredkin(5, 6, 7).swap(1, 6).cnot(4, 7);
+    circ.add_gate(leqa::circuit::make_mcswap(std::span(controls, 2), 5, 7));
+    circ.t(3).mcx(controls, 6);
+    return circ;
+}
+
+/// A result with its wall times zeroed, as JSON: what must not differ
+/// between two runs of one request.
+std::string timeless_json(lp::EstimationResult result) {
+    result.times = lp::StageTimes{};
+    return leqa::report::result_to_json(result);
+}
+
+std::vector<leqa::synth::FtSynthOptions> synth_variants() {
+    leqa::synth::FtSynthOptions shared;
+    shared.share_ancillas = true;
+    leqa::synth::FtSynthOptions toffoli;
+    toffoli.keep_toffoli = true;
+    return {leqa::synth::FtSynthOptions{}, shared, toffoli};
+}
+
+} // namespace
+
+TEST(PipelineLazyViews, FtAfterEstimateEqualsFreshSynthesis) {
+    // An estimate builds no FT circuit; the ft() after it synthesizes one
+    // from the kept pre-FT circuit, identical to a fresh synthesis, and a
+    // map then reuses it.
+    const lp::CircuitSource sources[] = {lp::CircuitSource::from_bench("ham3"),
+                                         lp::CircuitSource::from_circuit(lazy_view_circuit())};
+    for (const leqa::synth::FtSynthOptions& options : synth_variants()) {
+        for (const lp::CircuitSource& source : sources) {
+            const std::string what = source.display_name() + (options.share_ancillas ? " shared"
+                                                              : options.keep_toffoli ? " toffoli"
+                                                                                     : "");
+            lp::PipelineConfig config;
+            config.synth = options;
+            lp::Pipeline pipe(config);
+            const lp::CachedCircuitPtr entry = pipe.resolve(source);
+            if (options.keep_toffoli) {
+                (void)entry->profile(); // Toffolis have no FT delay to estimate with
+            } else {
+                ASSERT_TRUE(pipe.run(lp::EstimationRequest(source)).estimate.has_value()) << what;
+            }
+
+            const leqa::circuit::Circuit expected =
+                leqa::synth::ft_synthesize(source.load(), options).circuit;
+            const leqa::circuit::Circuit& ft = entry->ft();
+            EXPECT_TRUE(ft.same_structure(expected)) << what;
+            EXPECT_EQ(ft.name(), expected.name()) << what;
+            EXPECT_EQ(ft.comments(), expected.comments()) << what;
+            ASSERT_EQ(ft.num_qubits(), expected.num_qubits()) << what;
+            for (leqa::circuit::Qubit q = 0; q < ft.num_qubits(); ++q) {
+                EXPECT_EQ(ft.qubit_name(q), expected.qubit_name(q)) << what << " qubit " << q;
+            }
+            EXPECT_EQ(entry->info().qubits, expected.num_qubits()) << what;
+            EXPECT_EQ(entry->info().ft_ops, expected.size()) << what;
+            EXPECT_EQ(entry->synth_stats().to_string(),
+                      leqa::synth::ft_synthesize(source.load(), options).stats.to_string())
+                << what;
+            if (options.keep_toffoli) continue; // QSPR maps FT circuits only
+            EXPECT_EQ(&entry->ft(), &ft) << what; // built once
+            (void)pipe.run(lp::EstimationRequest(source, lp::RunMode::Map));
+            EXPECT_EQ(&entry->ft(), &ft) << what;
+        }
+    }
+}
+
+TEST(PipelineLazyViews, BothEqualsSeparateEstimateAndMap) {
+    for (const lp::CircuitSource& source :
+         {lp::CircuitSource::from_bench("ham3"),
+          lp::CircuitSource::from_circuit(lazy_view_circuit())}) {
+        lp::Pipeline both_pipe;
+        const auto both = both_pipe.run(lp::EstimationRequest(source, lp::RunMode::Both));
+        lp::Pipeline split_pipe;
+        auto split = split_pipe.run(lp::EstimationRequest(source));
+        split.mapping = split_pipe.run(lp::EstimationRequest(source, lp::RunMode::Map)).mapping;
+        ASSERT_TRUE(both.estimate.has_value() && both.mapping.has_value());
+        EXPECT_EQ(timeless_json(both), timeless_json(split)) << source.display_name();
+    }
+}
+
+TEST(PipelineLazyViews, AncillaNameClashFailsTheEstimateLikeSynthesis) {
+    // The tape keeps no qubit names, yet an input qubit named like an
+    // ancilla fails the estimate with synthesis' own error.
+    leqa::circuit::Circuit circ;
+    for (const char* name : {"a", "b", "c", "anc0", "t"}) circ.add_qubit(name);
+    const leqa::circuit::Qubit controls[] = {0, 1, 2};
+    circ.mcx(controls, 4);
+    EXPECT_THROW((void)leqa::synth::ft_synthesize(circ), InputError);
+    lp::Pipeline pipe;
+    try {
+        (void)pipe.run(lp::EstimationRequest(lp::CircuitSource::from_circuit(circ)));
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("duplicate qubit name: anc0"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PipelineLazyViews, ConcurrentFirstUseBuildsEachViewOnce) {
+    lp::Pipeline pipe;
+    const lp::CachedCircuitPtr entry =
+        pipe.resolve(lp::CircuitSource::from_circuit(lazy_view_circuit()));
+    constexpr std::size_t kThreads = 4;
+    std::array<const leqa::circuit::Circuit*, kThreads> fts{};
+    std::array<const leqa::qodg::NodeId*, kThreads> successors{};
+    std::array<const leqa::iig::Iig*, kThreads> iigs{};
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            // Each thread touches the views in its own order.
+            for (std::size_t step = 0; step < 3; ++step) {
+                switch ((step + t) % 3) {
+                    case 0: fts[t] = &entry->ft(); break;
+                    case 1: successors[t] = entry->qodg().successors(0).data(); break;
+                    default: iigs[t] = &entry->iig(); break;
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::size_t t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(fts[t], fts[0]) << "thread " << t;
+        EXPECT_EQ(successors[t], successors[0]) << "thread " << t;
+        EXPECT_EQ(iigs[t], iigs[0]) << "thread " << t;
+    }
+    const leqa::circuit::Circuit expected =
+        leqa::synth::ft_synthesize(lazy_view_circuit()).circuit;
+    EXPECT_TRUE(fts[0]->same_structure(expected));
+    EXPECT_EQ(iigs[0]->num_edges(), leqa::iig::Iig(expected).num_edges());
+    EXPECT_EQ(entry->qodg().num_edges(), leqa::qodg::Qodg(expected).num_edges());
+}
+
 // ------------------------------------------------------------------ errors --
 
 TEST(PipelineSweeps, RunControlCancelsBeforeWork) {
@@ -492,7 +639,7 @@ TEST(PipelineCalibration, VSearchRunsOnCachedGraphs) {
     EXPECT_EQ(pipe.cache_stats().graph_misses, 1u);
 
     // The whole v search (hundreds of estimator evaluations) borrows the
-    // cached QODG/IIG pair; the session never builds a second one.
+    // cached QODG; the session never builds a second one.
     const auto result = pipe.calibrate(training);
     EXPECT_GT(result.evaluations, 50u);
     EXPECT_EQ(pipe.cache_stats().graph_misses, 1u);

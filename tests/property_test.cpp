@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "core/engine.h"
@@ -295,10 +297,22 @@ TEST_P(StructuredFuzzSweep, RandomCircuitAndTopologyHoldEveryContract) {
     ASSERT_GT(estimate.latency_us, 0.0);
     ASSERT_LE(estimate.covered_area, static_cast<double>(params.area()) + 1e-6);
 
+    // The profile read from the QODG's tape equals the one read from the
+    // IIG, field for field and bit for bit.
+    const leqa::iig::Iig iig(circ);
+    const auto profile = lcore::CircuitProfile::build(graph, iig);
+    const auto from_tape = lcore::CircuitProfile::build(graph);
+    EXPECT_EQ(from_tape.num_qubits, profile.num_qubits);
+    EXPECT_EQ(from_tape.num_ops, profile.num_ops);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(from_tape.zone_area_b),
+              std::bit_cast<std::uint64_t>(profile.zone_area_b));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(from_tape.d_uncongest_v),
+              std::bit_cast<std::uint64_t>(profile.d_uncongest_v));
+    EXPECT_EQ(from_tape.gate_counts, profile.gate_counts);
+    EXPECT_EQ(from_tape.graph, profile.graph);
+
     // Grid instances additionally pass the staged-vs-golden parity bar.
     if (params.topology == lf::TopologyKind::Grid) {
-        const leqa::iig::Iig iig(circ);
-        const auto profile = lcore::CircuitProfile::build(graph, iig);
         const auto staged = lcore::EstimationEngine(params).estimate(profile);
         const auto reference = lcore::LeqaEstimator(params).estimate_reference(graph, iig);
         const double scale = std::max(

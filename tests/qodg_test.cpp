@@ -1,12 +1,15 @@
 // Tests for the quantum operation dependency graph: construction (start/end
 // sentinels, merged parallel edges), longest path, critical-path census,
-// and the lane-blocked critical path against the push-based sweep.
+// the lane-blocked critical path against the push-based sweep, and the
+// graph synthesis streams into against the one built from its circuit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "benchgen/suite.h"
+#include "iig/iig.h"
 #include "lane_reference.h"
 #include "qodg/qodg.h"
 #include "synth/decompose.h"
@@ -345,4 +348,146 @@ TEST(QodgLanes, RejectsBadInputs) {
     toffoli.h(0).toffoli(0, 1, 2);
     EXPECT_THROW(lq::Qodg(toffoli).longest_path_lanes(random_cnot_tables(1, rng), lanes),
                  leqa::util::InputError);
+}
+
+// ------------------------------------------- streamed from FT synthesis --
+
+namespace {
+
+/// A pre-FT circuit with 3-qubit (Toffoli, Fredkin) and 4-qubit (3-control
+/// X, 2-control swap) gates.
+lc::Circuit wide_gate_circuit() {
+    lc::Circuit circ(7, "wide");
+    const lc::Qubit controls[] = {0, 1, 2};
+    circ.h(0).toffoli(0, 1, 2).mcx(controls, 3).cnot(3, 4).fredkin(4, 5, 6).t(5);
+    circ.add_gate(lc::make_mcswap(std::span(controls, 2), 5, 6));
+    circ.swap(1, 4).toffoli(6, 3, 0).x(2);
+    return circ;
+}
+
+/// Synthesis streamed into a Builder against Qodg(ft_synthesize(...)):
+/// sizes, every adjacency row, the longest path, the interaction graph
+/// and, for FT output, the lanes of random delay tables.
+void expect_streamed_matches_circuit(const lc::Circuit& input,
+                                     const leqa::synth::FtSynthOptions& options,
+                                     leqa::util::Rng& rng, const std::string& what) {
+    lq::Qodg::Builder tape;
+    (void)leqa::synth::synthesize_into(input, options, tape);
+    const lq::Qodg streamed(std::move(tape));
+    const lc::Circuit ft = leqa::synth::ft_synthesize(input, options).circuit;
+    const lq::Qodg built(ft);
+
+    ASSERT_EQ(streamed.num_nodes(), built.num_nodes()) << what;
+    ASSERT_EQ(streamed.num_ops(), built.num_ops()) << what;
+    ASSERT_EQ(streamed.num_qubits(), built.num_qubits()) << what;
+    EXPECT_EQ(streamed.gate_counts(), built.gate_counts()) << what;
+    EXPECT_EQ(streamed.gate_counts(), ft.counts().by_kind) << what;
+    ASSERT_EQ(streamed.num_edges(), built.num_edges()) << what;
+    for (lq::NodeId u = 0; u < built.num_nodes(); ++u) {
+        const auto rows_equal = [](std::span<const lq::NodeId> a, std::span<const lq::NodeId> b) {
+            return std::equal(a.begin(), a.end(), b.begin(), b.end());
+        };
+        ASSERT_TRUE(rows_equal(streamed.predecessors(u), built.predecessors(u)))
+            << what << " predecessors of " << u;
+        ASSERT_TRUE(rows_equal(streamed.successors(u), built.successors(u)))
+            << what << " successors of " << u;
+    }
+
+    const std::vector<lt::DelayTable> tables = random_ft_tables(5, rng);
+    for (const lt::DelayTable& table : tables) {
+        const lq::LongestPath a = streamed.longest_path(streamed.node_delays(table));
+        const lq::LongestPath b = built.longest_path(built.node_delays(table));
+        EXPECT_EQ(a.distance, b.distance) << what;
+        EXPECT_EQ(a.predecessor, b.predecessor) << what;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.length), std::bit_cast<std::uint64_t>(b.length))
+            << what;
+    }
+
+    const leqa::graph::WeightedUndigraph pairs = streamed.interaction_graph();
+    const leqa::iig::Iig iig(ft);
+    ASSERT_EQ(pairs.num_nodes(), iig.num_qubits()) << what;
+    ASSERT_EQ(pairs.num_edges(), iig.num_edges()) << what;
+    for (std::size_t e = 0; e < iig.num_edges(); ++e) {
+        EXPECT_EQ(pairs.edges()[e].i, iig.edges()[e].i) << what;
+        EXPECT_EQ(pairs.edges()[e].j, iig.edges()[e].j) << what;
+        EXPECT_EQ(pairs.edges()[e].weight, iig.edges()[e].weight) << what;
+    }
+
+    if (!ft.is_ft()) return; // the lane kernel rejects wide ops
+    for (const std::size_t width : {1, 7, 8, 20, 32}) {
+        const std::vector<lt::DelayTable> lane_tables = random_ft_tables(width, rng);
+        lq::LongestPathLanes a;
+        lq::LongestPathLanes b;
+        streamed.longest_path_lanes(lane_tables, a);
+        built.longest_path_lanes(lane_tables, b);
+        ASSERT_EQ(a.length.size(), b.length.size()) << what;
+        for (std::size_t lane = 0; lane < width; ++lane) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.length[lane]),
+                      std::bit_cast<std::uint64_t>(b.length[lane]))
+                << what << " width " << width << " lane " << lane;
+        }
+        EXPECT_EQ(a.via_second, b.via_second) << what << " width " << width;
+        std::vector<lq::PathCensus> census_a(width);
+        std::vector<lq::PathCensus> census_b(width);
+        streamed.critical_census_lanes(a, census_a);
+        built.critical_census_lanes(b, census_b);
+        for (std::size_t lane = 0; lane < width; ++lane) {
+            EXPECT_EQ(census_a[lane].by_kind, census_b[lane].by_kind)
+                << what << " width " << width << " lane " << lane;
+        }
+    }
+}
+
+} // namespace
+
+TEST(QodgBuilder, SynthesisStreamMatchesSynthesizedCircuit) {
+    leqa::util::Rng rng(18);
+    leqa::synth::FtSynthOptions toffoli;
+    toffoli.keep_toffoli = true;
+    leqa::synth::FtSynthOptions shared;
+    shared.share_ancillas = true;
+    expect_streamed_matches_circuit(leqa::benchgen::ham3(), {}, rng, "ham3");
+    expect_streamed_matches_circuit(leqa::benchgen::ham3(), toffoli, rng, "ham3 keep_toffoli");
+    expect_streamed_matches_circuit(ham3_ft(), {}, rng, "ham3 FT");
+    for (const std::uint64_t seed : {21, 22, 23}) {
+        expect_streamed_matches_circuit(lt::random_ft_circuit(3 + seed % 7, 300, seed), {}, rng,
+                                        "random FT " + std::to_string(seed));
+    }
+    expect_streamed_matches_circuit(wide_gate_circuit(), {}, rng, "wide");
+    expect_streamed_matches_circuit(wide_gate_circuit(), shared, rng, "wide share_ancillas");
+    expect_streamed_matches_circuit(wide_gate_circuit(), toffoli, rng, "wide keep_toffoli");
+    expect_streamed_matches_circuit(lc::Circuit(0), {}, rng, "no qubits");
+}
+
+TEST(QodgBuilder, WideOpsInteractLikeTheIig) {
+    // Fed the pre-FT circuit itself, the builder keeps its 3- and 4-qubit
+    // ops whole in the side table (graph_test checks their rows), and
+    // every operand pair of one interacts, as in the IIG.
+    const lc::Circuit circ = wide_gate_circuit();
+    const lq::Qodg graph(circ);
+    const leqa::iig::Iig iig(circ);
+    const leqa::graph::WeightedUndigraph pairs = graph.interaction_graph();
+    ASSERT_EQ(pairs.num_edges(), iig.num_edges());
+    for (lc::Qubit q = 0; q < circ.num_qubits(); ++q) {
+        EXPECT_EQ(pairs.degree(q), iig.degree(q)) << "qubit " << q;
+        EXPECT_EQ(pairs.adjacent_weight(q), iig.adjacent_weight(q)) << "qubit " << q;
+    }
+}
+
+TEST(QodgBuilder, ValidatesGatesLikeCircuit) {
+    lq::Qodg::Builder builder;
+    EXPECT_EQ(builder.add_qubit("a"), 0u);
+    EXPECT_EQ(builder.add_qubit(), 1u);
+    builder.add_gate(lc::make_cnot(0, 1));
+    EXPECT_THROW(builder.add_gate(lc::make_cnot(0, 2)), leqa::util::InputError);
+    EXPECT_THROW(builder.add_gate(lc::make_cnot(1, 1)), leqa::util::InputError);
+    EXPECT_TRUE(builder.is_ft());
+    builder.add_qubit();
+    builder.add_gate(lc::make_toffoli(0, 1, 2));
+    EXPECT_FALSE(builder.is_ft());
+    EXPECT_EQ(builder.size(), 2u);
+    const lq::Qodg graph(std::move(builder));
+    EXPECT_EQ(graph.num_ops(), 2u);
+    EXPECT_EQ(graph.num_qubits(), 3u);
+    EXPECT_EQ(graph.gate_counts()[static_cast<std::size_t>(lc::GateKind::Toffoli)], 1u);
 }

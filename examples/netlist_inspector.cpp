@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
         if (count > 0) std::printf("  M=%2zu: %zu qubit(s)\n", d, count);
     }
 
-    if (entry->ft().size() <= 200) {
+    if (graph.num_ops() <= 200) {
         const std::string dir = argc > 2 ? argv[2] : ".";
-        parser::write_file(dir + "/qodg.dot", graph.to_dot(entry->ft()));
+        parser::write_file(dir + "/qodg.dot", graph.to_dot());
         parser::write_file(dir + "/iig.dot", iig.to_dot(entry->ft()));
         std::printf("wrote %s/qodg.dot and %s/iig.dot (render with graphviz)\n",
                     dir.c_str(), dir.c_str());

@@ -18,7 +18,6 @@
 /// input is evaluated over the full cross-product of the given axes on
 /// --threads workers (see core/explore.h).
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -60,12 +59,13 @@ core::ExplorationSpec explore_spec_from_args(const util::ArgParser& parser) {
     const auto parse_int_item = [](const char* axis) {
         return [axis](const std::string& item) {
             const std::optional<long long> parsed = util::parse_int(item);
-            if (!parsed.has_value() || *parsed < 1 ||
-                *parsed > std::numeric_limits<int>::max()) {
+            const std::optional<int> value =
+                parsed ? util::to_int(static_cast<double>(*parsed)) : std::nullopt;
+            if (!value.has_value() || *value < 1) {
                 throw util::InputError(std::string("--") + axis +
                                        ": bad value \"" + item + "\"");
             }
-            return static_cast<int>(*parsed);
+            return *value;
         };
     };
     spec.sides = axis_values<int>(parser, "sides", parse_int_item("sides"));
@@ -260,7 +260,10 @@ int body(int argc, char** argv) {
 
     pipeline::PipelineConfig config;
     config.params = pipeline::params_from_args(parser);
-    config.leqa.sq_terms = static_cast<int>(parser.option_int("sq-terms"));
+    const std::optional<int> sq_terms =
+        util::to_int(static_cast<double>(parser.option_int("sq-terms")));
+    LEQA_REQUIRE(sq_terms.has_value(), "--sq-terms is outside int range");
+    config.leqa.sq_terms = *sq_terms;
     config.leqa.exact_sq = parser.flag("exact-sq");
     config.auto_synthesize = !parser.flag("no-synth");
     pipeline::Pipeline pipe(config);
@@ -350,7 +353,7 @@ int body(int argc, char** argv) {
         }
 
         if (parser.option_given("dot")) {
-            parser::write_file(parser.option("dot"), entry->qodg().to_dot(entry->ft()));
+            parser::write_file(parser.option("dot"), entry->qodg().to_dot());
             std::printf("wrote QODG DOT to %s\n", parser.option("dot").c_str());
         }
         if (parser.option_given("json")) {

@@ -15,34 +15,28 @@ namespace leqa::core {
 namespace {
 
 /// The profile of `graph` with its IIG statistics read from `iig`.
-CircuitProfile profile_from(const qodg::Qodg& graph, const graph::WeightedUndigraph& iig) {
+CircuitProfile profile_from(const qodg::Qodg& graph, const iig::Iig& iig) {
     CircuitProfile profile;
     profile.graph = &graph;
     profile.num_qubits = graph.num_qubits();
     profile.num_ops = graph.num_ops();
     profile.gate_counts = graph.gate_counts();
 
-    // Lines 1-3 of Algorithm 1: B, the W_i-weighted mean of B_i = M_i + 1
-    // (Eqs. 6-7); 1.0 (single-ULB zones) without interactions.  Lines 4-8
-    // without the parameter: the W_i-weighted average of E[l_ham,i] / M_i
-    // (Eqs. 15-16).  Dividing by v at estimate time recovers d_uncongest
+    // Lines 1-3 of Algorithm 1: B (Eqs. 6-7).  Lines 4-8 without the
+    // parameter: the W_i-weighted average of E[l_ham,i] / M_i (Eqs.
+    // 15-16).  Dividing by v at estimate time recovers d_uncongest
     // (Eq. 12) exactly up to association order.
-    double zone_numerator = 0.0;
-    double zone_denominator = 0.0;
+    profile.zone_area_b = iig.average_zone_area();
     double numerator = 0.0;
     double denominator = 0.0;
-    for (graph::NodeId i = 0; i < iig.num_nodes(); ++i) {
+    for (circuit::Qubit i = 0; i < iig.num_qubits(); ++i) {
         const auto w = static_cast<double>(iig.adjacent_weight(i));
-        const auto m = static_cast<double>(iig.degree(i));
-        const double zone_area = m + 1.0;
-        zone_numerator += w * zone_area;
-        zone_denominator += w;
         if (w <= 0.0) continue; // no interactions: no presence-zone travel
-        const double l_ham = mathx::expected_hamiltonian_path(zone_area, m);
+        const auto m = static_cast<double>(iig.degree(i));
+        const double l_ham = mathx::expected_hamiltonian_path(m + 1.0, m);
         numerator += w * (l_ham / m);
         denominator += w;
     }
-    profile.zone_area_b = zone_denominator == 0.0 ? 1.0 : zone_numerator / zone_denominator;
     profile.d_uncongest_v = denominator > 0.0 ? numerator / denominator : 0.0;
     return profile;
 }
@@ -56,7 +50,7 @@ CircuitProfile CircuitProfile::build(const qodg::Qodg& graph) {
 CircuitProfile CircuitProfile::build(const qodg::Qodg& graph, const iig::Iig& iig) {
     LEQA_REQUIRE(iig.num_qubits() == graph.num_qubits(),
                  "IIG and QODG come from different circuits (qubit counts differ)");
-    return profile_from(graph, iig.graph());
+    return profile_from(graph, iig);
 }
 
 // ------------------------------------------------------ EstimationEngine --

@@ -65,7 +65,7 @@ struct CircuitProfile {
     const qodg::Qodg* graph = nullptr;
 
     /// Build from the QODG alone: gate counts from its tape, M_i and W_i
-    /// from its interaction graph (the pipeline's path; no IIG is built).
+    /// from the IIG its tape gives (the pipeline's path; not retained).
     [[nodiscard]] static CircuitProfile build(const qodg::Qodg& graph);
 
     /// Build from prebuilt graphs of one circuit; the IIG is consumed

@@ -102,15 +102,21 @@ PhysicalParams PhysicalParams::from_config(const std::string& text) {
         LEQA_REQUIRE(value.has_value(),
                      "config line " + std::to_string(line_number) + ": bad number '" +
                          value_text + "'");
+        const auto whole = [&] {
+            const std::optional<int> narrowed = util::to_int(*value);
+            LEQA_REQUIRE(narrowed, "config line " + std::to_string(line_number) + ": " + key +
+                                       " must be an integer in int range: '" + value_text + "'");
+            return *narrowed;
+        };
         if (key == "d_h") params.d_h_us = *value;
         else if (key == "d_t") params.d_t_us = *value;
         else if (key == "d_pauli") params.d_pauli_us = *value;
         else if (key == "d_s") params.d_s_us = *value;
         else if (key == "d_cnot") params.d_cnot_us = *value;
-        else if (key == "nc") params.nc = static_cast<int>(*value);
+        else if (key == "nc") params.nc = whole();
         else if (key == "v") params.v = *value;
-        else if (key == "width") params.width = static_cast<int>(*value);
-        else if (key == "height") params.height = static_cast<int>(*value);
+        else if (key == "width") params.width = whole();
+        else if (key == "height") params.height = whole();
         else if (key == "t_move") params.t_move_us = *value;
         else {
             throw util::InputError("config line " + std::to_string(line_number) +

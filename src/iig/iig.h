@@ -11,10 +11,9 @@
 /// and the fabric-wide average presence-zone area B as the W_i-weighted
 /// mean of B_i (Eq. 7).
 ///
-/// The edge store is a flat `graph::WeightedUndigraph` (see
-/// graph/weighted.h): endpoint pairs are collected in one pass over the
-/// circuit and frozen into a sorted edge list plus CSR adjacency, with the
-/// per-qubit statistics (M_i, W_i) coming out as arrays — no hash map.
+/// It keeps the sorted unique edge list and the M_i and W_i arrays, counted
+/// from interacting endpoint pairs (a circuit's gates, or the QODG's tape
+/// via qodg::Qodg::interaction_graph): no adjacency, no hash map.
 ///
 /// The builder accepts any circuit; gates touching two qubits contribute
 /// weight 1 to their pair.  Gates touching three or more qubits (permitted
@@ -25,27 +24,37 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "graph/weighted.h"
 
 namespace leqa::iig {
 
 /// An undirected weighted edge (i < j).
-using Edge = graph::WeightedUndigraph::Edge;
+struct Edge {
+    circuit::Qubit i = 0;
+    circuit::Qubit j = 0;
+    std::uint64_t weight = 0;
+};
 
 class Iig {
 public:
     /// Build from a circuit (typically the FT-synthesized netlist).
     explicit Iig(const circuit::Circuit& circ);
 
+    /// Build from endpoint pairs, each adding weight 1 in either orientation.
+    /// Throws InputError for an endpoint out of range or a self loop.
+    Iig(std::size_t num_qubits,
+        std::span<const std::pair<circuit::Qubit, circuit::Qubit>> pairs);
+
     /// Number of logical qubits Q.
-    [[nodiscard]] std::size_t num_qubits() const { return graph_.num_nodes(); }
+    [[nodiscard]] std::size_t num_qubits() const { return degree_.size(); }
 
     /// Number of distinct interacting pairs |E|.
-    [[nodiscard]] std::size_t num_edges() const { return graph_.num_edges(); }
+    [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
 
     /// M_i: number of distinct neighbors of qubit i.
     [[nodiscard]] std::size_t degree(circuit::Qubit q) const;
@@ -64,20 +73,19 @@ public:
     /// Sum over all i of W_i (= 2 * total edge weight).
     [[nodiscard]] std::uint64_t total_adjacent_weight() const;
 
-    /// Weight of the edge between a and b (0 if absent).
+    /// Weight of the edge between a and b (0 if absent); O(log |E|).
     [[nodiscard]] std::uint64_t edge_weight(circuit::Qubit a, circuit::Qubit b) const;
 
     /// All edges, sorted by (i, j).
-    [[nodiscard]] const std::vector<Edge>& edges() const { return graph_.edges(); }
-
-    /// The underlying flat weighted graph.
-    [[nodiscard]] const graph::WeightedUndigraph& graph() const { return graph_; }
+    [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
     /// Graphviz DOT rendering (small graphs).
     [[nodiscard]] std::string to_dot(const circuit::Circuit& circ) const;
 
 private:
-    graph::WeightedUndigraph graph_;
+    std::vector<Edge> edges_;                    ///< unique, sorted by (i, j)
+    std::vector<std::uint32_t> degree_;          ///< M_i
+    std::vector<std::uint64_t> adjacent_weight_; ///< W_i
 };
 
 } // namespace leqa::iig

@@ -120,11 +120,15 @@ fabric::PhysicalParams params_from_args(const util::ArgParser& parser) {
     if (fabric_given) {
         const auto parts = util::split(parser.option("fabric"), 'x');
         LEQA_REQUIRE(parts.size() == 2, "--fabric expects WxH, e.g. 60x60");
-        const auto w = util::parse_int(parts[0]);
-        const auto h = util::parse_int(parts[1]);
-        LEQA_REQUIRE(w && h && *w > 0 && *h > 0, "--fabric expects positive integers");
-        params.width = static_cast<int>(*w);
-        params.height = static_cast<int>(*h);
+        const auto side = [&](std::size_t k) {
+            const std::optional<long long> parsed = util::parse_int(parts[k]);
+            return parsed ? util::to_int(static_cast<double>(*parsed)) : std::nullopt;
+        };
+        const std::optional<int> w = side(0);
+        const std::optional<int> h = side(1);
+        LEQA_REQUIRE(w && h && *w > 0 && *h > 0, "--fabric expects positive integers in int range");
+        params.width = *w;
+        params.height = *h;
     }
     if (parser.option_given("topology")) {
         params.topology = fabric::parse_topology_kind(parser.option("topology"));
@@ -139,7 +143,11 @@ fabric::PhysicalParams params_from_args(const util::ArgParser& parser) {
             params.height = 1;
         }
     }
-    if (parser.option_given("nc")) params.nc = static_cast<int>(parser.option_int("nc"));
+    if (parser.option_given("nc")) {
+        const std::optional<int> nc = util::to_int(static_cast<double>(parser.option_int("nc")));
+        LEQA_REQUIRE(nc.has_value(), "--nc is outside int range");
+        params.nc = *nc;
+    }
     if (parser.option_given("v")) params.v = parser.option_double("v");
     if (parser.option_given("tmove")) params.t_move_us = parser.option_double("tmove");
     params.validate();

@@ -44,7 +44,9 @@ const circuit::Circuit& CachedCircuit::ft() const {
 }
 
 const iig::Iig& CachedCircuit::iig() const {
-    std::call_once(iig_once_, [this] { iig_ = std::make_unique<const iig::Iig>(ft()); });
+    std::call_once(iig_once_, [this] {
+        iig_ = std::make_unique<const iig::Iig>(qodg_->interaction_graph());
+    });
     return *iig_;
 }
 
@@ -313,7 +315,12 @@ std::vector<util::Result<EstimationResult>> Pipeline::run_batch_results(
         };
         std::vector<std::thread> pool;
         pool.reserve(threads - 1);
-        for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
+        try {
+            for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
+        } catch (...) {
+            // Unwinding past joinable threads would std::terminate; the
+            // shared index hands every request to the workers that run.
+        }
         worker();
         for (std::thread& t : pool) t.join();
     }

@@ -9,10 +9,10 @@
 /// Pipeline owns that plumbing once:
 ///
 ///   - a keyed LRU cache of intermediates (the QODG synthesis streams into,
-///     the circuit-invariant `core::CircuitProfile`, and the FT circuit and
-///     IIG built on first use) per circuit identity, so fabric sweeps, QECC
-///     exploration and calibration reuse the stage-1 artifacts instead of
-///     rebuilding them;
+///     then, on first use, the `core::CircuitProfile`, the IIG and the FT
+///     circuit) per circuit identity, so fabric sweeps, QECC exploration
+///     and calibration reuse the stage-1 artifacts instead of rebuilding
+///     them;
 ///   - `run(request)` for one circuit, `run_batch_results(requests)` with
 ///     optional thread-pool parallelism for many;
 ///   - `sweep` / `explore` / `optimize` / `calibrate` entry points that run
@@ -149,12 +149,13 @@ struct CacheStats {
 /// Handles stay valid after eviction (shared ownership).
 ///
 /// A synthesized entry streams FT synthesis straight into the QODG's
-/// tape, which is all an estimate reads: no FT `Circuit`, CSR or `Iig` is
-/// built for it.  The entry keeps the pre-FT circuit and the synthesis
-/// options, and the first `ft()` reruns the (deterministic) synthesis on
-/// them, so a map after an estimate gets the same gates, qubit names,
-/// comments and name.  An FT input (`auto_synthesize` off, or an FT
-/// netlist) keeps the loaded circuit as its `ft()`.
+/// tape, which is all an estimate reads (the `Iig` comes from it too);
+/// only the mapper (map, optimize, calibrate) needs `ft()`.  The entry
+/// keeps the pre-FT circuit and the synthesis options, and the first
+/// `ft()` reruns the (deterministic) synthesis on them, so a map after an
+/// estimate gets the same gates, qubit names, comments and name.  An FT
+/// input (`auto_synthesize` off, or an FT netlist) keeps the loaded
+/// circuit as its `ft()`.
 class CachedCircuit {
 public:
     /// The FT circuit; a synthesized entry synthesizes it on first call.
@@ -165,7 +166,7 @@ public:
     /// The dependency graph (its CSR views are built on first use; see
     /// qodg/qodg.h).
     [[nodiscard]] const qodg::Qodg& qodg() const { return *qodg_; }
-    /// The interaction graph, built from ft() on first call.
+    /// The interaction graph, built from the QODG's tape on first call.
     [[nodiscard]] const iig::Iig& iig() const;
 
     /// The circuit-invariant stage-1 artifact (see core/engine.h), built

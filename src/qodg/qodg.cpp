@@ -152,8 +152,8 @@ const Qodg::Views& Qodg::views() const {
     return views_;
 }
 
-graph::WeightedUndigraph Qodg::interaction_graph() const {
-    std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
+iig::Iig Qodg::interaction_graph() const {
+    std::vector<std::pair<circuit::Qubit, circuit::Qubit>> pairs;
     pairs.reserve(num_two_qubit_ops_);
     for (const auto& [first, second] : operands_) {
         if (first != second) pairs.emplace_back(first, second);
@@ -166,7 +166,7 @@ graph::WeightedUndigraph Qodg::interaction_graph() const {
             }
         }
     }
-    return graph::WeightedUndigraph::from_pairs(num_qubits_, pairs);
+    return iig::Iig(num_qubits_, pairs);
 }
 
 void Qodg::check_node(NodeId id) const {
@@ -525,7 +525,7 @@ Qodg::SlackAnalysis Qodg::slack_analysis(const std::vector<double>& delays) cons
     return analysis;
 }
 
-std::string Qodg::to_dot(const circuit::Circuit& circ) const {
+std::string Qodg::to_dot() const {
     std::ostringstream out;
     out << "digraph qodg {\n  rankdir=LR;\n";
     for (NodeId id = 0; id < num_nodes(); ++id) {
@@ -535,8 +535,7 @@ std::string Qodg::to_dot(const circuit::Circuit& circ) const {
             case NodeKind::Start: out << "start"; break;
             case NodeKind::End: out << "end"; break;
             case NodeKind::Op:
-                out << op.gate_index + 1 << ": "
-                    << circuit::gate_name(circ.gate(op.gate_index).kind);
+                out << op.gate_index + 1 << ": " << circuit::gate_name(op.gate_kind);
                 break;
         }
         out << "\"";

@@ -15,10 +15,10 @@
 /// (10 B), per-kind op counts and the qubits the end node reads.  The
 /// critical-path kernel (lines 19-20: given per-kind delays, the critical
 /// path length and the per-kind census along it, N^critical of Eq. 1) and
-/// the circuit profile run on the tape alone.  The dependency structure
-/// the detailed mapper and the reference sweeps walk, a shared
-/// `graph::CsrDigraph` pair (see graph/csr.h), is a view built from the
-/// tape on first use and then kept.
+/// the IIG the circuit profile reads run on the tape alone.  The dependency
+/// structure the detailed mapper, the reference sweeps and `to_dot` walk, a
+/// shared `graph::CsrDigraph` pair (see graph/csr.h), is a view built from
+/// the tape on first use and then kept.
 #pragma once
 
 #include <array>
@@ -32,7 +32,7 @@
 
 #include "circuit/circuit.h"
 #include "graph/csr.h"
-#include "graph/weighted.h"
+#include "iig/iig.h"
 
 namespace leqa::qodg {
 
@@ -175,10 +175,10 @@ public:
         return views().predecessors;
     }
 
-    /// The IIG's weighted interaction graph (§3.1) from the tape: weight 1
-    /// per two-qubit op to its pair, and to every operand pair of a wider
-    /// op, as iig::Iig collects them from the circuit.
-    [[nodiscard]] graph::WeightedUndigraph interaction_graph() const;
+    /// The IIG (§3.1) from the tape: weight 1 per two-qubit op to its
+    /// pair, and to every operand pair of a wider op, as iig::Iig collects
+    /// them from the circuit, so both give the same edges.
+    [[nodiscard]] iig::Iig interaction_graph() const;
 
     /// Node id of the i-th gate: gates map to ids 1..N in program order, so
     /// this is a constant-time offset plus a bounds check.
@@ -253,9 +253,10 @@ public:
     };
     [[nodiscard]] SlackAnalysis slack_analysis(const std::vector<double>& delays) const;
 
-    /// Graphviz DOT rendering (regenerates the paper's Figure 2(b) for
-    /// ham3-sized inputs; feasible for small graphs only).
-    [[nodiscard]] std::string to_dot(const circuit::Circuit& circ) const;
+    /// Graphviz DOT rendering, each op labelled with its gate kind from the
+    /// tape (regenerates the paper's Figure 2(b) for ham3-sized inputs;
+    /// feasible for small graphs only).
+    [[nodiscard]] std::string to_dot() const;
 
 private:
     /// The CSR views: the predecessor CSR is written first, one row per

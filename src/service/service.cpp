@@ -224,8 +224,14 @@ Service::Service(std::shared_ptr<pipeline::Pipeline> pipeline, ServiceOptions op
     }
     options_.threads = threads;
     workers_.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-        workers_.emplace_back([this] { worker_loop(); });
+    try {
+        for (std::size_t t = 0; t < threads; ++t) {
+            workers_.emplace_back([this] { worker_loop(); });
+        }
+    } catch (...) {
+        // Joinable threads must not be destroyed (std::terminate).
+        shutdown();
+        throw;
     }
 }
 

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace leqa::util {
 
@@ -64,6 +66,14 @@ std::optional<double> parse_double(std::string_view text) {
     const auto [ptr, ec] = std::from_chars(begin, end, value);
     if (ec != std::errc() || ptr != end) return std::nullopt;
     return value;
+}
+
+std::optional<int> to_int(double value) {
+    if (!(value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max()) ||
+        value != std::trunc(value)) {
+        return std::nullopt;
+    }
+    return static_cast<int>(value);
 }
 
 std::string format_double(double value, int significant_digits) {

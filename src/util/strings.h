@@ -63,6 +63,11 @@ struct StringHash {
 [[nodiscard]] std::optional<long long> parse_int(std::string_view text);
 [[nodiscard]] std::optional<double> parse_double(std::string_view text);
 
+/// \p value as an int; nullopt unless it is a whole number inside int's
+/// range.  The one check before narrowing a parsed number (integers in
+/// int's range convert to double exactly), so nothing truncates or wraps.
+[[nodiscard]] std::optional<int> to_int(double value);
+
 /// Format a double with %.*g style precision.
 [[nodiscard]] std::string format_double(double value, int significant_digits = 6);
 

@@ -64,6 +64,16 @@ TEST(Params, ConfigDiagnostics) {
     EXPECT_THROW((void)lf::PhysicalParams::from_config("nc\n"), InputError);
     EXPECT_THROW((void)lf::PhysicalParams::from_config("nc = abc\n"), InputError);
     EXPECT_THROW((void)lf::PhysicalParams::from_config("nc = 0\n"), InputError); // validate()
+    // Integer keys are never truncated or wrapped into range.
+    EXPECT_THROW((void)lf::PhysicalParams::from_config("nc = 2.5\n"), InputError);
+    EXPECT_THROW((void)lf::PhysicalParams::from_config("width = 1e12\n"), InputError);
+    try {
+        (void)lf::PhysicalParams::from_config("nc = 3\nwidth = 30.9\n");
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find("config line 2"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(lf::PhysicalParams::from_config("height = 40.0\n").height, 40);
 }
 
 TEST(Params, ValidateRejectsNonPhysical) {

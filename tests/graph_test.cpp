@@ -1,8 +1,7 @@
 // Tests for the shared graph substrate: CSR builder semantics (sorting,
-// parallel-edge merging, topological flag), the traversal kernels, the flat
-// weighted undirected graph, and representation parity — the CSR-backed
-// QODG against an independently built nested-vector adjacency on the bench
-// suite.
+// parallel-edge merging, topological flag), the traversal kernels, and
+// representation parity — the CSR-backed QODG against an independently
+// built nested-vector adjacency on the bench suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include "benchgen/suite.h"
 #include "fabric/params.h"
 #include "graph/csr.h"
-#include "graph/weighted.h"
 #include "qodg/qodg.h"
 #include "synth/ft_synth.h"
 #include "util/error.h"
@@ -111,46 +109,6 @@ TEST(Csr, UnreachableNodesKeepNegativeDistance) {
     const auto lp = lg::longest_path(g, delays, 0);
     EXPECT_LT(lp.distance[1], 0.0);
     EXPECT_THROW((void)lg::extract_path(lp, 0, 2), leqa::util::InputError);
-}
-
-TEST(WeightedUndigraph, AccumulatesPairsEitherOrientation) {
-    const std::vector<std::pair<lg::NodeId, lg::NodeId>> pairs{
-        {0, 1}, {1, 0}, {2, 0}, {3, 2}};
-    const auto g = lg::WeightedUndigraph::from_pairs(4, pairs);
-    EXPECT_EQ(g.num_edges(), 3u);
-    EXPECT_EQ(g.weight_between(0, 1), 2u);
-    EXPECT_EQ(g.weight_between(1, 0), 2u);
-    EXPECT_EQ(g.weight_between(2, 3), 1u);
-    EXPECT_EQ(g.weight_between(1, 3), 0u);
-    EXPECT_EQ(g.degree(0), 2u);
-    EXPECT_EQ(g.adjacent_weight(0), 3u);
-}
-
-TEST(WeightedUndigraph, NeighborsSortedAndAlignedWithWeights) {
-    const std::vector<std::pair<lg::NodeId, lg::NodeId>> pairs{
-        {5, 2}, {2, 0}, {2, 7}, {2, 7}, {2, 1}};
-    const auto g = lg::WeightedUndigraph::from_pairs(8, pairs);
-    const auto hood = g.neighbors(2);
-    ASSERT_EQ(hood.size(), 4u);
-    EXPECT_TRUE(std::is_sorted(hood.begin(), hood.end()));
-    const auto weights = g.neighbor_weights(2);
-    for (std::size_t k = 0; k < hood.size(); ++k) {
-        EXPECT_EQ(weights[k], g.weight_between(2, hood[k]));
-    }
-    EXPECT_EQ(g.weight_between(2, 7), 2u);
-}
-
-TEST(WeightedUndigraph, EdgesSortedUnique) {
-    const std::vector<std::pair<lg::NodeId, lg::NodeId>> pairs{
-        {3, 1}, {1, 3}, {0, 2}, {1, 2}};
-    const auto g = lg::WeightedUndigraph::from_pairs(4, pairs);
-    const auto& edges = g.edges();
-    ASSERT_EQ(edges.size(), 3u);
-    for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
-        EXPECT_TRUE(edges[k].i < edges[k + 1].i ||
-                    (edges[k].i == edges[k + 1].i && edges[k].j < edges[k + 1].j));
-    }
-    for (const auto& e : edges) EXPECT_LT(e.i, e.j);
 }
 
 // ---------------------------------------------------------------- parity --

@@ -1,6 +1,10 @@
-// Tests for the interaction intensity graph: weights, degrees, zone areas
-// (Eq. 6), and the weighted average zone area B (Eq. 7).
+// Tests for the interaction intensity graph: the pair sort, weights,
+// degrees, zone areas (Eq. 6), and the weighted average zone area B
+// (Eq. 7).
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "iig/iig.h"
 #include "util/error.h"
@@ -8,6 +12,49 @@
 
 namespace lc = leqa::circuit;
 namespace li = leqa::iig;
+
+using Pairs = std::vector<std::pair<lc::Qubit, lc::Qubit>>;
+
+TEST(Iig, FromPairsAccumulatesEitherOrientation) {
+    const Pairs pairs{{0, 1}, {1, 0}, {2, 0}, {3, 2}};
+    const li::Iig iig(4, pairs);
+    EXPECT_EQ(iig.num_qubits(), 4u);
+    EXPECT_EQ(iig.num_edges(), 3u);
+    EXPECT_EQ(iig.edge_weight(0, 1), 2u);
+    EXPECT_EQ(iig.edge_weight(1, 0), 2u);
+    EXPECT_EQ(iig.edge_weight(2, 3), 1u);
+    EXPECT_EQ(iig.edge_weight(1, 3), 0u);
+    EXPECT_EQ(iig.degree(0), 2u);
+    EXPECT_EQ(iig.adjacent_weight(0), 3u);
+}
+
+TEST(Iig, FromPairsEdgesSortedUnique) {
+    const Pairs pairs{{3, 1}, {1, 3}, {0, 2}, {1, 2}, {5, 2}, {2, 7}, {7, 2}};
+    const li::Iig iig(8, pairs);
+    const auto& edges = iig.edges();
+    ASSERT_EQ(edges.size(), 5u);
+    for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
+        EXPECT_TRUE(edges[k].i < edges[k + 1].i ||
+                    (edges[k].i == edges[k + 1].i && edges[k].j < edges[k + 1].j));
+    }
+    for (const auto& e : edges) {
+        EXPECT_LT(e.i, e.j);
+        EXPECT_EQ(iig.edge_weight(e.i, e.j), e.weight);
+    }
+    EXPECT_EQ(iig.edge_weight(2, 7), 2u);
+    EXPECT_EQ(iig.degree(2), 4u); // 0, 1, 5, 7
+    EXPECT_EQ(iig.adjacent_weight(2), 5u);
+}
+
+TEST(Iig, FromPairsRejectsOutOfRangeAndSelfLoops) {
+    EXPECT_THROW((void)li::Iig(3, Pairs{{0, 3}}), leqa::util::InputError);
+    EXPECT_THROW((void)li::Iig(3, Pairs{{4, 1}}), leqa::util::InputError);
+    EXPECT_THROW((void)li::Iig(3, Pairs{{1, 1}}), leqa::util::InputError);
+    EXPECT_THROW((void)li::Iig(0, Pairs{{0, 1}}), leqa::util::InputError);
+    const li::Iig empty(0, Pairs{});
+    EXPECT_EQ(empty.num_qubits(), 0u);
+    EXPECT_DOUBLE_EQ(empty.average_zone_area(), 1.0);
+}
 
 TEST(Iig, EmptyCircuit) {
     const lc::Circuit circ(3);
@@ -46,6 +93,9 @@ TEST(Iig, SelfLoopQueryRejected) {
     const lc::Circuit circ(2);
     const li::Iig iig(circ);
     EXPECT_THROW((void)iig.edge_weight(1, 1), leqa::util::InputError);
+    EXPECT_THROW((void)iig.edge_weight(0, 2), leqa::util::InputError);
+    EXPECT_THROW((void)iig.degree(2), leqa::util::InputError);
+    EXPECT_THROW((void)iig.adjacent_weight(2), leqa::util::InputError);
 }
 
 TEST(Iig, ZoneAreaEquation6) {

@@ -18,6 +18,7 @@
 #include "parser/qasm.h"
 #include "pipeline/pipeline.h"
 #include "report/report.h"
+#include "util/args.h"
 #include "util/error.h"
 
 namespace lp = leqa::pipeline;
@@ -88,6 +89,25 @@ TEST(CircuitSource, BareSuiteNameIsAnErrorWithHint) {
 TEST(CircuitSource, UnknownBenchNameThrows) {
     EXPECT_THROW((void)lp::parse_source("bench:nosuchbench"), InputError);
     EXPECT_THROW((void)lp::CircuitSource::from_bench("nosuchbench"), InputError);
+}
+
+TEST(ParamsFromArgs, RejectsIntegersOutsideInt) {
+    // 4294967356 = 2^32 + 60 and 4294967301 = 2^32 + 5 once wrapped to 60
+    // and 5 when narrowed.
+    const auto params_of = [](std::vector<const char*> argv) {
+        leqa::util::ArgParser parser("test");
+        lp::add_param_options(parser);
+        argv.insert(argv.begin(), "leqa_cli");
+        EXPECT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+        return lp::params_from_args(parser);
+    };
+    EXPECT_THROW((void)params_of({"--fabric", "4294967356x60"}), InputError);
+    EXPECT_THROW((void)params_of({"--fabric", "60x4294967356"}), InputError);
+    EXPECT_THROW((void)params_of({"--nc", "4294967301"}), InputError);
+    const lf::PhysicalParams params = params_of({"--fabric", "40x30", "--nc", "3"});
+    EXPECT_EQ(params.width, 40);
+    EXPECT_EQ(params.height, 30);
+    EXPECT_EQ(params.nc, 3);
 }
 
 TEST(CircuitSource, InlineFingerprintDistinguishesCircuits) {
@@ -550,7 +570,19 @@ TEST(PipelineLazyViews, ConcurrentFirstUseBuildsEachViewOnce) {
     const leqa::circuit::Circuit expected =
         leqa::synth::ft_synthesize(lazy_view_circuit()).circuit;
     EXPECT_TRUE(fts[0]->same_structure(expected));
-    EXPECT_EQ(iigs[0]->num_edges(), leqa::iig::Iig(expected).num_edges());
+    // The IIG is read from the tape, yet equals the FT circuit's.
+    const leqa::iig::Iig expected_iig(expected);
+    ASSERT_EQ(iigs[0]->num_qubits(), expected_iig.num_qubits());
+    ASSERT_EQ(iigs[0]->num_edges(), expected_iig.num_edges());
+    for (std::size_t e = 0; e < expected_iig.num_edges(); ++e) {
+        EXPECT_EQ(iigs[0]->edges()[e].i, expected_iig.edges()[e].i) << "edge " << e;
+        EXPECT_EQ(iigs[0]->edges()[e].j, expected_iig.edges()[e].j) << "edge " << e;
+        EXPECT_EQ(iigs[0]->edges()[e].weight, expected_iig.edges()[e].weight) << "edge " << e;
+    }
+    for (leqa::circuit::Qubit q = 0; q < expected_iig.num_qubits(); ++q) {
+        EXPECT_EQ(iigs[0]->degree(q), expected_iig.degree(q)) << "qubit " << q;
+        EXPECT_EQ(iigs[0]->adjacent_weight(q), expected_iig.adjacent_weight(q)) << "qubit " << q;
+    }
     EXPECT_EQ(entry->qodg().num_edges(), leqa::qodg::Qodg(expected).num_edges());
 }
 

@@ -220,7 +220,7 @@ TEST(Qodg, DotExportMentionsNodes) {
     lc::Circuit circ(2);
     circ.h(0).cnot(0, 1);
     const lq::Qodg graph(circ);
-    const std::string dot = graph.to_dot(circ);
+    const std::string dot = graph.to_dot();
     EXPECT_NE(dot.find("digraph"), std::string::npos);
     EXPECT_NE(dot.find("start"), std::string::npos);
     EXPECT_NE(dot.find("end"), std::string::npos);
@@ -366,8 +366,9 @@ lc::Circuit wide_gate_circuit() {
 }
 
 /// Synthesis streamed into a Builder against Qodg(ft_synthesize(...)):
-/// sizes, every adjacency row, the longest path, the interaction graph
-/// and, for FT output, the lanes of random delay tables.
+/// sizes, every adjacency row, the longest path, the DOT rendering (under
+/// 200 ops), the interaction graph and, for FT output, the lanes of random
+/// delay tables.
 void expect_streamed_matches_circuit(const lc::Circuit& input,
                                      const leqa::synth::FtSynthOptions& options,
                                      leqa::util::Rng& rng, const std::string& what) {
@@ -403,9 +404,13 @@ void expect_streamed_matches_circuit(const lc::Circuit& input,
             << what;
     }
 
-    const leqa::graph::WeightedUndigraph pairs = streamed.interaction_graph();
+    if (ft.size() < 200) {
+        EXPECT_EQ(streamed.to_dot(), built.to_dot()) << what;
+    }
+
+    const leqa::iig::Iig pairs = streamed.interaction_graph();
     const leqa::iig::Iig iig(ft);
-    ASSERT_EQ(pairs.num_nodes(), iig.num_qubits()) << what;
+    ASSERT_EQ(pairs.num_qubits(), iig.num_qubits()) << what;
     ASSERT_EQ(pairs.num_edges(), iig.num_edges()) << what;
     for (std::size_t e = 0; e < iig.num_edges(); ++e) {
         EXPECT_EQ(pairs.edges()[e].i, iig.edges()[e].i) << what;
@@ -466,7 +471,7 @@ TEST(QodgBuilder, WideOpsInteractLikeTheIig) {
     const lc::Circuit circ = wide_gate_circuit();
     const lq::Qodg graph(circ);
     const leqa::iig::Iig iig(circ);
-    const leqa::graph::WeightedUndigraph pairs = graph.interaction_graph();
+    const leqa::iig::Iig pairs = graph.interaction_graph();
     ASSERT_EQ(pairs.num_edges(), iig.num_edges());
     for (lc::Qubit q = 0; q < circ.num_qubits(); ++q) {
         EXPECT_EQ(pairs.degree(q), iig.degree(q)) << "qubit " << q;

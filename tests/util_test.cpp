@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "util/args.h"
@@ -65,6 +66,18 @@ TEST(Strings, ParseDoubleStrict) {
     EXPECT_DOUBLE_EQ(lu::parse_double("1e-3").value(), 1e-3);
     EXPECT_FALSE(lu::parse_double("abc").has_value());
     EXPECT_FALSE(lu::parse_double("1.0extra").has_value());
+}
+
+TEST(Strings, ToIntRejectsFractionsAndOverflow) {
+    EXPECT_EQ(lu::to_int(60.0).value(), 60);
+    EXPECT_EQ(lu::to_int(-2147483648.0).value(), std::numeric_limits<int>::min());
+    EXPECT_EQ(lu::to_int(2147483647.0).value(), std::numeric_limits<int>::max());
+    EXPECT_FALSE(lu::to_int(2147483648.0).has_value());
+    EXPECT_FALSE(lu::to_int(4294967301.0).has_value());
+    EXPECT_FALSE(lu::to_int(2.5).has_value());
+    EXPECT_FALSE(lu::to_int(1e12).has_value());
+    EXPECT_FALSE(lu::to_int(std::numeric_limits<double>::quiet_NaN()).has_value());
+    EXPECT_FALSE(lu::to_int(std::numeric_limits<double>::infinity()).has_value());
 }
 
 TEST(Strings, FormatScientificMatchesPaperStyle) {

@@ -21,10 +21,6 @@ std::size_t GateCounts::one_qubit_ft() const {
     return sum;
 }
 
-std::size_t GateCounts::two_qubit() const {
-    return of(GateKind::Cnot) + of(GateKind::Swap);
-}
-
 std::string GateCounts::to_string() const {
     std::ostringstream out;
     bool first = true;
@@ -156,14 +152,6 @@ void Circuit::validate() const {
 
 bool Circuit::same_structure(const Circuit& other) const {
     return num_qubits() == other.num_qubits() && gates_ == other.gates_;
-}
-
-std::string Circuit::to_string() const {
-    std::ostringstream out;
-    out << "circuit \"" << (name_.empty() ? "(unnamed)" : name_) << "\": "
-        << num_qubits() << " qubits, " << gates_.size() << " gates\n";
-    for (const Gate& g : gates_) out << "  " << g.to_string() << '\n';
-    return out.str();
 }
 
 } // namespace leqa::circuit

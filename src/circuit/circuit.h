@@ -26,7 +26,6 @@ struct GateCounts {
     }
     [[nodiscard]] std::size_t total() const;
     [[nodiscard]] std::size_t one_qubit_ft() const;   ///< X..Tdg
-    [[nodiscard]] std::size_t two_qubit() const;      ///< CNOT (+SWAP if present)
     [[nodiscard]] std::string to_string() const;
 };
 
@@ -115,9 +114,6 @@ public:
     /// Structural equality: same qubit count, same gate sequence.
     /// Names/comments are ignored.
     [[nodiscard]] bool same_structure(const Circuit& other) const;
-
-    /// Multi-line human-readable dump (for debugging / examples).
-    [[nodiscard]] std::string to_string() const;
 
 private:
     std::string name_;

@@ -18,10 +18,37 @@ constexpr UlbId kNoUlb = -1;
 /// cache is cleared wholesale when it would outgrow the cap.
 constexpr std::size_t kMaxCachedDestinations = 1024;
 
-[[nodiscard]] std::uint64_t pack_pair(UlbId a, UlbId b) {
-    const auto lo = static_cast<std::uint64_t>(std::min(a, b));
-    const auto hi = static_cast<std::uint64_t>(std::max(a, b));
-    return (hi << 32) | lo;
+/// The open grid's segments in canonical order, with room for `capacity`:
+/// horizontal segment (x, y)-(x+1, y) has id y*(width-1) + x; vertical
+/// segments follow with id H + y*width + x for (x, y)-(x, y+1).
+[[nodiscard]] std::vector<std::pair<UlbId, UlbId>> grid_segments(int width, int height,
+                                                                 std::size_t capacity) {
+    std::vector<std::pair<UlbId, UlbId>> segments;
+    segments.reserve(capacity);
+    for (int y = 0; y < height; ++y) {
+        for (int x = 0; x + 1 < width; ++x) {
+            segments.emplace_back(y * width + x, y * width + x + 1);
+        }
+    }
+    for (int y = 0; y + 1 < height; ++y) {
+        for (int x = 0; x < width; ++x) {
+            segments.emplace_back(y * width + x, (y + 1) * width + x);
+        }
+    }
+    return segments;
+}
+
+/// Along one axis of length `len`, Eq. 5's count min{x, len-x+1, s,
+/// len-s+1} takes at most min(s, len-s+1) distinct values; entry n tallies
+/// how many coordinates produce n (entry 0 stays empty).
+[[nodiscard]] std::vector<double> axis_tally(int len, int s) {
+    const int cap = std::min(s, len - s + 1);
+    std::vector<double> count(static_cast<std::size_t>(cap) + 1, 0.0);
+    for (int x = 1; x <= len; ++x) {
+        const int n = std::min({x, len - x + 1, s, len - s + 1});
+        count[static_cast<std::size_t>(n)] += 1.0;
+    }
+    return count;
 }
 
 } // namespace
@@ -33,21 +60,8 @@ CoverageHistogram CoverageHistogram::build(int a, int b, int zone_side) {
     LEQA_REQUIRE(zone_side >= 1 && zone_side <= std::min(a, b),
                  "zone side must be in [1, min(a, b)]");
     const int s = zone_side;
-
-    // Along one axis of length `len`, Eq. 5's count min{x, len-x+1, s,
-    // len-s+1} takes at most min(s, len-s+1) distinct values; tally how
-    // many coordinates produce each.
-    const auto axis_counts = [s](int len) {
-        const int cap = std::min(s, len - s + 1);
-        std::vector<double> count(static_cast<std::size_t>(cap) + 1, 0.0);
-        for (int x = 1; x <= len; ++x) {
-            const int n = std::min({x, len - x + 1, s, len - s + 1});
-            count[static_cast<std::size_t>(n)] += 1.0;
-        }
-        return count;
-    };
-    const std::vector<double> cx = axis_counts(a);
-    const std::vector<double> cy = axis_counts(b);
+    const std::vector<double> cx = axis_tally(a, s);
+    const std::vector<double> cy = axis_tally(b, s);
 
     // Cross the two axes on the integer product nx * ny, merging products
     // that coincide (1*4 == 2*2): at most (cap_a * cap_b) <= s^2 bins.
@@ -102,35 +116,42 @@ UlbCoord Topology::ulb_coord(UlbId id) const {
 void Topology::ensure_adjacency() const {
     std::call_once(adjacency_once_, [&] {
         segment_ends_ = build_segments();
-        graph::CsrBuilder builder(num_ulbs());
-        builder.reserve_edges(2 * segment_ends_.size());
-        std::unordered_map<std::uint64_t, SegmentId> segment_of;
-        segment_of.reserve(segment_ends_.size());
+        const std::size_t n = num_ulbs();
+
+        // Counting sort by source ULB: count both arcs of every segment,
+        // prefix-sum, then scatter (neighbor, segment id) into the rows.
+        std::vector<std::uint32_t> offsets(n + 1, 0);
+        for (const auto& [u, v] : segment_ends_) {
+            ++offsets[static_cast<std::size_t>(u) + 1];
+            ++offsets[static_cast<std::size_t>(v) + 1];
+        }
+        for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+        std::vector<std::pair<UlbId, SegmentId>> arcs(offsets[n]);
+        std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
         for (std::size_t s = 0; s < segment_ends_.size(); ++s) {
             const auto [u, v] = segment_ends_[s];
-            builder.add_edge(static_cast<graph::NodeId>(u),
-                             static_cast<graph::NodeId>(v));
-            builder.add_edge(static_cast<graph::NodeId>(v),
-                             static_cast<graph::NodeId>(u));
-            const bool inserted =
-                segment_of.emplace(pack_pair(u, v), static_cast<SegmentId>(s)).second;
-            LEQA_CHECK(inserted, "duplicate segment between one ULB pair");
+            arcs[cursor[static_cast<std::size_t>(u)]++] = {v, static_cast<SegmentId>(s)};
+            arcs[cursor[static_cast<std::size_t>(v)]++] = {u, static_cast<SegmentId>(s)};
         }
-        adjacency_ = builder.build(/*merge_parallel=*/false);
 
-        // Align one segment id with every directed arc of the CSR.
-        arc_segments_.resize(adjacency_.num_edges());
-        for (graph::NodeId u = 0; u < adjacency_.num_nodes(); ++u) {
-            const auto successors = adjacency_.successors(u);
-            const std::size_t base =
-                static_cast<std::size_t>(successors.data() -
-                                         adjacency_.successors(0).data());
-            for (std::size_t i = 0; i < successors.size(); ++i) {
-                const auto key = pack_pair(static_cast<UlbId>(u),
-                                           static_cast<UlbId>(successors[i]));
-                arc_segments_[base + i] = segment_of.at(key);
+        // Sort each row by neighbor id and split it into the CSR targets
+        // and the aligned segment ids.
+        std::vector<graph::NodeId> targets(arcs.size());
+        arc_segments_.resize(arcs.size());
+        for (std::size_t u = 0; u < n; ++u) {
+            const auto row = arcs.begin() + offsets[u];
+            const auto row_end = arcs.begin() + offsets[u + 1];
+            std::sort(row, row_end);
+            for (auto arc = row; arc != row_end; ++arc) {
+                LEQA_CHECK(arc == row || arc->first != (arc - 1)->first,
+                           "duplicate segment between one ULB pair");
+                const auto e = static_cast<std::size_t>(arc - arcs.begin());
+                targets[e] = static_cast<graph::NodeId>(arc->first);
+                arc_segments_[e] = arc->second;
             }
         }
+        adjacency_ = graph::CsrDigraph(std::move(offsets), std::move(targets),
+                                       /*topological=*/false);
     });
 }
 
@@ -254,22 +275,7 @@ std::size_t GridTopology::num_segments() const {
 }
 
 std::vector<std::pair<UlbId, UlbId>> GridTopology::build_segments() const {
-    // Canonical numbering preserved from the pre-topology FabricGeometry:
-    // horizontal segment (x, y)-(x+1, y) has id y*(width-1) + x; vertical
-    // segments follow with id H + y*width + x for (x, y)-(x, y+1).
-    std::vector<std::pair<UlbId, UlbId>> segments;
-    segments.reserve(num_segments());
-    for (int y = 0; y < height(); ++y) {
-        for (int x = 0; x + 1 < width(); ++x) {
-            segments.emplace_back(ulb_id({x, y}), ulb_id({x + 1, y}));
-        }
-    }
-    for (int y = 0; y + 1 < height(); ++y) {
-        for (int x = 0; x < width(); ++x) {
-            segments.emplace_back(ulb_id({x, y}), ulb_id({x, y + 1}));
-        }
-    }
-    return segments;
+    return grid_segments(width(), height(), num_segments());
 }
 
 int GridTopology::distance(UlbCoord a, UlbCoord b) const {
@@ -353,18 +359,8 @@ std::size_t TorusTopology::num_segments() const {
 std::vector<std::pair<UlbId, UlbId>> TorusTopology::build_segments() const {
     // Grid segments first in the grid-canonical order, wrap channels after
     // (rows, then columns), so the grid sub-numbering is stable.
-    std::vector<std::pair<UlbId, UlbId>> segments;
-    segments.reserve(num_segments());
-    for (int y = 0; y < height(); ++y) {
-        for (int x = 0; x + 1 < width(); ++x) {
-            segments.emplace_back(ulb_id({x, y}), ulb_id({x + 1, y}));
-        }
-    }
-    for (int y = 0; y + 1 < height(); ++y) {
-        for (int x = 0; x < width(); ++x) {
-            segments.emplace_back(ulb_id({x, y}), ulb_id({x, y + 1}));
-        }
-    }
+    std::vector<std::pair<UlbId, UlbId>> segments =
+        grid_segments(width(), height(), num_segments());
     if (width() >= 3) {
         for (int y = 0; y < height(); ++y) {
             segments.emplace_back(ulb_id({width() - 1, y}), ulb_id({0, y}));
@@ -480,18 +476,12 @@ CoverageHistogram LineTopology::coverage_histogram(int zone_extent) const {
     // over the a-s+1 in-bounds positions covers cell x (1-based) with
     // probability min{x, a-x+1, s, a-s+1} / (a-s+1): at most min(s, a-s+1)
     // distinct values.
-    const int cap = std::min(s, a - s + 1);
-    std::vector<double> count(static_cast<std::size_t>(cap) + 1, 0.0);
-    for (int x = 1; x <= a; ++x) {
-        const int n = std::min({x, a - x + 1, s, a - s + 1});
-        count[static_cast<std::size_t>(n)] += 1.0;
-    }
+    const std::vector<double> count = axis_tally(a, s);
     const double denom = static_cast<double>(a - s + 1);
     std::vector<CoverageHistogram::Bin> bins;
-    for (int n = 1; n <= cap; ++n) {
-        if (count[static_cast<std::size_t>(n)] == 0.0) continue;
-        bins.push_back(CoverageHistogram::Bin{static_cast<double>(n) / denom,
-                                              count[static_cast<std::size_t>(n)]});
+    for (std::size_t n = 1; n < count.size(); ++n) {
+        if (count[n] == 0.0) continue;
+        bins.push_back(CoverageHistogram::Bin{static_cast<double>(n) / denom, count[n]});
     }
     return CoverageHistogram::from_bins(std::move(bins), static_cast<double>(a));
 }

@@ -18,11 +18,16 @@
 ///     zones are 1 x ceil(B) intervals, so the coverage histogram is the
 ///     1D analogue of Eq. 5 with O(s) bins.
 ///
-/// Adjacency is exposed as a CSR view (reusing `graph::CsrDigraph`): every
+/// `Topology` is the one fabric type the mapper, router and placement
+/// query; geometry.h holds the coordinate types and a handle to a topology.
+///
+/// Adjacency is exposed as a CSR view (a `graph::CsrDigraph`): every
 /// undirected channel segment becomes two directed arcs, and a parallel
-/// per-arc array maps each arc back to its `SegmentId`.  The CSR is built
-/// lazily — the estimation engine only touches the coverage interface, so
-/// parameter sweeps never pay for adjacency construction.
+/// per-arc array maps each arc back to its `SegmentId`.  One counting sort
+/// over the segment list writes both arrays, carrying each arc's segment id
+/// with its neighbor.  The CSR is built lazily — the estimation engine only
+/// touches the coverage interface, so parameter sweeps never pay for
+/// adjacency construction.
 ///
 /// Shortest routes on non-grid topologies come from per-destination BFS
 /// next-hop tables (cached inside the topology); `GridTopology` overrides
@@ -120,7 +125,8 @@ public:
     [[nodiscard]] SegmentId segment_between(UlbId a, UlbId b) const;
     [[nodiscard]] bool adjacent(UlbId a, UlbId b) const;
 
-    /// The two ULBs a segment connects (canonical order: lower id first).
+    /// The two ULBs a segment connects, as the segment list holds them
+    /// (lower id first, except a torus wrap channel: last, then first).
     [[nodiscard]] std::pair<UlbId, UlbId> segment_endpoints(SegmentId segment) const;
 
     // --- hop metric and routing --------------------------------------------

@@ -16,7 +16,7 @@ std::vector<std::uint32_t> CsrDigraph::in_degrees() const {
 CsrDigraph::CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
                        bool topological)
     : offsets_(std::move(offsets)), targets_(std::move(targets)), topological_(topological) {
-    LEQA_DCHECK_OK(validate_csr(offsets_, targets_, topological_));
+    LEQA_DCHECK_OK(validate_csr(offsets_, targets_, topological_, /*acyclic=*/false));
 }
 
 CsrDigraph CsrDigraph::reversed() const {
@@ -39,56 +39,6 @@ CsrDigraph CsrDigraph::reversed() const {
     }
     rev.topological_ = descending;
     return rev;
-}
-
-CsrBuilder::CsrBuilder(std::size_t num_nodes) : num_nodes_(num_nodes) {}
-
-void CsrBuilder::reserve_edges(std::size_t count) {
-    from_.reserve(count);
-    to_.reserve(count);
-}
-
-void CsrBuilder::add_edge(NodeId from, NodeId to) {
-    LEQA_REQUIRE(from < num_nodes_ && to < num_nodes_, "edge endpoint out of range");
-    LEQA_REQUIRE(from != to, "self loops are not representable");
-    if (from > to) topological_ = false;
-    from_.push_back(from);
-    to_.push_back(to);
-}
-
-CsrDigraph CsrBuilder::build(bool merge_parallel) {
-    CsrDigraph g;
-    g.topological_ = topological_;
-    g.offsets_.assign(num_nodes_ + 1, 0);
-
-    // Counting sort by source: count, prefix-sum, scatter.
-    for (const NodeId u : from_) ++g.offsets_[u + 1];
-    for (std::size_t u = 0; u < num_nodes_; ++u) g.offsets_[u + 1] += g.offsets_[u];
-    g.targets_.resize(to_.size());
-    std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-    for (std::size_t e = 0; e < from_.size(); ++e) {
-        g.targets_[cursor[from_[e]]++] = to_[e];
-    }
-
-    // Sort each successor list; optionally drop parallel duplicates (the
-    // QODG merge rule), compacting the arrays in place.
-    std::uint32_t write = 0;
-    std::uint32_t row_start = 0;
-    for (std::size_t u = 0; u < num_nodes_; ++u) {
-        const std::uint32_t row_end = g.offsets_[u + 1];
-        auto* begin = g.targets_.data() + row_start;
-        auto* end = g.targets_.data() + row_end;
-        std::sort(begin, end);
-        if (merge_parallel) end = std::unique(begin, end);
-        for (auto* it = begin; it != end; ++it) g.targets_[write++] = *it;
-        row_start = row_end;
-        g.offsets_[u + 1] = write;
-    }
-    g.targets_.resize(write);
-
-    from_.clear();
-    to_.clear();
-    return g;
 }
 
 LongestPathResult longest_path(const CsrDigraph& g, std::span<const double> delays,

@@ -1,17 +1,17 @@
 /// \file csr.h
 /// \brief Immutable compressed-sparse-row digraph and its traversal kernels.
 ///
-/// The QODG, the QSPR list scheduler, and the estimation engine all walk the
-/// same dependency structure; this substrate gives them one flat
-/// representation instead of per-module adjacency containers.  A
-/// `CsrBuilder` collects (from, to) pairs, merges parallel edges, and
-/// freezes them into two arrays (offsets + targets), after which traversal
-/// is cache-friendly pointer arithmetic.
+/// The QODG, the QSPR list scheduler, the estimation engine and the fabric
+/// topology all walk one flat representation: two arrays (offsets +
+/// targets), after which traversal is cache-friendly pointer arithmetic.
+/// A `CsrDigraph` adopts arrays its owner writes: the QODG its predecessor
+/// rows from its tape (then `reversed()`), the fabric topology its
+/// symmetric adjacency from its segment list.
 ///
 /// The kernels below require a *topologically ordered* graph (every edge
-/// goes from a lower to a higher node id).  The builder records whether
-/// that property holds; graphs built from circuits in program order (the
-/// QODG) always satisfy it.
+/// goes from a lower to a higher node id).  The owner states whether that
+/// property holds; graphs built from circuits in program order (the QODG)
+/// always satisfy it.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +23,6 @@ namespace leqa::graph {
 
 using NodeId = std::uint32_t;
 
-class CsrBuilder;
-
 /// Immutable digraph in compressed-sparse-row form.
 class CsrDigraph {
 public:
@@ -32,8 +30,9 @@ public:
 
     /// Adopt raw CSR arrays: `offsets` has num_nodes + 1 entries, and each
     /// successor list is sorted and duplicate-free.  `topological` states
-    /// whether every edge goes from a lower to a higher id.  The arrays are
-    /// validated in debug builds.
+    /// whether every edge goes from a lower to a higher id.  Debug builds
+    /// check the structure and a topological claim edge by edge, but not
+    /// acyclicity: a symmetric adjacency is cyclic by design.
     CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
                bool topological);
 
@@ -71,32 +70,8 @@ public:
     [[nodiscard]] CsrDigraph reversed() const;
 
 private:
-    friend class CsrBuilder;
-
     std::vector<std::uint32_t> offsets_; ///< size num_nodes + 1
     std::vector<NodeId> targets_;        ///< concatenated successor lists
-    bool topological_ = true;
-};
-
-/// Collects edges, then freezes them into a CsrDigraph.
-class CsrBuilder {
-public:
-    explicit CsrBuilder(std::size_t num_nodes);
-
-    void reserve_edges(std::size_t count);
-
-    /// Add one directed edge.  Self loops are rejected.
-    void add_edge(NodeId from, NodeId to);
-
-    /// Freeze.  Parallel (from, to) duplicates are merged into one edge when
-    /// `merge_parallel`; successor lists come out sorted either way.
-    /// The builder is consumed.
-    [[nodiscard]] CsrDigraph build(bool merge_parallel = true);
-
-private:
-    std::size_t num_nodes_;
-    std::vector<NodeId> from_;
-    std::vector<NodeId> to_;
     bool topological_ = true;
 };
 

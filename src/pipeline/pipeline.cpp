@@ -296,13 +296,12 @@ std::vector<util::Result<EstimationResult>> Pipeline::run_batch_results(
     const RunControl* control) {
     const std::size_t count = requests.size();
     if (threads == 0) {
-        const std::size_t hardware =
-            std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        threads = std::min(hardware, std::max<std::size_t>(count, 1));
+        threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     }
+    threads = std::min(threads, count); // never more threads than requests
 
     std::vector<std::optional<util::Result<EstimationResult>>> slots(count);
-    if (threads <= 1 || count <= 1) {
+    if (threads <= 1) {
         for (std::size_t i = 0; i < count; ++i) {
             slots[i] = run_result(requests[i], control);
         }

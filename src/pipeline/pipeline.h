@@ -233,8 +233,8 @@ public:
     /// Run a batch with *per-request* outcomes: results are index-aligned
     /// with `requests`, successes identical to sequential `run` calls, and
     /// every failed request carries its own Status (nothing is swallowed).
-    /// `threads` = 0 picks min(hardware threads, batch size); 1 forces
-    /// sequential.
+    /// At most min(`threads`, batch size) threads run it; `threads` = 0
+    /// means the hardware thread count, and 1 forces sequential.
     [[nodiscard]] std::vector<util::Result<EstimationResult>> run_batch_results(
         const std::vector<EstimationRequest>& requests, std::size_t threads = 0,
         const RunControl* control = nullptr);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "fabric/topology.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -31,9 +32,10 @@ std::vector<fabric::UlbId> initial_placement(const fabric::FabricGeometry& geome
                                              std::size_t num_qubits,
                                              PlacementStrategy strategy,
                                              std::uint64_t seed) {
-    LEQA_REQUIRE(num_qubits <= geometry.num_ulbs(),
+    const fabric::Topology& topology = geometry.topology();
+    LEQA_REQUIRE(num_qubits <= topology.num_ulbs(),
                  "fabric too small: " + std::to_string(num_qubits) + " qubits on " +
-                     std::to_string(geometry.num_ulbs()) + " ULBs");
+                     std::to_string(topology.num_ulbs()) + " ULBs");
     std::vector<fabric::UlbId> homes;
     homes.reserve(num_qubits);
 
@@ -50,25 +52,25 @@ std::vector<fabric::UlbId> initial_placement(const fabric::FabricGeometry& geome
             const int side =
                 std::max(1, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(num_qubits)))));
             const int min_w =
-                (static_cast<int>(num_qubits) + geometry.height() - 1) / geometry.height();
-            const int block_w = std::min(std::max(side, min_w), geometry.width());
+                (static_cast<int>(num_qubits) + topology.height() - 1) / topology.height();
+            const int block_w = std::min(std::max(side, min_w), topology.width());
             const int block_h =
                 (static_cast<int>(num_qubits) + block_w - 1) / block_w;
-            LEQA_CHECK(block_h <= geometry.height(),
+            LEQA_CHECK(block_h <= topology.height(),
                        "centered block does not fit the fabric");
-            const int x0 = (geometry.width() - block_w) / 2;
-            const int y0 = (geometry.height() - block_h) / 2;
+            const int x0 = (topology.width() - block_w) / 2;
+            const int y0 = (topology.height() - block_h) / 2;
             for (std::size_t q = 0; q < num_qubits; ++q) {
                 const int dx = static_cast<int>(q) % block_w;
                 const int dy = static_cast<int>(q) / block_w;
-                homes.push_back(geometry.ulb_id({x0 + dx, y0 + dy}));
+                homes.push_back(topology.ulb_id({x0 + dx, y0 + dy}));
             }
             break;
         }
         case PlacementStrategy::Random: {
             util::Rng rng(seed);
             const auto picks =
-                rng.sample_without_replacement(geometry.num_ulbs(), num_qubits);
+                rng.sample_without_replacement(topology.num_ulbs(), num_qubits);
             for (const auto pick : picks) {
                 homes.push_back(static_cast<fabric::UlbId>(pick));
             }

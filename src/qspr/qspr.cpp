@@ -12,7 +12,6 @@
 
 namespace leqa::qspr {
 
-using fabric::FabricGeometry;
 using fabric::SegmentId;
 using fabric::UlbCoord;
 using fabric::UlbId;
@@ -59,11 +58,12 @@ public:
           params_(params),
           options_(options),
           geometry_(fabric::make_topology(params)),
-          channels_(geometry_.num_segments(), params.nc, params.t_move_us),
-          router_(geometry_),
+          topology_(geometry_.topology()),
+          channels_(topology_.num_segments(), params.nc, params.t_move_us),
+          router_(topology_),
           qubit_free_(circ.num_qubits(), 0.0),
-          ulb_busy_(geometry_.num_ulbs(), 0.0),
-          occupant_(geometry_.num_ulbs(), kNoQubit) {
+          ulb_busy_(topology_.num_ulbs(), 0.0),
+          occupant_(topology_.num_ulbs(), kNoQubit) {
         const auto homes =
             options.initial_homes.empty()
                 ? initial_placement(geometry_, circ.num_qubits(), options.placement,
@@ -75,7 +75,7 @@ public:
         for (circuit::Qubit q = 0; q < circ.num_qubits(); ++q) {
             const fabric::UlbId home = homes[q];
             LEQA_REQUIRE(home >= 0 &&
-                             static_cast<std::size_t>(home) < geometry_.num_ulbs(),
+                             static_cast<std::size_t>(home) < topology_.num_ulbs(),
                          "initial_homes ULB out of range");
             LEQA_REQUIRE(occupant_[static_cast<std::size_t>(home)] == kNoQubit,
                          "initial_homes assigns two qubits to one ULB");
@@ -133,7 +133,7 @@ private:
         // nearest free ULB.
         double start = std::max(ready, ulb_busy_[static_cast<std::size_t>(host)]);
         if (ulb_busy_[static_cast<std::size_t>(host)] > ready + 1e-9) {
-            const UlbId refuge = find_free_ulb(geometry_.ulb_coord(host), ready, q);
+            const UlbId refuge = find_free_ulb(topology_.ulb_coord(host), ready, q);
             if (refuge != host) {
                 ++stats_.relocations;
                 const double arrival = move_qubit(q, refuge, ready);
@@ -153,14 +153,14 @@ private:
     void execute_cnot(const circuit::Gate& gate, ScheduledOp& op) {
         const circuit::Qubit control = gate.controls()[0];
         const circuit::Qubit target = gate.targets()[0];
-        const UlbCoord c_home = geometry_.ulb_coord(home_[control]);
-        const UlbCoord t_home = geometry_.ulb_coord(home_[target]);
+        const UlbCoord c_home = topology_.ulb_coord(home_[control]);
+        const UlbCoord t_home = topology_.ulb_coord(home_[target]);
 
         // Meeting ULB: nearest ULB to the midpoint that is either empty or
         // houses one of the two operands.
         const double earliest = std::min(qubit_free_[control], qubit_free_[target]);
         const UlbId meeting =
-            find_meeting_ulb(geometry_.midpoint(c_home, t_home), earliest, control, target);
+            find_meeting_ulb(topology_.midpoint(c_home, t_home), earliest, control, target);
 
         // Both qubits travel (each departs when it is individually free).
         const double arrive_c = move_qubit(control, meeting, qubit_free_[control]);
@@ -176,7 +176,7 @@ private:
         qubit_free_[target] = finish;
         set_home(target, meeting);
 
-        const UlbId refuge = find_free_ulb(geometry_.ulb_coord(meeting), finish, control);
+        const UlbId refuge = find_free_ulb(topology_.ulb_coord(meeting), finish, control);
         double control_free = finish;
         if (refuge != meeting) {
             ++stats_.evictions;
@@ -233,12 +233,12 @@ private:
     double move_qubit(circuit::Qubit q, UlbId destination, double depart) {
         const UlbId source = home_[q];
         if (source == destination) return depart;
-        const UlbCoord from = geometry_.ulb_coord(source);
-        const UlbCoord to = geometry_.ulb_coord(destination);
+        const UlbCoord from = topology_.ulb_coord(source);
+        const UlbCoord to = topology_.ulb_coord(destination);
         const auto path =
             options_.routing == RoutingAlgorithm::Maze
                 ? router_.route(from, to, depart, channels_, params_.nc, params_.t_move_us)
-                : geometry_.route(from, to);
+                : topology_.route(from, to);
         const double arrival = channels_.route(path, depart);
         stats_.total_hops += path.size();
         stats_.total_route_us += arrival - depart;
@@ -260,12 +260,12 @@ private:
     /// \p mover) and idle by \p time.  Falls back to the relaxed rule
     /// (ignore busy) and finally to \p center itself on a saturated fabric.
     UlbId find_free_ulb(UlbCoord center, double time, circuit::Qubit mover) const {
-        const int max_radius = std::max(geometry_.width(), geometry_.height());
+        const int max_radius = std::max(topology_.width(), topology_.height());
         for (int pass = 0; pass < 2; ++pass) {
             const bool require_idle = pass == 0;
             for (int r = 0; r <= max_radius; ++r) {
-                for (const UlbCoord c : geometry_.ring(center, r)) {
-                    const auto id = geometry_.ulb_id(c);
+                for (const UlbCoord c : topology_.ring(center, r)) {
+                    const auto id = topology_.ulb_id(c);
                     const auto occupant = occupant_[static_cast<std::size_t>(id)];
                     const bool available =
                         occupant == kNoQubit || occupant == static_cast<std::int32_t>(mover);
@@ -278,19 +278,19 @@ private:
                 }
             }
         }
-        return geometry_.ulb_id(center);
+        return topology_.ulb_id(center);
     }
 
     /// Meeting ULB for a CNOT: nearest to \p center that is empty or houses
     /// one of the operands.
     UlbId find_meeting_ulb(UlbCoord center, double time, circuit::Qubit a,
                            circuit::Qubit b) const {
-        const int max_radius = std::max(geometry_.width(), geometry_.height());
+        const int max_radius = std::max(topology_.width(), topology_.height());
         for (int pass = 0; pass < 2; ++pass) {
             const bool require_idle = pass == 0;
             for (int r = 0; r <= max_radius; ++r) {
-                for (const UlbCoord c : geometry_.ring(center, r)) {
-                    const auto id = geometry_.ulb_id(c);
+                for (const UlbCoord c : topology_.ring(center, r)) {
+                    const auto id = topology_.ulb_id(c);
                     const auto occupant = occupant_[static_cast<std::size_t>(id)];
                     const bool available = occupant == kNoQubit ||
                                            occupant == static_cast<std::int32_t>(a) ||
@@ -304,7 +304,7 @@ private:
                 }
             }
         }
-        return geometry_.ulb_id(center);
+        return topology_.ulb_id(center);
     }
 
     void prune_reservations() {
@@ -316,7 +316,8 @@ private:
     const circuit::Circuit& circ_;
     const fabric::PhysicalParams& params_;
     const QsprOptions& options_;
-    FabricGeometry geometry_;
+    fabric::FabricGeometry geometry_; ///< the handle initial_placement takes
+    const fabric::Topology& topology_;
     ChannelReservations channels_;
     MazeRouter router_;
     std::vector<double> qubit_free_;

@@ -23,13 +23,13 @@ std::string routing_algorithm_name(RoutingAlgorithm algorithm) {
     return "?";
 }
 
-MazeRouter::MazeRouter(const fabric::FabricGeometry& geometry, int margin)
-    : geometry_(geometry), margin_(margin) {
+MazeRouter::MazeRouter(const fabric::Topology& topology, int margin)
+    : topology_(topology), margin_(margin) {
     LEQA_REQUIRE(margin >= 0, "router margin must be non-negative");
-    cost_.resize(geometry.num_ulbs());
-    via_segment_.resize(geometry.num_ulbs());
-    via_node_.resize(geometry.num_ulbs());
-    stamp_.assign(geometry.num_ulbs(), 0);
+    cost_.resize(topology.num_ulbs());
+    via_segment_.resize(topology.num_ulbs());
+    via_node_.resize(topology.num_ulbs());
+    stamp_.assign(topology.num_ulbs(), 0);
 }
 
 std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
@@ -40,23 +40,21 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
     LEQA_REQUIRE(nc >= 1, "channel capacity must be >= 1");
     LEQA_REQUIRE(t_move_us > 0.0, "hop time must be positive");
 
-    const fabric::Topology& topology = geometry_.topology();
-
     // Detour window.  Grid: the legacy bounding box of the endpoints plus
     // the margin (bit-compatible with the pre-topology router).  Other
     // topologies: ULBs whose detour over the shortest route is at most
     // 2 * margin hops -- the metric generalization of that box.
-    const bool is_grid = topology.kind() == fabric::TopologyKind::Grid;
+    const bool is_grid = topology_.kind() == fabric::TopologyKind::Grid;
     const int min_x = std::max(0, std::min(from.x, to.x) - margin_);
-    const int max_x = std::min(topology.width() - 1, std::max(from.x, to.x) + margin_);
+    const int max_x = std::min(topology_.width() - 1, std::max(from.x, to.x) + margin_);
     const int min_y = std::max(0, std::min(from.y, to.y) - margin_);
-    const int max_y = std::min(topology.height() - 1, std::max(from.y, to.y) + margin_);
-    const int detour_budget = topology.distance(from, to) + 2 * margin_;
+    const int max_y = std::min(topology_.height() - 1, std::max(from.y, to.y) + margin_);
+    const int detour_budget = topology_.distance(from, to) + 2 * margin_;
     const auto in_window = [&](fabric::UlbCoord c) {
         if (is_grid) {
             return c.x >= min_x && c.x <= max_x && c.y >= min_y && c.y <= max_y;
         }
-        return topology.distance(from, c) + topology.distance(c, to) <= detour_budget;
+        return topology_.distance(from, c) + topology_.distance(c, to) <= detour_budget;
     };
 
     ++current_stamp_;
@@ -68,8 +66,8 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
     using Entry = std::pair<double, fabric::UlbId>; // (cost, node)
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
 
-    const fabric::UlbId source = topology.ulb_id(from);
-    const fabric::UlbId target = topology.ulb_id(to);
+    const fabric::UlbId source = topology_.ulb_id(from);
+    const fabric::UlbId target = topology_.ulb_id(to);
     cost_[static_cast<std::size_t>(source)] = 0.0;
     via_node_[static_cast<std::size_t>(source)] = source;
     stamp_[static_cast<std::size_t>(source)] = current_stamp_;
@@ -80,11 +78,11 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
         frontier.pop();
         if (node == target) break;
         if (node_cost > cost_[static_cast<std::size_t>(node)] + 1e-12) continue; // stale
-        const auto adjacent = topology.neighbors(node);
-        const auto segments = topology.neighbor_segments(node);
+        const auto adjacent = topology_.neighbors(node);
+        const auto segments = topology_.neighbor_segments(node);
         for (std::size_t i = 0; i < adjacent.size(); ++i) {
             const auto next_id = static_cast<fabric::UlbId>(adjacent[i]);
-            if (!in_window(topology.ulb_coord(next_id))) continue;
+            if (!in_window(topology_.ulb_coord(next_id))) continue;
             const fabric::SegmentId segment = segments[i];
             // Congestion pressure: occupancy of the segment around the
             // estimated arrival time inflates the hop cost.

@@ -2,21 +2,22 @@
 /// \brief Congestion-aware maze routing on the TQA fabric.
 ///
 /// The original QSPR performs detailed routing rather than fixed
-/// dimension-ordered paths.  This router runs Dijkstra over the topology's
-/// CSR adjacency, restricted to a detour window around source and
-/// destination; each segment's edge cost is the hop time inflated by the
-/// segment's current reservation pressure around the estimated arrival
-/// slot, so traffic spreads around congested channels exactly the way a
-/// detailed mapper's router would.
+/// dimension-ordered paths.  This router runs Dijkstra over a
+/// `fabric::Topology`'s CSR adjacency and its aligned segment ids,
+/// restricted to a detour window around source and destination; each
+/// segment's edge cost is the hop time inflated by the segment's current
+/// reservation pressure around the estimated arrival slot, so traffic
+/// spreads around congested channels exactly the way a detailed mapper's
+/// router would.
 ///
 /// On a grid the window is the legacy bounding box (bit-compatible with the
 /// pre-topology router); on other topologies it is the metric analogue:
 /// ULBs whose detour over the shortest route stays within 2 * margin hops.
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "fabric/geometry.h"
 #include "fabric/topology.h"
 #include "qspr/channels.h"
 
@@ -36,7 +37,7 @@ public:
     /// \param margin  extra ULBs around the src/dst bounding box (grid) or
     ///                extra detour hops (other topologies) the search may
     ///                use.
-    MazeRouter(const fabric::FabricGeometry& geometry, int margin = 4);
+    MazeRouter(const fabric::Topology& topology, int margin = 4);
 
     /// Find a route from \p from to \p to departing at \p depart_us, using
     /// \p channels reservation counts as congestion pressure.  Returns the
@@ -46,7 +47,7 @@ public:
         const ChannelReservations& channels, int nc, double t_move_us) const;
 
 private:
-    const fabric::FabricGeometry& geometry_;
+    const fabric::Topology& topology_;
     int margin_;
     // Scratch buffers sized to the fabric, reused across calls to avoid
     // per-route allocation (mutable: route() is logically const).

@@ -120,16 +120,6 @@ struct ServiceCore {
 
 // ------------------------------------------------------------- JobHandle --
 
-const std::string& job_state_name(JobState state) {
-    static const std::string names[] = {"queued", "running", "done", "cancelled"};
-    return names[static_cast<std::size_t>(state)];
-}
-
-std::uint64_t JobHandle::id() const {
-    LEQA_REQUIRE(job_ != nullptr, "invalid job handle");
-    return job_->id;
-}
-
 const std::string& JobHandle::label() const {
     LEQA_REQUIRE(job_ != nullptr, "invalid job handle");
     return job_->label;
@@ -159,18 +149,6 @@ const JobResult& JobHandle::wait() const& {
 JobResult JobHandle::wait() && {
     const JobHandle& self = *this;
     return self.wait(); // copy out before the temporary (and maybe the job) dies
-}
-
-bool JobHandle::wait_for(double seconds) const {
-    LEQA_REQUIRE(job_ != nullptr, "invalid job handle");
-    const auto deadline = std::chrono::steady_clock::now() + seconds_duration(seconds);
-    util::MutexLock lock(job_->wait_mutex);
-    while (!job_->result.has_value()) {
-        if (job_->wait_cv.wait_until(job_->wait_mutex, deadline)) {
-            return job_->result.has_value(); // deadline passed: last re-check
-        }
-    }
-    return true;
 }
 
 // ------------------------------------------------------------ SweepAxis --

@@ -70,8 +70,6 @@ using JobResult = util::Result<JobOutput>;
 /// the queue or between pipeline stages).
 enum class JobState { Queued, Running, Done, Cancelled };
 
-[[nodiscard]] const std::string& job_state_name(JobState state);
-
 class Service;
 namespace detail {
 class Job;
@@ -85,7 +83,6 @@ public:
     JobHandle() = default;
 
     [[nodiscard]] bool valid() const { return job_ != nullptr; }
-    [[nodiscard]] std::uint64_t id() const;
     [[nodiscard]] const std::string& label() const;
     [[nodiscard]] JobState poll() const;
 
@@ -104,9 +101,6 @@ public:
     /// above would dangle the moment the statement ends; this overload
     /// copies the result out instead.
     [[nodiscard]] JobResult wait() &&;
-
-    /// Wait with a timeout; true when the job completed in time.
-    [[nodiscard]] bool wait_for(double seconds) const;
 
 private:
     friend class Service;

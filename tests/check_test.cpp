@@ -21,6 +21,7 @@
 #include "fabric/geometry.h"
 #include "fabric/topology.h"
 #include "graph/csr.h"
+#include "graph/csr_builder.h"
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
 #include "qspr/placement.h"

@@ -1,11 +1,10 @@
 // Tests for the fabric module: physical parameters (Table 1) and the grid
-// geometry (segments, XY routing, rings).
+// geometry (segments, XY routing, rings) as `GridTopology` answers it.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 
-#include "fabric/geometry.h"
 #include "fabric/topology.h"
 #include "fabric/params.h"
 #include "util/error.h"
@@ -132,9 +131,12 @@ TEST(Params, FileRoundTrip) {
 }
 
 // --------------------------------------------------------------- geometry --
+//
+// The grid's coordinate space, segments, XY routes and rings, queried on the
+// topology itself.
 
 TEST(Geometry, UlbIndexRoundTrip) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 7, 5));
+    const lf::GridTopology geo(7, 5);
     EXPECT_EQ(geo.num_ulbs(), 35u);
     for (int y = 0; y < 5; ++y) {
         for (int x = 0; x < 7; ++x) {
@@ -147,14 +149,15 @@ TEST(Geometry, UlbIndexRoundTrip) {
 }
 
 TEST(Geometry, SegmentCountAndUniqueness) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 4, 3));
+    const lf::GridTopology geo(4, 3);
     // horizontal: 3*3 = 9, vertical: 4*2 = 8.
     EXPECT_EQ(geo.num_segments(), 17u);
     std::set<lf::SegmentId> ids;
     for (int y = 0; y < 3; ++y) {
         for (int x = 0; x < 4; ++x) {
-            for (const auto n : geo.neighbors({x, y})) {
-                const auto id = geo.segment_between({x, y}, n);
+            const lf::UlbId u = geo.ulb_id({x, y});
+            for (const auto n : geo.neighbors(u)) {
+                const auto id = geo.segment_between(u, static_cast<lf::UlbId>(n));
                 EXPECT_GE(id, 0);
                 EXPECT_LT(static_cast<std::size_t>(id), geo.num_segments());
                 ids.insert(id);
@@ -165,27 +168,30 @@ TEST(Geometry, SegmentCountAndUniqueness) {
 }
 
 TEST(Geometry, SegmentSymmetric) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 5, 5));
-    EXPECT_EQ(geo.segment_between({1, 1}, {2, 1}), geo.segment_between({2, 1}, {1, 1}));
-    EXPECT_EQ(geo.segment_between({3, 2}, {3, 3}), geo.segment_between({3, 3}, {3, 2}));
-    EXPECT_THROW((void)geo.segment_between({0, 0}, {2, 0}), InputError); // not adjacent
-    EXPECT_THROW((void)geo.segment_between({0, 0}, {1, 1}), InputError); // diagonal
+    const lf::GridTopology geo(5, 5);
+    const auto segment = [&](lf::UlbCoord a, lf::UlbCoord b) {
+        return geo.segment_between(geo.ulb_id(a), geo.ulb_id(b));
+    };
+    EXPECT_EQ(segment({1, 1}, {2, 1}), segment({2, 1}, {1, 1}));
+    EXPECT_EQ(segment({3, 2}, {3, 3}), segment({3, 3}, {3, 2}));
+    EXPECT_THROW((void)segment({0, 0}, {2, 0}), InputError); // not adjacent
+    EXPECT_THROW((void)segment({0, 0}, {1, 1}), InputError); // diagonal
 }
 
 TEST(Geometry, XyRouteLengthEqualsManhattan) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 8));
+    const lf::GridTopology geo(10, 8);
     const lf::UlbCoord a{1, 2};
     const lf::UlbCoord b{7, 6};
     const auto route = geo.route(a, b);
-    EXPECT_EQ(route.size(), static_cast<std::size_t>(geo.manhattan(a, b)));
-    EXPECT_EQ(geo.manhattan(a, b), 10);
+    EXPECT_EQ(route.size(), static_cast<std::size_t>(geo.distance(a, b)));
+    EXPECT_EQ(geo.distance(a, b), 10);
     EXPECT_TRUE(geo.route(a, a).empty());
     // Route in reverse direction also works (negative steps).
     EXPECT_EQ(geo.route(b, a).size(), 10u);
 }
 
 TEST(Geometry, XyRouteSegmentsAreConnected) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 6, 6));
+    const lf::GridTopology geo(6, 6);
     // The route's segments must be pairwise distinct for a shortest path.
     const auto route = geo.route({0, 0}, {5, 5});
     const std::set<lf::SegmentId> unique(route.begin(), route.end());
@@ -193,7 +199,7 @@ TEST(Geometry, XyRouteSegmentsAreConnected) {
 }
 
 TEST(Geometry, RingsCoverFabricExactlyOnce) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 5, 4));
+    const lf::GridTopology geo(5, 4);
     const lf::UlbCoord center{2, 1};
     std::set<std::pair<int, int>> seen;
     for (int r = 0; r <= 6; ++r) {
@@ -209,35 +215,35 @@ TEST(Geometry, RingsCoverFabricExactlyOnce) {
 }
 
 TEST(Geometry, RingZeroIsCenter) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 3, 3));
+    const lf::GridTopology geo(3, 3);
     const auto ring = geo.ring({1, 1}, 0);
     ASSERT_EQ(ring.size(), 1u);
     EXPECT_EQ(ring[0], (lf::UlbCoord{1, 1}));
 }
 
 TEST(Geometry, NeighborsClippedAtBoundary) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 3, 3));
-    EXPECT_EQ(geo.neighbors({0, 0}).size(), 2u);
-    EXPECT_EQ(geo.neighbors({1, 0}).size(), 3u);
-    EXPECT_EQ(geo.neighbors({1, 1}).size(), 4u);
+    const lf::GridTopology geo(3, 3);
+    EXPECT_EQ(geo.neighbors(geo.ulb_id({0, 0})).size(), 2u);
+    EXPECT_EQ(geo.neighbors(geo.ulb_id({1, 0})).size(), 3u);
+    EXPECT_EQ(geo.neighbors(geo.ulb_id({1, 1})).size(), 4u);
 }
 
 TEST(Geometry, Midpoint) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 10));
+    const lf::GridTopology geo(10, 10);
     EXPECT_EQ(geo.midpoint({0, 0}, {4, 6}), (lf::UlbCoord{2, 3}));
     EXPECT_EQ(geo.midpoint({3, 3}, {3, 3}), (lf::UlbCoord{3, 3}));
     EXPECT_EQ(geo.midpoint({0, 0}, {1, 1}), (lf::UlbCoord{0, 0}));
 }
 
 TEST(Geometry, DegenerateOneByOne) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 1, 1));
+    const lf::GridTopology geo(1, 1);
     EXPECT_EQ(geo.num_ulbs(), 1u);
     EXPECT_EQ(geo.num_segments(), 0u);
     EXPECT_TRUE(geo.route({0, 0}, {0, 0}).empty());
 }
 
 TEST(Geometry, SingleRowFabric) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 8, 1));
+    const lf::GridTopology geo(8, 1);
     EXPECT_EQ(geo.num_segments(), 7u);
     EXPECT_EQ(geo.route({0, 0}, {7, 0}).size(), 7u);
 }

@@ -1,7 +1,8 @@
-// Tests for the shared graph substrate: CSR builder semantics (sorting,
-// parallel-edge merging, topological flag), the traversal kernels, and
-// representation parity — the CSR-backed QODG against an independently
-// built nested-vector adjacency on the bench suite.
+// Tests for the shared graph substrate: the reference CSR builder's
+// semantics (sorting, parallel-edge merging, topological flag), the
+// traversal kernels, and representation parity — the CSR-backed QODG
+// against an independently built nested-vector adjacency on the bench
+// suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "benchgen/suite.h"
 #include "fabric/params.h"
 #include "graph/csr.h"
+#include "graph/csr_builder.h"
 #include "qodg/qodg.h"
 #include "synth/ft_synth.h"
 #include "util/error.h"
@@ -31,20 +33,13 @@ TEST(Csr, SortsSuccessorsAndMergesParallelEdges) {
     builder.add_edge(0, 1);
     builder.add_edge(0, 3); // parallel duplicate
     builder.add_edge(1, 2);
-    const lg::CsrDigraph g = builder.build(/*merge_parallel=*/true);
+    const lg::CsrDigraph g = builder.build();
     EXPECT_EQ(g.num_edges(), 3u);
     const auto succ = g.successors(0);
     ASSERT_EQ(succ.size(), 2u);
     EXPECT_EQ(succ[0], 1u);
     EXPECT_EQ(succ[1], 3u);
     EXPECT_EQ(g.out_degree(2), 0u);
-}
-
-TEST(Csr, KeepsParallelEdgesWhenAsked) {
-    lg::CsrBuilder builder(2);
-    builder.add_edge(0, 1);
-    builder.add_edge(0, 1);
-    EXPECT_EQ(builder.build(/*merge_parallel=*/false).num_edges(), 2u);
 }
 
 TEST(Csr, RejectsSelfLoopsAndOutOfRange) {
@@ -247,7 +242,7 @@ TEST(GraphParity, DirectBuiltQodgMatchesCsrBuilderReferenceOnBenchSuite) {
         }
         if (last.empty()) last.push_back(0);
         for (const lq::NodeId t : last) builder.add_edge(t, end_id);
-        const lg::CsrDigraph forward = builder.build(/*merge_parallel=*/true);
+        const lg::CsrDigraph forward = builder.build();
         const lg::CsrDigraph backward = forward.reversed();
 
         ASSERT_EQ(qodg.num_nodes(), n_nodes) << circ.name();

@@ -213,7 +213,7 @@ class GeometrySweep : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(GeometrySweep, RoutesConnectAndRingsPartition) {
     const auto [w, h] = GetParam();
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, w, h));
+    const lf::GridTopology geo(w, h);
     leqa::util::Rng rng(71);
     for (int trial = 0; trial < 20; ++trial) {
         const lf::UlbCoord a{static_cast<int>(rng.index(static_cast<std::size_t>(w))),
@@ -221,7 +221,7 @@ TEST_P(GeometrySweep, RoutesConnectAndRingsPartition) {
         const lf::UlbCoord b{static_cast<int>(rng.index(static_cast<std::size_t>(w))),
                              static_cast<int>(rng.index(static_cast<std::size_t>(h)))};
         const auto route = geo.route(a, b);
-        ASSERT_EQ(route.size(), static_cast<std::size_t>(geo.manhattan(a, b)));
+        ASSERT_EQ(route.size(), static_cast<std::size_t>(geo.distance(a, b)));
         for (const auto segment : route) {
             ASSERT_GE(segment, 0);
             ASSERT_LT(static_cast<std::size_t>(segment), geo.num_segments());

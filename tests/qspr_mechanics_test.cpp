@@ -91,11 +91,11 @@ TEST(QsprMechanics, MazeRouterAvoidsCongestedCorridor) {
     // each jammed hop costs 2x, so the straight path costs 6 hops-worth
     // while the clean detour through row 0 costs 5: the maze router must
     // take the detour, where XY routing would march through the jam.
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 6, 3));
+    const lf::GridTopology geo(6, 3);
     lq::ChannelReservations channels(geo.num_segments(), 1, 100.0);
     std::vector<lf::SegmentId> jammed;
     for (int x = 0; x < 3; ++x) {
-        jammed.push_back(geo.segment_between({x, 1}, {x + 1, 1}));
+        jammed.push_back(geo.segment_between(geo.ulb_id({x, 1}), geo.ulb_id({x + 1, 1})));
     }
     for (const auto segment : jammed) {
         for (int slot = 0; slot < 50; ++slot) {
@@ -114,7 +114,7 @@ TEST(QsprMechanics, MazeRouterAvoidsCongestedCorridor) {
 }
 
 TEST(QsprMechanics, MazeEqualsXyOnEmptyFabric) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 10, 10));
+    const lf::GridTopology geo(10, 10);
     lq::ChannelReservations channels(geo.num_segments(), 5, 100.0);
     const lq::MazeRouter router(geo, 4);
     for (const auto& [from, to] :
@@ -122,7 +122,7 @@ TEST(QsprMechanics, MazeEqualsXyOnEmptyFabric) {
           {lf::UlbCoord{9, 9}, lf::UlbCoord{2, 3}},
           {lf::UlbCoord{5, 5}, lf::UlbCoord{5, 5}}}) {
         const auto maze = router.route(from, to, 0.0, channels, 5, 100.0);
-        EXPECT_EQ(maze.size(), static_cast<std::size_t>(geo.manhattan(from, to)));
+        EXPECT_EQ(maze.size(), static_cast<std::size_t>(geo.distance(from, to)));
     }
 }
 
@@ -158,7 +158,7 @@ TEST(QsprMechanics, SaturatedFabricStillCompletes) {
 }
 
 TEST(QsprMechanics, RouterMarginValidation) {
-    const lf::FabricGeometry geo(lf::make_topology(lf::TopologyKind::Grid, 5, 5));
+    const lf::GridTopology geo(5, 5);
     EXPECT_THROW(lq::MazeRouter(geo, -1), leqa::util::InputError);
     lq::ChannelReservations channels(geo.num_segments(), 1, 100.0);
     const lq::MazeRouter router(geo, 0);

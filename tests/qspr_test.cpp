@@ -100,7 +100,7 @@ TEST(Placement, StrategiesProduceDistinctHomes) {
         EXPECT_EQ(unique.size(), 37u) << lq::placement_strategy_name(strategy);
         for (const auto id : homes) {
             EXPECT_GE(id, 0);
-            EXPECT_LT(static_cast<std::size_t>(id), geo.num_ulbs());
+            EXPECT_LT(static_cast<std::size_t>(id), geo.topology().num_ulbs());
         }
     }
 }
@@ -111,7 +111,7 @@ TEST(Placement, CenteredBlockIsCentered) {
         lq::initial_placement(geo, 9, lq::PlacementStrategy::CenteredBlock, 1);
     // 9 qubits -> 3x3 block centered at (4..6, 4..6).
     for (const auto id : homes) {
-        const auto c = geo.ulb_coord(id);
+        const auto c = geo.topology().ulb_coord(id);
         EXPECT_GE(c.x, 4);
         EXPECT_LE(c.x, 6);
         EXPECT_GE(c.y, 4);

@@ -1,5 +1,6 @@
-// Tests for the pluggable fabric topologies: grid bit-compatibility with
-// the pre-topology geometry, torus/line adjacency and metric invariants,
+// Tests for the pluggable fabric topologies: the counting-sort adjacency
+// against a brute-force segment scan, grid bit-compatibility with the
+// pre-topology geometry, torus/line adjacency and metric invariants,
 // coverage histograms, routing invariants (every route is a chain of
 // topology-adjacent hops; torus routes never beat their own metric or lose
 // to grid routes), and the topology-aware estimation engine.
@@ -7,14 +8,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/suite.h"
 #include "core/engine.h"
 #include "core/leqa.h"
 #include "core/explore.h"
-#include "fabric/geometry.h"
 #include "fabric/topology.h"
 #include "iig/iig.h"
 #include "qodg/qodg.h"
@@ -87,6 +90,51 @@ TEST(TopologyFactory, LineRejectsTallFabrics) {
     EXPECT_NO_THROW(params.validate());
 }
 
+// ---------------------------------------------- adjacency vs brute force --
+
+TEST(TopologyAdjacency, RowsMatchBruteForceSegmentScan) {
+    // The CSR adjacency is one counting sort over the segment list.  Rebuild
+    // every row by brute force -- each segment touching u, as (other end,
+    // segment id), sorted by the other end -- and compare arc for arc.
+    std::vector<std::shared_ptr<const lf::Topology>> topologies;
+    for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+             {1, 1}, {2, 2}, {2, 5}, {3, 3}, {7, 4}, {11, 9}}) {
+        topologies.push_back(lf::make_topology(lf::TopologyKind::Grid, w, h));
+        topologies.push_back(lf::make_topology(lf::TopologyKind::Torus, w, h));
+        topologies.push_back(lf::make_topology(lf::TopologyKind::Line, w * h, 1));
+    }
+    for (const int w : {1, 2, 3, 40}) {
+        topologies.push_back(lf::make_topology(lf::TopologyKind::Line, w, 1));
+    }
+    for (const auto& topology : topologies) {
+        const lf::Topology& topo = *topology;
+        const std::string label = topo.name() + " " + std::to_string(topo.width()) +
+                                  "x" + std::to_string(topo.height());
+        const std::size_t n = topo.num_ulbs();
+        std::vector<std::vector<std::pair<lf::UlbId, lf::SegmentId>>> rows(n);
+        for (lf::SegmentId s = 0; static_cast<std::size_t>(s) < topo.num_segments(); ++s) {
+            const auto [u, v] = topo.segment_endpoints(s);
+            rows[static_cast<std::size_t>(u)].emplace_back(v, s);
+            rows[static_cast<std::size_t>(v)].emplace_back(u, s);
+        }
+        for (lf::UlbId u = 0; static_cast<std::size_t>(u) < n; ++u) {
+            auto& want = rows[static_cast<std::size_t>(u)];
+            std::sort(want.begin(), want.end());
+            const auto nodes = topo.neighbors(u);
+            const auto segments = topo.neighbor_segments(u);
+            ASSERT_EQ(nodes.size(), want.size()) << label << " ULB " << u;
+            ASSERT_EQ(segments.size(), want.size()) << label << " ULB " << u;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(static_cast<lf::UlbId>(nodes[i]), want[i].first)
+                    << label << " ULB " << u << " arc " << i;
+                EXPECT_EQ(segments[i], want[i].second)
+                    << label << " ULB " << u << " arc " << i;
+            }
+        }
+        EXPECT_EQ(lf::validate_topology(topo, n * n), "") << label;
+    }
+}
+
 // ----------------------------------------------- grid bit-compatibility ----
 
 TEST(GridTopology, SegmentNumberingMatchesLegacyFormulas) {
@@ -112,13 +160,13 @@ TEST(GridTopology, SegmentNumberingMatchesLegacyFormulas) {
 
 TEST(GridTopology, RouteIsDimensionOrderedXy) {
     const lf::GridTopology topo(10, 8);
-    const lf::FabricGeometry geometry(lf::make_topology(lf::TopologyKind::Grid, 10, 8));
+    const auto factory = lf::make_topology(lf::TopologyKind::Grid, 10, 8);
     leqa::util::Rng rng(11);
     for (int trial = 0; trial < 50; ++trial) {
         const auto a = random_coord(rng, topo);
         const auto b = random_coord(rng, topo);
         const auto route = topo.route(a, b);
-        EXPECT_EQ(route, geometry.route(a, b));
+        EXPECT_EQ(route, factory->route(a, b));
         EXPECT_EQ(route.size(), static_cast<std::size_t>(topo.distance(a, b)));
         EXPECT_EQ(follow_route(topo, topo.ulb_id(a), route), topo.ulb_id(b));
     }
@@ -302,12 +350,12 @@ TEST_P(RouterTopologySweep, MazeRoutesAreAdjacentHopChains) {
     const auto kind = GetParam();
     const int width = kind == lf::TopologyKind::Line ? 64 : 9;
     const int height = kind == lf::TopologyKind::Line ? 1 : 7;
-    const lf::FabricGeometry geometry(lf::make_topology(kind, width, height));
-    const lq::MazeRouter router(geometry, 3);
-    lq::ChannelReservations channels(geometry.num_segments(), 2, 100.0);
+    const auto topology = lf::make_topology(kind, width, height);
+    const lf::Topology& topo = *topology;
+    const lq::MazeRouter router(topo, 3);
+    lq::ChannelReservations channels(topo.num_segments(), 2, 100.0);
 
     leqa::util::Rng rng(37);
-    const lf::Topology& topo = geometry.topology();
     for (int trial = 0; trial < 40; ++trial) {
         const auto a = random_coord(rng, topo);
         const auto b = random_coord(rng, topo);
@@ -348,8 +396,8 @@ TEST(QsprTopology, UncongestedMazeRoutesNeverLongerOnTorus) {
     // With empty channels the maze router's cost is hops * Tmove, so its
     // routes are shortest paths; on the same geometry the torus metric can
     // only help, route by route.
-    const lf::FabricGeometry grid(lf::make_topology(lf::TopologyKind::Grid, 11, 9));
-    const lf::FabricGeometry torus(lf::make_topology(lf::TopologyKind::Torus, 11, 9));
+    const lf::GridTopology grid(11, 9);
+    const lf::TorusTopology torus(11, 9);
     const lq::MazeRouter grid_router(grid, 4);
     const lq::MazeRouter torus_router(torus, 4);
     const lq::ChannelReservations empty_grid(grid.num_segments(), 5, 100.0);
@@ -357,12 +405,12 @@ TEST(QsprTopology, UncongestedMazeRoutesNeverLongerOnTorus) {
 
     leqa::util::Rng rng(53);
     for (int trial = 0; trial < 60; ++trial) {
-        const auto a = random_coord(rng, grid.topology());
-        const auto b = random_coord(rng, grid.topology());
+        const auto a = random_coord(rng, grid);
+        const auto b = random_coord(rng, grid);
         const auto on_grid = grid_router.route(a, b, 0.0, empty_grid, 5, 100.0);
         const auto on_torus = torus_router.route(a, b, 0.0, empty_torus, 5, 100.0);
-        EXPECT_EQ(on_grid.size(), static_cast<std::size_t>(grid.manhattan(a, b)));
-        EXPECT_EQ(on_torus.size(), static_cast<std::size_t>(torus.manhattan(a, b)));
+        EXPECT_EQ(on_grid.size(), static_cast<std::size_t>(grid.distance(a, b)));
+        EXPECT_EQ(on_torus.size(), static_cast<std::size_t>(torus.distance(a, b)));
         EXPECT_LE(on_torus.size(), on_grid.size());
     }
 }

@@ -37,8 +37,11 @@
 ///     the batched one, a same-box ratio that a slower lane kernel lowers;
 ///   - allocations: a counting global `operator new` (this binary only)
 ///     records allocations and bytes per FT op of a cold `Pipeline::run`
-///     of bench:gf2^64mult (full size under every knob), and per point of
-///     the serial 200-point explore.  Both counts are deterministic.
+///     of bench:gf2^64mult (full size under every knob), of the same
+///     circuit's FT .qasm file with synthesis off (written to a temporary
+///     file first; the reader streams it into the QODG's tape), and per
+///     point of the serial 200-point explore.  All three counts are
+///     deterministic.
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
 /// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
@@ -49,6 +52,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <string>
@@ -61,6 +65,8 @@
 #include "core/leqa.h"
 #include "harness.h"
 #include "iig/iig.h"
+#include "parser/io.h"
+#include "parser/qasm.h"
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
 #include "service/service.h"
@@ -489,6 +495,24 @@ int main() {
             pipeline::EstimationRequest(pipeline::CircuitSource::from_bench(cold_circuit)));
         cold_ft_ops = result.circuit.ft_ops;
     });
+    // The same circuit as an FT netlist file, estimated with synthesis off.
+    const std::string cold_ft_path =
+        (std::filesystem::temp_directory_path() / "leqa_sweep_perf_cold_ft.qasm").string();
+    parser::write_file(
+        cold_ft_path,
+        parser::write_qasm(
+            synth::ft_synthesize(pipeline::CircuitSource::from_bench(cold_circuit).load())
+                .circuit));
+    std::size_t cold_file_ft_ops = 0;
+    const AllocationCount cold_file_allocations = count_allocations([&] {
+        pipeline::PipelineConfig config;
+        config.auto_synthesize = false;
+        pipeline::Pipeline fresh(config);
+        const pipeline::EstimationResult result = fresh.run(
+            pipeline::EstimationRequest(pipeline::CircuitSource::from_path(cold_ft_path)));
+        cold_file_ft_ops = result.circuit.ft_ops;
+    });
+    std::filesystem::remove(cold_ft_path);
 
     // Toolchain note: vectorization silently turning off (an -O0 build, or
     // a compiler losing the SIMD lanes) shows up here, next to the ratio it
@@ -559,6 +583,12 @@ int main() {
                 cold_circuit, cold_ft_ops, cold_allocations.allocations, cold_allocations.bytes,
                 per(cold_allocations.allocations, cold_ft_ops),
                 per(cold_allocations.bytes, cold_ft_ops));
+    std::printf("  cold FT .qasm run, %s (%zu FT ops): %zu allocations, %zu bytes "
+                "(%.4f allocations, %.1f bytes per FT op)\n",
+                cold_circuit, cold_file_ft_ops, cold_file_allocations.allocations,
+                cold_file_allocations.bytes,
+                per(cold_file_allocations.allocations, cold_file_ft_ops),
+                per(cold_file_allocations.bytes, cold_file_ft_ops));
     std::printf("  serial explore, %zu points: %zu allocations, %zu bytes "
                 "(%.2f and %.0f per point)\n",
                 explore_points.size(), explore_allocations.allocations,
@@ -644,6 +674,15 @@ int main() {
     json.kv("bytes", cold_allocations.bytes);
     json.kv("allocations_per_ft_op", per(cold_allocations.allocations, cold_ft_ops));
     json.kv("bytes_per_ft_op", per(cold_allocations.bytes, cold_ft_ops));
+    json.end_object();
+    json.key("cold_ft_file").begin_object();
+    json.kv("circuit", cold_circuit);
+    json.kv("ft_ops", cold_file_ft_ops);
+    json.kv("allocations", cold_file_allocations.allocations);
+    json.kv("bytes", cold_file_allocations.bytes);
+    json.kv("allocations_per_ft_op",
+            per(cold_file_allocations.allocations, cold_file_ft_ops));
+    json.kv("bytes_per_ft_op", per(cold_file_allocations.bytes, cold_file_ft_ops));
     json.end_object();
     json.key("explore").begin_object();
     json.kv("circuit", "gf2^" + std::to_string(explore_circuit.n) + "mult");

@@ -19,7 +19,9 @@ int main(int argc, char** argv) {
     const pipeline::CircuitSource source = pipeline::parse_source(spec);
 
     // The pre-FT netlist for the structural report...
-    const circuit::Circuit circ = source.load();
+    const circuit::Circuit circ = source.kind() == pipeline::CircuitSource::Kind::Path
+                                      ? parser::load_netlist(source.spec())
+                                      : source.load();
     std::printf("netlist: %s\n", circ.name().empty() ? "(unnamed)" : circ.name().c_str());
     std::printf("  qubits: %zu\n  gates:  %zu (%s)\n", circ.num_qubits(), circ.size(),
                 circ.counts().to_string().c_str());

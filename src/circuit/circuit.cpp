@@ -38,25 +38,16 @@ Circuit::Circuit(std::size_t num_qubits, std::string name) : name_(std::move(nam
     for (std::size_t i = 0; i < num_qubits; ++i) add_qubit();
 }
 
-Qubit Circuit::add_qubit(const std::string& name) {
-    const auto index = static_cast<Qubit>(qubit_names_.size());
-    std::string resolved = name.empty() ? "q" + std::to_string(index) : name;
-    LEQA_REQUIRE(qubit_lookup_.find(resolved) == qubit_lookup_.end(),
-                 "duplicate qubit name: " + resolved);
-    qubit_lookup_.emplace(resolved, index);
-    qubit_names_.push_back(std::move(resolved));
+Qubit Circuit::add_qubit(std::string_view name) {
+    const auto index = static_cast<Qubit>(qubits_.size());
+    const std::string resolved = name.empty() ? "q" + std::to_string(index) : std::string(name);
+    LEQA_REQUIRE(qubits_.add(resolved), "duplicate qubit name: " + resolved);
     return index;
 }
 
 const std::string& Circuit::qubit_name(Qubit q) const {
-    LEQA_REQUIRE(q < qubit_names_.size(), "qubit index out of range");
-    return qubit_names_[q];
-}
-
-std::optional<Qubit> Circuit::find_qubit(std::string_view name) const {
-    const auto it = qubit_lookup_.find(name);
-    if (it == qubit_lookup_.end()) return std::nullopt;
-    return it->second;
+    LEQA_REQUIRE(q < qubits_.size(), "qubit index out of range");
+    return qubits_.name(q);
 }
 
 void Circuit::add_gate(const Gate& gate) {

@@ -4,16 +4,14 @@
 
 #include <array>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "circuit/gate.h"
-#include "util/strings.h"
+#include "circuit/qubit_index.h"
 
 namespace leqa::circuit {
 
@@ -31,7 +29,8 @@ struct GateCounts {
 
 /// An ordered quantum circuit over `num_qubits()` logical qubits.
 ///
-/// Qubits are dense indices 0..n-1 with optional names.  Gates are stored in
+/// Qubits are dense indices 0..n-1 with names (auto "q<i>"), kept in a
+/// QubitIndex that answers find_qubit.  Gates are stored in
 /// program order; the class offers fluent builders (`c.h(0).cnot(0,1)`),
 /// census helpers, validation, and structural comparison.  Metadata fields
 /// (name, provenance comments) survive the netlist writers/parsers.
@@ -41,16 +40,19 @@ public:
     explicit Circuit(std::size_t num_qubits, std::string name = "");
 
     // --- qubit management -------------------------------------------------
-    [[nodiscard]] std::size_t num_qubits() const { return qubit_names_.size(); }
+    [[nodiscard]] std::size_t num_qubits() const { return qubits_.size(); }
 
     /// Append a new qubit; returns its index.  Auto-names "q<i>" when
-    /// \p name is empty.  Throws on duplicate names.
-    Qubit add_qubit(const std::string& name = "");
+    /// \p name is empty.  Throws InputError("duplicate qubit name: <name>")
+    /// on a name already taken.
+    Qubit add_qubit(std::string_view name = {});
 
     [[nodiscard]] const std::string& qubit_name(Qubit q) const;
-    /// Index of a named qubit, or nullopt; a hashed lookup that does not
-    /// allocate.
-    [[nodiscard]] std::optional<Qubit> find_qubit(std::string_view name) const;
+    /// Index of a named qubit, or nullopt; a lookup in the QubitIndex that
+    /// does not allocate.
+    [[nodiscard]] std::optional<Qubit> find_qubit(std::string_view name) const {
+        return qubits_.find(name);
+    }
 
     // --- gate management --------------------------------------------------
     /// Append a gate after validating it against the current qubit count.
@@ -117,8 +119,7 @@ public:
 
 private:
     std::string name_;
-    std::vector<std::string> qubit_names_;
-    std::unordered_map<std::string, Qubit, util::StringHash, std::equal_to<>> qubit_lookup_;
+    QubitIndex qubits_; ///< names, and the index over them
     std::vector<Gate> gates_;
     std::vector<std::string> comments_;
 };

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "util/error.h"
 
@@ -28,5 +29,9 @@ public:
 private:
     SourceLoc loc_;
 };
+
+/// \p text as a diagnostic quotes it: the first 64 bytes, then "..." if
+/// there were more, so a hostile token cannot blow up a message.
+[[nodiscard]] std::string excerpt(std::string_view text);
 
 } // namespace leqa::parser

@@ -4,8 +4,8 @@
 #include <fstream>
 #include <iterator>
 
-#include "parser/openqasm.h"
 #include "parser/qasm.h"
+#include "parser/readers.h"
 #include "parser/real.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -35,15 +35,14 @@ void write_file(const std::string& path, const std::string& text) {
     if (!out) throw util::InputError("failed writing file: " + path);
 }
 
+circuit::Circuit parse_netlist(std::string_view text, const std::string& path) {
+    circuit::Circuit circ;
+    parse_netlist_into(text, path, circ);
+    return circ;
+}
+
 circuit::Circuit load_netlist(const std::string& path) {
-    const std::string text = read_file(path);
-    if (util::ends_with(util::to_lower(path), ".real")) {
-        return parse_real(text, path);
-    }
-    if (looks_like_openqasm(text)) {
-        return parse_openqasm(text, path);
-    }
-    return parse_qasm(text, path);
+    return parse_netlist(read_file(path), path);
 }
 
 void save_netlist(const circuit::Circuit& circ, const std::string& path) {

@@ -1,8 +1,14 @@
 /// \file io.h
-/// \brief File-level helpers: load a netlist by extension, save text.
+/// \brief File-level helpers: load a netlist by format, save text.
+///
+/// One format dispatch (`parse_netlist_into` of readers.h) picks the reader
+/// for `load_netlist`, `parse_netlist` and the pipeline, which streams a
+/// path source's text straight into the QODG's tape and calls
+/// `parse_netlist` on the kept text when a map first needs the circuit.
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.h"
 
@@ -14,11 +20,16 @@ namespace leqa::parser {
 /// Write text to a file; throws InputError on failure.
 void write_file(const std::string& path, const std::string& text);
 
-/// Load a netlist choosing the parser from the extension:
-/// ".real" -> RevLib parser, anything else -> QASM-subset parser.
+/// Parse the text of the netlist file \p path: ".real" -> RevLib parser;
+/// otherwise OpenQASM when the text starts with its header, else the QASM
+/// subset.  \p path names the source in error messages.
+[[nodiscard]] circuit::Circuit parse_netlist(std::string_view text, const std::string& path);
+
+/// read_file, then parse_netlist.
 [[nodiscard]] circuit::Circuit load_netlist(const std::string& path);
 
-/// Save a circuit choosing the writer from the extension (as above).
+/// Save a circuit choosing the writer from the extension: ".real" ->
+/// write_real, anything else -> write_qasm.
 void save_netlist(const circuit::Circuit& circ, const std::string& path);
 
 } // namespace leqa::parser

@@ -1,12 +1,13 @@
 /// \file lexer.h
-/// \brief The string_view lexer shared by the netlist readers.
+/// \brief The string_view lexer of the .real and OpenQASM readers.
 ///
-/// Every reader (QASM subset, RevLib .real, OpenQASM 2.0) walks the file
-/// text it was handed: lines, comments and tokens are views into it (the
-/// OpenQASM reader's into one reused statement buffer), so a gate costs no
-/// string allocation.  The
-/// primitives use util::is_space, the C locale's whitespace, which makes
-/// CRLF line endings and tabs ordinary whitespace; util::trim_view trims.
+/// Both walk the file text they were handed: lines, comments and tokens
+/// are views into it (the OpenQASM reader's into one reused statement
+/// buffer), so a gate costs no string allocation.  (The QASM-subset reader
+/// cuts its tokens in one pass per line instead; see parser/readers.h.)
+/// The primitives use util::is_space, the C locale's whitespace, which
+/// makes CRLF line endings and tabs ordinary whitespace; util::trim_view
+/// trims.
 #pragma once
 
 #include <cstddef>
@@ -16,35 +17,27 @@
 
 namespace leqa::parser::lex {
 
-/// Cut \p line at its first comment: '#' always, and "//" when \p slashes.
-[[nodiscard]] constexpr std::string_view strip_comment(std::string_view line, bool slashes) {
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == '#') return line.substr(0, i);
-        if (slashes && line[i] == '/' && i + 1 < line.size() && line[i + 1] == '/') {
-            return line.substr(0, i);
-        }
-    }
-    return line;
+/// Cut \p line at its first '#', the .real comment.
+[[nodiscard]] constexpr std::string_view strip_comment(std::string_view line) {
+    return line.substr(0, line.find('#'));
 }
 
-/// Pop the next token off the front of \p rest.  Tokens are separated by
-/// whitespace, and also by ',' when \p commas; empty once \p rest holds
-/// only separators.
-[[nodiscard]] constexpr std::string_view next_token(std::string_view& rest, bool commas = false) {
-    const auto separator = [commas](char c) { return util::is_space(c) || (commas && c == ','); };
+/// Pop the next whitespace-separated token off the front of \p rest;
+/// empty once \p rest holds only whitespace.
+[[nodiscard]] constexpr std::string_view next_token(std::string_view& rest) {
     std::size_t begin = 0;
-    while (begin < rest.size() && separator(rest[begin])) ++begin;
+    while (begin < rest.size() && util::is_space(rest[begin])) ++begin;
     std::size_t end = begin;
-    while (end < rest.size() && !separator(rest[end])) ++end;
+    while (end < rest.size() && !util::is_space(rest[end])) ++end;
     const std::string_view token = rest.substr(begin, end - begin);
     rest.remove_prefix(end);
     return token;
 }
 
 /// Number of tokens left in \p rest (next_token rules), without consuming.
-[[nodiscard]] constexpr std::size_t count_tokens(std::string_view rest, bool commas = false) {
+[[nodiscard]] constexpr std::size_t count_tokens(std::string_view rest) {
     std::size_t count = 0;
-    while (!next_token(rest, commas).empty()) ++count;
+    while (!next_token(rest).empty()) ++count;
     return count;
 }
 

@@ -16,6 +16,12 @@
 /// Gate mnemonics are those of circuit::parse_gate_name (x/not, y, z, h, s,
 /// sdg, t, tdg, cnot/cx, toffoli/ccx, fredkin/cswap, swap).  For Toffoli all
 /// operands but the last are controls; for Fredkin all but the last two.
+///
+/// The reader (`parse_qasm_into`, parser/readers.h) scans each line once:
+/// it cuts the comment, the head token and the operand tokens in one pass,
+/// resolves the lower-case FT mnemonics without a table scan, and looks
+/// each operand up in one circuit::QubitIndex, hashing the name as it
+/// reads it.  It writes a Circuit here and the QODG's tape in the pipeline.
 #pragma once
 
 #include <string>

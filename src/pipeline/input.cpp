@@ -3,7 +3,6 @@
 #include <filesystem>
 
 #include "benchgen/suite.h"
-#include "parser/io.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -72,14 +71,8 @@ std::string CircuitSource::display_name() const {
 }
 
 circuit::Circuit CircuitSource::load() const {
-    switch (kind_) {
-        case Kind::Path:
-            return parser::load_netlist(spec_);
-        case Kind::Bench:
-            return make_bench_circuit(spec_);
-        case Kind::Inline:
-            break;
-    }
+    LEQA_REQUIRE(kind_ != Kind::Path, "a path source is read by Pipeline::resolve, not load()");
+    if (kind_ == Kind::Bench) return make_bench_circuit(spec_);
     LEQA_CHECK(inline_circuit_ != nullptr, "inline source without a circuit");
     return *inline_circuit_;
 }

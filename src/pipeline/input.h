@@ -3,7 +3,8 @@
 ///
 /// A CircuitSource names the circuit a pipeline request operates on without
 /// committing to when (or how often) it is materialized:
-///   - Path:   a netlist file (.qasm / .real), parsed on first use;
+///   - Path:   a netlist file (.qasm / .real), read by Pipeline::resolve,
+///             which streams it into the QODG's tape;
 ///   - Bench:  a generated suite benchmark ("bench:<name>" in CLI syntax);
 ///   - Inline: an in-memory Circuit handed over by the caller.
 ///
@@ -51,7 +52,9 @@ public:
     /// pipeline appends those).
     [[nodiscard]] const std::string& identity() const { return identity_; }
 
-    /// Materialize the pre-FT circuit (parses / generates / copies).
+    /// Materialize a Bench or Inline source's circuit (generates /
+    /// copies).  A Path source throws InputError: the pipeline reads its
+    /// file, and parser::load_netlist(spec()) loads it as a circuit.
     [[nodiscard]] circuit::Circuit load() const;
 
 private:

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <thread>
 
+#include "parser/io.h"
+#include "parser/readers.h"
 #include "qspr/placement.h"
 #include "synth/decompose.h"
 #include "util/error.h"
@@ -38,7 +40,11 @@ std::string CacheStats::to_string() const {
 
 const circuit::Circuit& CachedCircuit::ft() const {
     std::call_once(ft_once_, [this] {
-        if (info_.synthesized) ft_ = synth::ft_synthesize(pre_ft_, synth_options_).circuit;
+        if (info_.synthesized) {
+            ft_ = synth::ft_synthesize(pre_ft_, synth_options_).circuit;
+        } else if (!netlist_path_.empty()) {
+            ft_ = parser::parse_netlist(netlist_, netlist_path_);
+        }
     });
     return ft_;
 }
@@ -67,6 +73,29 @@ const core::CircuitProfile& CachedCircuit::profile() const {
 }
 
 // ------------------------------------------------------------ Pipeline --
+
+namespace {
+
+/// Thrown by TapeOutput at the first gate outside the FT set of a file
+/// that will be synthesized: the read stops there.
+struct PreFtGate {};
+
+/// The netlist readers' output for a path source: every gate goes
+/// straight to the QODG's tape, and `.name` is kept for CircuitInfo.
+struct TapeOutput {
+    qodg::Qodg::Builder& tape;
+    bool stop_at_pre_ft = false;
+    std::string name;
+
+    circuit::Qubit add_qubit(std::string_view qubit) { return tape.add_qubit(qubit); }
+    void add_gate(const circuit::Gate& gate) {
+        if (stop_at_pre_ft && !gate.is_ft()) throw PreFtGate{};
+        tape.add_gate(gate);
+    }
+    void set_name(std::string circuit_name) { name = std::move(circuit_name); }
+};
+
+} // namespace
 
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {
     config_.params.validate();
@@ -163,22 +192,47 @@ CachedCircuitPtr Pipeline::resolve_timed(const CircuitSource& source, double* se
     CachedCircuitPtr entry;
     try {
         auto building = std::make_shared<CachedCircuit>();
-        circuit::Circuit circ = source.load();
-        building->info_.name = circ.name().empty() ? source.display_name() : circ.name();
         building->info_.cache_key = key;
-        building->info_.pre_ft_gates = circ.size();
-        if (auto_synthesize && !circ.is_ft()) {
-            // Synthesis streams into the QODG's tape; ft() reruns it on the
-            // kept pre-FT circuit when a map first asks.
+        std::optional<circuit::Circuit> circ;
+        if (source.kind() == CircuitSource::Kind::Path) {
+            // The file is read once, and its reader streams into the tape;
+            // ft() reads the kept text when a map first asks.
+            std::string text = parser::read_file(source.spec());
             qodg::Qodg::Builder tape;
-            building->synth_stats_ = synth::synthesize_into(circ, synth_options, tape);
-            building->info_.synthesized = true;
-            building->qodg_ = std::make_unique<const qodg::Qodg>(std::move(tape));
-            building->pre_ft_ = std::move(circ);
-            building->synth_options_ = synth_options;
+            // A QASM-subset or .real line holds at most one gate.
+            const auto lines = std::count(text.begin(), text.end(), '\n');
+            tape.reserve_gates(static_cast<std::size_t>(lines));
+            TapeOutput out{tape, auto_synthesize, {}};
+            try {
+                parser::parse_netlist_into(text, source.spec(), out);
+                building->info_.name = out.name.empty() ? source.display_name() : out.name;
+                building->info_.pre_ft_gates = tape.size();
+                building->qodg_ = std::make_unique<const qodg::Qodg>(std::move(tape));
+                building->netlist_ = std::move(text);
+                building->netlist_path_ = source.spec();
+            } catch (const PreFtGate&) {
+                // A pre-FT file: read it into a circuit that synthesizes.
+                circ = parser::parse_netlist(text, source.spec());
+            }
         } else {
-            building->qodg_ = std::make_unique<const qodg::Qodg>(circ);
-            building->ft_ = std::move(circ);
+            circ = source.load();
+        }
+        if (circ) {
+            building->info_.name = circ->name().empty() ? source.display_name() : circ->name();
+            building->info_.pre_ft_gates = circ->size();
+            if (auto_synthesize && !circ->is_ft()) {
+                // Synthesis streams into the QODG's tape; ft() reruns it on
+                // the kept pre-FT circuit when a map first asks.
+                qodg::Qodg::Builder tape;
+                building->synth_stats_ = synth::synthesize_into(*circ, synth_options, tape);
+                building->info_.synthesized = true;
+                building->qodg_ = std::make_unique<const qodg::Qodg>(std::move(tape));
+                building->pre_ft_ = std::move(*circ);
+                building->synth_options_ = synth_options;
+            } else {
+                building->qodg_ = std::make_unique<const qodg::Qodg>(*circ);
+                building->ft_ = std::move(*circ);
+            }
         }
         building->info_.qubits = building->qodg_->num_qubits();
         building->info_.ft_ops = building->qodg_->num_ops();

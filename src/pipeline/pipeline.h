@@ -1,6 +1,7 @@
 /// \file pipeline.h
-/// \brief The unified session facade: parse -> FT synthesis streamed into
-///        the QODG -> LEQA estimate and/or QSPR mapping, behind one API.
+/// \brief The unified session facade: a netlist file's reader, or FT
+///        synthesis, streamed into the QODG -> LEQA estimate and/or QSPR
+///        mapping, behind one API.
 ///
 /// The paper positions LEQA as the fast inner loop of design-space
 /// exploration ("more than four orders of magnitude" faster than a detailed
@@ -8,9 +9,10 @@
 /// plumbing and rebuilt the dependency graphs per parameter point; the
 /// Pipeline owns that plumbing once:
 ///
-///   - a keyed LRU cache of intermediates (the QODG synthesis streams into,
-///     then, on first use, the `core::CircuitProfile`, the IIG and the FT
-///     circuit) per circuit identity, so fabric sweeps, QECC exploration
+///   - a keyed LRU cache of intermediates (the QODG a file's reader or
+///     synthesis streams into, then, on first use, the
+///     `core::CircuitProfile`, the IIG and the FT circuit) per circuit
+///     identity, so fabric sweeps, QECC exploration
 ///     and calibration reuse the stage-1 artifacts instead of rebuilding
 ///     them;
 ///   - `run(request)` for one circuit, `run_batch_results(requests)` with
@@ -99,7 +101,7 @@ struct RunControl {
 
 /// Wall-clock seconds per pipeline stage.  Cached stages report ~0.
 struct StageTimes {
-    /// parse/generate + FT synthesis streamed into the QODG's tape (the
+    /// read/generate + FT synthesis streamed into the QODG's tape (the
     /// QODG build of an FT input included); 0 on cache hit
     double resolve_s = 0.0;
     double graphs_s = 0.0;   ///< circuit profile from the tape (0 on cache hit)
@@ -112,7 +114,7 @@ struct StageTimes {
 struct CircuitInfo {
     std::string name;          ///< display name
     std::string cache_key;     ///< full cache identity (source + synth options)
-    std::size_t pre_ft_gates = 0; ///< reversible gates before synthesis
+    std::size_t pre_ft_gates = 0; ///< gates read or generated, before synthesis
     std::size_t qubits = 0;       ///< logical qubits after synthesis
     std::size_t ft_ops = 0;       ///< FT operations after synthesis
     bool synthesized = false;     ///< whether FT synthesis ran
@@ -148,17 +150,25 @@ struct CacheStats {
 /// views built once, on first use, safely under concurrent first use.
 /// Handles stay valid after eviction (shared ownership).
 ///
-/// A synthesized entry streams FT synthesis straight into the QODG's
-/// tape, which is all an estimate reads (the `Iig` comes from it too);
-/// only the mapper (map, optimize, calibrate) needs `ft()`.  The entry
-/// keeps the pre-FT circuit and the synthesis options, and the first
-/// `ft()` reruns the (deterministic) synthesis on them, so a map after an
-/// estimate gets the same gates, qubit names, comments and name.  An FT
-/// input (`auto_synthesize` off, or an FT netlist) keeps the loaded
-/// circuit as its `ft()`.
+/// The QODG's tape is all an estimate reads (the `Iig` comes from it
+/// too); only the mapper (map, optimize, calibrate) needs `ft()`.  How the
+/// entry gets its tape, and its `ft()`:
+///   - a netlist file streams from its reader into the tape, with no
+///     Circuit.  The entry keeps the file's text, and the first `ft()`
+///     reads that text into a Circuit; the file is never opened again.
+///     With `auto_synthesize` on, the read stops at the first non-FT gate,
+///     and the text is read again into a Circuit that synthesizes below;
+///   - a pre-FT input with `auto_synthesize` on streams FT synthesis into
+///     the tape.  The entry keeps the pre-FT circuit and the synthesis
+///     options, and the first `ft()` reruns the (deterministic) synthesis
+///     on them;
+///   - any other generator or inline input feeds the tape from its
+///     circuit and keeps that circuit as its `ft()`.
+/// So a map after an estimate gets the same gates, qubit names, comments
+/// and name as a map on a fresh entry.
 class CachedCircuit {
 public:
-    /// The FT circuit; a synthesized entry synthesizes it on first call.
+    /// The FT circuit; built on first call unless resolve kept it.
     [[nodiscard]] const circuit::Circuit& ft() const;
     [[nodiscard]] const CircuitInfo& info() const { return info_; }
     [[nodiscard]] const synth::FtSynthStats& synth_stats() const { return synth_stats_; }
@@ -186,9 +196,12 @@ private:
     /// Synthesized entries: the pre-FT circuit and the options ft() reruns.
     circuit::Circuit pre_ft_;
     synth::FtSynthOptions synth_options_;
+    /// Streamed netlist files: the text and path ft() reads.
+    std::string netlist_;
+    std::string netlist_path_;
 
     mutable std::once_flag ft_once_;
-    mutable circuit::Circuit ft_; ///< set at resolve for an FT input
+    mutable circuit::Circuit ft_; ///< set at resolve for a circuit-fed FT input
     mutable std::once_flag iig_once_;
     mutable std::unique_ptr<const iig::Iig> iig_;
     mutable std::once_flag profile_once_;
@@ -214,8 +227,8 @@ public:
     /// Replace the mapper options (cache survives).
     void set_qspr_options(const qspr::QsprOptions& options);
 
-    /// Resolve a source to its cached FT circuit (parsing / generating /
-    /// synthesizing on first use).
+    /// Resolve a source to its cached entry (reading / generating /
+    /// synthesizing into the QODG's tape on first use).
     [[nodiscard]] CachedCircuitPtr resolve(const CircuitSource& source);
 
     /// Run one request.  With a non-null \p control the run observes its

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -169,6 +170,49 @@ TEST(Circuit, FindQubitByView) {
     EXPECT_EQ(circ.find_qubit(std::string_view(line).substr(11)), 1u);
     EXPECT_FALSE(circ.find_qubit("alph").has_value());
     EXPECT_FALSE(circ.find_qubit("").has_value());
+}
+
+TEST(QubitIndex, FindsEveryNameAcrossRehashes) {
+    // Names that differ only in their last bytes, as netlist names do, and
+    // enough of them to grow the table several times.
+    lc::QubitIndex index;
+    std::vector<std::string> names;
+    for (const char* prefix : {"a", "b", "anc", "q"}) {
+        for (int i = 0; i < 2500; ++i) names.push_back(prefix + std::to_string(i));
+    }
+    for (const std::string& name : names) EXPECT_TRUE(index.add(name)) << name;
+    ASSERT_EQ(index.size(), names.size());
+    for (lc::Qubit q = 0; q < names.size(); ++q) {
+        EXPECT_EQ(index.find(names[q]), q) << names[q];
+        EXPECT_EQ(index.name(q), names[q]);
+    }
+    EXPECT_FALSE(index.add("anc17"));
+    EXPECT_EQ(index.size(), names.size());
+    EXPECT_FALSE(index.find("anc").has_value());
+    EXPECT_FALSE(index.find("anc25000").has_value());
+    EXPECT_FALSE(index.find("").has_value());
+    EXPECT_FALSE(lc::QubitIndex().find("a0").has_value());
+}
+
+TEST(Circuit, DuplicateQubitNameNamesIt) {
+    const auto message_of = [](lc::Circuit& circ, std::string_view name) {
+        try {
+            (void)circ.add_qubit(name);
+        } catch (const InputError& e) {
+            return std::string(e.what());
+        }
+        return std::string("(added)");
+    };
+    lc::Circuit circ;
+    circ.add_qubit("q1");
+    circ.add_qubit("alpha");
+    EXPECT_EQ(message_of(circ, "alpha"), "requirement failed: duplicate qubit name: alpha");
+    EXPECT_EQ(message_of(circ, ""), "(added)"); // auto-named q2
+    EXPECT_EQ(circ.num_qubits(), 3u);
+    lc::Circuit clash;
+    clash.add_qubit("q1");
+    EXPECT_EQ(message_of(clash, ""), "requirement failed: duplicate qubit name: q1"); // auto q1
+    EXPECT_EQ(clash.num_qubits(), 1u);
 }
 
 TEST(Gate, McxWithSingleControlIsCnot) {

@@ -1,6 +1,7 @@
 // Tests for the OpenQASM 2.0 subset parser/writer, format auto-detection,
 // and deterministic fuzzing of all three parsers (malformed input must
-// raise ParseError, never crash or accept).
+// raise ParseError, never crash or accept).  Every text runs through both
+// reader outputs, a circuit and the QODG's tape (two_outputs.h).
 #include <gtest/gtest.h>
 
 #include "parser/diagnostics.h"
@@ -8,10 +9,17 @@
 #include "parser/openqasm.h"
 #include "parser/qasm.h"
 #include "parser/real.h"
+#include "two_outputs.h"
 #include "util/rng.h"
 
 namespace lc = leqa::circuit;
 namespace lp = leqa::parser;
+using two_outputs::expect_rejected;
+using two_outputs::kOpenQasm;
+using two_outputs::kQasm;
+using two_outputs::kReal;
+using two_outputs::read;
+using two_outputs::read_both;
 
 // --------------------------------------------------------------- openqasm --
 
@@ -30,7 +38,7 @@ swap q[1], q[2];
 barrier q[0], q[1];
 id q[0];
 )";
-    const auto circ = lp::parse_openqasm(text);
+    const auto circ = read(kOpenQasm, text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     ASSERT_EQ(circ.size(), 6u); // barrier/id ignored
     EXPECT_EQ(circ.gate(0).kind, lc::GateKind::H);
@@ -43,7 +51,7 @@ id q[0];
 TEST(OpenQasm, MultipleRegisters) {
     const std::string text =
         "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\ncx a[1], b[0];\n";
-    const auto circ = lp::parse_openqasm(text);
+    const auto circ = read(kOpenQasm, text);
     EXPECT_EQ(circ.num_qubits(), 4u);
     EXPECT_EQ(circ.gate(0).controls()[0], 1u);
     EXPECT_EQ(circ.gate(0).targets()[0], 2u);
@@ -51,36 +59,29 @@ TEST(OpenQasm, MultipleRegisters) {
 
 TEST(OpenQasm, StatementsSpanLines) {
     const std::string text = "OPENQASM 2.0;\nqreg q[2];\ncx\n  q[0],\n  q[1];\n";
-    const auto circ = lp::parse_openqasm(text);
+    const auto circ = read(kOpenQasm, text);
     ASSERT_EQ(circ.size(), 1u);
     EXPECT_EQ(circ.gate(0).kind, lc::GateKind::Cnot);
 }
 
 TEST(OpenQasm, Diagnostics) {
-    EXPECT_THROW((void)lp::parse_openqasm("qreg q[2];\n"), lp::ParseError); // no header
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[5];\n"),
-                 lp::ParseError); // out of range
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\ncx q[0], q[1];\n"),
-                 lp::ParseError); // unknown register
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[2];\nqreg q[2];\n"),
-                 lp::ParseError); // duplicate register
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[0];\n"),
-                 lp::ParseError); // empty register
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0]"),
-                 lp::ParseError); // missing ';'
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[1];\nmeasure q[0];\n"),
-                 lp::ParseError); // unsupported construct
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[1];\nrx(0.5) q[0];\n"),
-                 lp::ParseError); // parameterized gate
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[0];\n"),
-                 lp::ParseError); // duplicate operand
-    EXPECT_THROW((void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[2];\nccx q[0], q[1];\n"),
-                 lp::ParseError); // arity
+    expect_rejected(kOpenQasm, "qreg q[2];\n"); // no header
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[5];\n"); // out of range
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\ncx q[0], q[1];\n"); // unknown register
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[2];\nqreg q[2];\n"); // duplicate register
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[0];\n"); // empty register
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[2];\ncx q[0]"); // missing ';'
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[1];\nmeasure q[0];\n"); // unsupported
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[1];\nrx(0.5) q[0];\n"); // parameterized gate
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[0];\n"); // duplicate operand
+    expect_rejected(kOpenQasm, "OPENQASM 2.0;\nqreg q[2];\nccx q[0], q[1];\n"); // arity
 }
 
 TEST(OpenQasm, ErrorsCarryLineNumbers) {
+    const std::string text = "OPENQASM 2.0;\nqreg q[2];\n\nbogus q[0];\n";
+    expect_rejected(kOpenQasm, text);
     try {
-        (void)lp::parse_openqasm("OPENQASM 2.0;\nqreg q[2];\n\nbogus q[0];\n", "f.qasm");
+        (void)lp::parse_openqasm(text, "f.qasm");
         FAIL() << "expected ParseError";
     } catch (const lp::ParseError& e) {
         EXPECT_EQ(e.location().line, 4u);
@@ -92,7 +93,7 @@ TEST(OpenQasm, WriterRoundTrip) {
     circ.h(0).cnot(0, 1).toffoli(1, 2, 3).tdg(3).fredkin(0, 2, 3).swap(1, 2).sdg(0);
     const std::string text = lp::write_openqasm(circ);
     EXPECT_TRUE(lp::looks_like_openqasm(text));
-    const auto parsed = lp::parse_openqasm(text);
+    const auto parsed = read(kOpenQasm, text);
     EXPECT_TRUE(circ.same_structure(parsed));
 }
 
@@ -145,20 +146,13 @@ std::string random_text(leqa::util::Rng& rng) {
 
 TEST(ParserFuzz, NoCrashOnGarbage) {
     // Every parser must either parse or raise ParseError/InputError --
-    // never crash, hang, or throw anything else.
+    // never crash, hang, or throw anything else -- and its two outputs,
+    // a circuit and the QODG's tape, must agree (read_both).
     leqa::util::Rng rng(0xFADED);
     for (int trial = 0; trial < 400; ++trial) {
         const std::string text = random_text(rng);
-        for (const int which : {0, 1, 2}) {
-            try {
-                switch (which) {
-                    case 0: (void)lp::parse_qasm(text); break;
-                    case 1: (void)lp::parse_real(text); break;
-                    default: (void)lp::parse_openqasm(text); break;
-                }
-            } catch (const leqa::util::Error&) {
-                // expected for malformed input
-            }
+        for (const two_outputs::Reader* reader : {&kQasm, &kReal, &kOpenQasm}) {
+            (void)read_both(*reader, text);
         }
     }
 }
@@ -176,9 +170,6 @@ TEST(ParserFuzz, MutatedValidNetlistsNeverCrash) {
             const std::size_t pos = rng.index(mutated.size());
             mutated[pos] = static_cast<char>(32 + rng.index(95));
         }
-        try {
-            (void)lp::parse_qasm(mutated);
-        } catch (const leqa::util::Error&) {
-        }
+        (void)read_both(kQasm, mutated);
     }
 }

@@ -1,5 +1,6 @@
 // Unit tests for the parser module: QASM subset, RevLib .real, round-trips,
-// diagnostics.
+// diagnostics.  Every reader input runs through both reader outputs, a
+// circuit and the QODG's tape (two_outputs.h).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,10 +12,16 @@
 #include "parser/openqasm.h"
 #include "parser/qasm.h"
 #include "parser/real.h"
+#include "two_outputs.h"
 #include "util/rng.h"
 
 namespace lp = leqa::parser;
 namespace lc = leqa::circuit;
+using two_outputs::expect_rejected;
+using two_outputs::kOpenQasm;
+using two_outputs::kQasm;
+using two_outputs::kReal;
+using two_outputs::read;
 
 // ------------------------------------------------------------------- qasm --
 
@@ -28,7 +35,7 @@ tdg q2
 cnot q0, q1
 toffoli q0 q1 q2
 )";
-    const auto circ = lp::parse_qasm(text);
+    const auto circ = read(kQasm, text);
     EXPECT_EQ(circ.name(), "ham3");
     EXPECT_EQ(circ.num_qubits(), 3u);
     ASSERT_EQ(circ.size(), 5u);
@@ -45,7 +52,7 @@ TEST(QasmParser, NamedQubitDeclarations) {
 qubit beta
 cnot alpha, beta
 )";
-    const auto circ = lp::parse_qasm(text);
+    const auto circ = read(kQasm, text);
     EXPECT_EQ(circ.num_qubits(), 2u);
     EXPECT_EQ(circ.qubit_name(0), "alpha");
     EXPECT_EQ(circ.gate(0).controls()[0], 0u);
@@ -54,7 +61,7 @@ cnot alpha, beta
 
 TEST(QasmParser, MultiControlledGates) {
     const std::string text = ".qubits 5\ntoffoli q0 q1 q2 q3 q4\nfredkin q0, q1, q2\n";
-    const auto circ = lp::parse_qasm(text);
+    const auto circ = read(kQasm, text);
     ASSERT_EQ(circ.size(), 2u);
     EXPECT_EQ(circ.gate(0).controls().size(), 4u);
     EXPECT_EQ(circ.gate(1).kind, lc::GateKind::Fredkin);
@@ -64,6 +71,7 @@ TEST(QasmParser, MultiControlledGates) {
 
 TEST(QasmParser, ErrorsCarryLineNumbers) {
     const std::string text = ".qubits 2\ncnot q0, q9\n";
+    expect_rejected(kQasm, text);
     try {
         (void)lp::parse_qasm(text, "bad.qasm");
         FAIL() << "expected ParseError";
@@ -75,18 +83,18 @@ TEST(QasmParser, ErrorsCarryLineNumbers) {
 }
 
 TEST(QasmParser, RejectsMalformedInput) {
-    EXPECT_THROW((void)lp::parse_qasm(".qubits two\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm(".qubits 2\n.qubits 2\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm(".bogus 1\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm(".qubits 2\nfrobnicate q0\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm(".qubits 2\ncnot q0\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm(".qubits 2\ncnot q0, q0\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm("qubit 0bad\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_qasm("qubit a\nqubit a\n"), lp::ParseError);
+    expect_rejected(kQasm, ".qubits two\n");
+    expect_rejected(kQasm, ".qubits 2\n.qubits 2\n");
+    expect_rejected(kQasm, ".bogus 1\n");
+    expect_rejected(kQasm, ".qubits 2\nfrobnicate q0\n");
+    expect_rejected(kQasm, ".qubits 2\ncnot q0\n");
+    expect_rejected(kQasm, ".qubits 2\ncnot q0, q0\n");
+    expect_rejected(kQasm, "qubit 0bad\n");
+    expect_rejected(kQasm, "qubit a\nqubit a\n");
 }
 
 TEST(QasmParser, EmptyCircuitParses) {
-    const auto circ = lp::parse_qasm("# nothing here\n");
+    const auto circ = read(kQasm, "# nothing here\n");
     EXPECT_EQ(circ.num_qubits(), 0u);
     EXPECT_TRUE(circ.empty());
 }
@@ -95,7 +103,7 @@ TEST(QasmWriter, RoundTripsDefaultNames) {
     lc::Circuit circ(4, "rt");
     circ.h(0).cnot(0, 1).toffoli(1, 2, 3).tdg(3).fredkin(0, 1, 2).swap(2, 3);
     const std::string text = lp::write_qasm(circ);
-    const auto parsed = lp::parse_qasm(text);
+    const auto parsed = read(kQasm, text);
     EXPECT_TRUE(circ.same_structure(parsed));
     EXPECT_EQ(parsed.name(), "rt");
 }
@@ -108,7 +116,7 @@ TEST(QasmWriter, RoundTripsNamedQubitsAndComments) {
     circ.cnot(0, 1);
     const std::string text = lp::write_qasm(circ);
     EXPECT_NE(text.find("# generator: unit-test"), std::string::npos);
-    const auto parsed = lp::parse_qasm(text);
+    const auto parsed = read(kQasm, text);
     EXPECT_TRUE(circ.same_structure(parsed));
     EXPECT_EQ(parsed.qubit_name(0), "a");
 }
@@ -143,7 +151,7 @@ TEST(QasmRoundTrip, RandomCircuitsProperty) {
                     break;
             }
         }
-        const auto parsed = lp::parse_qasm(lp::write_qasm(circ));
+        const auto parsed = read(kQasm, lp::write_qasm(circ));
         EXPECT_TRUE(circ.same_structure(parsed)) << "trial " << trial;
     }
 }
@@ -165,7 +173,7 @@ f3 a b c
 f2 b c
 .end
 )";
-    const auto circ = lp::parse_real(text);
+    const auto circ = read(kReal, text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     ASSERT_EQ(circ.size(), 5u);
     EXPECT_EQ(circ.gate(0).kind, lc::GateKind::X);
@@ -177,7 +185,7 @@ f2 b c
 
 TEST(RealParser, NumvarsWithoutVariablesGetsDefaults) {
     const std::string text = ".numvars 2\n.begin\nt2 x0 x1\n.end\n";
-    const auto circ = lp::parse_real(text);
+    const auto circ = read(kReal, text);
     EXPECT_EQ(circ.num_qubits(), 2u);
     EXPECT_EQ(circ.qubit_name(0), "x0");
 }
@@ -185,23 +193,20 @@ TEST(RealParser, NumvarsWithoutVariablesGetsDefaults) {
 TEST(RealParser, LargeToffoli) {
     const std::string text =
         ".numvars 5\n.variables a b c d e\n.begin\nt5 a b c d e\n.end\n";
-    const auto circ = lp::parse_real(text);
+    const auto circ = read(kReal, text);
     ASSERT_EQ(circ.size(), 1u);
     EXPECT_EQ(circ.gate(0).kind, lc::GateKind::Toffoli);
     EXPECT_EQ(circ.gate(0).controls().size(), 4u);
 }
 
 TEST(RealParser, Diagnostics) {
-    EXPECT_THROW((void)lp::parse_real(".numvars x\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_real(".numvars 1\n.variables a b\n"), lp::ParseError);
-    EXPECT_THROW((void)lp::parse_real("t1 a\n"), lp::ParseError);            // before .begin
-    EXPECT_THROW((void)lp::parse_real(".numvars 1\n.begin\nt1 x0\n"), lp::ParseError); // no .end
-    EXPECT_THROW((void)lp::parse_real(".numvars 2\n.begin\nt3 x0 x1\n.end\n"),
-                 lp::ParseError); // arity mismatch
-    EXPECT_THROW((void)lp::parse_real(".numvars 2\n.begin\ng2 x0 x1\n.end\n"),
-                 lp::ParseError); // unknown family
-    EXPECT_THROW((void)lp::parse_real(".numvars 2\n.begin\nt2 x0 zz\n.end\n"),
-                 lp::ParseError); // unknown variable
+    expect_rejected(kReal, ".numvars x\n");
+    expect_rejected(kReal, ".numvars 1\n.variables a b\n");
+    expect_rejected(kReal, "t1 a\n");            // before .begin
+    expect_rejected(kReal, ".numvars 1\n.begin\nt1 x0\n"); // no .end
+    expect_rejected(kReal, ".numvars 2\n.begin\nt3 x0 x1\n.end\n"); // arity mismatch
+    expect_rejected(kReal, ".numvars 2\n.begin\ng2 x0 x1\n.end\n"); // unknown family
+    expect_rejected(kReal, ".numvars 2\n.begin\nt2 x0 zz\n.end\n"); // unknown variable
 }
 
 TEST(RealWriter, RoundTripsClassicalCircuit) {
@@ -209,7 +214,7 @@ TEST(RealWriter, RoundTripsClassicalCircuit) {
     circ.x(0).cnot(0, 1).toffoli(0, 1, 2).fredkin(0, 2, 3).swap(1, 3);
     circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2}, 3));
     const std::string text = lp::write_real(circ);
-    const auto parsed = lp::parse_real(text);
+    const auto parsed = read(kReal, text);
     EXPECT_TRUE(circ.same_structure(parsed));
 }
 
@@ -256,7 +261,6 @@ TEST(Lexer, NextTokenDropsEmptyFields) {
     EXPECT_EQ(lp::lex::next_token(rest), "");
 
     std::string_view operands = " a0,b0 ,, c0";
-    EXPECT_EQ(lp::lex::count_tokens(operands, /*commas=*/true), 3u);
     EXPECT_EQ(lp::lex::count_tokens(operands), 3u); // "a0,b0", ",,", "c0"
 }
 
@@ -275,23 +279,22 @@ TEST(Lexer, LinesFollowGetline) {
     lp::lex::Lines trailing("x\n");
     ASSERT_TRUE(trailing.next(line));
     EXPECT_FALSE(trailing.next(line)); // a final newline starts no line
-    EXPECT_EQ(lp::lex::strip_comment("h q0 # c // d", false), "h q0 ");
-    EXPECT_EQ(lp::lex::strip_comment("h q0 // c # d", true), "h q0 ");
-    EXPECT_EQ(lp::lex::strip_comment("h q0 // c", false), "h q0 // c");
+    EXPECT_EQ(lp::lex::strip_comment("h q0 # c // d"), "h q0 ");
+    EXPECT_EQ(lp::lex::strip_comment("h q0 // c # d"), "h q0 // c ");
+    EXPECT_EQ(lp::lex::strip_comment("h q0 // c"), "h q0 // c");
 }
 
 // ----------------------------------------------------- lexical edge cases --
 
 namespace {
 
-using Parse = lc::Circuit (*)(std::string_view, const std::string&);
-
 /// Parse \p text and expect a ParseError at \p line whose message holds
-/// \p fragment.
-void expect_error(Parse parse, const std::string& text, std::size_t line,
+/// \p fragment, and the same error from the reader run into a tape.
+void expect_error(const two_outputs::Reader& reader, const std::string& text, std::size_t line,
                   const std::string& fragment) {
+    (void)two_outputs::read_both(reader, text, "edge.txt");
     try {
-        (void)parse(text, "edge.txt");
+        (void)reader.parse(text, "edge.txt");
         ADD_FAILURE() << "expected ParseError for:\n" << text;
     } catch (const lp::ParseError& e) {
         EXPECT_EQ(e.location().line, line) << e.what();
@@ -327,20 +330,22 @@ TEST(LexicalEdgeCases, Qasm) {
         "cnot a0,b0 # first\r\n"
         "\th\tb0\t// second\r\n"
         "toffoli a0 ,b0,\tc0";
-    const auto circ = lp::parse_qasm(text);
+    const auto circ = read(kQasm, text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     EXPECT_EQ(gates_of(circ), kEdgeGates);
 
-    const auto blank = lp::parse_qasm("\n\r\n  \t\n\n");
+    const auto blank = read(kQasm, "\n\r\n  \t\n\n");
     EXPECT_EQ(blank.num_qubits(), 0u);
     EXPECT_TRUE(blank.empty());
 
     const std::string head = ".qubits 2\r\n\r\nh q0\r\n";
-    expect_error(lp::parse_qasm, head + "cnot q0,\tq7 # q7?\r\n", 4, "unknown qubit 'q7'");
-    expect_error(lp::parse_qasm, head + "h q0\nccz q0 q1", 5, "unknown gate or keyword 'ccz'");
-    expect_error(lp::parse_qasm, head + "swap q1 // one operand\r\n", 4,
+    expect_error(kQasm, head + "cnot q0,\tq7 # q7?\r\n", 4, "unknown qubit 'q7'");
+    expect_error(kQasm, head + "h q0\nccz q0 q1", 5, "unknown gate or keyword 'ccz'");
+    expect_error(kQasm, head + "swap q1 // one operand\r\n", 4,
                  "swap: expected at least 2 operand(s)");
-    expect_error(lp::parse_qasm, head + "\tcnot q1,q1\r\n", 4, "duplicate qubit operand");
+    expect_error(kQasm, head + "\tcnot q1,q1\r\n", 4, "duplicate qubit operand");
+    expect_error(kQasm, "qubit a0\r\n\r\nqubit a0 # again\r\n", 3,
+                 "edge.txt:3: requirement failed: duplicate qubit name: a0");
 }
 
 TEST(LexicalEdgeCases, Real) {
@@ -350,31 +355,33 @@ TEST(LexicalEdgeCases, Real) {
         "\tt1 b0\r\n"
         "t3 a0 b0 c0\t#third\r\n"
         ".end";
-    const auto circ = lp::parse_real(text);
+    const auto circ = read(kReal, text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     EXPECT_EQ(gates_of(circ)[0], kEdgeGates[0]);
     EXPECT_EQ(gates_of(circ)[1], (std::pair<lc::GateKind, std::vector<lc::Qubit>>{
                                      lc::GateKind::X, {1}}));
     EXPECT_EQ(gates_of(circ)[2], kEdgeGates[2]);
 
-    const auto blank = lp::parse_real("\n\r\n  \t\n\n");
+    const auto blank = read(kReal, "\n\r\n  \t\n\n");
     EXPECT_EQ(blank.num_qubits(), 0u);
     EXPECT_TRUE(blank.empty());
 
     // .real separates operands by whitespace only, and '#' is its only
     // comment marker: "a0,b0" is one operand, "//" starts two more.
     const std::string head = ".numvars 2\r\n.variables a0 b0\r\n.begin\r\n";
-    expect_error(lp::parse_real, head + "t2 a0,b0\r\n.end\r\n", 4,
+    expect_error(kReal, head + "t2 a0,b0\r\n.end\r\n", 4,
                  "expects 2 operands, got 1");
-    expect_error(lp::parse_real, head + "t2 a0 b0 // c\r\n.end\r\n", 4,
+    expect_error(kReal, head + "t2 a0 b0 // c\r\n.end\r\n", 4,
                  "expects 2 operands, got 4");
-    expect_error(lp::parse_real, head + "t1 a0\r\nt2 a0\tzz # ?\r\n.end", 5,
+    expect_error(kReal, head + "t1 a0\r\nt2 a0\tzz # ?\r\n.end", 5,
                  "unknown variable 'zz'");
-    expect_error(lp::parse_real, head + "\r\ng2 a0 b0\r\n.end", 5, "unknown gate 'g2'");
-    expect_error(lp::parse_real, head + "t3 a0 b0\r\n.end", 4, "expects 3 operands, got 2");
-    expect_error(lp::parse_real, head + "f1 a0\r\n.end", 4, "fN gates need at least 2");
-    expect_error(lp::parse_real, head + "t2 b0 b0\r\n.end", 4, "duplicate qubit operand");
-    expect_error(lp::parse_real, head + "t1 a0", 4, "missing .end");
+    expect_error(kReal, head + "\r\ng2 a0 b0\r\n.end", 5, "unknown gate 'g2'");
+    expect_error(kReal, head + "t3 a0 b0\r\n.end", 4, "expects 3 operands, got 2");
+    expect_error(kReal, head + "f1 a0\r\n.end", 4, "fN gates need at least 2");
+    expect_error(kReal, head + "t2 b0 b0\r\n.end", 4, "duplicate qubit operand");
+    expect_error(kReal, head + "t1 a0", 4, "missing .end");
+    expect_error(kReal, ".variables a0 b0\r\n.variables b0\r\n", 2,
+                 "edge.txt:2: requirement failed: duplicate qubit name: b0");
 }
 
 TEST(LexicalEdgeCases, OpenQasm) {
@@ -383,25 +390,58 @@ TEST(LexicalEdgeCases, OpenQasm) {
         "cx q[0],q[1]; // first\r\n"
         "\th\tq[1];\t// second\r\n"
         "ccx q[0] ,q[1],\tq[2];";
-    const auto circ = lp::parse_openqasm(text);
+    const auto circ = read(kOpenQasm, text);
     EXPECT_EQ(circ.num_qubits(), 3u);
     EXPECT_EQ(gates_of(circ), kEdgeGates);
     EXPECT_TRUE(lp::looks_like_openqasm(text));
 
-    const auto blank = lp::parse_openqasm("\n\r\n  \t\n\n");
+    const auto blank = read(kOpenQasm, "\n\r\n  \t\n\n");
     EXPECT_EQ(blank.num_qubits(), 0u);
     EXPECT_TRUE(blank.empty());
     EXPECT_FALSE(lp::looks_like_openqasm("\n\r\n  \t\n\n"));
 
     const std::string head = "OPENQASM 2.0;\r\nqreg q[2];\r\n";
-    expect_error(lp::parse_openqasm, head + "\r\ncx q[0],\tr[1]; // r?\r\n", 4,
+    expect_error(kOpenQasm, head + "\r\ncx q[0],\tr[1]; // r?\r\n", 4,
                  "unknown qreg 'r'");
-    expect_error(lp::parse_openqasm, head + "h q[0];\nccz q[0],q[1];", 4,
+    expect_error(kOpenQasm, head + "h q[0];\nccz q[0],q[1];", 4,
                  "unknown gate 'ccz'");
-    expect_error(lp::parse_openqasm, head + "ccx q[0],\r\n  q[1]; // two\r\n", 3,
+    expect_error(kOpenQasm, head + "ccx q[0],\r\n  q[1]; // two\r\n", 3,
                  "'ccx' expects 3 operands, got 2");
-    expect_error(lp::parse_openqasm, head + "\tcx q[1],q[1];\r\n", 3,
+    expect_error(kOpenQasm, head + "\tcx q[1],q[1];\r\n", 3,
                  "duplicate qubit operand");
-    expect_error(lp::parse_openqasm, head + "h q[0]; // ;\r\nh q[1]", 4,
+    expect_error(kOpenQasm, head + "h q[0]; // ;\r\nh q[1]", 4,
                  "statement not terminated by ';': 'h q[1]'");
+}
+
+TEST(Diagnostics, QuoteAtMost64BytesOfAToken) {
+    // A 1 MB token is quoted as its first 64 bytes and "...", so the whole
+    // message stays short and keeps its line.
+    const std::string token(std::size_t{1} << 20, 'g');
+    const std::string quoted = "'" + token.substr(0, 64) + "...'";
+    struct Case {
+        const two_outputs::Reader* reader;
+        std::string text;
+        std::size_t line;
+        std::string fragment;
+    };
+    const Case cases[] = {
+        {&kQasm, ".qubits 2\nh q0\n" + token + " q0\n", 3, "unknown gate or keyword " + quoted},
+        {&kQasm, ".qubits 2\nh q0\ncnot q0, " + token + "\n", 3, "unknown qubit " + quoted},
+        {&kReal, ".numvars 1\n.begin\n" + token + " x0\n.end\n", 3, "unknown gate " + quoted},
+        {&kOpenQasm, "OPENQASM 2.0;\nqreg q[1];\n" + token + " q[0];\n", 3,
+         "unknown gate " + quoted},
+        {&kOpenQasm, "OPENQASM 2.0;\nqreg q[1];\n\n" + token, 4,
+         "statement not terminated by ';': " + quoted},
+    };
+    for (const Case& c : cases) {
+        expect_error(*c.reader, c.text, c.line, c.fragment);
+        try {
+            (void)c.reader->parse(c.text, "edge.txt");
+        } catch (const lp::ParseError& e) {
+            EXPECT_LT(std::string(e.what()).size(), 256u) << c.reader->name;
+        }
+    }
+    EXPECT_EQ(lp::excerpt("short"), "short");
+    EXPECT_EQ(lp::excerpt(token.substr(0, 64)), token.substr(0, 64));
+    EXPECT_EQ(lp::excerpt(token.substr(0, 65)), token.substr(0, 64) + "...");
 }

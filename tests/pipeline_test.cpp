@@ -1,6 +1,6 @@
 // Tests for the pipeline facade: source resolution semantics, intermediate
 // caching across sweeps and batches, batch determinism vs sequential runs,
-// and error propagation.
+// netlist files streamed into the QODG's tape, and error propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,8 @@
 #include <unistd.h>
 
 #include "benchgen/suite.h"
+#include "parser/io.h"
+#include "parser/openqasm.h"
 #include "parser/qasm.h"
 #include "pipeline/pipeline.h"
 #include "report/report.h"
@@ -74,7 +76,7 @@ TEST(CircuitSource, ExistingFileBeatsBenchmarkName) {
     const lp::CircuitSource source = lp::parse_source(path);
     EXPECT_EQ(source.kind(), lp::CircuitSource::Kind::Path);
     // ham15 has 15 qubits; the suite's ham3 has 3.  The file wins.
-    EXPECT_EQ(source.load().num_qubits(), 15u);
+    EXPECT_EQ(leqa::parser::load_netlist(source.spec()).num_qubits(), 15u);
 }
 
 TEST(CircuitSource, BareSuiteNameIsAnErrorWithHint) {
@@ -584,6 +586,131 @@ TEST(PipelineLazyViews, ConcurrentFirstUseBuildsEachViewOnce) {
         EXPECT_EQ(iigs[0]->adjacent_weight(q), expected_iig.adjacent_weight(q)) << "qubit " << q;
     }
     EXPECT_EQ(entry->qodg().num_edges(), leqa::qodg::Qodg(expected).num_edges());
+}
+
+// ------------------------------------------------------------ path sources --
+
+namespace {
+
+/// The estimate of \p result as JSON, with everything that names the
+/// source (label, circuit info, times) taken from \p like.
+std::string estimate_json(lp::EstimationResult result, const lp::EstimationResult& like) {
+    result.label = like.label;
+    result.circuit = like.circuit;
+    return timeless_json(std::move(result));
+}
+
+} // namespace
+
+TEST(PipelinePathSources, FtFilesEstimateLikeTheirBenchRuns) {
+    // A path source streams from its reader into the QODG's tape, with
+    // synthesis on or off: an FT netlist, as the QASM subset or as
+    // OpenQASM, estimates exactly like the generator it was written from.
+    TempDir dir;
+    for (const char* name : {"ham3", "8bitadder", "hwb15ps", "gf2^16mult", "gf2^64mult"}) {
+        const lp::CircuitSource bench_source = lp::CircuitSource::from_bench(name);
+        const lp::EstimationResult bench = lp::Pipeline().run(lp::EstimationRequest(bench_source));
+        const leqa::circuit::Circuit ft = leqa::synth::ft_synthesize(bench_source.load()).circuit;
+        const std::string qasm = dir.file(std::string(name) + ".qasm");
+        const std::string openqasm = dir.file(std::string(name) + ".openqasm.qasm");
+        leqa::parser::write_file(qasm, leqa::parser::write_qasm(ft));
+        leqa::parser::write_file(openqasm, leqa::parser::write_openqasm(ft));
+        for (const std::string& path : {qasm, openqasm}) {
+            for (const bool synthesize : {true, false}) {
+                const std::string what = path + (synthesize ? " synth on" : " synth off");
+                lp::PipelineConfig config;
+                config.auto_synthesize = synthesize;
+                lp::Pipeline pipe(config);
+                const lp::EstimationResult result =
+                    pipe.run(lp::EstimationRequest(lp::CircuitSource::from_path(path)));
+                EXPECT_FALSE(result.circuit.synthesized) << what;
+                EXPECT_EQ(result.circuit.pre_ft_gates, ft.size()) << what;
+                EXPECT_EQ(result.circuit.ft_ops, bench.circuit.ft_ops) << what;
+                EXPECT_EQ(result.circuit.qubits, bench.circuit.qubits) << what;
+                EXPECT_EQ(result.circuit.name,
+                          path == qasm ? bench.circuit.name : name + std::string(".openqasm.qasm"))
+                    << what;
+                ASSERT_TRUE(result.estimate.has_value()) << what;
+                EXPECT_EQ(result.estimate->latency_us, bench.estimate->latency_us) << what;
+                EXPECT_EQ(estimate_json(result, bench), timeless_json(bench)) << what;
+            }
+        }
+    }
+}
+
+TEST(PipelinePathSources, FtReadsTheKeptTextNotTheFile) {
+    // A streamed entry keeps the file's text, and its ft() reads that text
+    // when a map first asks: overwriting the file after resolve changes
+    // neither the circuit nor the map.
+    TempDir dir;
+    const std::string path = dir.file("adder.qasm");
+    leqa::parser::write_file(
+        path, leqa::parser::write_qasm(
+                  leqa::synth::ft_synthesize(leqa::benchgen::make_benchmark("8bitadder")).circuit));
+    const leqa::circuit::Circuit expected = leqa::parser::load_netlist(path);
+    const lp::CircuitSource source = lp::CircuitSource::from_path(path);
+
+    lp::Pipeline pipe;
+    const lp::CachedCircuitPtr entry = pipe.resolve(source);
+    ASSERT_FALSE(entry->info().synthesized);
+    write_text(path, "qubit a\nh a\n");
+
+    const leqa::circuit::Circuit& ft = entry->ft();
+    EXPECT_TRUE(ft.same_structure(expected));
+    EXPECT_EQ(ft.name(), expected.name());
+    ASSERT_EQ(ft.num_qubits(), expected.num_qubits());
+    for (leqa::circuit::Qubit q = 0; q < ft.num_qubits(); ++q) {
+        EXPECT_EQ(ft.qubit_name(q), expected.qubit_name(q)) << "qubit " << q;
+    }
+
+    const lp::EstimationResult both = pipe.run(lp::EstimationRequest(source, lp::RunMode::Both));
+    EXPECT_EQ(pipe.cache_stats().circuit_hits, 1u); // the entry resolved before the overwrite
+    EXPECT_EQ(&entry->ft(), &ft);
+    const lp::EstimationResult built = lp::Pipeline().run(
+        lp::EstimationRequest(lp::CircuitSource::from_circuit(expected), lp::RunMode::Both));
+    ASSERT_TRUE(both.mapping.has_value() && built.mapping.has_value());
+    EXPECT_EQ(both.mapping->latency_us, built.mapping->latency_us);
+    EXPECT_EQ(both.estimate->latency_us, built.estimate->latency_us);
+}
+
+TEST(PipelinePathSources, PreFtGateAfterAnFtPrefix) {
+    // 10,000 FT gates, then one Toffoli.  With synthesis on the stream
+    // stops at the Toffoli and the text is read again into a circuit that
+    // synthesizes; with synthesis off every gate reaches the tape and the
+    // kernel refuses the pre-FT graph, as for an inline circuit.
+    std::string text = ".name tail\n.qubits 3\n";
+    for (int i = 0; i < 10000; ++i) {
+        text += i % 3 == 0 ? "cnot q0, q1\n" : i % 3 == 1 ? "t q2\n" : "h q1\n";
+    }
+    text += "toffoli q0 q1 q2\n";
+    TempDir dir;
+    const std::string path = dir.file("tail.qasm");
+    write_text(path, text);
+    const lp::CircuitSource file = lp::CircuitSource::from_path(path);
+    const lp::CircuitSource circuit =
+        lp::CircuitSource::from_circuit(leqa::parser::parse_qasm(text));
+
+    const lp::EstimationResult streamed = lp::Pipeline().run(lp::EstimationRequest(file));
+    const lp::EstimationResult inline_run = lp::Pipeline().run(lp::EstimationRequest(circuit));
+    EXPECT_TRUE(streamed.circuit.synthesized);
+    EXPECT_EQ(streamed.circuit.name, "tail");
+    EXPECT_EQ(streamed.circuit.pre_ft_gates, 10001u);
+    EXPECT_EQ(streamed.circuit.ft_ops, inline_run.circuit.ft_ops);
+    EXPECT_EQ(estimate_json(streamed, inline_run), timeless_json(inline_run));
+
+    lp::PipelineConfig off;
+    off.auto_synthesize = false;
+    const auto message_of = [&](const lp::CircuitSource& source) {
+        try {
+            (void)lp::Pipeline(off).run(lp::EstimationRequest(source));
+        } catch (const InputError& e) {
+            return std::string(e.what());
+        }
+        return std::string("(estimated)");
+    };
+    EXPECT_NE(message_of(file).find("no FT delay for gate kind 'toffoli'"), std::string::npos)
+        << message_of(file);
+    EXPECT_EQ(message_of(file), message_of(circuit));
 }
 
 // ------------------------------------------------------------------ errors --

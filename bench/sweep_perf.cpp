@@ -18,8 +18,9 @@
 ///     the topology-generic coverage path must stay within 2x of grid;
 ///   - service overhead: warm per-request cost through the async
 ///     `service::Service` (1 worker, submit-all / wait-all) against direct
-///     `Pipeline::run` on the same warm session — the scheduler must stay
-///     under ~5% per-request overhead;
+///     `Pipeline::run` on the same warm session, as the median ratio over
+///     11 interleaved rounds — the scheduler must stay under ~5%
+///     per-request overhead;
 ///   - explore: the parallel multi-dimensional explorer on a 200-point
 ///     topology x side x Nc x v cross-product at 1/2/4 worker threads —
 ///     points/sec, speedup vs the serial evaluation, and a bit-identity
@@ -65,6 +66,7 @@
 #include "core/leqa.h"
 #include "harness.h"
 #include "iig/iig.h"
+#include "mathx/stats.h"
 #include "parser/io.h"
 #include "parser/qasm.h"
 #include "pipeline/pipeline.h"
@@ -314,24 +316,31 @@ int main() {
     // run still builds a fresh engine and computes E[S_q]), isolating pure
     // scheduling cost (job alloc + queue + worker handoff + result
     // delivery) in the daemon's steady-state shape (submit a batch, then
-    // collect).
+    // collect).  Host drift between two separately timed blocks moves
+    // their ratio, so the rounds interleave: each times a direct block,
+    // then a service block, and the ratio is the median of the per-round
+    // ratios.
     const int service_reps = 64;
+    const int service_rounds = 11;
     auto session = std::make_shared<pipeline::Pipeline>();
     pipeline::EstimationRequest warm_request(source);
     (void)session->run(warm_request); // populate circuit + graphs
-
-    const double direct_req_s = best_of(5, [&] {
-        for (int rep = 0; rep < service_reps; ++rep) {
-            (void)session->run(warm_request);
-        }
-    }) / service_reps;
 
     service::ServiceOptions service_options;
     service_options.threads = 1;
     service::Service svc(session, service_options);
     std::vector<service::JobHandle> handles(
         static_cast<std::size_t>(service_reps));
-    const double service_req_s = best_of(5, [&] {
+    std::vector<double> direct_times;
+    std::vector<double> service_times;
+    std::vector<double> service_ratios;
+    for (int round = 0; round < service_rounds; ++round) {
+        const util::Stopwatch direct_clock;
+        for (int rep = 0; rep < service_reps; ++rep) {
+            (void)session->run(warm_request);
+        }
+        const double direct = direct_clock.seconds() / service_reps;
+        const util::Stopwatch service_clock;
         for (int rep = 0; rep < service_reps; ++rep) {
             handles[static_cast<std::size_t>(rep)] = svc.submit(warm_request);
         }
@@ -340,9 +349,14 @@ int main() {
         for (auto it = handles.rbegin(); it != handles.rend(); ++it) {
             (void)it->wait();
         }
-    }) / service_reps;
-    const double service_overhead =
-        direct_req_s > 0.0 ? service_req_s / direct_req_s : 0.0;
+        const double served = service_clock.seconds() / service_reps;
+        direct_times.push_back(direct);
+        service_times.push_back(served);
+        service_ratios.push_back(direct > 0.0 ? served / direct : 0.0);
+    }
+    const double direct_req_s = mathx::percentile(direct_times, 50.0);
+    const double service_req_s = mathx::percentile(service_times, 50.0);
+    const double service_overhead = mathx::percentile(service_ratios, 50.0);
 
     // --- parallel explore: cross-product scaling at 1/2/4 threads ----------
     // 2 topologies x 10 sides x 2 capacities x 5 speeds = 200 points, the
@@ -553,7 +567,8 @@ int main() {
         std::printf("  %-5s : %.3e s/point  (%.2fx grid), warm sweep %.4f s\n",
                     row.name.c_str(), row.point_s, row.vs_grid, row.warm_s);
     }
-    std::printf("service overhead (warm, 1 worker, %d requests):\n", service_reps);
+    std::printf("service overhead (warm, 1 worker, %d rounds of %d requests, medians):\n",
+                service_rounds, service_reps);
     std::printf("  direct Pipeline::run : %.3e s/request\n", direct_req_s);
     std::printf("  Service submit+wait  : %.3e s/request  (%.3fx direct)\n",
                 service_req_s, service_overhead);
@@ -630,6 +645,7 @@ int main() {
     json.end_array();
     json.key("service_overhead").begin_object();
     json.kv("requests", static_cast<long long>(service_reps));
+    json.kv("rounds", static_cast<long long>(service_rounds));
     json.kv("direct_per_request_s", direct_req_s);
     json.kv("service_per_request_s", service_req_s);
     json.kv("overhead_ratio", service_overhead);

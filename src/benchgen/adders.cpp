@@ -45,6 +45,7 @@ circuit::Circuit vbe_adder(int n) {
     circ.add_comment("generator: vbe_adder n=" + std::to_string(n));
     circ.add_comment("function: b <- (a + b) mod 2^" + std::to_string(n) +
                      "; carries restored to 0");
+    circ.reserve_gates(vbe_adder_counts(n).total());
 
     const auto wires = [&](int i) {
         AdderWires w;

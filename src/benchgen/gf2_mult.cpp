@@ -47,6 +47,7 @@ circuit::Circuit gf2_mult(const Gf2MultSpec& spec) {
     circ.add_comment("generator: gf2_mult n=" + std::to_string(n));
     circ.add_comment("reduction polynomial: " + poly_to_string(n, middle));
     circ.add_comment("garbage: b register ends as b * x^(n-1) mod p");
+    circ.reserve_gates(gf2_mult_gate_count(n, middle.size()));
 
     const auto a_wire = [&](int i) { return static_cast<circuit::Qubit>(i); };
     const auto c_wire = [&](int i) { return static_cast<circuit::Qubit>(2 * n + i); };

@@ -67,6 +67,7 @@ circuit::Circuit surrogate_benchmark(const SurrogateSpec& spec) {
     circ.add_comment("targets: qubits=" + std::to_string(spec.target_qubits) +
                      " ft_ops=" + std::to_string(spec.target_ft_ops) +
                      " seed=" + std::to_string(spec.seed));
+    circ.reserve_gates(plan.four_control + plan.three_control + plan.toffoli3 + plan.cnots);
 
     const auto n = spec.base_qubits;
     // Deterministic interleave of the four gate classes, hwb-style: a

@@ -10,21 +10,6 @@
 namespace leqa::circuit {
 
 namespace {
-// Indexed by GateKind.  max_controls == -1 means unbounded.
-constexpr std::array<GateInfo, kGateKindCount> kGateTable = {{
-    /* X       */ {"x", 0, 0, 1, true, true, true},
-    /* Y       */ {"y", 0, 0, 1, true, false, true},
-    /* Z       */ {"z", 0, 0, 1, true, false, true},
-    /* H       */ {"h", 0, 0, 1, true, false, true},
-    /* S       */ {"s", 0, 0, 1, true, false, false},
-    /* Sdg     */ {"sdg", 0, 0, 1, true, false, false},
-    /* T       */ {"t", 0, 0, 1, true, false, false},
-    /* Tdg     */ {"tdg", 0, 0, 1, true, false, false},
-    /* Cnot    */ {"cnot", 1, 1, 1, true, true, true},
-    /* Toffoli */ {"toffoli", 1, -1, 1, false, true, true},
-    /* Fredkin */ {"fredkin", 1, -1, 2, false, true, true},
-    /* Swap    */ {"swap", 0, 0, 2, false, true, true},
-}};
 
 struct Alias {
     std::string_view name;
@@ -62,10 +47,6 @@ bool has_duplicate(std::span<const Qubit> qubits) {
 
 } // namespace
 
-const GateInfo& gate_info(GateKind kind) {
-    return kGateTable[static_cast<std::size_t>(kind)];
-}
-
 std::string gate_name(GateKind kind) { return gate_info(kind).name; }
 
 std::optional<GateKind> find_gate_name(std::string_view name) {
@@ -83,24 +64,18 @@ GateKind parse_gate_name(std::string_view name) {
     throw util::InputError("unknown gate mnemonic: " + std::string(name));
 }
 
-Gate::Gate(GateKind k, std::span<const Qubit> controls, std::span<const Qubit> targets)
-    : kind(k) {
+void Gate::spill(std::span<const Qubit> controls, std::span<const Qubit> targets) {
     LEQA_REQUIRE(controls.size() <= std::numeric_limits<std::uint16_t>::max() &&
                      targets.size() <= std::numeric_limits<std::uint8_t>::max(),
-                 std::string(gate_info(k).name) + ": too many operands");
+                 std::string(gate_info(kind).name) + ": too many operands");
     num_controls_ = static_cast<std::uint16_t>(controls.size());
     num_targets_ = static_cast<std::uint8_t>(targets.size());
-    Qubit* out = inline_.data();
-    if (arity() > kInlineQubits) {
-        spill_.resize(arity());
-        out = spill_.data();
-    }
-    std::copy(targets.begin(), targets.end(), std::copy(controls.begin(), controls.end(), out));
+    spill_.resize(arity());
+    std::copy(targets.begin(), targets.end(),
+              std::copy(controls.begin(), controls.end(), spill_.begin()));
 }
 
-bool Gate::is_ft() const { return gate_info(kind).is_ft; }
-
-void Gate::validate() const {
+void Gate::validate_slow() const {
     const GateInfo& info = gate_info(kind);
     const int n_controls = num_controls_;
     const int n_targets = num_targets_;
@@ -113,13 +88,11 @@ void Gate::validate() const {
     LEQA_REQUIRE(!has_duplicate(qubits()), std::string(info.name) + ": duplicate qubit operand");
 }
 
-void Gate::validate_against(std::size_t num_qubits) const {
-    validate();
-    for (const Qubit q : qubits()) {
-        LEQA_REQUIRE(q < num_qubits,
-                     "qubit index " + std::to_string(q) + " out of range (circuit has " +
-                         std::to_string(num_qubits) + " qubits)");
-    }
+void Gate::throw_out_of_range(Qubit q, std::size_t num_qubits) {
+    // The message in LEQA_REQUIRE's form, like every other check's.
+    throw util::InputError("requirement failed: qubit index " + std::to_string(q) +
+                           " out of range (circuit has " + std::to_string(num_qubits) +
+                           " qubits)");
 }
 
 std::string Gate::to_string() const {
@@ -137,34 +110,6 @@ std::string Gate::to_string() const {
         first = false;
     }
     return out.str();
-}
-
-namespace {
-Gate one_qubit(GateKind kind, Qubit q) {
-    const Qubit target[] = {q};
-    return Gate(kind, {}, target);
-}
-} // namespace
-
-Gate make_x(Qubit q) { return one_qubit(GateKind::X, q); }
-Gate make_y(Qubit q) { return one_qubit(GateKind::Y, q); }
-Gate make_z(Qubit q) { return one_qubit(GateKind::Z, q); }
-Gate make_h(Qubit q) { return one_qubit(GateKind::H, q); }
-Gate make_s(Qubit q) { return one_qubit(GateKind::S, q); }
-Gate make_sdg(Qubit q) { return one_qubit(GateKind::Sdg, q); }
-Gate make_t(Qubit q) { return one_qubit(GateKind::T, q); }
-Gate make_tdg(Qubit q) { return one_qubit(GateKind::Tdg, q); }
-
-Gate make_cnot(Qubit control, Qubit target) {
-    const Qubit c[] = {control};
-    const Qubit t[] = {target};
-    return Gate(GateKind::Cnot, c, t);
-}
-
-Gate make_toffoli(Qubit c0, Qubit c1, Qubit target) {
-    const Qubit c[] = {c0, c1};
-    const Qubit t[] = {target};
-    return Gate(GateKind::Toffoli, c, t);
 }
 
 Gate make_mcx(std::span<const Qubit> controls, Qubit target) {

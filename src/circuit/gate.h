@@ -55,8 +55,27 @@ struct GateInfo {
     bool is_self_inverse;    ///< U^2 = I
 };
 
+/// Per-kind metadata, indexed by GateKind.  max_controls == -1 means
+/// unbounded.
+inline constexpr std::array<GateInfo, kGateKindCount> kGateTable = {{
+    /* X       */ {"x", 0, 0, 1, true, true, true},
+    /* Y       */ {"y", 0, 0, 1, true, false, true},
+    /* Z       */ {"z", 0, 0, 1, true, false, true},
+    /* H       */ {"h", 0, 0, 1, true, false, true},
+    /* S       */ {"s", 0, 0, 1, true, false, false},
+    /* Sdg     */ {"sdg", 0, 0, 1, true, false, false},
+    /* T       */ {"t", 0, 0, 1, true, false, false},
+    /* Tdg     */ {"tdg", 0, 0, 1, true, false, false},
+    /* Cnot    */ {"cnot", 1, 1, 1, true, true, true},
+    /* Toffoli */ {"toffoli", 1, -1, 1, false, true, true},
+    /* Fredkin */ {"fredkin", 1, -1, 2, false, true, true},
+    /* Swap    */ {"swap", 0, 0, 2, false, true, true},
+}};
+
 /// Metadata lookup (never fails; kind is a closed enum).
-[[nodiscard]] const GateInfo& gate_info(GateKind kind);
+[[nodiscard]] constexpr const GateInfo& gate_info(GateKind kind) {
+    return kGateTable[static_cast<std::size_t>(kind)];
+}
 
 /// Canonical mnemonic, e.g. "cnot", "tdg".
 [[nodiscard]] std::string gate_name(GateKind kind);
@@ -80,6 +99,12 @@ struct GateInfo {
 ///
 /// Controls and targets must be disjoint and duplicate-free; Gate::validate
 /// enforces this.  For Fredkin the two swapped qubits are the targets.
+///
+/// Construction and the checks of an inline gate compile into their
+/// callers, so a producer's loop (synthesis, a netlist reader) pays no call
+/// per gate.  A spilled gate, and any gate that fails a check, takes the
+/// out-of-line path, which runs every check in order and throws the first
+/// failure's message.
 class Gate {
 public:
     /// Operands held in the record itself.
@@ -90,7 +115,18 @@ public:
     Gate() = default;
     /// Throws InputError for more than 65535 controls or 255 targets, far
     /// beyond any real netlist.
-    Gate(GateKind k, std::span<const Qubit> controls, std::span<const Qubit> targets);
+    Gate(GateKind k, std::span<const Qubit> controls, std::span<const Qubit> targets)
+        : kind(k) {
+        if (controls.size() + targets.size() > kInlineQubits) {
+            spill(controls, targets);
+            return;
+        }
+        num_controls_ = static_cast<std::uint16_t>(controls.size());
+        num_targets_ = static_cast<std::uint8_t>(targets.size());
+        Qubit* out = inline_.data();
+        for (const Qubit q : controls) *out++ = q;
+        for (const Qubit q : targets) *out++ = q;
+    }
 
     [[nodiscard]] std::span<const Qubit> controls() const { return {data(), num_controls_}; }
     [[nodiscard]] std::span<const Qubit> targets() const {
@@ -108,15 +144,22 @@ public:
     [[nodiscard]] bool is_two_qubit() const { return arity() == 2; }
 
     /// True if the gate is in the FT set {X,Y,Z,H,S,Sdg,T,Tdg,CNOT}.
-    [[nodiscard]] bool is_ft() const;
+    [[nodiscard]] bool is_ft() const { return gate_info(kind).is_ft; }
 
     /// Throws InputError if control/target counts are invalid for the kind,
     /// or if any qubit repeats.
-    void validate() const;
+    void validate() const {
+        if (!spill_.empty() || !inline_valid()) validate_slow();
+    }
 
     /// validate() plus: throws InputError if any qubit index is
     /// >= num_qubits.
-    void validate_against(std::size_t num_qubits) const;
+    void validate_against(std::size_t num_qubits) const {
+        validate();
+        for (const Qubit q : qubits()) {
+            if (q >= num_qubits) [[unlikely]] throw_out_of_range(q, num_qubits);
+        }
+    }
 
     /// Human-readable form, e.g. "toffoli q0, q1 -> q2".
     [[nodiscard]] std::string to_string() const;
@@ -128,6 +171,30 @@ private:
         return spill_.empty() ? inline_.data() : spill_.data();
     }
 
+    /// validate() of an inline gate: the counts fit the kind and no inline
+    /// operand repeats.
+    [[nodiscard]] bool inline_valid() const {
+        const GateInfo& info = gate_info(kind);
+        if (num_controls_ < info.min_controls ||
+            (info.max_controls >= 0 && num_controls_ > info.max_controls) ||
+            num_targets_ != info.targets) {
+            return false;
+        }
+        const Qubit* q = inline_.data();
+        switch (arity()) {
+            case 3: return q[0] != q[1] && q[0] != q[2] && q[1] != q[2];
+            case 2: return q[0] != q[1];
+            default: return true;
+        }
+    }
+
+    /// The constructor's path for more than kInlineQubits operands.
+    void spill(std::span<const Qubit> controls, std::span<const Qubit> targets);
+    /// Every check of validate(), in order: throws the first failure, or
+    /// returns for a valid spilled gate.
+    void validate_slow() const;
+    [[noreturn]] static void throw_out_of_range(Qubit q, std::size_t num_qubits);
+
     std::uint8_t num_targets_ = 0;
     std::uint16_t num_controls_ = 0;
     std::array<Qubit, kInlineQubits> inline_{};
@@ -137,16 +204,21 @@ private:
 static_assert(sizeof(Gate) <= 40, "Gate must stay a 40-byte record");
 
 /// Convenience constructors for the common gates.
-[[nodiscard]] Gate make_x(Qubit q);
-[[nodiscard]] Gate make_y(Qubit q);
-[[nodiscard]] Gate make_z(Qubit q);
-[[nodiscard]] Gate make_h(Qubit q);
-[[nodiscard]] Gate make_s(Qubit q);
-[[nodiscard]] Gate make_sdg(Qubit q);
-[[nodiscard]] Gate make_t(Qubit q);
-[[nodiscard]] Gate make_tdg(Qubit q);
-[[nodiscard]] Gate make_cnot(Qubit control, Qubit target);
-[[nodiscard]] Gate make_toffoli(Qubit c0, Qubit c1, Qubit target);
+[[nodiscard]] inline Gate make_x(Qubit q) { return Gate(GateKind::X, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_y(Qubit q) { return Gate(GateKind::Y, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_z(Qubit q) { return Gate(GateKind::Z, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_h(Qubit q) { return Gate(GateKind::H, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_s(Qubit q) { return Gate(GateKind::S, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_sdg(Qubit q) { return Gate(GateKind::Sdg, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_t(Qubit q) { return Gate(GateKind::T, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_tdg(Qubit q) { return Gate(GateKind::Tdg, {}, {&q, 1}); }
+[[nodiscard]] inline Gate make_cnot(Qubit control, Qubit target) {
+    return Gate(GateKind::Cnot, {&control, 1}, {&target, 1});
+}
+[[nodiscard]] inline Gate make_toffoli(Qubit c0, Qubit c1, Qubit target) {
+    const Qubit controls[] = {c0, c1};
+    return Gate(GateKind::Toffoli, controls, {&target, 1});
+}
 /// k-controlled X; a single control yields a CNOT.
 [[nodiscard]] Gate make_mcx(std::span<const Qubit> controls, Qubit target);
 [[nodiscard]] Gate make_fredkin(Qubit control, Qubit a, Qubit b);

@@ -1,5 +1,6 @@
 #include "parser/io.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -37,6 +38,8 @@ void write_file(const std::string& path, const std::string& text) {
 
 circuit::Circuit parse_netlist(std::string_view text, const std::string& path) {
     circuit::Circuit circ;
+    // A QASM-subset or .real line holds at most one gate.
+    circ.reserve_gates(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
     parse_netlist_into(text, path, circ);
     return circ;
 }

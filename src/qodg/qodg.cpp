@@ -49,32 +49,15 @@ bool Qodg::Builder::is_ft() const {
     return true;
 }
 
-void Qodg::Builder::add_gate(const circuit::Gate& gate) {
-    gate.validate_against(last_.size());
-    const auto me = static_cast<NodeId>(delay_row_.size());
-    const std::span<const circuit::Qubit> qubits = gate.qubits();
-    if (qubits.size() <= 2) {
-        // The operand pair of the lane kernel: the one whose last node has
-        // the lower id first, (q, q) for a one-qubit op.  The predecessor
-        // row, those last nodes once each, ascending, follows from it.
-        circuit::Qubit first = qubits.front();
-        circuit::Qubit second = qubits.back();
-        if (last_[second] < last_[first]) std::swap(first, second);
-        operands_.push_back({first, second});
-        if (first != second) ++num_two_qubit_ops_;
-    } else {
-        // A pre-FT gate on three or more qubits: the lane kernel rejects
-        // the graph, and the CSR views and the interaction graph read the
-        // full operand list from the side table.
-        const auto begin = static_cast<std::uint32_t>(wide_qubits_.size());
-        wide_qubits_.insert(wide_qubits_.end(), qubits.begin(), qubits.end());
-        wide_ops_.push_back({static_cast<std::uint32_t>(operands_.size()), begin,
-                             static_cast<std::uint32_t>(wide_qubits_.size())});
-        operands_.push_back({qubits[0], qubits[0]});
-    }
-    for (const circuit::Qubit q : qubits) last_[q] = me;
-    delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
-    ++gate_counts_[static_cast<std::size_t>(gate.kind)];
+void Qodg::Builder::add_wide_op(std::span<const circuit::Qubit> qubits) {
+    // A pre-FT gate on three or more qubits: the lane kernel rejects the
+    // graph, and the CSR views and the interaction graph read the full
+    // operand list from the side table.
+    const auto begin = static_cast<std::uint32_t>(wide_qubits_.size());
+    wide_qubits_.insert(wide_qubits_.end(), qubits.begin(), qubits.end());
+    wide_ops_.push_back({static_cast<std::uint32_t>(operands_.size()), begin,
+                         static_cast<std::uint32_t>(wide_qubits_.size())});
+    operands_.push_back({qubits[0], qubits[0]});
 }
 
 Qodg::Qodg(Builder&& builder)
@@ -153,20 +136,17 @@ const Qodg::Views& Qodg::views() const {
 }
 
 iig::Iig Qodg::interaction_graph() const {
-    std::vector<std::pair<circuit::Qubit, circuit::Qubit>> pairs;
-    pairs.reserve(num_two_qubit_ops_);
-    for (const auto& [first, second] : operands_) {
-        if (first != second) pairs.emplace_back(first, second);
-    }
-    for (const WideOp& op : wide_ops_) {
-        const std::span<const circuit::Qubit> qubits = wide_operands(op);
-        for (std::size_t a = 0; a < qubits.size(); ++a) {
-            for (std::size_t b = a + 1; b < qubits.size(); ++b) {
-                pairs.emplace_back(qubits[a], qubits[b]);
+    return iig::Iig::from_pairs(num_qubits_, [this](const auto& visit) {
+        for (const auto& [first, second] : operands_) {
+            if (first != second) visit(first, second);
+        }
+        for (const WideOp& op : wide_ops_) {
+            const std::span<const circuit::Qubit> qubits = wide_operands(op);
+            for (std::size_t a = 0; a < qubits.size(); ++a) {
+                for (std::size_t b = a + 1; b < qubits.size(); ++b) visit(qubits[a], qubits[b]);
             }
         }
-    }
-    return iig::Iig(num_qubits_, pairs);
+    });
 }
 
 void Qodg::check_node(NodeId id) const {

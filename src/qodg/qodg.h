@@ -28,6 +28,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -105,8 +106,30 @@ public:
         /// Append a qubit; the name is not kept.  Returns its index.
         circuit::Qubit add_qubit(std::string_view name = {});
         /// Append a gate after validating it against the qubit count
-        /// (InputError on invalid operands, as Circuit::add_gate).
-        void add_gate(const circuit::Gate& gate);
+        /// (InputError on invalid operands, as Circuit::add_gate).  Inline,
+        /// so a producer's loop compiles it in; only a gate on three or
+        /// more qubits (pre-FT input) calls out, to fill the side table.
+        void add_gate(const circuit::Gate& gate) {
+            gate.validate_against(last_.size());
+            const auto me = static_cast<NodeId>(delay_row_.size());
+            const std::span<const circuit::Qubit> qubits = gate.qubits();
+            if (qubits.size() <= 2) [[likely]] {
+                // The operand pair of the lane kernel: the one whose last
+                // node has the lower id first, (q, q) for a one-qubit op.
+                // The predecessor row, those last nodes once each,
+                // ascending, follows from it.
+                circuit::Qubit first = qubits.front();
+                circuit::Qubit second = qubits.back();
+                if (last_[second] < last_[first]) std::swap(first, second);
+                operands_.push_back({first, second});
+                if (first != second) ++num_two_qubit_ops_;
+            } else {
+                add_wide_op(qubits);
+            }
+            for (const circuit::Qubit q : qubits) last_[q] = me;
+            delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
+            ++gate_counts_[static_cast<std::size_t>(gate.kind)];
+        }
         /// Reserve room for \p gates gates in total.
         void reserve_gates(std::size_t gates);
 
@@ -118,6 +141,9 @@ public:
 
     private:
         friend class Qodg;
+
+        /// add_gate's tape entries for an op on three or more qubits.
+        void add_wide_op(std::span<const circuit::Qubit> qubits);
 
         std::vector<std::uint16_t> delay_row_; ///< start's row, then one per op
         std::vector<OperandPair> operands_;
@@ -175,9 +201,10 @@ public:
         return views().predecessors;
     }
 
-    /// The IIG (§3.1) from the tape: weight 1 per two-qubit op to its
-    /// pair, and to every operand pair of a wider op, as iig::Iig collects
-    /// them from the circuit, so both give the same edges.
+    /// The IIG statistics (§3.1) read from the tape in one pass: weight 1
+    /// per two-qubit op to its pair, and to every operand pair of a wider
+    /// op, as iig::Iig collects them from the circuit, so both give the
+    /// same M_i, W_i and |E|.
     [[nodiscard]] iig::Iig interaction_graph() const;
 
     /// Node id of the i-th gate: gates map to ids 1..N in program order, so

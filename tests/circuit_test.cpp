@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "qodg/qodg.h"
 #include "util/error.h"
 
 namespace lc = leqa::circuit;
@@ -159,6 +160,86 @@ TEST(Gate, DuplicateAndRangeChecksInlineAndSpilled) {
     EXPECT_THROW(circ.add_gate(lc::make_mcx(std::vector<lc::Qubit>{0, 1, 2, 3}, 5)),
                  InputError);
     EXPECT_TRUE(circ.empty());
+}
+
+namespace {
+
+/// what() of the InputError \p body throws, or "" if it throws none.
+template <class Body>
+std::string message_of(Body&& body) {
+    try {
+        body();
+    } catch (const InputError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Gate, MessagesThroughBothOutputs) {
+    // Each gate fails the first check in order (counts, duplicates, range)
+    // with the same message from validate_against, Circuit::add_gate and
+    // the QODG's tape, and neither output keeps it.
+    struct Case {
+        lc::Gate gate;
+        std::size_t num_qubits;
+        std::string message;
+    };
+    const std::vector<lc::Qubit> none;
+    const std::vector<lc::Qubit> one{0};
+    const std::vector<lc::Qubit> two{0, 1};
+    const std::vector<lc::Qubit> three{0, 1, 2};
+    const std::vector<lc::Qubit> last{3};
+    const std::vector<Case> cases{
+        {lc::Gate(lc::GateKind::Toffoli, none, last), 4, "toffoli: too few controls"},
+        {lc::Gate(lc::GateKind::Cnot, two, last), 4, "cnot: too many controls"},
+        {lc::Gate(lc::GateKind::H, one, last), 4, "h: too many controls"},
+        {lc::Gate(lc::GateKind::H, none, none), 4, "h: wrong number of targets"},
+        {lc::Gate(lc::GateKind::Swap, none, one), 4, "swap: wrong number of targets"},
+        {lc::Gate(lc::GateKind::Fredkin, three, last), 4, "fredkin: wrong number of targets"},
+        {lc::Gate(lc::GateKind::Cnot, two, two), 9, "cnot: too many controls"},
+        {lc::make_cnot(1, 1), 4, "cnot: duplicate qubit operand"},
+        {lc::make_cnot(7, 7), 4, "cnot: duplicate qubit operand"},
+        {lc::make_toffoli(0, 2, 2), 4, "toffoli: duplicate qubit operand"},
+        {lc::make_swap(3, 3), 4, "swap: duplicate qubit operand"},
+        {lc::make_fredkin(2, 1, 2), 4, "fredkin: duplicate qubit operand"},
+        {lc::make_mcx(three, 1), 4, "toffoli: duplicate qubit operand"},
+        {lc::make_cnot(0, 5), 3, "qubit index 5 out of range (circuit has 3 qubits)"},
+        {lc::make_h(3), 3, "qubit index 3 out of range (circuit has 3 qubits)"},
+        {lc::make_toffoli(4, 1, 9), 3, "qubit index 4 out of range (circuit has 3 qubits)"},
+        {lc::make_mcx(three, 7), 4, "qubit index 7 out of range (circuit has 4 qubits)"},
+        {lc::make_mcswap(two, 6, 5), 5, "qubit index 6 out of range (circuit has 5 qubits)"},
+        {lc::make_x(0), 0, "qubit index 0 out of range (circuit has 0 qubits)"},
+    };
+    for (const Case& c : cases) {
+        const std::string expected = "requirement failed: " + c.message;
+        const std::string what = c.gate.to_string();
+        EXPECT_EQ(message_of([&] { c.gate.validate_against(c.num_qubits); }), expected) << what;
+        lc::Circuit circ(c.num_qubits);
+        EXPECT_EQ(message_of([&] { circ.add_gate(c.gate); }), expected) << what;
+        EXPECT_TRUE(circ.empty()) << what;
+        leqa::qodg::Qodg::Builder tape;
+        for (std::size_t q = 0; q < c.num_qubits; ++q) (void)tape.add_qubit();
+        EXPECT_EQ(message_of([&] { tape.add_gate(c.gate); }), expected) << what;
+        EXPECT_EQ(tape.size(), 0u) << what;
+    }
+    // validate() runs the same checks, less the range.
+    EXPECT_EQ(message_of([&] { lc::make_mcx(three, 1).validate(); }),
+              "requirement failed: toffoli: duplicate qubit operand");
+    EXPECT_EQ(message_of([&] { lc::make_toffoli(0, 1, 9).validate(); }), "");
+
+    // Valid inline and spilled gates pass through both outputs.
+    lc::Circuit circ(6);
+    leqa::qodg::Qodg::Builder tape;
+    for (std::size_t q = 0; q < 6; ++q) (void)tape.add_qubit();
+    for (const lc::Gate& gate : {lc::make_h(5), lc::make_cnot(5, 0), lc::make_toffoli(0, 1, 2),
+                                 lc::make_mcx(three, 5), lc::make_mcswap(two, 4, 5)}) {
+        EXPECT_EQ(message_of([&] { circ.add_gate(gate); }), "") << gate.to_string();
+        EXPECT_EQ(message_of([&] { tape.add_gate(gate); }), "") << gate.to_string();
+    }
+    EXPECT_EQ(circ.size(), 5u);
+    EXPECT_EQ(tape.size(), 5u);
 }
 
 TEST(Circuit, FindQubitByView) {

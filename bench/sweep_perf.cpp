@@ -36,6 +36,11 @@
 ///     push-based longest path over the same delays).  The push-based
 ///     loop is timed too: `reference_speedup` is its per-point cost over
 ///     the batched one, a same-box ratio that a slower lane kernel lowers;
+///   - front end: the cold circuit's tape built two ways, its FT circuit
+///     fed gate by gate into a `qodg::Qodg::Builder` and `synthesize_into`
+///     a Builder from its pre-FT circuit; `synth_vs_feed_speedup` is the
+///     feed time over the synthesis time, and `tape_parity_ok` checks that
+///     the two graphs' `to_dot()` and gate counts are equal;
 ///   - allocations: a counting global `operator new` (this binary only)
 ///     records allocations and bytes per FT op of a cold `Pipeline::run`
 ///     of bench:gf2^64mult (full size under every knob), of the same
@@ -72,6 +77,7 @@
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
 #include "service/service.h"
+#include "synth/decompose.h"
 #include "synth/ft_synth.h"
 #include "util/env.h"
 #include "util/json.h"
@@ -510,13 +516,11 @@ int main() {
         cold_ft_ops = result.circuit.ft_ops;
     });
     // The same circuit as an FT netlist file, estimated with synthesis off.
+    const circuit::Circuit cold_pre_ft = pipeline::CircuitSource::from_bench(cold_circuit).load();
+    const circuit::Circuit cold_ft = synth::ft_synthesize(cold_pre_ft).circuit;
     const std::string cold_ft_path =
         (std::filesystem::temp_directory_path() / "leqa_sweep_perf_cold_ft.qasm").string();
-    parser::write_file(
-        cold_ft_path,
-        parser::write_qasm(
-            synth::ft_synthesize(pipeline::CircuitSource::from_bench(cold_circuit).load())
-                .circuit));
+    parser::write_file(cold_ft_path, parser::write_qasm(cold_ft));
     std::size_t cold_file_ft_ops = 0;
     const AllocationCount cold_file_allocations = count_allocations([&] {
         pipeline::PipelineConfig config;
@@ -527,6 +531,32 @@ int main() {
         cold_file_ft_ops = result.circuit.ft_ops;
     });
     std::filesystem::remove(cold_ft_path);
+
+    // --- front end: synthesis into the tape vs feeding its FT circuit ------
+    // Two ways to build the same tape for the cold circuit, timed after the
+    // cold counts above so they stay cold: its FT circuit fed gate by gate
+    // into a Qodg::Builder, as Qodg(circuit) does, and synthesize_into a
+    // Builder from its pre-FT circuit, which writes each lowered Toffoli as
+    // one block.  Both include freezing the tape.  Synthesis does more work
+    // per op, so it reads below 1 when it too appends gate by gate (0.69-0.75
+    // on a shared 4-vCPU VM).  The rounds interleave, so host drift moves
+    // both minima alike.
+    const auto synthesize_tape = [&] {
+        qodg::Qodg::Builder tape;
+        (void)synth::synthesize_into(cold_pre_ft, {}, tape);
+        return qodg::Qodg(std::move(tape));
+    };
+    double feed_s = 1e300;
+    double synth_s = 1e300;
+    for (int round = 0; round < 30; ++round) {
+        feed_s = std::min(feed_s, best_of(1, [&] { (void)qodg::Qodg(cold_ft); }));
+        synth_s = std::min(synth_s, best_of(1, [&] { (void)synthesize_tape(); }));
+    }
+    const double synth_vs_feed = synth_s > 0.0 ? feed_s / synth_s : 0.0;
+    const qodg::Qodg fed_tape(cold_ft);
+    const qodg::Qodg synthesized_tape = synthesize_tape();
+    const bool tape_parity_ok = fed_tape.gate_counts() == synthesized_tape.gate_counts() &&
+                                fed_tape.to_dot() == synthesized_tape.to_dot();
 
     // Toolchain note: vectorization silently turning off (an -O0 build, or
     // a compiler losing the SIMD lanes) shows up here, next to the ratio it
@@ -592,6 +622,13 @@ int main() {
                 reference_axis_point_s, reference_speedup);
     std::printf("  toolchain: %s, simd %s, optimized %s\n", __VERSION__, simd,
                 optimized ? "yes" : "NO");
+    std::printf("front end, %s (%zu FT ops), best of 30 interleaved rounds:\n", cold_circuit,
+                cold_ft.size());
+    std::printf("  FT circuit fed to a builder : %.2f ns/op\n",
+                1e9 * feed_s / static_cast<double>(cold_ft.size()));
+    std::printf("  synthesis into the tape     : %.2f ns/op  (%.2fx, tape parity %s)\n",
+                1e9 * synth_s / static_cast<double>(cold_ft.size()), synth_vs_feed,
+                tape_parity_ok ? "ok" : "BROKEN");
     std::printf("allocations:\n");
     std::printf("  cold run, %s (%zu FT ops): %zu allocations, %zu bytes "
                 "(%.4f and %.1f per FT op)\n",
@@ -681,6 +718,14 @@ int main() {
     json.kv("simd", simd);
     json.kv("optimized", optimized);
     json.end_object();
+    json.end_object();
+    json.key("front_end").begin_object();
+    json.kv("circuit", cold_circuit);
+    json.kv("ft_ops", cold_ft.size());
+    json.kv("feed_per_op_s", feed_s / static_cast<double>(cold_ft.size()));
+    json.kv("synth_per_op_s", synth_s / static_cast<double>(cold_ft.size()));
+    json.kv("synth_vs_feed_speedup", synth_vs_feed);
+    json.kv("tape_parity_ok", tape_parity_ok);
     json.end_object();
     json.key("allocations").begin_object();
     json.key("cold_run").begin_object();

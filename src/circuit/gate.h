@@ -100,11 +100,10 @@ inline constexpr std::array<GateInfo, kGateKindCount> kGateTable = {{
 /// Controls and targets must be disjoint and duplicate-free; Gate::validate
 /// enforces this.  For Fredkin the two swapped qubits are the targets.
 ///
-/// Construction and the checks of an inline gate compile into their
-/// callers, so a producer's loop (synthesis, a netlist reader) pays no call
-/// per gate.  A spilled gate, and any gate that fails a check, takes the
-/// out-of-line path, which runs every check in order and throws the first
-/// failure's message.
+/// Construction and the checks of an inline gate are defined here; a
+/// spilled gate, and any gate that fails a check, takes the out-of-line
+/// path, which runs every check in order and throws the first failure's
+/// message.
 class Gate {
 public:
     /// Operands held in the record itself.
@@ -202,6 +201,20 @@ private:
 };
 
 static_assert(sizeof(Gate) <= 40, "Gate must stay a 40-byte record");
+
+/// One gate of a fixed network, written over operand slots instead of
+/// qubits: a one-qubit gate on slot `first` (`second == first`), or a
+/// two-qubit gate from control slot `first` to target slot `second`.
+struct NetworkStep {
+    GateKind kind = GateKind::X;
+    std::uint8_t first = 0;
+    std::uint8_t second = 0;
+    [[nodiscard]] constexpr bool one_qubit() const { return first == second; }
+    [[nodiscard]] Gate gate(std::span<const Qubit> slots) const {
+        return Gate(kind, one_qubit() ? slots.first(0) : slots.subspan(first, 1),
+                    slots.subspan(second, 1));
+    }
+};
 
 /// Convenience constructors for the common gates.
 [[nodiscard]] inline Gate make_x(Qubit q) { return Gate(GateKind::X, {}, {&q, 1}); }

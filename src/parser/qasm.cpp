@@ -1,6 +1,6 @@
 #include "parser/qasm.h"
 
-#include <sstream>
+#include <string>
 
 #include "parser/readers.h"
 
@@ -13,37 +13,32 @@ circuit::Circuit parse_qasm(std::string_view text, const std::string& source_nam
 }
 
 std::string write_qasm(const circuit::Circuit& circ) {
-    std::ostringstream out;
-    for (const auto& comment : circ.comments()) out << "# " << comment << '\n';
-    if (!circ.name().empty()) out << ".name " << circ.name() << '\n';
+    std::string out;
+    out.reserve(64 + 16 * circ.size()); // a mnemonic and two short names per gate
+    for (const std::string& comment : circ.comments()) out.append("# ").append(comment) += '\n';
+    if (!circ.name().empty()) out.append(".name ").append(circ.name()) += '\n';
 
     // If all qubit names are the default q0..qN-1 pattern, use the compact
     // .qubits directive; otherwise declare each name.
     bool default_names = true;
-    for (circuit::Qubit q = 0; q < circ.num_qubits(); ++q) {
-        if (circ.qubit_name(q) != "q" + std::to_string(q)) {
-            default_names = false;
-            break;
-        }
+    for (circuit::Qubit q = 0; default_names && q < circ.num_qubits(); ++q) {
+        default_names = circ.qubit_name(q) == "q" + std::to_string(q);
     }
-    if (default_names) {
-        out << ".qubits " << circ.num_qubits() << '\n';
-    } else {
-        for (circuit::Qubit q = 0; q < circ.num_qubits(); ++q) {
-            out << "qubit " << circ.qubit_name(q) << '\n';
-        }
+    if (default_names) out.append(".qubits ").append(std::to_string(circ.num_qubits())) += '\n';
+    for (circuit::Qubit q = 0; !default_names && q < circ.num_qubits(); ++q) {
+        out.append("qubit ").append(circ.qubit_name(q)) += '\n';
     }
 
     for (const circuit::Gate& g : circ.gates()) {
-        out << circuit::gate_name(g.kind);
-        bool first = true;
+        out.append(circuit::gate_info(g.kind).name);
+        const char* separator = " ";
         for (const circuit::Qubit q : g.qubits()) {
-            out << (first ? " " : ", ") << circ.qubit_name(q);
-            first = false;
+            out.append(separator).append(circ.qubit_name(q));
+            separator = ", ";
         }
-        out << '\n';
+        out += '\n';
     }
-    return out.str();
+    return out;
 }
 
 } // namespace leqa::parser

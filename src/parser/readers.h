@@ -38,7 +38,20 @@
 
 namespace leqa::parser {
 
+/// The most qubits a netlist may declare (hwb200ps, the largest suite
+/// circuit, has 3,145 after synthesis).
+inline constexpr std::size_t kMaxDeclaredQubits = std::size_t{1} << 20;
+
 namespace detail {
+
+/// Throws, naming \p directive, if \p count more qubits pass the bound.
+template <class Error>
+void check_declared(std::size_t declared, long long count, const char* directive,
+                    const Error& error) {
+    if (static_cast<unsigned long long>(count) <= kMaxDeclaredQubits - declared) return;
+    throw error(std::string(directive) + " would declare more than " +
+                std::to_string(kMaxDeclaredQubits) + " qubits");
+}
 
 /// The lines of a QASM-subset text, each scanned once: tokens are cut as
 /// the scan reaches them, and a comment ('#' or "//") or the line end stops
@@ -265,6 +278,7 @@ void parse_qasm_into(std::string_view text, const std::string& source_name, Out&
                 const auto count = util::parse_int(arg);
                 if (!count || *count < 0) throw error(".qubits expects a non-negative integer");
                 if (qubits_declared || names.size() > 0) throw error("qubits already declared");
+                detail::check_declared(0, *count, ".qubits", error);
                 for (long long i = 0; i < *count; ++i) {
                     detail::add_qubit(names, out, "q" + std::to_string(i), error);
                 }
@@ -274,6 +288,7 @@ void parse_qasm_into(std::string_view text, const std::string& source_name, Out&
                 if (!util::is_identifier(arg)) {
                     throw error("invalid qubit name '" + excerpt(arg) + "'");
                 }
+                detail::check_declared(names.size(), 1, "qubit", error);
                 detail::add_qubit(names, out, arg, error);
             } else {
                 throw error("unknown directive '" + excerpt(head) + "'");
@@ -338,10 +353,11 @@ void parse_real_into(std::string_view text, const std::string& source_name, Out&
                 if (!n || *n < 0) throw error(".numvars expects a non-negative integer");
                 declared_vars = *n;
             } else if (util::iequals(head, ".variables")) {
-                if (declared_vars >= 0 &&
-                    static_cast<long long>(lex::count_tokens(rest)) != declared_vars) {
+                const auto count = static_cast<long long>(lex::count_tokens(rest));
+                if (declared_vars >= 0 && count != declared_vars) {
                     throw error(".variables count does not match .numvars");
                 }
+                detail::check_declared(names.size(), count, ".variables", error);
                 for (std::string_view name = lex::next_token(rest); !name.empty();
                      name = lex::next_token(rest)) {
                     if (!util::is_identifier(name)) {
@@ -356,6 +372,7 @@ void parse_real_into(std::string_view text, const std::string& source_name, Out&
             } else if (util::iequals(head, ".begin")) {
                 if (names.size() == 0 && declared_vars > 0) {
                     // .numvars without .variables: generate default names.
+                    detail::check_declared(0, declared_vars, ".numvars", error);
                     for (long long i = 0; i < declared_vars; ++i) {
                         detail::add_qubit(names, out, "x" + std::to_string(i), error);
                     }
@@ -463,6 +480,7 @@ void parse_openqasm_into(std::string_view text, const std::string& source_name, 
                 throw error("duplicate qreg '" + excerpt(decl.reg) + "'");
             }
             if (decl.index <= 0) throw error("qreg size must be positive");
+            detail::check_declared(num_qubits, decl.index, "qreg", error);
             const std::string reg(decl.reg);
             for (long long i = 0; i < decl.index; ++i) {
                 out.add_qubit(reg + "[" + std::to_string(i) + "]");

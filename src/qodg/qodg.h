@@ -21,6 +21,7 @@
 /// the tape on first use and then kept.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -106,9 +107,9 @@ public:
         /// Append a qubit; the name is not kept.  Returns its index.
         circuit::Qubit add_qubit(std::string_view name = {});
         /// Append a gate after validating it against the qubit count
-        /// (InputError on invalid operands, as Circuit::add_gate).  Inline,
-        /// so a producer's loop compiles it in; only a gate on three or
-        /// more qubits (pre-FT input) calls out, to fill the side table.
+        /// (InputError on invalid operands, as Circuit::add_gate).  GCC 12
+        /// -O3 still calls it out of line from a producer's loop, on a Gate
+        /// built and checked per op; add_network writes a whole network.
         void add_gate(const circuit::Gate& gate) {
             gate.validate_against(last_.size());
             const auto me = static_cast<NodeId>(delay_row_.size());
@@ -129,6 +130,55 @@ public:
             for (const circuit::Qubit q : qubits) last_[q] = me;
             delay_row_.push_back(static_cast<std::uint16_t>(gate.kind));
             ++gate_counts_[static_cast<std::size_t>(gate.kind)];
+        }
+        /// Append the constexpr circuit::NetworkStep table `Steps` on \p slots
+        /// as one block, the tape add_gate would write step by step: checked,
+        /// sized, counted and last nodes set once.  A node the block wrote is
+        /// newer than any before it, so add_gate's order for a step that
+        /// meets an earlier one is settled at compile time.  Invalid slots
+        /// take add_gate step by step, which throws at the first bad step.
+        template <const auto& Steps, std::size_t N>
+        void add_network(const std::array<circuit::Qubit, N>& slots) {
+            static_assert(std::ranges::all_of(Steps, [](const circuit::NetworkStep& s) {
+                const circuit::GateInfo& info = circuit::gate_info(s.kind);
+                return s.first < N && s.second < N && info.targets == 1 &&
+                       info.min_controls == (s.one_qubit() ? 0 : 1);
+            }));
+            if (!std::ranges::all_of(slots, [&](circuit::Qubit q) {
+                    return q < last_.size() && std::ranges::count(slots, q) == 1;
+                })) [[unlikely]] {
+                for (const circuit::NetworkStep& step : Steps) add_gate(step.gate(slots));
+                return;
+            }
+            static constexpr auto seen = [](std::size_t k, std::size_t end) {
+                int last = -1; // the last step before `end` on slot k, -1 for none
+                for (std::size_t i = 0; i < end; ++i) {
+                    if (Steps[i].first == k || Steps[i].second == k) last = static_cast<int>(i);
+                }
+                return last;
+            };
+            const auto base = static_cast<NodeId>(delay_row_.size());
+            const std::size_t at = operands_.size();
+            operands_.resize(at + Steps.size());
+            delay_row_.resize(base + Steps.size());
+            [&]<std::size_t... I>(std::index_sequence<I...>) {
+                const auto write = [&]<std::size_t i>() {
+                    constexpr circuit::NetworkStep step = Steps[i];
+                    constexpr int f = seen(step.first, i), s = seen(step.second, i);
+                    const circuit::Qubit a = slots[step.first], b = slots[step.second];
+                    bool swap = s < f;
+                    if constexpr (f < 0 && s < 0) swap = last_[b] < last_[a];
+                    operands_[at + i] = swap ? OperandPair{b, a} : OperandPair{a, b};
+                    delay_row_[base + i] = static_cast<std::uint16_t>(step.kind);
+                    ++gate_counts_[static_cast<std::size_t>(step.kind)];
+                    if constexpr (!step.one_qubit()) ++num_two_qubit_ops_;
+                };
+                (write.template operator()<I>(), ...);
+            }(std::make_index_sequence<Steps.size()>{});
+            for (std::size_t k = 0; k < N; ++k) {
+                const int j = seen(k, Steps.size());
+                if (j >= 0) last_[slots[k]] = base + static_cast<NodeId>(j);
+            }
         }
         /// Reserve room for \p gates gates in total.
         void reserve_gates(std::size_t gates);

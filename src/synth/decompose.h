@@ -18,6 +18,7 @@
 /// over any output that takes qubits and gates.
 #pragma once
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,26 +34,24 @@ namespace leqa::synth {
 // ancilla indices from an `alloc` callable returning circuit::Qubit.  Both
 // are template parameters, so the rewrite inlines into its caller.
 
-/// Emit the 15-gate FT realization of Toffoli(c0, c1 -> t).
+/// The 15-gate FT realization of Toffoli(c0, c1 -> t), the one table of
+/// the standard CNOT-optimal network (6 CNOT, 7 T/T-dagger, 2 H) depicted
+/// in the paper's Figure 2(a).
+inline constexpr std::array<circuit::NetworkStep, 15> kToffoliFtNetwork = [] {
+    using enum circuit::GateKind;
+    constexpr int c0 = 0, c1 = 1, t = 2; // the operand slots
+    return std::array<circuit::NetworkStep, 15>{{
+        {H, t, t},      {Cnot, c1, t}, {Tdg, t, t},   {Cnot, c0, t},  {T, t, t},
+        {Cnot, c1, t},  {Tdg, t, t},   {Cnot, c0, t}, {T, c1, c1},    {T, t, t},
+        {Cnot, c0, c1}, {H, t, t},     {T, c0, c0},   {Tdg, c1, c1},  {Cnot, c0, c1},
+    }};
+}();
+
+/// Emit kToffoliFtNetwork on Toffoli(c0, c1 -> t), gate by gate.
 template <class Sink>
 void emit_toffoli_ft(circuit::Qubit c0, circuit::Qubit c1, circuit::Qubit t, Sink&& sink) {
-    // Standard CNOT-optimal network (6 CNOT, 7 T/T-dagger, 2 H); this is the
-    // circuit depicted in the paper's Figure 2(a).
-    sink(circuit::make_h(t));
-    sink(circuit::make_cnot(c1, t));
-    sink(circuit::make_tdg(t));
-    sink(circuit::make_cnot(c0, t));
-    sink(circuit::make_t(t));
-    sink(circuit::make_cnot(c1, t));
-    sink(circuit::make_tdg(t));
-    sink(circuit::make_cnot(c0, t));
-    sink(circuit::make_t(c1));
-    sink(circuit::make_t(t));
-    sink(circuit::make_cnot(c0, c1));
-    sink(circuit::make_h(t));
-    sink(circuit::make_t(c0));
-    sink(circuit::make_tdg(c1));
-    sink(circuit::make_cnot(c0, c1));
+    const std::array<circuit::Qubit, 3> slots = {c0, c1, t};
+    for (const circuit::NetworkStep& step : kToffoliFtNetwork) sink(step.gate(slots));
 }
 
 /// Emit Fredkin(c; a, b) as three Toffolis:
@@ -195,10 +194,12 @@ private:
 
 /// The FT synthesis of ft_synth.h, written to `out` in program order: the
 /// input's qubits by name through `out.add_qubit(name)`, then ancillas and
-/// FT gates through `add_qubit` and `add_gate(const circuit::Gate&)`.
+/// FT gates through `add_qubit` and `add_gate(const circuit::Gate&)`, or
+/// each lowered Toffoli as one `add_network<kToffoliFtNetwork>` block when
+/// `out` has it (`qodg::Qodg::Builder`, which the pipeline runs it into).
 /// `out.reserve_gates(n)` gets the predicted op count first, and
 /// `out.is_ft()` answers the closing check.  `ft_synthesize` runs it into
-/// a Circuit; the pipeline runs it straight into a `qodg::Qodg::Builder`.
+/// a Circuit.
 template <class Out>
 FtSynthStats synthesize_into(const circuit::Circuit& input, const FtSynthOptions& options,
                              Out& out) {
@@ -214,16 +215,19 @@ FtSynthStats synthesize_into(const circuit::Circuit& input, const FtSynthOptions
     stats.input_gates = input.size();
     stats.input_qubits = input.num_qubits();
 
-    const auto emit = [&out](const Gate& g) { out.add_gate(g); };
-
     // Stage 2: lowers 3-input Toffolis to the FT network unless
     // keep_toffoli is set; everything else is appended as-is.
     const auto lower = [&](const Gate& g) {
-        if (g.kind == GateKind::Toffoli && g.controls().size() == 2 && !options.keep_toffoli) {
-            ++stats.toffolis_lowered;
-            emit_toffoli_ft(g.controls()[0], g.controls()[1], g.targets()[0], emit);
-        } else {
+        if (g.kind != GateKind::Toffoli || g.controls().size() != 2 || options.keep_toffoli) {
             out.add_gate(g);
+            return;
+        }
+        ++stats.toffolis_lowered;
+        const std::array slots = {g.controls()[0], g.controls()[1], g.targets()[0]};
+        if constexpr (requires { out.template add_network<kToffoliFtNetwork>(slots); }) {
+            out.template add_network<kToffoliFtNetwork>(slots);
+        } else {
+            emit_toffoli_ft(slots[0], slots[1], slots[2], [&](auto&& op) { out.add_gate(op); });
         }
     };
 

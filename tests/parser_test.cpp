@@ -100,9 +100,23 @@ TEST(QasmParser, EmptyCircuitParses) {
 }
 
 TEST(QasmWriter, RoundTripsDefaultNames) {
-    lc::Circuit circ(4, "rt");
+    lc::Circuit circ(5, "rt");
+    circ.add_comment("first");
     circ.h(0).cnot(0, 1).toffoli(1, 2, 3).tdg(3).fredkin(0, 1, 2).swap(2, 3);
+    const lc::Qubit controls[] = {4, 0, 1, 2};
+    circ.mcx(controls, 3); // five operands
     const std::string text = lp::write_qasm(circ);
+    EXPECT_EQ(text,
+              "# first\n"
+              ".name rt\n"
+              ".qubits 5\n"
+              "h q0\n"
+              "cnot q0, q1\n"
+              "toffoli q1, q2, q3\n"
+              "tdg q3\n"
+              "fredkin q0, q1, q2\n"
+              "swap q2, q3\n"
+              "toffoli q4, q0, q1, q2, q3\n");
     const auto parsed = read(kQasm, text);
     EXPECT_TRUE(circ.same_structure(parsed));
     EXPECT_EQ(parsed.name(), "rt");
@@ -110,15 +124,63 @@ TEST(QasmWriter, RoundTripsDefaultNames) {
 
 TEST(QasmWriter, RoundTripsNamedQubitsAndComments) {
     lc::Circuit circ;
-    circ.add_qubit("a");
-    circ.add_qubit("b");
+    for (const char* name : {"a", "b", "q2", "anc0", "x_1"}) circ.add_qubit(name);
     circ.add_comment("generator: unit-test");
-    circ.cnot(0, 1);
+    circ.add_comment("");
+    circ.cnot(0, 1).t(4).fredkin(3, 2, 0);
+    const lc::Qubit controls[] = {0, 1, 2, 3};
+    circ.mcx(controls, 4);
     const std::string text = lp::write_qasm(circ);
-    EXPECT_NE(text.find("# generator: unit-test"), std::string::npos);
+    EXPECT_EQ(text,
+              "# generator: unit-test\n"
+              "# \n"
+              "qubit a\n"
+              "qubit b\n"
+              "qubit q2\n"
+              "qubit anc0\n"
+              "qubit x_1\n"
+              "cnot a, b\n"
+              "t x_1\n"
+              "fredkin anc0, q2, a\n"
+              "toffoli a, b, q2, anc0, x_1\n");
     const auto parsed = read(kQasm, text);
     EXPECT_TRUE(circ.same_structure(parsed));
     EXPECT_EQ(parsed.qubit_name(0), "a");
+}
+
+TEST(Parsers, DeclaredQubitCountsAreBounded) {
+    // One qubit past the bound is a ParseError naming the directive, on its
+    // line, before any qubit of it is added.
+    const std::string over = std::to_string(lp::kMaxDeclaredQubits + 1);
+    const std::string rest = std::to_string(lp::kMaxDeclaredQubits - 1);
+    struct Case {
+        const two_outputs::Reader& reader;
+        std::string text;
+        std::string directive;
+        std::size_t line;
+    };
+    const std::vector<Case> cases = {
+        {kQasm, "# header\n.qubits " + over + "\n", ".qubits", 2},
+        {kQasm, ".qubits 100000000\n", ".qubits", 1},
+        {kReal, ".version 1.0\n.numvars " + over + "\n.begin\n.end\n", ".numvars", 3},
+        {kOpenQasm, "OPENQASM 2.0;\nqreg a[2];\nqreg b[" + rest + "];\n", "qreg", 3},
+    };
+    for (const Case& c : cases) {
+        expect_rejected(c.reader, c.text);
+        const two_outputs::Verdict verdict =
+            two_outputs::verdict_of([&] { (void)c.reader.parse(c.text, "<string>"); });
+        EXPECT_EQ(verdict.line, c.line) << c.text;
+        EXPECT_NE(verdict.message.find(c.directive + " would declare more than " +
+                                       std::to_string(lp::kMaxDeclaredQubits) + " qubits"),
+                  std::string::npos)
+            << verdict.message;
+    }
+    // At the bound, the sum of two registers is fine (checked on the tape,
+    // which keeps no names).
+    leqa::qodg::Qodg::Builder tape;
+    lp::parse_openqasm_into("OPENQASM 2.0;\nqreg a[1];\nqreg b[" + rest + "];\n", "<string>",
+                            tape);
+    EXPECT_EQ(leqa::qodg::Qodg(std::move(tape)).num_qubits(), lp::kMaxDeclaredQubits);
 }
 
 TEST(QasmRoundTrip, RandomCircuitsProperty) {

@@ -365,6 +365,39 @@ lc::Circuit wide_gate_circuit() {
     return circ;
 }
 
+/// A random pre-FT circuit on \p num_qubits (4 to 8) qubits that mixes
+/// Toffoli, k-controlled X (k = 3 to 5), Fredkin, k-controlled SWAP, SWAP
+/// and FT gates: with this few qubits, the lowered Toffolis meet their
+/// slots' last nodes in every order, ties included.
+lc::Circuit random_pre_ft_circuit(std::size_t num_qubits, std::size_t gates,
+                                  std::uint64_t seed) {
+    leqa::util::Rng rng(seed);
+    lc::Circuit circ(num_qubits);
+    for (std::size_t g = 0; g < gates; ++g) {
+        const std::vector<std::size_t> picks =
+            rng.sample_without_replacement(num_qubits, num_qubits);
+        std::vector<lc::Qubit> q(picks.begin(), picks.end());
+        const std::span<const lc::Qubit> all(q);
+        const std::size_t mcx_controls = 3 + rng.index(std::min<std::size_t>(3, num_qubits - 3));
+        const std::size_t swap_controls = 2 + rng.index(std::min<std::size_t>(3, num_qubits - 3));
+        switch (rng.index(9)) {
+            case 0:
+            case 1: circ.toffoli(q[0], q[1], q[2]); break;
+            case 2: circ.mcx(all.first(mcx_controls), q[mcx_controls]); break;
+            case 3: circ.fredkin(q[0], q[1], q[2]); break;
+            case 4:
+                circ.add_gate(lc::make_mcswap(all.first(swap_controls), q[swap_controls],
+                                              q[swap_controls + 1]));
+                break;
+            case 5: circ.swap(q[0], q[1]); break;
+            case 6: circ.cnot(q[0], q[1]); break;
+            case 7: circ.t(q[0]); break;
+            default: circ.h(q[0]); break;
+        }
+    }
+    return circ;
+}
+
 /// Synthesis streamed into a Builder against Qodg(ft_synthesize(...)):
 /// sizes, every adjacency row, the longest path, the DOT rendering (under
 /// 200 ops), the interaction graph and, for FT output, the lanes of random
@@ -461,6 +494,18 @@ TEST(QodgBuilder, SynthesisStreamMatchesSynthesizedCircuit) {
     expect_streamed_matches_circuit(wide_gate_circuit(), shared, rng, "wide share_ancillas");
     expect_streamed_matches_circuit(wide_gate_circuit(), toffoli, rng, "wide keep_toffoli");
     expect_streamed_matches_circuit(lc::Circuit(0), {}, rng, "no qubits");
+    // The suite circuits of up to about 70k FT ops, nearly all of them in
+    // lowered-Toffoli blocks.
+    for (const char* name :
+         {"8bitadder", "ham15", "hwb50ps", "mod1048576adder", "gf2^64mult", "hwb100ps"}) {
+        expect_streamed_matches_circuit(leqa::benchgen::make_benchmark(name), {}, rng, name);
+    }
+    for (std::uint64_t seed = 40; seed < 60; ++seed) {
+        const lc::Circuit input = random_pre_ft_circuit(4 + seed % 5, 40, seed);
+        const std::string what = "random pre-FT " + std::to_string(seed);
+        expect_streamed_matches_circuit(input, {}, rng, what);
+        expect_streamed_matches_circuit(input, shared, rng, what + " share_ancillas");
+    }
 }
 
 TEST(QodgBuilder, WideOpsInteractLikeTheIig) {
@@ -478,6 +523,21 @@ TEST(QodgBuilder, WideOpsInteractLikeTheIig) {
     }
 }
 
+namespace {
+
+/// what() of the InputError \p body throws, or "" if it throws none.
+template <class Body>
+std::string message_of(Body&& body) {
+    try {
+        body();
+    } catch (const leqa::util::InputError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
 TEST(QodgBuilder, ValidatesGatesLikeCircuit) {
     lq::Qodg::Builder builder;
     EXPECT_EQ(builder.add_qubit("a"), 0u);
@@ -494,4 +554,43 @@ TEST(QodgBuilder, ValidatesGatesLikeCircuit) {
     EXPECT_EQ(graph.num_ops(), 2u);
     EXPECT_EQ(graph.num_qubits(), 3u);
     EXPECT_EQ(graph.gate_counts()[static_cast<std::size_t>(lc::GateKind::Toffoli)], 1u);
+
+    // A lowered Toffoli's block on slots out of range or repeated takes
+    // add_gate step by step: the first bad step throws add_gate's message
+    // and leaves add_gate's partial tape.
+    const std::string out_of_range =
+        "requirement failed: qubit index 3 out of range (circuit has 3 qubits)";
+    const std::string repeated = "requirement failed: cnot: duplicate qubit operand";
+    const std::vector<std::pair<std::array<lc::Qubit, 3>, std::string>> cases = {
+        {{0, 1, 3}, out_of_range}, {{3, 1, 2}, out_of_range}, {{0, 3, 2}, out_of_range},
+        {{0, 0, 2}, repeated},     {{0, 1, 1}, repeated},     {{2, 1, 2}, repeated},
+        {{1, 1, 1}, repeated},     {{0, 1, 2}, ""},
+    };
+    for (const auto& [slots, expected] : cases) {
+        const std::string what = std::to_string(slots[0]) + "," + std::to_string(slots[1]) +
+                                 "," + std::to_string(slots[2]);
+        lq::Qodg::Builder block;
+        lq::Qodg::Builder per_gate;
+        for (lq::Qodg::Builder* tape : {&block, &per_gate}) {
+            for (int q = 0; q < 3; ++q) tape->add_qubit();
+            tape->add_gate(lc::make_cnot(2, 0));
+        }
+        EXPECT_EQ(message_of([&] {
+                      block.add_network<leqa::synth::kToffoliFtNetwork>(slots);
+                  }),
+                  expected)
+            << what;
+        EXPECT_EQ(message_of([&] {
+                      leqa::synth::emit_toffoli_ft(slots[0], slots[1], slots[2],
+                                                   [&](const lc::Gate& g) { per_gate.add_gate(g); });
+                  }),
+                  expected)
+            << what;
+        ASSERT_EQ(block.size(), per_gate.size()) << what;
+        EXPECT_EQ(block.is_ft(), per_gate.is_ft()) << what;
+        const lq::Qodg a(std::move(block));
+        const lq::Qodg b(std::move(per_gate));
+        EXPECT_EQ(a.gate_counts(), b.gate_counts()) << what;
+        EXPECT_EQ(a.to_dot(), b.to_dot()) << what;
+    }
 }

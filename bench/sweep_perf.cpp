@@ -45,9 +45,10 @@
 ///     records allocations and bytes per FT op of a cold `Pipeline::run`
 ///     of bench:gf2^64mult (full size under every knob), of the same
 ///     circuit's FT .qasm file with synthesis off (written to a temporary
-///     file first; the reader streams it into the QODG's tape), and per
-///     point of the serial 200-point explore.  All three counts are
-///     deterministic.
+///     file first; the reader streams it into the QODG's tape), per
+///     point of the serial 200-point explore, and per hop of 1,000 seeded
+///     random routes on a 60x60 torus (a route is one vector of segment
+///     ids: 4 B per hop).  All four counts are deterministic.
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
 /// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
@@ -69,6 +70,7 @@
 #include "core/engine.h"
 #include "core/explore.h"
 #include "core/leqa.h"
+#include "fabric/topology.h"
 #include "harness.h"
 #include "iig/iig.h"
 #include "mathx/stats.h"
@@ -81,6 +83,7 @@
 #include "synth/ft_synth.h"
 #include "util/env.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -508,6 +511,12 @@ int main() {
 
     // --- allocations: cold run per FT op, serial explore per point ---------
     const char* const cold_circuit = "gf2^64mult";
+    // Generated before the counted run: generating it the first time
+    // searches for the degree-64 irreducible polynomial, which
+    // mathx::irreducible_middle_terms memoizes for the whole process, so
+    // without this the count would depend on whether an earlier section
+    // happened to generate the circuit (735 more allocations when none did).
+    const circuit::Circuit cold_pre_ft = pipeline::CircuitSource::from_bench(cold_circuit).load();
     std::size_t cold_ft_ops = 0;
     const AllocationCount cold_allocations = count_allocations([&] {
         pipeline::Pipeline fresh;
@@ -516,7 +525,6 @@ int main() {
         cold_ft_ops = result.circuit.ft_ops;
     });
     // The same circuit as an FT netlist file, estimated with synthesis off.
-    const circuit::Circuit cold_pre_ft = pipeline::CircuitSource::from_bench(cold_circuit).load();
     const circuit::Circuit cold_ft = synth::ft_synthesize(cold_pre_ft).circuit;
     const std::string cold_ft_path =
         (std::filesystem::temp_directory_path() / "leqa_sweep_perf_cold_ft.qasm").string();
@@ -531,6 +539,27 @@ int main() {
         cold_file_ft_ops = result.circuit.ft_ops;
     });
     std::filesystem::remove(cold_ft_path);
+
+    // Seeded random routes on a 60x60 torus, counted after its adjacency is
+    // built so that only the routes are counted: a closed-form route
+    // allocates just the segment vector it returns, and route state kept
+    // per destination (a next-hop table the size of the fabric) would show
+    // here as hundreds of bytes per hop.
+    const fabric::TorusTopology route_torus(60, 60);
+    (void)route_torus.adjacency();
+    constexpr std::size_t kRoutes = 1000;
+    std::size_t route_hops = 0;
+    util::Rng route_rng(2501);
+    const auto random_ulb = [&] {
+        return route_torus.ulb_coord(
+            static_cast<fabric::UlbId>(route_rng.index(route_torus.num_ulbs())));
+    };
+    const AllocationCount route_allocations = count_allocations([&] {
+        for (std::size_t i = 0; i < kRoutes; ++i) {
+            const fabric::UlbCoord from = random_ulb();
+            route_hops += route_torus.route(from, random_ulb()).size();
+        }
+    });
 
     // --- front end: synthesis into the tape vs feeding its FT circuit ------
     // Two ways to build the same tape for the cold circuit, timed after the
@@ -647,6 +676,10 @@ int main() {
                 explore_allocations.bytes,
                 per(explore_allocations.allocations, explore_points.size()),
                 per(explore_allocations.bytes, explore_points.size()));
+    std::printf("  %zu routes on a 60x60 torus (%zu hops): %zu allocations, %zu bytes "
+                "(%.1f bytes per hop)\n",
+                kRoutes, route_hops, route_allocations.allocations, route_allocations.bytes,
+                per(route_allocations.bytes, route_hops));
 
     // --- artifact ----------------------------------------------------------
     util::JsonWriter json;
@@ -752,6 +785,13 @@ int main() {
     json.kv("bytes", explore_allocations.bytes);
     json.kv("allocations_per_point", per(explore_allocations.allocations, explore_points.size()));
     json.kv("bytes_per_point", per(explore_allocations.bytes, explore_points.size()));
+    json.end_object();
+    json.key("torus_routes").begin_object();
+    json.kv("routes", kRoutes);
+    json.kv("hops", route_hops);
+    json.kv("allocations", route_allocations.allocations);
+    json.kv("bytes", route_allocations.bytes);
+    json.kv("bytes_per_hop", per(route_allocations.bytes, route_hops));
     json.end_object();
     json.end_object();
     json.end_object();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <set>
 
 #include "util/error.h"
@@ -11,12 +10,6 @@
 namespace leqa::fabric {
 
 namespace {
-
-constexpr UlbId kNoUlb = -1;
-
-/// Keep at most this many per-destination BFS next-hop tables alive; the
-/// cache is cleared wholesale when it would outgrow the cap.
-constexpr std::size_t kMaxCachedDestinations = 1024;
 
 /// The open grid's segments in canonical order, with room for `capacity`:
 /// horizontal segment (x, y)-(x+1, y) has id y*(width-1) + x; vertical
@@ -201,64 +194,10 @@ std::pair<UlbId, UlbId> Topology::segment_endpoints(SegmentId segment) const {
     return segment_ends_[static_cast<std::size_t>(segment)];
 }
 
-const Topology::NextHops& Topology::next_hops_toward(UlbId destination) const {
-    // LEQA_REQUIRES(route_mutex_) enforces the caller-holds-the-lock
-    // contract that used to live in a comment here.
-    const auto cached = next_hop_cache_.find(destination);
-    if (cached != next_hop_cache_.end()) return cached->second;
-    if (next_hop_cache_.size() >= kMaxCachedDestinations) next_hop_cache_.clear();
-
-    // BFS from the destination over the CSR adjacency: discovering node y
-    // from node x means x is y's next hop toward the destination.  Neighbor
-    // lists are ascending by id, so the table (and every route read off it)
-    // is deterministic.
-    NextHops table;
-    table.via_node.assign(num_ulbs(), kNoUlb);
-    table.via_segment.assign(num_ulbs(), -1);
-    table.via_node[static_cast<std::size_t>(destination)] = destination;
-    std::deque<UlbId> frontier{destination};
-    while (!frontier.empty()) {
-        const UlbId x = frontier.front();
-        frontier.pop_front();
-        const auto nodes = neighbors(x);
-        const auto segments = neighbor_segments(x);
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const auto y = static_cast<UlbId>(nodes[i]);
-            auto& via = table.via_node[static_cast<std::size_t>(y)];
-            if (via != kNoUlb) continue;
-            via = x;
-            table.via_segment[static_cast<std::size_t>(y)] = segments[i];
-            frontier.push_back(y);
-        }
-    }
-    return next_hop_cache_.emplace(destination, std::move(table)).first->second;
-}
-
 int Topology::square_zone_extent(double zone_area) const {
     LEQA_REQUIRE(zone_area >= 0.0, "zone area must be non-negative");
     const int side = static_cast<int>(std::ceil(std::sqrt(zone_area) - 1e-12));
     return std::clamp(side, 1, std::min(width_, height_));
-}
-
-std::vector<SegmentId> Topology::route(UlbCoord a, UlbCoord b) const {
-    const UlbId source = ulb_id(a);
-    const UlbId target = ulb_id(b);
-    if (source == target) return {};
-
-    const util::MutexLock lock(route_mutex_);
-    const NextHops& table = next_hops_toward(target);
-    std::vector<SegmentId> segments;
-    segments.reserve(static_cast<std::size_t>(distance(a, b)));
-    UlbId cursor = source;
-    while (cursor != target) {
-        const auto idx = static_cast<std::size_t>(cursor);
-        LEQA_CHECK(table.via_node[idx] != kNoUlb,
-                   "fabric topology is disconnected: no route " + a.to_string() +
-                       " -> " + b.to_string());
-        segments.push_back(table.via_segment[idx]);
-        cursor = table.via_node[idx];
-    }
-    return segments;
 }
 
 // ----------------------------------------------------------- GridTopology --
@@ -378,6 +317,44 @@ int TorusTopology::distance(UlbCoord a, UlbCoord b) const {
     const int dx = std::abs(a.x - b.x);
     const int dy = std::abs(a.y - b.y);
     return std::min(dx, width() - dx) + std::min(dy, height() - dy);
+}
+
+std::vector<SegmentId> TorusTopology::route(UlbCoord a, UlbCoord b) const {
+    LEQA_REQUIRE(in_bounds(a) && in_bounds(b), "ULB coordinate out of bounds");
+    // The grid's dimension-ordered walk, each axis the shorter way round.
+    // A hop between neighbours takes its grid segment; a hop across the
+    // seam (possible only on a dimension >= 3) takes that row's or
+    // column's wrap channel, numbered as build_segments() lays them out.
+    const int w = width();
+    const int h = height();
+    const SegmentId horizontal_count = static_cast<SegmentId>(w - 1) * h;
+    const SegmentId row_wraps = horizontal_count + static_cast<SegmentId>(w) * (h - 1);
+    const SegmentId column_wraps = row_wraps + (w >= 3 ? h : 0);
+    const int dx = wrap_delta(b.x - a.x, w);
+    const int dy = wrap_delta(b.y - a.y, h);
+    std::vector<SegmentId> segments;
+    segments.reserve(static_cast<std::size_t>(std::abs(dx) + std::abs(dy)));
+    UlbCoord cursor = a;
+    const int step_x = dx > 0 ? 1 : w - 1;
+    for (int hop = 0; hop < std::abs(dx); ++hop) {
+        const int next = (cursor.x + step_x) % w;
+        segments.push_back(std::abs(next - cursor.x) == 1
+                               ? static_cast<SegmentId>(cursor.y) * (w - 1) +
+                                     std::min(cursor.x, next)
+                               : row_wraps + cursor.y);
+        cursor.x = next;
+    }
+    const int step_y = dy > 0 ? 1 : h - 1;
+    for (int hop = 0; hop < std::abs(dy); ++hop) {
+        const int next = (cursor.y + step_y) % h;
+        segments.push_back(std::abs(next - cursor.y) == 1
+                               ? horizontal_count +
+                                     static_cast<SegmentId>(std::min(cursor.y, next)) * w +
+                                     cursor.x
+                               : column_wraps + cursor.x);
+        cursor.y = next;
+    }
+    return segments;
 }
 
 std::vector<UlbCoord> TorusTopology::ring(UlbCoord center, int r) const {
@@ -562,8 +539,8 @@ std::string validate_topology(const Topology& topology, std::size_t max_pairs) {
         }
     }
 
-    // Route-table closure on a deterministic pair sample: each route is a
-    // connected segment walk a -> b over the adjacency of the right length.
+    // Route closure on a deterministic pair sample: each closed-form route
+    // is a connected segment walk a -> b of length distance(a, b).
     const std::size_t total_pairs = n * n;
     const std::size_t stride =
         std::max<std::size_t>(1, total_pairs / std::max<std::size_t>(1, max_pairs));

@@ -29,24 +29,23 @@
 /// touches the coverage interface, so parameter sweeps never pay for
 /// adjacency construction.
 ///
-/// Shortest routes on non-grid topologies come from per-destination BFS
-/// next-hop tables (cached inside the topology); `GridTopology` overrides
-/// `route` with the legacy dimension-ordered XY walk so grid mappings stay
-/// bit-exact.
+/// Routes are closed forms, like every other fabric query: a
+/// dimension-ordered walk along the row, then along the column.  The grid
+/// (and the line, which inherits it) keeps the legacy XY walk, so grid
+/// mappings stay bit-exact; the torus takes each axis the shorter way
+/// round.  A topology holds no route state.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "fabric/geometry.h"
 #include "fabric/params.h"
 #include "graph/csr.h"
-#include "util/thread_annotations.h"
 
 namespace leqa::fabric {
 
@@ -135,9 +134,8 @@ public:
     [[nodiscard]] virtual int distance(UlbCoord a, UlbCoord b) const = 0;
 
     /// A deterministic shortest route a -> b as a segment sequence (empty
-    /// when a == b).  Default: per-destination BFS next-hop tables over the
-    /// CSR adjacency, cached inside the topology.
-    [[nodiscard]] virtual std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const;
+    /// when a == b): along the row, then along the column.
+    [[nodiscard]] virtual std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const = 0;
 
     /// ULBs at ring radius r around `center` in deterministic order;
     /// r = 0 yields {center}.  Rings for r = 0..max(width, height) cover
@@ -177,19 +175,6 @@ private:
     mutable graph::CsrDigraph adjacency_;
     mutable std::vector<SegmentId> arc_segments_;        ///< aligned with CSR targets
     mutable std::vector<std::pair<UlbId, UlbId>> segment_ends_;
-
-    // Per-destination BFS next-hop tables for the default route(); lazily
-    // filled and bounded (cleared wholesale when it outgrows the cap).
-    struct NextHops {
-        std::vector<UlbId> via_node;        ///< next ULB toward the destination
-        std::vector<SegmentId> via_segment; ///< segment taken for that hop
-    };
-    mutable util::Mutex route_mutex_;
-    mutable std::unordered_map<UlbId, NextHops> next_hop_cache_
-        LEQA_GUARDED_BY(route_mutex_);
-
-    [[nodiscard]] const NextHops& next_hops_toward(UlbId destination) const
-        LEQA_REQUIRES(route_mutex_);
 };
 
 /// The paper's open-boundary mesh.  Segment numbering, XY routes, rings and
@@ -212,13 +197,15 @@ protected:
 };
 
 /// Wraparound mesh: grid segments plus one wrap channel per row/column
-/// along every dimension of size >= 3.
+/// along every dimension of size >= 3.  Routes walk the row, then the
+/// column, each the shorter way round (ties go the positive way).
 class TorusTopology : public Topology {
 public:
     TorusTopology(int width, int height);
 
     [[nodiscard]] std::size_t num_segments() const override;
     [[nodiscard]] int distance(UlbCoord a, UlbCoord b) const override;
+    [[nodiscard]] std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] std::vector<UlbCoord> ring(UlbCoord center, int r) const override;
     [[nodiscard]] UlbCoord midpoint(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] int zone_extent(double zone_area) const override;
@@ -258,11 +245,11 @@ public:
 
 /// Structural audit of a topology instance: CSR adjacency validity
 /// (graph::validate_csr), segment-table closure (segment_endpoints /
-/// segment_between / neighbor_segments agree arc by arc), and route-table
-/// closure over the CSR subgraph — for a deterministic sample of at most
-/// `max_pairs` ULB pairs, `route(a, b)` must be a chain of adjacent
-/// segments from a to b of length `distance(a, b)`.  Returns the first
-/// violation, empty when clean.
+/// segment_between / neighbor_segments agree arc by arc), and route
+/// closure — for a deterministic sample of at most `max_pairs` ULB pairs,
+/// the closed-form `route(a, b)` must be a connected chain of segments
+/// from a to b of length `distance(a, b)`.  Returns the first violation,
+/// empty when clean.
 [[nodiscard]] std::string validate_topology(const Topology& topology,
                                             std::size_t max_pairs = 64);
 

@@ -133,7 +133,7 @@ private:
         // nearest free ULB.
         double start = std::max(ready, ulb_busy_[static_cast<std::size_t>(host)]);
         if (ulb_busy_[static_cast<std::size_t>(host)] > ready + 1e-9) {
-            const UlbId refuge = find_free_ulb(topology_.ulb_coord(host), ready, q);
+            const UlbId refuge = nearest_ulb(topology_.ulb_coord(host), ready, q, q);
             if (refuge != host) {
                 ++stats_.relocations;
                 const double arrival = move_qubit(q, refuge, ready);
@@ -160,7 +160,7 @@ private:
         // houses one of the two operands.
         const double earliest = std::min(qubit_free_[control], qubit_free_[target]);
         const UlbId meeting =
-            find_meeting_ulb(topology_.midpoint(c_home, t_home), earliest, control, target);
+            nearest_ulb(topology_.midpoint(c_home, t_home), earliest, control, target);
 
         // Both qubits travel (each departs when it is individually free).
         const double arrive_c = move_qubit(control, meeting, qubit_free_[control]);
@@ -176,7 +176,8 @@ private:
         qubit_free_[target] = finish;
         set_home(target, meeting);
 
-        const UlbId refuge = find_free_ulb(topology_.ulb_coord(meeting), finish, control);
+        const UlbId refuge =
+            nearest_ulb(topology_.ulb_coord(meeting), finish, control, control);
         double control_free = finish;
         if (refuge != meeting) {
             ++stats_.evictions;
@@ -256,35 +257,12 @@ private:
         occupant_[static_cast<std::size_t>(destination)] = static_cast<std::int32_t>(q);
     }
 
-    /// Nearest ULB around \p center that is empty (or already owned by
-    /// \p mover) and idle by \p time.  Falls back to the relaxed rule
-    /// (ignore busy) and finally to \p center itself on a saturated fabric.
-    UlbId find_free_ulb(UlbCoord center, double time, circuit::Qubit mover) const {
-        const int max_radius = std::max(topology_.width(), topology_.height());
-        for (int pass = 0; pass < 2; ++pass) {
-            const bool require_idle = pass == 0;
-            for (int r = 0; r <= max_radius; ++r) {
-                for (const UlbCoord c : topology_.ring(center, r)) {
-                    const auto id = topology_.ulb_id(c);
-                    const auto occupant = occupant_[static_cast<std::size_t>(id)];
-                    const bool available =
-                        occupant == kNoQubit || occupant == static_cast<std::int32_t>(mover);
-                    if (!available) continue;
-                    if (require_idle &&
-                        ulb_busy_[static_cast<std::size_t>(id)] > time + 1e-9) {
-                        continue;
-                    }
-                    return id;
-                }
-            }
-        }
-        return topology_.ulb_id(center);
-    }
-
-    /// Meeting ULB for a CNOT: nearest to \p center that is empty or houses
-    /// one of the operands.
-    UlbId find_meeting_ulb(UlbCoord center, double time, circuit::Qubit a,
-                           circuit::Qubit b) const {
+    /// Nearest ULB around \p center that is empty or houses \p a or \p b,
+    /// and idle by \p time.  Falls back to the relaxed rule (ignore busy)
+    /// and finally to \p center itself on a saturated fabric.  A qubit
+    /// looking for room for itself passes itself as both \p a and \p b.
+    UlbId nearest_ulb(UlbCoord center, double time, circuit::Qubit a,
+                      circuit::Qubit b) const {
         const int max_radius = std::max(topology_.width(), topology_.height());
         for (int pass = 0; pass < 2; ++pass) {
             const bool require_idle = pass == 0;

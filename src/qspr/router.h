@@ -24,8 +24,9 @@
 namespace leqa::qspr {
 
 enum class RoutingAlgorithm {
-    Xy,    ///< fixed shortest-path routing (XY on a grid; BFS next-hop
-           ///< tables on other topologies); fast, congestion-oblivious
+    Xy,    ///< fixed dimension-ordered routes (`Topology::route`: XY on a
+           ///< grid or line, each axis the shorter way round on a torus);
+           ///< fast, congestion-oblivious
     Maze,  ///< congestion-aware Dijkstra (the detailed-mapper default)
 };
 

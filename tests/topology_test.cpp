@@ -1,9 +1,10 @@
 // Tests for the pluggable fabric topologies: the counting-sort adjacency
 // against a brute-force segment scan, grid bit-compatibility with the
 // pre-topology geometry, torus/line adjacency and metric invariants,
-// coverage histograms, routing invariants (every route is a chain of
-// topology-adjacent hops; torus routes never beat their own metric or lose
-// to grid routes), and the topology-aware estimation engine.
+// coverage histograms, routing (every route equals a row-then-column walk
+// written hop by hop, and is a chain of topology-adjacent hops; torus
+// routes never beat their own metric or lose to grid routes), and the
+// topology-aware estimation engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,6 +50,36 @@ lf::UlbId follow_route(const lf::Topology& topo, lf::UlbId from,
         cursor = next;
     }
     return cursor;
+}
+
+/// The route every topology must take, written hop by hop: along the row,
+/// then along the column; on a torus each axis the shorter way round, a tie
+/// going the positive way.  Each hop's segment id is read from the
+/// adjacency with segment_between.
+std::vector<lf::SegmentId> row_then_column_walk(const lf::Topology& topo, lf::UlbCoord a,
+                                                lf::UlbCoord b) {
+    const bool wraps = topo.kind() == lf::TopologyKind::Torus;
+    std::vector<lf::SegmentId> walk;
+    lf::UlbCoord cursor = a;
+    const auto walk_axis = [&](int lf::UlbCoord::*axis, int target, int dim) {
+        const int forward = ((target - cursor.*axis) % dim + dim) % dim;
+        const int backward = (dim - forward) % dim;
+        int hops = std::abs(target - cursor.*axis);
+        int step = target > cursor.*axis ? 1 : -1;
+        if (wraps) {
+            hops = std::min(forward, backward);
+            step = forward <= backward ? 1 : -1;
+        }
+        for (int hop = 0; hop < hops; ++hop) {
+            lf::UlbCoord next = cursor;
+            next.*axis = (cursor.*axis + step + dim) % dim;
+            walk.push_back(topo.segment_between(topo.ulb_id(cursor), topo.ulb_id(next)));
+            cursor = next;
+        }
+    };
+    walk_axis(&lf::UlbCoord::x, b.x, topo.width());
+    walk_axis(&lf::UlbCoord::y, b.y, topo.height());
+    return walk;
 }
 
 lf::UlbCoord random_coord(leqa::util::Rng& rng, const lf::Topology& topo) {
@@ -158,17 +189,35 @@ TEST(GridTopology, SegmentNumberingMatchesLegacyFormulas) {
     EXPECT_EQ(topo.adjacency().num_edges(), 2 * topo.num_segments());
 }
 
-TEST(GridTopology, RouteIsDimensionOrderedXy) {
-    const lf::GridTopology topo(10, 8);
-    const auto factory = lf::make_topology(lf::TopologyKind::Grid, 10, 8);
-    leqa::util::Rng rng(11);
-    for (int trial = 0; trial < 50; ++trial) {
-        const auto a = random_coord(rng, topo);
-        const auto b = random_coord(rng, topo);
-        const auto route = topo.route(a, b);
-        EXPECT_EQ(route, factory->route(a, b));
-        EXPECT_EQ(route.size(), static_cast<std::size_t>(topo.distance(a, b)));
-        EXPECT_EQ(follow_route(topo, topo.ulb_id(a), route), topo.ulb_id(b));
+TEST(TopologyRoute, EveryPairWalksTheRowThenTheColumn) {
+    // Every route is a closed form; the walk it must equal reads each hop's
+    // segment from the adjacency, so a wrong wrap id, direction, tie or
+    // axis order fails on the first pair it touches.
+    std::vector<std::shared_ptr<const lf::Topology>> topologies;
+    for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+             {1, 1}, {1, 12}, {12, 1}, {7, 4}, {16, 16}}) {
+        topologies.push_back(lf::make_topology(lf::TopologyKind::Grid, w, h));
+    }
+    topologies.push_back(lf::make_topology(lf::TopologyKind::Line, 40, 1));
+    for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+             {1, 6}, {2, 7}, {3, 3}, {5, 5}, {6, 4}, {9, 7}}) {
+        topologies.push_back(lf::make_topology(lf::TopologyKind::Torus, w, h));
+    }
+    for (const auto& topology : topologies) {
+        const lf::Topology& topo = *topology;
+        const std::string label = topo.name() + " " + std::to_string(topo.width()) +
+                                  "x" + std::to_string(topo.height());
+        for (lf::UlbId a = 0; static_cast<std::size_t>(a) < topo.num_ulbs(); ++a) {
+            for (lf::UlbId b = 0; static_cast<std::size_t>(b) < topo.num_ulbs(); ++b) {
+                const lf::UlbCoord ca = topo.ulb_coord(a);
+                const lf::UlbCoord cb = topo.ulb_coord(b);
+                const auto route = topo.route(ca, cb);
+                ASSERT_EQ(route, row_then_column_walk(topo, ca, cb))
+                    << label << " " << ca.to_string() << " -> " << cb.to_string();
+                ASSERT_EQ(route.size(), static_cast<std::size_t>(topo.distance(ca, cb)))
+                    << label << " " << ca.to_string() << " -> " << cb.to_string();
+            }
+        }
     }
 }
 

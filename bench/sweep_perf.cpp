@@ -20,7 +20,9 @@
 ///     `service::Service` (1 worker, submit-all / wait-all) against direct
 ///     `Pipeline::run` on the same warm session, as the median ratio over
 ///     11 interleaved rounds — the scheduler must stay under ~5%
-///     per-request overhead;
+///     per-request overhead — and, from the same rounds, the median extra
+///     allocations and bytes per request the service adds, which unlike
+///     the ratio do not move with the host;
 ///   - explore: the parallel multi-dimensional explorer on a 200-point
 ///     topology x side x Nc x v cross-product at 1/2/4 worker threads —
 ///     points/sec, speedup vs the serial evaluation, and a bit-identity
@@ -46,9 +48,11 @@
 ///     of bench:gf2^64mult (full size under every knob), of the same
 ///     circuit's FT .qasm file with synthesis off (written to a temporary
 ///     file first; the reader streams it into the QODG's tape), per
-///     point of the serial 200-point explore, and per hop of 1,000 seeded
+///     point of the serial 200-point explore, per hop of 1,000 seeded
 ///     random routes on a 60x60 torus (a route is one vector of segment
-///     ids: 4 B per hop).  All four counts are deterministic.
+///     ids: 4 B per hop), and per FT op of QSPR maps of gf2^16mult at the
+///     60x60 defaults (grid with XY routing, torus with maze routing).  All
+///     five counts are deterministic.
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
 /// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
@@ -67,6 +71,7 @@
 #include <vector>
 
 #include "benchgen/gf2_mult.h"
+#include "benchgen/suite.h"
 #include "core/engine.h"
 #include "core/explore.h"
 #include "core/leqa.h"
@@ -78,6 +83,8 @@
 #include "parser/qasm.h"
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
+#include "qspr/qspr.h"
+#include "qspr/router.h"
 #include "service/service.h"
 #include "synth/decompose.h"
 #include "synth/ft_synth.h"
@@ -328,7 +335,8 @@ int main() {
     // collect).  Host drift between two separately timed blocks moves
     // their ratio, so the rounds interleave: each times a direct block,
     // then a service block, and the ratio is the median of the per-round
-    // ratios.
+    // ratios.  The same blocks count their allocations: the service's extra
+    // allocations per request are a count, so the host does not move them.
     const int service_reps = 64;
     const int service_rounds = 11;
     auto session = std::make_shared<pipeline::Pipeline>();
@@ -343,29 +351,45 @@ int main() {
     std::vector<double> direct_times;
     std::vector<double> service_times;
     std::vector<double> service_ratios;
+    std::vector<double> extra_allocations;
+    std::vector<double> extra_bytes;
     for (int round = 0; round < service_rounds; ++round) {
         const util::Stopwatch direct_clock;
-        for (int rep = 0; rep < service_reps; ++rep) {
-            (void)session->run(warm_request);
-        }
+        const AllocationCount direct_count = count_allocations([&] {
+            for (int rep = 0; rep < service_reps; ++rep) {
+                (void)session->run(warm_request);
+            }
+        });
         const double direct = direct_clock.seconds() / service_reps;
         const util::Stopwatch service_clock;
-        for (int rep = 0; rep < service_reps; ++rep) {
-            handles[static_cast<std::size_t>(rep)] = svc.submit(warm_request);
-        }
-        // Collect newest-first: one sleep on the whole batch instead of a
-        // wake/sleep ping-pong per job (jobs complete in FIFO order here).
-        for (auto it = handles.rbegin(); it != handles.rend(); ++it) {
-            (void)it->wait();
-        }
+        const AllocationCount service_count = count_allocations([&] {
+            for (int rep = 0; rep < service_reps; ++rep) {
+                handles[static_cast<std::size_t>(rep)] = svc.submit(warm_request);
+            }
+            // Collect newest-first: one sleep on the whole batch instead of
+            // a wake/sleep ping-pong per job (jobs complete in FIFO order
+            // here).
+            for (auto it = handles.rbegin(); it != handles.rend(); ++it) {
+                (void)it->wait();
+            }
+        });
         const double served = service_clock.seconds() / service_reps;
         direct_times.push_back(direct);
         service_times.push_back(served);
         service_ratios.push_back(direct > 0.0 ? served / direct : 0.0);
+        const auto extra = [&](std::size_t served_count, std::size_t direct_count) {
+            return (static_cast<double>(served_count) - static_cast<double>(direct_count)) /
+                   service_reps;
+        };
+        extra_allocations.push_back(
+            extra(service_count.allocations, direct_count.allocations));
+        extra_bytes.push_back(extra(service_count.bytes, direct_count.bytes));
     }
     const double direct_req_s = mathx::percentile(direct_times, 50.0);
     const double service_req_s = mathx::percentile(service_times, 50.0);
     const double service_overhead = mathx::percentile(service_ratios, 50.0);
+    const double extra_allocations_per_request = mathx::percentile(extra_allocations, 50.0);
+    const double extra_bytes_per_request = mathx::percentile(extra_bytes, 50.0);
 
     // --- parallel explore: cross-product scaling at 1/2/4 threads ----------
     // 2 topologies x 10 sides x 2 capacities x 5 speeds = 200 points, the
@@ -540,13 +564,11 @@ int main() {
     });
     std::filesystem::remove(cold_ft_path);
 
-    // Seeded random routes on a 60x60 torus, counted after its adjacency is
-    // built so that only the routes are counted: a closed-form route
-    // allocates just the segment vector it returns, and route state kept
-    // per destination (a next-hop table the size of the fabric) would show
-    // here as hundreds of bytes per hop.
+    // Seeded random routes on a 60x60 torus: a closed-form route allocates
+    // just the segment vector it returns, and route state kept per
+    // destination (a next-hop table the size of the fabric) would show here
+    // as hundreds of bytes per hop.
     const fabric::TorusTopology route_torus(60, 60);
-    (void)route_torus.adjacency();
     constexpr std::size_t kRoutes = 1000;
     std::size_t route_hops = 0;
     util::Rng route_rng(2501);
@@ -560,6 +582,30 @@ int main() {
             route_hops += route_torus.route(from, random_ulb()).size();
         }
     });
+
+    // QSPR maps of gf2^16mult (full size under every knob) at the 60x60
+    // defaults.  A map fills one ring buffer for all its nearest-ULB
+    // searches, so what it allocates is mostly the maze router's frontier
+    // and the channel table; a new vector per ring read 7.79 (grid, XY) and
+    // 20.62 (torus, maze) allocations per FT op.
+    struct QsprMapRow {
+        const char* name;
+        fabric::TopologyKind topology;
+        qspr::RoutingAlgorithm routing;
+        AllocationCount count;
+    };
+    std::vector<QsprMapRow> qspr_rows = {
+        {"grid_xy", fabric::TopologyKind::Grid, qspr::RoutingAlgorithm::Xy, {}},
+        {"torus_maze", fabric::TopologyKind::Torus, qspr::RoutingAlgorithm::Maze, {}}};
+    const circuit::Circuit map_ft = benchgen::make_ft_benchmark("gf2^16mult").circuit;
+    for (QsprMapRow& row : qspr_rows) {
+        fabric::PhysicalParams params;
+        params.topology = row.topology;
+        qspr::QsprOptions options;
+        options.routing = row.routing;
+        const qspr::QsprMapper mapper(params, options);
+        row.count = count_allocations([&] { (void)mapper.map(map_ft); });
+    }
 
     // --- front end: synthesis into the tape vs feeding its FT circuit ------
     // Two ways to build the same tape for the cold circuit, timed after the
@@ -631,6 +677,8 @@ int main() {
     std::printf("  direct Pipeline::run : %.3e s/request\n", direct_req_s);
     std::printf("  Service submit+wait  : %.3e s/request  (%.3fx direct)\n",
                 service_req_s, service_overhead);
+    std::printf("  service extras       : %.2f allocations, %.0f bytes per request\n",
+                extra_allocations_per_request, extra_bytes_per_request);
     std::printf("parallel explore (%zu-point cross-product, effective parallelism "
                 "%.2f of 4 threads):\n",
                 explore_points.size(), parallelism);
@@ -680,6 +728,12 @@ int main() {
                 "(%.1f bytes per hop)\n",
                 kRoutes, route_hops, route_allocations.allocations, route_allocations.bytes,
                 per(route_allocations.bytes, route_hops));
+    for (const QsprMapRow& row : qspr_rows) {
+        std::printf("  QSPR map of gf2^16mult, %s (%zu FT ops): %zu allocations "
+                    "(%.2f per FT op)\n",
+                    row.name, map_ft.size(), row.count.allocations,
+                    per(row.count.allocations, map_ft.size()));
+    }
 
     // --- artifact ----------------------------------------------------------
     util::JsonWriter json;
@@ -719,6 +773,8 @@ int main() {
     json.kv("direct_per_request_s", direct_req_s);
     json.kv("service_per_request_s", service_req_s);
     json.kv("overhead_ratio", service_overhead);
+    json.kv("extra_allocations_per_request", extra_allocations_per_request);
+    json.kv("extra_bytes_per_request", extra_bytes_per_request);
     json.end_object();
     json.key("explore").begin_object();
     json.kv("points", explore_points.size());
@@ -792,6 +848,15 @@ int main() {
     json.kv("allocations", route_allocations.allocations);
     json.kv("bytes", route_allocations.bytes);
     json.kv("bytes_per_hop", per(route_allocations.bytes, route_hops));
+    json.end_object();
+    json.key("qspr_map").begin_object();
+    for (const QsprMapRow& row : qspr_rows) {
+        json.key(row.name).begin_object();
+        json.kv("ft_ops", map_ft.size());
+        json.kv("allocations", row.count.allocations);
+        json.kv("allocations_per_ft_op", per(row.count.allocations, map_ft.size()));
+        json.end_object();
+    }
     json.end_object();
     json.end_object();
     json.end_object();

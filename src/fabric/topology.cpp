@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <set>
 
 #include "util/error.h"
 
@@ -11,22 +10,79 @@ namespace leqa::fabric {
 
 namespace {
 
-/// The open grid's segments in canonical order, with room for `capacity`:
-/// horizontal segment (x, y)-(x+1, y) has id y*(width-1) + x; vertical
-/// segments follow with id H + y*width + x for (x, y)-(x, y+1).
-[[nodiscard]] std::vector<std::pair<UlbId, UlbId>> grid_segments(int width, int height,
-                                                                 std::size_t capacity) {
-    std::vector<std::pair<UlbId, UlbId>> segments;
-    segments.reserve(capacity);
-    for (int y = 0; y < height; ++y) {
-        for (int x = 0; x + 1 < width; ++x) {
-            segments.emplace_back(y * width + x, y * width + x + 1);
-        }
+/// `value` reduced into [0, dim).
+[[nodiscard]] int wrap(int value, int dim) {
+    value %= dim;
+    return value < 0 ? value + dim : value;
+}
+
+/// The one segment numbering of every topology.  Grid segments come first:
+/// (x, y)-(x+1, y) has id y*(width-1) + x, then (x, y)-(x, y+1) has id
+/// (width-1)*height + y*width + x.  A torus appends one wrap channel per row
+/// along a width >= 3, then one per column along a height >= 3.  So the
+/// segment joining (x0, y) to its row neighbour (x1, y) is the grid segment
+/// when they are one apart, else the row's wrap channel.
+[[nodiscard]] SegmentId row_segment(int width, int height, int y, int x0, int x1) {
+    if (std::abs(x1 - x0) == 1) {
+        return static_cast<SegmentId>(y) * (width - 1) + std::min(x0, x1);
     }
-    for (int y = 0; y + 1 < height; ++y) {
-        for (int x = 0; x < width; ++x) {
-            segments.emplace_back(y * width + x, (y + 1) * width + x);
-        }
+    return static_cast<SegmentId>(width - 1) * height +
+           static_cast<SegmentId>(width) * (height - 1) + y;
+}
+
+/// The segment joining (x, y0) to its column neighbour (x, y1), likewise.
+[[nodiscard]] SegmentId column_segment(int width, int height, int x, int y0, int y1) {
+    const SegmentId horizontal = static_cast<SegmentId>(width - 1) * height;
+    if (std::abs(y1 - y0) == 1) {
+        return horizontal + static_cast<SegmentId>(std::min(y0, y1)) * width + x;
+    }
+    return horizontal + static_cast<SegmentId>(width) * (height - 1) +
+           (width >= 3 ? height : 0) + x;
+}
+
+/// The links of ULB `c` in left, right, up, down order.  With `wraps` (the
+/// torus) a neighbour past an edge wraps round, along a dimension >= 3 only:
+/// on 2 the wrap would duplicate the direct segment, and on 1 it is a loop.
+[[nodiscard]] Links links_of(UlbCoord c, int width, int height, bool wraps) {
+    Links out;
+    const auto neighbour = [&](int value, int dim) {
+        if (value >= 0 && value < dim) return value;
+        return wraps && dim >= 3 ? wrap(value, dim) : -1;
+    };
+    for (const int step : {-1, 1}) {
+        const int x = neighbour(c.x + step, width);
+        if (x < 0) continue;
+        out.link[static_cast<std::size_t>(out.count++)] = {
+            c.y * width + x, row_segment(width, height, c.y, c.x, x)};
+    }
+    for (const int step : {-1, 1}) {
+        const int y = neighbour(c.y + step, height);
+        if (y < 0) continue;
+        out.link[static_cast<std::size_t>(out.count++)] = {
+            y * width + c.x, column_segment(width, height, c.x, c.y, y)};
+    }
+    return out;
+}
+
+/// The dimension-ordered walk from `a`: |dx| hops along the row, then |dy|
+/// along the column, each the way its sign points and wrapping round an
+/// edge (which a grid walk never reaches).
+[[nodiscard]] std::vector<SegmentId> walk(int width, int height, UlbCoord a, int dx,
+                                          int dy) {
+    std::vector<SegmentId> segments;
+    segments.reserve(static_cast<std::size_t>(std::abs(dx) + std::abs(dy)));
+    UlbCoord cursor = a;
+    const int step_x = dx > 0 ? 1 : width - 1;
+    for (int hop = 0; hop < std::abs(dx); ++hop) {
+        const int next = (cursor.x + step_x) % width;
+        segments.push_back(row_segment(width, height, cursor.y, cursor.x, next));
+        cursor.x = next;
+    }
+    const int step_y = dy > 0 ? 1 : height - 1;
+    for (int hop = 0; hop < std::abs(dy); ++hop) {
+        const int next = (cursor.y + step_y) % height;
+        segments.push_back(column_segment(width, height, cursor.x, cursor.y, next));
+        cursor.y = next;
     }
     return segments;
 }
@@ -106,92 +162,12 @@ UlbCoord Topology::ulb_coord(UlbId id) const {
     return UlbCoord{id % width_, id / width_};
 }
 
-void Topology::ensure_adjacency() const {
-    std::call_once(adjacency_once_, [&] {
-        segment_ends_ = build_segments();
-        const std::size_t n = num_ulbs();
-
-        // Counting sort by source ULB: count both arcs of every segment,
-        // prefix-sum, then scatter (neighbor, segment id) into the rows.
-        std::vector<std::uint32_t> offsets(n + 1, 0);
-        for (const auto& [u, v] : segment_ends_) {
-            ++offsets[static_cast<std::size_t>(u) + 1];
-            ++offsets[static_cast<std::size_t>(v) + 1];
-        }
-        for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
-        std::vector<std::pair<UlbId, SegmentId>> arcs(offsets[n]);
-        std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-        for (std::size_t s = 0; s < segment_ends_.size(); ++s) {
-            const auto [u, v] = segment_ends_[s];
-            arcs[cursor[static_cast<std::size_t>(u)]++] = {v, static_cast<SegmentId>(s)};
-            arcs[cursor[static_cast<std::size_t>(v)]++] = {u, static_cast<SegmentId>(s)};
-        }
-
-        // Sort each row by neighbor id and split it into the CSR targets
-        // and the aligned segment ids.
-        std::vector<graph::NodeId> targets(arcs.size());
-        arc_segments_.resize(arcs.size());
-        for (std::size_t u = 0; u < n; ++u) {
-            const auto row = arcs.begin() + offsets[u];
-            const auto row_end = arcs.begin() + offsets[u + 1];
-            std::sort(row, row_end);
-            for (auto arc = row; arc != row_end; ++arc) {
-                LEQA_CHECK(arc == row || arc->first != (arc - 1)->first,
-                           "duplicate segment between one ULB pair");
-                const auto e = static_cast<std::size_t>(arc - arcs.begin());
-                targets[e] = static_cast<graph::NodeId>(arc->first);
-                arc_segments_[e] = arc->second;
-            }
-        }
-        adjacency_ = graph::CsrDigraph(std::move(offsets), std::move(targets),
-                                       /*topological=*/false);
-    });
-}
-
-const graph::CsrDigraph& Topology::adjacency() const {
-    ensure_adjacency();
-    return adjacency_;
-}
-
-std::span<const graph::NodeId> Topology::neighbors(UlbId u) const {
-    ensure_adjacency();
-    LEQA_REQUIRE(u >= 0 && static_cast<std::size_t>(u) < num_ulbs(),
-                 "ULB id out of range");
-    return adjacency_.successors(static_cast<graph::NodeId>(u));
-}
-
-std::span<const SegmentId> Topology::neighbor_segments(UlbId u) const {
-    ensure_adjacency();
-    LEQA_REQUIRE(u >= 0 && static_cast<std::size_t>(u) < num_ulbs(),
-                 "ULB id out of range");
-    const auto successors = adjacency_.successors(static_cast<graph::NodeId>(u));
-    const std::size_t base = static_cast<std::size_t>(
-        successors.data() - adjacency_.successors(0).data());
-    return {arc_segments_.data() + base, successors.size()};
-}
-
 SegmentId Topology::segment_between(UlbId a, UlbId b) const {
-    const auto nodes = neighbors(a);
-    const auto segments = neighbor_segments(a);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (static_cast<UlbId>(nodes[i]) == b) return segments[i];
+    for (const Link link : links(a)) {
+        if (link.ulb == b) return link.segment;
     }
     throw util::InputError("ULBs are not adjacent: " + ulb_coord(a).to_string() +
                            " and " + ulb_coord(b).to_string());
-}
-
-bool Topology::adjacent(UlbId a, UlbId b) const {
-    const auto nodes = neighbors(a);
-    return std::find(nodes.begin(), nodes.end(), static_cast<graph::NodeId>(b)) !=
-           nodes.end();
-}
-
-std::pair<UlbId, UlbId> Topology::segment_endpoints(SegmentId segment) const {
-    ensure_adjacency();
-    LEQA_REQUIRE(segment >= 0 &&
-                     static_cast<std::size_t>(segment) < segment_ends_.size(),
-                 "segment id out of range");
-    return segment_ends_[static_cast<std::size_t>(segment)];
 }
 
 int Topology::square_zone_extent(double zone_area) const {
@@ -213,8 +189,8 @@ std::size_t GridTopology::num_segments() const {
            static_cast<std::size_t>(width()) * (height() - 1);
 }
 
-std::vector<std::pair<UlbId, UlbId>> GridTopology::build_segments() const {
-    return grid_segments(width(), height(), num_segments());
+Links GridTopology::links(UlbId u) const {
+    return links_of(ulb_coord(u), width(), height(), /*wraps=*/false);
 }
 
 int GridTopology::distance(UlbCoord a, UlbCoord b) const {
@@ -223,34 +199,17 @@ int GridTopology::distance(UlbCoord a, UlbCoord b) const {
 
 std::vector<SegmentId> GridTopology::route(UlbCoord a, UlbCoord b) const {
     LEQA_REQUIRE(in_bounds(a) && in_bounds(b), "ULB coordinate out of bounds");
-    // Legacy dimension-ordered XY walk with closed-form segment ids: grid
-    // routes (and therefore grid QSPR mappings) stay bit-exact.
-    const int horizontal_count = (width() - 1) * height();
-    std::vector<SegmentId> segments;
-    segments.reserve(static_cast<std::size_t>(distance(a, b)));
-    UlbCoord cursor = a;
-    const int step_x = b.x > a.x ? 1 : -1;
-    while (cursor.x != b.x) {
-        const int min_x = std::min(cursor.x, cursor.x + step_x);
-        segments.push_back(static_cast<SegmentId>(cursor.y) * (width() - 1) + min_x);
-        cursor.x += step_x;
-    }
-    const int step_y = b.y > a.y ? 1 : -1;
-    while (cursor.y != b.y) {
-        const int min_y = std::min(cursor.y, cursor.y + step_y);
-        segments.push_back(static_cast<SegmentId>(horizontal_count) +
-                           min_y * width() + cursor.x);
-        cursor.y += step_y;
-    }
-    return segments;
+    // The legacy XY walk: grid routes (and so grid QSPR mappings) stay
+    // bit-exact.
+    return walk(width(), height(), a, b.x - a.x, b.y - a.y);
 }
 
-std::vector<UlbCoord> GridTopology::ring(UlbCoord center, int r) const {
+void GridTopology::ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const {
     LEQA_REQUIRE(r >= 0, "ring radius must be non-negative");
-    std::vector<UlbCoord> out;
+    out.clear();
     if (r == 0) {
         if (in_bounds(center)) out.push_back(center);
-        return out;
+        return;
     }
     // Top and bottom rows of the ring, then the side columns.
     for (int x = center.x - r; x <= center.x + r; ++x) {
@@ -265,7 +224,6 @@ std::vector<UlbCoord> GridTopology::ring(UlbCoord center, int r) const {
         const UlbCoord right{center.x + r, y};
         if (in_bounds(right)) out.push_back(right);
     }
-    return out;
 }
 
 UlbCoord GridTopology::midpoint(UlbCoord a, UlbCoord b) const {
@@ -295,22 +253,8 @@ std::size_t TorusTopology::num_segments() const {
     return count;
 }
 
-std::vector<std::pair<UlbId, UlbId>> TorusTopology::build_segments() const {
-    // Grid segments first in the grid-canonical order, wrap channels after
-    // (rows, then columns), so the grid sub-numbering is stable.
-    std::vector<std::pair<UlbId, UlbId>> segments =
-        grid_segments(width(), height(), num_segments());
-    if (width() >= 3) {
-        for (int y = 0; y < height(); ++y) {
-            segments.emplace_back(ulb_id({width() - 1, y}), ulb_id({0, y}));
-        }
-    }
-    if (height() >= 3) {
-        for (int x = 0; x < width(); ++x) {
-            segments.emplace_back(ulb_id({x, height() - 1}), ulb_id({x, 0}));
-        }
-    }
-    return segments;
+Links TorusTopology::links(UlbId u) const {
+    return links_of(ulb_coord(u), width(), height(), /*wraps=*/true);
 }
 
 int TorusTopology::distance(UlbCoord a, UlbCoord b) const {
@@ -321,77 +265,46 @@ int TorusTopology::distance(UlbCoord a, UlbCoord b) const {
 
 std::vector<SegmentId> TorusTopology::route(UlbCoord a, UlbCoord b) const {
     LEQA_REQUIRE(in_bounds(a) && in_bounds(b), "ULB coordinate out of bounds");
-    // The grid's dimension-ordered walk, each axis the shorter way round.
-    // A hop between neighbours takes its grid segment; a hop across the
-    // seam (possible only on a dimension >= 3) takes that row's or
-    // column's wrap channel, numbered as build_segments() lays them out.
-    const int w = width();
-    const int h = height();
-    const SegmentId horizontal_count = static_cast<SegmentId>(w - 1) * h;
-    const SegmentId row_wraps = horizontal_count + static_cast<SegmentId>(w) * (h - 1);
-    const SegmentId column_wraps = row_wraps + (w >= 3 ? h : 0);
-    const int dx = wrap_delta(b.x - a.x, w);
-    const int dy = wrap_delta(b.y - a.y, h);
-    std::vector<SegmentId> segments;
-    segments.reserve(static_cast<std::size_t>(std::abs(dx) + std::abs(dy)));
-    UlbCoord cursor = a;
-    const int step_x = dx > 0 ? 1 : w - 1;
-    for (int hop = 0; hop < std::abs(dx); ++hop) {
-        const int next = (cursor.x + step_x) % w;
-        segments.push_back(std::abs(next - cursor.x) == 1
-                               ? static_cast<SegmentId>(cursor.y) * (w - 1) +
-                                     std::min(cursor.x, next)
-                               : row_wraps + cursor.y);
-        cursor.x = next;
-    }
-    const int step_y = dy > 0 ? 1 : h - 1;
-    for (int hop = 0; hop < std::abs(dy); ++hop) {
-        const int next = (cursor.y + step_y) % h;
-        segments.push_back(std::abs(next - cursor.y) == 1
-                               ? horizontal_count +
-                                     static_cast<SegmentId>(std::min(cursor.y, next)) * w +
-                                     cursor.x
-                               : column_wraps + cursor.x);
-        cursor.y = next;
-    }
-    return segments;
+    // The grid's walk, each axis the shorter way round.
+    return walk(width(), height(), a, wrap_delta(b.x - a.x, width()),
+                wrap_delta(b.y - a.y, height()));
 }
 
-std::vector<UlbCoord> TorusTopology::ring(UlbCoord center, int r) const {
+void TorusTopology::ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const {
     LEQA_REQUIRE(r >= 0, "ring radius must be non-negative");
     LEQA_REQUIRE(in_bounds(center), "ULB coordinate out of bounds");
-    if (r == 0) return {center};
+    out.clear();
+    if (r == 0) {
+        out.push_back(center);
+        return;
+    }
 
     // Walk the grid ring's offset pattern, wrap every coordinate, and keep
     // only cells whose *torus* L-infinity distance is exactly r: cells the
-    // wrap brings closer belong to an earlier ring, and cells reachable
-    // from two offsets are emitted once.
-    const auto wrap = [](int value, int dim) {
-        value %= dim;
-        return value < 0 ? value + dim : value;
-    };
-    const auto torus_chebyshev = [&](UlbCoord c) {
-        const int dx = std::abs(c.x - center.x);
-        const int dy = std::abs(c.y - center.y);
-        return std::max(std::min(dx, width() - dx), std::min(dy, height() - dy));
-    };
-    std::vector<UlbCoord> out;
-    std::set<std::pair<int, int>> seen;
+    // wrap brings closer belong to an earlier ring.  A cell that two offsets
+    // reach is kept at the first: an offset is skipped when the offset one
+    // period (w or h) before it is walked too, the +r row when it is the -r
+    // row (2r is a multiple of h), the +r column likewise, and a column
+    // cell that lies on either row.
+    const int w = width();
+    const int h = height();
     const auto emit = [&](int dx, int dy) {
-        const UlbCoord c{wrap(center.x + dx, width()), wrap(center.y + dy, height())};
-        if (torus_chebyshev(c) != r) return;
-        if (!seen.insert({c.x, c.y}).second) return;
-        out.push_back(c);
+        const UlbCoord c{wrap(center.x + dx, w), wrap(center.y + dy, h)};
+        const int ax = std::abs(c.x - center.x);
+        const int ay = std::abs(c.y - center.y);
+        if (std::max(std::min(ax, w - ax), std::min(ay, h - ay)) == r) out.push_back(c);
     };
-    for (int dx = -r; dx <= r; ++dx) {
+    const bool bottom_row = (2 * r) % h != 0;
+    const bool right_column = (2 * r) % w != 0;
+    for (int dx = -r; dx <= r && dx - w < -r; ++dx) {
         emit(dx, -r);
-        emit(dx, r);
+        if (bottom_row) emit(dx, r);
     }
-    for (int dy = -r + 1; dy <= r - 1; ++dy) {
+    for (int dy = -r + 1; dy <= r - 1 && dy - h <= -r; ++dy) {
+        if (wrap(dy - r, h) == 0 || wrap(dy + r, h) == 0) continue;
         emit(-r, dy);
-        emit(r, dy);
+        if (right_column) emit(r, dy);
     }
-    return out;
 }
 
 int TorusTopology::wrap_delta(int d, int dim) const {
@@ -404,10 +317,6 @@ int TorusTopology::wrap_delta(int d, int dim) const {
 }
 
 UlbCoord TorusTopology::midpoint(UlbCoord a, UlbCoord b) const {
-    const auto wrap = [](int value, int dim) {
-        value %= dim;
-        return value < 0 ? value + dim : value;
-    };
     const int dx = wrap_delta(b.x - a.x, width());
     const int dy = wrap_delta(b.y - a.y, height());
     return UlbCoord{wrap(a.x + dx / 2, width()), wrap(a.y + dy / 2, height())};
@@ -500,47 +409,51 @@ std::string validate_coverage(const CoverageHistogram& histogram,
 }
 
 std::string validate_topology(const Topology& topology, std::size_t max_pairs) {
-    // The adjacency is a symmetric encoding of an undirected graph, so it
-    // is cyclic by construction — validate structure only.
-    if (std::string err = graph::validate_csr(topology.adjacency().offsets(),
-                                              topology.adjacency().targets(),
-                                              /*topological=*/false,
-                                              /*acyclic=*/false);
-        !err.empty()) {
-        return "topology adjacency: " + err;
-    }
     const std::size_t n = topology.num_ulbs();
-    if (topology.adjacency().num_nodes() != n) {
-        return "topology: adjacency covers " +
-               std::to_string(topology.adjacency().num_nodes()) + " nodes for " +
-               std::to_string(n) + " ULBs";
-    }
-    if (topology.adjacency().num_edges() != 2 * topology.num_segments()) {
-        return "topology: " + std::to_string(topology.num_segments()) +
-               " segments must appear as " +
-               std::to_string(2 * topology.num_segments()) + " arcs, found " +
-               std::to_string(topology.adjacency().num_edges());
-    }
+    const std::size_t num_segments = topology.num_segments();
+    const auto at = [&](UlbId u) { return topology.ulb_coord(u).to_string(); };
 
-    // Segment-table closure: every segment's endpoints resolve back to it,
-    // and every arc's aligned segment id connects exactly its arc.
-    for (SegmentId s = 0; static_cast<std::size_t>(s) < topology.num_segments();
-         ++s) {
-        const auto [u, v] = topology.segment_endpoints(s);
-        if (u == v) return "topology: segment " + std::to_string(s) + " is a loop";
-        if (!topology.adjacent(u, v) || !topology.adjacent(v, u)) {
-            return "topology: segment " + std::to_string(s) +
-                   " endpoints are not mutually adjacent";
+    // Links: in bounds, each with its reverse, at most one per ULB pair, and
+    // every segment id in exactly two of them.
+    std::vector<int> uses(num_segments, 0);
+    for (UlbId u = 0; static_cast<std::size_t>(u) < n; ++u) {
+        const Links links = topology.links(u);
+        for (const Link* link = links.begin(); link != links.end(); ++link) {
+            if (link->ulb < 0 || static_cast<std::size_t>(link->ulb) >= n ||
+                link->ulb == u) {
+                return "topology: ULB " + at(u) + " links to ULB id " +
+                       std::to_string(link->ulb);
+            }
+            const auto name = [&] { return at(u) + " -> " + at(link->ulb); };
+            if (link->segment < 0 || static_cast<std::size_t>(link->segment) >= num_segments) {
+                return "topology: link " + name() + " has segment id " +
+                       std::to_string(link->segment) + ", not below " +
+                       std::to_string(num_segments);
+            }
+            if (std::any_of(links.begin(), link,
+                            [&](const Link& other) { return other.ulb == link->ulb; })) {
+                return "topology: ULB pair " + name() + " is linked twice";
+            }
+            const Links back = topology.links(link->ulb);
+            if (std::none_of(back.begin(), back.end(), [&](const Link& reverse) {
+                    return reverse.ulb == u && reverse.segment == link->segment;
+                })) {
+                return "topology: link " + name() + " over segment " +
+                       std::to_string(link->segment) + " has no reverse (asymmetric)";
+            }
+            ++uses[static_cast<std::size_t>(link->segment)];
         }
-        if (topology.segment_between(u, v) != s ||
-            topology.segment_between(v, u) != s) {
-            return "topology: segment_between does not invert "
-                   "segment_endpoints for segment " + std::to_string(s);
+    }
+    for (std::size_t s = 0; s < num_segments; ++s) {
+        if (uses[s] == 0) return "topology: no link uses segment " + std::to_string(s);
+        if (uses[s] != 2) {
+            return "topology: segment " + std::to_string(s) + " sits in " +
+                   std::to_string(uses[s]) + " links, so it joins more than one ULB pair";
         }
     }
 
     // Route closure on a deterministic pair sample: each closed-form route
-    // is a connected segment walk a -> b of length distance(a, b).
+    // is a walk a -> b of distance(a, b) hops, each read from the links.
     const std::size_t total_pairs = n * n;
     const std::size_t stride =
         std::max<std::size_t>(1, total_pairs / std::max<std::size_t>(1, max_pairs));
@@ -549,26 +462,25 @@ std::string validate_topology(const Topology& topology, std::size_t max_pairs) {
         const auto b = static_cast<UlbId>(k % n);
         const UlbCoord ca = topology.ulb_coord(a);
         const UlbCoord cb = topology.ulb_coord(b);
+        const auto name = [&] { return ca.to_string() + " -> " + cb.to_string(); };
         const std::vector<SegmentId> route = topology.route(ca, cb);
         const int hops = topology.distance(ca, cb);
         if (static_cast<int>(route.size()) != hops) {
-            return "topology: route " + ca.to_string() + " -> " + cb.to_string() +
-                   " has " + std::to_string(route.size()) + " segments but "
-                   "distance is " + std::to_string(hops);
+            return "topology: route " + name() + " has " + std::to_string(route.size()) +
+                   " segments but distance is " + std::to_string(hops);
         }
         UlbId cursor = a;
         for (const SegmentId s : route) {
-            const auto [u, v] = topology.segment_endpoints(s);
-            if (cursor != u && cursor != v) {
-                return "topology: route " + ca.to_string() + " -> " +
-                       cb.to_string() + " is not a connected segment walk";
+            const Links links = topology.links(cursor);
+            const Link* hop = std::find_if(links.begin(), links.end(),
+                                           [&](const Link& link) { return link.segment == s; });
+            if (hop == links.end()) {
+                return "topology: route " + name() + " is not a connected walk: segment " +
+                       std::to_string(s) + " does not leave ULB " + at(cursor);
             }
-            cursor = cursor == u ? v : u;
+            cursor = hop->ulb;
         }
-        if (cursor != b) {
-            return "topology: route " + ca.to_string() + " -> " + cb.to_string() +
-                   " ends at ULB " + std::to_string(cursor);
-        }
+        if (cursor != b) return "topology: route " + name() + " ends at ULB " + at(cursor);
     }
     return {};
 }
@@ -593,8 +505,8 @@ std::shared_ptr<const Topology> make_topology(TopologyKind kind, int width,
     }
     // Debug stage-boundary contract: every topology entering the system is
     // structurally clean (compiled out of Release).  Skipped for huge
-    // fabrics: validation forces the lazy adjacency, and e.g. a 50000-wide
-    // analytic sweep never needs (and cannot afford) those arrays.
+    // fabrics: validation walks every ULB's links, and e.g. a 50000-wide
+    // analytic sweep never asks for one.
     if (static_cast<std::size_t>(topology->num_ulbs()) <= 65536) {
         LEQA_DCHECK_OK(validate_topology(*topology, /*max_pairs=*/32));
     }

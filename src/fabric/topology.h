@@ -21,31 +21,26 @@
 /// `Topology` is the one fabric type the mapper, router and placement
 /// query; geometry.h holds the coordinate types and a handle to a topology.
 ///
-/// Adjacency is exposed as a CSR view (a `graph::CsrDigraph`): every
-/// undirected channel segment becomes two directed arcs, and a parallel
-/// per-arc array maps each arc back to its `SegmentId`.  One counting sort
-/// over the segment list writes both arrays, carrying each arc's segment id
-/// with its neighbor.  The CSR is built lazily — the estimation engine only
-/// touches the coverage interface, so parameter sweeps never pay for
-/// adjacency construction.
-///
-/// Routes are closed forms, like every other fabric query: a
-/// dimension-ordered walk along the row, then along the column.  The grid
-/// (and the line, which inherits it) keeps the legacy XY walk, so grid
-/// mappings stay bit-exact; the torus takes each axis the shorter way
-/// round.  A topology holds no route state.
+/// Every query is a closed form on coordinates, so a topology holds only its
+/// kind, width and height.  The paper's fabric has one channel segment
+/// between each pair of neighbouring ULBs (its Figure 1), numbered by one
+/// formula that `links` and `route` share: grid segments first, then a
+/// torus's wrap channels.  `links(u)` answers adjacency with at most four
+/// (neighbour, segment) pairs by value.  Routes are dimension-ordered walks
+/// along the row, then along the column: the grid (and the line, which
+/// inherits it) keeps the legacy XY walk, so grid mappings stay bit-exact,
+/// and the torus takes each axis the shorter way round.  `ring` fills a
+/// buffer the caller owns.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fabric/geometry.h"
 #include "fabric/params.h"
-#include "graph/csr.h"
 
 namespace leqa::fabric {
 
@@ -80,6 +75,21 @@ private:
     double cells_ = 0.0;
 };
 
+/// One channel segment out of a ULB: the neighbour it reaches and its id.
+struct Link {
+    UlbId ulb = 0;
+    SegmentId segment = 0;
+};
+
+/// The links out of one ULB, in left, right, up, down order: at most four.
+struct Links {
+    std::array<Link, 4> link{};
+    int count = 0;
+
+    [[nodiscard]] const Link* begin() const { return link.data(); }
+    [[nodiscard]] const Link* end() const { return link.data() + count; }
+};
+
 /// Abstract fabric topology: a `width x height` coordinate space of ULBs
 /// plus the three things the rest of the system needs from the shape —
 /// channel adjacency, hop metric/routing, and presence-zone coverage.
@@ -98,7 +108,7 @@ public:
     [[nodiscard]] std::size_t num_ulbs() const {
         return static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_);
     }
-    /// Total channel segments (closed form; does not force the adjacency).
+    /// Total channel segments.
     [[nodiscard]] virtual std::size_t num_segments() const = 0;
 
     // --- ULB coordinate space (row-major, shared by all topologies) --------
@@ -108,25 +118,13 @@ public:
     [[nodiscard]] UlbId ulb_id(UlbCoord c) const;
     [[nodiscard]] UlbCoord ulb_coord(UlbId id) const;
 
-    // --- CSR adjacency (built lazily, thread-safe) -------------------------
+    // --- adjacency ---------------------------------------------------------
 
-    /// Directed CSR over the undirected channel graph: each segment appears
-    /// as two arcs.  Successor lists are ascending by ULB id.
-    [[nodiscard]] const graph::CsrDigraph& adjacency() const;
-
-    /// Neighbor ULBs of `u`, ascending by id.
-    [[nodiscard]] std::span<const graph::NodeId> neighbors(UlbId u) const;
-
-    /// Segment ids aligned index-for-index with `neighbors(u)`.
-    [[nodiscard]] std::span<const SegmentId> neighbor_segments(UlbId u) const;
+    /// The channel segments out of `u` and the neighbours they reach.
+    [[nodiscard]] virtual Links links(UlbId u) const = 0;
 
     /// Segment connecting two adjacent ULBs; throws InputError otherwise.
     [[nodiscard]] SegmentId segment_between(UlbId a, UlbId b) const;
-    [[nodiscard]] bool adjacent(UlbId a, UlbId b) const;
-
-    /// The two ULBs a segment connects, as the segment list holds them
-    /// (lower id first, except a torus wrap channel: last, then first).
-    [[nodiscard]] std::pair<UlbId, UlbId> segment_endpoints(SegmentId segment) const;
 
     // --- hop metric and routing --------------------------------------------
 
@@ -137,10 +135,11 @@ public:
     /// when a == b): along the row, then along the column.
     [[nodiscard]] virtual std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const = 0;
 
-    /// ULBs at ring radius r around `center` in deterministic order;
-    /// r = 0 yields {center}.  Rings for r = 0..max(width, height) cover
-    /// every ULB exactly once (the free-ULB search relies on this).
-    [[nodiscard]] virtual std::vector<UlbCoord> ring(UlbCoord center, int r) const = 0;
+    /// Replace `out` with the ULBs at ring radius r around `center`, in
+    /// deterministic order; r = 0 yields {center}.  Rings for r = 0..max(width,
+    /// height) cover every ULB exactly once (the free-ULB search relies on
+    /// this).
+    virtual void ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const = 0;
 
     /// A ULB "between" two coordinates (the CNOT meeting-point seed).
     [[nodiscard]] virtual UlbCoord midpoint(UlbCoord a, UlbCoord b) const = 0;
@@ -155,26 +154,15 @@ public:
     [[nodiscard]] virtual CoverageHistogram coverage_histogram(int zone_extent) const = 0;
 
 protected:
-    /// Undirected segment list in canonical segment-id order (index ==
-    /// SegmentId).  At most one segment per ULB pair.
-    [[nodiscard]] virtual std::vector<std::pair<UlbId, UlbId>> build_segments() const = 0;
-
     /// Side of a square zone of the given area, clamped to the fabric:
     /// ceil(sqrt(B)) in [1, min(width, height)] — the shared rule of the
     /// 2D topologies (and of the golden LeqaEstimator::zone_side).
     [[nodiscard]] int square_zone_extent(double zone_area) const;
 
 private:
-    void ensure_adjacency() const;
-
     TopologyKind kind_;
     int width_;
     int height_;
-
-    mutable std::once_flag adjacency_once_;
-    mutable graph::CsrDigraph adjacency_;
-    mutable std::vector<SegmentId> arc_segments_;        ///< aligned with CSR targets
-    mutable std::vector<std::pair<UlbId, UlbId>> segment_ends_;
 };
 
 /// The paper's open-boundary mesh.  Segment numbering, XY routes, rings and
@@ -184,16 +172,16 @@ public:
     GridTopology(int width, int height);
 
     [[nodiscard]] std::size_t num_segments() const override;
+    [[nodiscard]] Links links(UlbId u) const override;
     [[nodiscard]] int distance(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const override;
-    [[nodiscard]] std::vector<UlbCoord> ring(UlbCoord center, int r) const override;
+    void ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const override;
     [[nodiscard]] UlbCoord midpoint(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] int zone_extent(double zone_area) const override;
     [[nodiscard]] CoverageHistogram coverage_histogram(int zone_extent) const override;
 
 protected:
     GridTopology(TopologyKind kind, int width, int height);
-    [[nodiscard]] std::vector<std::pair<UlbId, UlbId>> build_segments() const override;
 };
 
 /// Wraparound mesh: grid segments plus one wrap channel per row/column
@@ -204,15 +192,13 @@ public:
     TorusTopology(int width, int height);
 
     [[nodiscard]] std::size_t num_segments() const override;
+    [[nodiscard]] Links links(UlbId u) const override;
     [[nodiscard]] int distance(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const override;
-    [[nodiscard]] std::vector<UlbCoord> ring(UlbCoord center, int r) const override;
+    void ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const override;
     [[nodiscard]] UlbCoord midpoint(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] int zone_extent(double zone_area) const override;
     [[nodiscard]] CoverageHistogram coverage_histogram(int zone_extent) const override;
-
-protected:
-    [[nodiscard]] std::vector<std::pair<UlbId, UlbId>> build_segments() const override;
 
 private:
     [[nodiscard]] int wrap_delta(int d, int dim) const;
@@ -243,13 +229,13 @@ public:
 [[nodiscard]] std::string validate_coverage(const CoverageHistogram& histogram,
                                             double expected_mass);
 
-/// Structural audit of a topology instance: CSR adjacency validity
-/// (graph::validate_csr), segment-table closure (segment_endpoints /
-/// segment_between / neighbor_segments agree arc by arc), and route
-/// closure — for a deterministic sample of at most `max_pairs` ULB pairs,
-/// the closed-form `route(a, b)` must be a connected chain of segments
-/// from a to b of length `distance(a, b)`.  Returns the first violation,
-/// empty when clean.
+/// Structural audit of a topology instance.  Links: every link stays in
+/// bounds with a segment id below `num_segments()`, every link has its
+/// reverse, no ULB pair is linked twice, and every segment id sits in
+/// exactly two links.  Routes: for a deterministic sample of at most
+/// `max_pairs` ULB pairs, `route(a, b)` must be a walk of `distance(a, b)`
+/// hops from a to b, each hop read from the cursor's links.  Returns the
+/// first violation, empty when clean.
 [[nodiscard]] std::string validate_topology(const Topology& topology,
                                             std::size_t max_pairs = 64);
 

@@ -1,12 +1,11 @@
 /// \file csr.h
 /// \brief Immutable compressed-sparse-row digraph and its traversal kernels.
 ///
-/// The QODG, the QSPR list scheduler, the estimation engine and the fabric
-/// topology all walk one flat representation: two arrays (offsets +
-/// targets), after which traversal is cache-friendly pointer arithmetic.
-/// A `CsrDigraph` adopts arrays its owner writes: the QODG its predecessor
-/// rows from its tape (then `reversed()`), the fabric topology its
-/// symmetric adjacency from its segment list.
+/// The QODG, the QSPR list scheduler and the estimation engine all walk one
+/// flat representation: two arrays (offsets + targets), after which
+/// traversal is cache-friendly pointer arithmetic.  A `CsrDigraph` adopts
+/// arrays its owner writes: the QODG its predecessor rows from its tape
+/// (then `reversed()`).
 ///
 /// The kernels below require a *topologically ordered* graph (every edge
 /// goes from a lower to a higher node id).  The owner states whether that
@@ -32,7 +31,8 @@ public:
     /// successor list is sorted and duplicate-free.  `topological` states
     /// whether every edge goes from a lower to a higher id.  Debug builds
     /// check the structure and a topological claim edge by edge, but not
-    /// acyclicity: a symmetric adjacency is cyclic by design.
+    /// acyclicity: the QODG checks that once, on its successor view, and
+    /// the validator tests adopt cyclic arrays on purpose.
     CsrDigraph(std::vector<std::uint32_t> offsets, std::vector<NodeId> targets,
                bool topological);
 
@@ -112,8 +112,8 @@ struct LongestPathResult {
 
 /// Validate raw CSR arrays: monotone offsets ending at `targets.size()`,
 /// in-bounds targets, sorted duplicate-free successor lists, no self loops,
-/// and — unless `acyclic` is false (symmetric adjacency encodings are
-/// cyclic by construction) — acyclicity, by the low->high edge rule when
+/// and — unless `acyclic` is false (the array constructor's structure-only
+/// check) — acyclicity, by the low->high edge rule when
 /// `topological` is claimed, by Kahn's algorithm otherwise.  Returns a
 /// description of the first violation, or an empty string when the
 /// structure is clean (the convention LEQA_DCHECK_OK consumes).

@@ -262,12 +262,13 @@ private:
     /// and finally to \p center itself on a saturated fabric.  A qubit
     /// looking for room for itself passes itself as both \p a and \p b.
     UlbId nearest_ulb(UlbCoord center, double time, circuit::Qubit a,
-                      circuit::Qubit b) const {
+                      circuit::Qubit b) {
         const int max_radius = std::max(topology_.width(), topology_.height());
         for (int pass = 0; pass < 2; ++pass) {
             const bool require_idle = pass == 0;
             for (int r = 0; r <= max_radius; ++r) {
-                for (const UlbCoord c : topology_.ring(center, r)) {
+                topology_.ring(center, r, ring_);
+                for (const UlbCoord c : ring_) {
                     const auto id = topology_.ulb_id(c);
                     const auto occupant = occupant_[static_cast<std::size_t>(id)];
                     const bool available = occupant == kNoQubit ||
@@ -302,6 +303,7 @@ private:
     std::vector<double> ulb_busy_;
     std::vector<std::int32_t> occupant_;
     std::vector<UlbId> home_;
+    std::vector<UlbCoord> ring_; ///< nearest_ulb's ring buffer, reused all map
     QsprStats stats_;
     double makespan_ = 0.0;
 };

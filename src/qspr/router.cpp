@@ -78,12 +78,10 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
         frontier.pop();
         if (node == target) break;
         if (node_cost > cost_[static_cast<std::size_t>(node)] + 1e-12) continue; // stale
-        const auto adjacent = topology_.neighbors(node);
-        const auto segments = topology_.neighbor_segments(node);
-        for (std::size_t i = 0; i < adjacent.size(); ++i) {
-            const auto next_id = static_cast<fabric::UlbId>(adjacent[i]);
+        for (const fabric::Link link : topology_.links(node)) {
+            const fabric::UlbId next_id = link.ulb;
             if (!in_window(topology_.ulb_coord(next_id))) continue;
-            const fabric::SegmentId segment = segments[i];
+            const fabric::SegmentId segment = link.segment;
             // Congestion pressure: occupancy of the segment around the
             // estimated arrival time inflates the hop cost.
             const double eta = depart_us + node_cost;

@@ -3,7 +3,7 @@
 ///
 /// The original QSPR performs detailed routing rather than fixed
 /// dimension-ordered paths.  This router runs Dijkstra over a
-/// `fabric::Topology`'s CSR adjacency and its aligned segment ids,
+/// `fabric::Topology`'s links (closed-form neighbours and segment ids),
 /// restricted to a detour window around source and destination; each
 /// segment's edge cost is the hop time inflated by the segment's current
 /// reservation pressure around the estimated arrival slot, so traffic

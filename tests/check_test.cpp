@@ -12,6 +12,7 @@
 //   3. validators are clean on everything the real constructors build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -224,6 +225,83 @@ TEST(ValidateTopology, AllKindsAreClean) {
     }
     const auto line = lf::make_topology(lf::TopologyKind::Line, 9, 1);
     EXPECT_EQ(lf::validate_topology(*line), "");
+}
+
+// Grids with one planted fault each, so every failure path of the audit
+// runs on a topology that is otherwise clean.
+namespace {
+
+/// ULB (0, 0) forgets its link to the right: (1, 0) still links back.
+class OneWayGrid : public lf::GridTopology {
+public:
+    using GridTopology::GridTopology;
+    [[nodiscard]] lf::Links links(lf::UlbId u) const override {
+        lf::Links out = GridTopology::links(u);
+        if (u == 0) {
+            out.link[0] = out.link[1]; // keep only the link down
+            out.count = 1;
+        }
+        return out;
+    }
+};
+
+/// The last segment's two links carry segment 0's id instead.
+class SharedSegmentGrid : public lf::GridTopology {
+public:
+    using GridTopology::GridTopology;
+    [[nodiscard]] lf::Links links(lf::UlbId u) const override {
+        lf::Links out = GridTopology::links(u);
+        const auto last = static_cast<lf::SegmentId>(num_segments() - 1);
+        for (int i = 0; i < out.count; ++i) {
+            if (out.link[static_cast<std::size_t>(i)].segment == last) {
+                out.link[static_cast<std::size_t>(i)].segment = 0;
+            }
+        }
+        return out;
+    }
+};
+
+/// Counts one segment more than its links use.
+class UnusedSegmentGrid : public lf::GridTopology {
+public:
+    using GridTopology::GridTopology;
+    [[nodiscard]] std::size_t num_segments() const override {
+        return GridTopology::num_segments() + 1;
+    }
+};
+
+/// Routes list the right segments in reverse order.
+class ReversedRouteGrid : public lf::GridTopology {
+public:
+    using GridTopology::GridTopology;
+    [[nodiscard]] std::vector<lf::SegmentId> route(lf::UlbCoord a,
+                                                   lf::UlbCoord b) const override {
+        std::vector<lf::SegmentId> segments = GridTopology::route(a, b);
+        std::reverse(segments.begin(), segments.end());
+        return segments;
+    }
+};
+
+} // namespace
+
+TEST(ValidateTopology, CatchesAnAsymmetricLink) {
+    const std::string err = lf::validate_topology(OneWayGrid(6, 5));
+    EXPECT_NE(err.find("asymmetric"), std::string::npos) << err;
+}
+
+TEST(ValidateTopology, CatchesOneSegmentOnTwoPairs) {
+    const std::string err = lf::validate_topology(SharedSegmentGrid(6, 5));
+    EXPECT_NE(err.find("segment 0 sits in 4 links"), std::string::npos) << err;
+}
+
+TEST(ValidateTopology, CatchesASegmentNoLinkUses) {
+    const std::string err = lf::validate_topology(UnusedSegmentGrid(6, 5));
+    EXPECT_NE(err.find("no link uses segment 49"), std::string::npos) << err;
+}
+
+TEST(ValidateTopology, CatchesARouteThatIsNotAWalk) {
+    const std::string err = lf::validate_topology(ReversedRouteGrid(6, 5));
+    EXPECT_NE(err.find("is not a connected walk"), std::string::npos) << err;
 }
 
 // --- core::PlacedTimer::audit ----------------------------------------------

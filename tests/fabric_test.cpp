@@ -156,8 +156,9 @@ TEST(Geometry, SegmentCountAndUniqueness) {
     for (int y = 0; y < 3; ++y) {
         for (int x = 0; x < 4; ++x) {
             const lf::UlbId u = geo.ulb_id({x, y});
-            for (const auto n : geo.neighbors(u)) {
-                const auto id = geo.segment_between(u, static_cast<lf::UlbId>(n));
+            for (const lf::Link link : geo.links(u)) {
+                const auto id = geo.segment_between(u, link.ulb);
+                EXPECT_EQ(id, link.segment);
                 EXPECT_GE(id, 0);
                 EXPECT_LT(static_cast<std::size_t>(id), geo.num_segments());
                 ids.insert(id);
@@ -202,8 +203,10 @@ TEST(Geometry, RingsCoverFabricExactlyOnce) {
     const lf::GridTopology geo(5, 4);
     const lf::UlbCoord center{2, 1};
     std::set<std::pair<int, int>> seen;
+    std::vector<lf::UlbCoord> ring;
     for (int r = 0; r <= 6; ++r) {
-        for (const auto c : geo.ring(center, r)) {
+        geo.ring(center, r, ring);
+        for (const auto c : ring) {
             EXPECT_TRUE(geo.in_bounds(c));
             const bool inserted = seen.insert({c.x, c.y}).second;
             EXPECT_TRUE(inserted) << "duplicate " << c.to_string() << " at r=" << r;
@@ -216,16 +219,17 @@ TEST(Geometry, RingsCoverFabricExactlyOnce) {
 
 TEST(Geometry, RingZeroIsCenter) {
     const lf::GridTopology geo(3, 3);
-    const auto ring = geo.ring({1, 1}, 0);
+    std::vector<lf::UlbCoord> ring{{0, 0}, {2, 2}}; // replaced, not appended to
+    geo.ring({1, 1}, 0, ring);
     ASSERT_EQ(ring.size(), 1u);
     EXPECT_EQ(ring[0], (lf::UlbCoord{1, 1}));
 }
 
-TEST(Geometry, NeighborsClippedAtBoundary) {
+TEST(Geometry, LinksClippedAtBoundary) {
     const lf::GridTopology geo(3, 3);
-    EXPECT_EQ(geo.neighbors(geo.ulb_id({0, 0})).size(), 2u);
-    EXPECT_EQ(geo.neighbors(geo.ulb_id({1, 0})).size(), 3u);
-    EXPECT_EQ(geo.neighbors(geo.ulb_id({1, 1})).size(), 4u);
+    EXPECT_EQ(geo.links(geo.ulb_id({0, 0})).count, 2);
+    EXPECT_EQ(geo.links(geo.ulb_id({1, 0})).count, 3);
+    EXPECT_EQ(geo.links(geo.ulb_id({1, 1})).count, 4);
 }
 
 TEST(Geometry, Midpoint) {

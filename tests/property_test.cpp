@@ -228,8 +228,10 @@ TEST_P(GeometrySweep, RoutesConnectAndRingsPartition) {
         }
     }
     std::size_t counted = 0;
+    std::vector<lf::UlbCoord> ring;
     for (int r = 0; r <= std::max(w, h); ++r) {
-        counted += geo.ring({w / 2, h / 2}, r).size();
+        geo.ring({w / 2, h / 2}, r, ring);
+        counted += ring.size();
     }
     EXPECT_EQ(counted, geo.num_ulbs());
 }

@@ -1,10 +1,10 @@
-// Tests for the pluggable fabric topologies: the counting-sort adjacency
-// against a brute-force segment scan, grid bit-compatibility with the
-// pre-topology geometry, torus/line adjacency and metric invariants,
-// coverage histograms, routing (every route equals a row-then-column walk
-// written hop by hop, and is a chain of topology-adjacent hops; torus
-// routes never beat their own metric or lose to grid routes), and the
-// topology-aware estimation engine.
+// Tests for the pluggable fabric topologies: closed-form links against a
+// brute-force scan of the hop metric, grid bit-compatibility with the
+// pre-topology geometry, torus/line adjacency and metric invariants, torus
+// rings against a set-deduplicated offset walk, coverage histograms,
+// routing (every route equals a row-then-column walk written hop by hop,
+// and is a chain of linked hops; torus routes never beat their own metric
+// or lose to grid routes), and the topology-aware estimation engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,26 +36,36 @@ using leqa::util::InputError;
 
 namespace {
 
-/// Walk a segment route from `from`, requiring every hop to be a
-/// topology-adjacent move; returns the final ULB.
+/// Walk a segment route from `from`, requiring every hop to be one of the
+/// cursor's links; returns the final ULB.
 lf::UlbId follow_route(const lf::Topology& topo, lf::UlbId from,
                        const std::vector<lf::SegmentId>& route) {
     lf::UlbId cursor = from;
     for (const lf::SegmentId segment : route) {
-        const auto [u, v] = topo.segment_endpoints(segment);
-        EXPECT_TRUE(cursor == u || cursor == v)
-            << "segment " << segment << " does not touch ULB " << cursor;
-        const lf::UlbId next = cursor == u ? v : u;
-        EXPECT_TRUE(topo.adjacent(cursor, next));
-        cursor = next;
+        const lf::Links links = topo.links(cursor);
+        const auto hop = std::find_if(links.begin(), links.end(), [&](const lf::Link& link) {
+            return link.segment == segment;
+        });
+        if (hop == links.end()) {
+            ADD_FAILURE() << "segment " << segment << " does not leave ULB " << cursor;
+            return cursor;
+        }
+        cursor = hop->ulb;
     }
     return cursor;
 }
 
+bool linked(const lf::Topology& topo, lf::UlbCoord a, lf::UlbCoord b) {
+    const lf::Links links = topo.links(topo.ulb_id(a));
+    return std::any_of(links.begin(), links.end(), [&](const lf::Link& link) {
+        return link.ulb == topo.ulb_id(b);
+    });
+}
+
 /// The route every topology must take, written hop by hop: along the row,
 /// then along the column; on a torus each axis the shorter way round, a tie
-/// going the positive way.  Each hop's segment id is read from the
-/// adjacency with segment_between.
+/// going the positive way.  Each hop's segment id is read from the links
+/// with segment_between.
 std::vector<lf::SegmentId> row_then_column_walk(const lf::Topology& topo, lf::UlbCoord a,
                                                 lf::UlbCoord b) {
     const bool wraps = topo.kind() == lf::TopologyKind::Torus;
@@ -121,12 +131,12 @@ TEST(TopologyFactory, LineRejectsTallFabrics) {
     EXPECT_NO_THROW(params.validate());
 }
 
-// ---------------------------------------------- adjacency vs brute force --
+// ------------------------------------------------- links vs brute force --
 
-TEST(TopologyAdjacency, RowsMatchBruteForceSegmentScan) {
-    // The CSR adjacency is one counting sort over the segment list.  Rebuild
-    // every row by brute force -- each segment touching u, as (other end,
-    // segment id), sorted by the other end -- and compare arc for arc.
+TEST(TopologyLinks, MatchBruteForceScanOfTheHopMetric) {
+    // A ULB's links reach exactly the ULBs one hop away, each once; the
+    // validator then checks their segment ids (in range, symmetric, two
+    // links per segment).
     std::vector<std::shared_ptr<const lf::Topology>> topologies;
     for (const auto& [w, h] : std::vector<std::pair<int, int>>{
              {1, 1}, {2, 2}, {2, 5}, {3, 3}, {7, 4}, {11, 9}}) {
@@ -142,28 +152,40 @@ TEST(TopologyAdjacency, RowsMatchBruteForceSegmentScan) {
         const std::string label = topo.name() + " " + std::to_string(topo.width()) +
                                   "x" + std::to_string(topo.height());
         const std::size_t n = topo.num_ulbs();
-        std::vector<std::vector<std::pair<lf::UlbId, lf::SegmentId>>> rows(n);
-        for (lf::SegmentId s = 0; static_cast<std::size_t>(s) < topo.num_segments(); ++s) {
-            const auto [u, v] = topo.segment_endpoints(s);
-            rows[static_cast<std::size_t>(u)].emplace_back(v, s);
-            rows[static_cast<std::size_t>(v)].emplace_back(u, s);
-        }
+        std::size_t total_links = 0;
         for (lf::UlbId u = 0; static_cast<std::size_t>(u) < n; ++u) {
-            auto& want = rows[static_cast<std::size_t>(u)];
-            std::sort(want.begin(), want.end());
-            const auto nodes = topo.neighbors(u);
-            const auto segments = topo.neighbor_segments(u);
-            ASSERT_EQ(nodes.size(), want.size()) << label << " ULB " << u;
-            ASSERT_EQ(segments.size(), want.size()) << label << " ULB " << u;
-            for (std::size_t i = 0; i < want.size(); ++i) {
-                EXPECT_EQ(static_cast<lf::UlbId>(nodes[i]), want[i].first)
-                    << label << " ULB " << u << " arc " << i;
-                EXPECT_EQ(segments[i], want[i].second)
-                    << label << " ULB " << u << " arc " << i;
+            const lf::UlbCoord cu = topo.ulb_coord(u);
+            std::vector<lf::UlbId> want;
+            for (lf::UlbId v = 0; static_cast<std::size_t>(v) < n; ++v) {
+                if (topo.distance(cu, topo.ulb_coord(v)) == 1) want.push_back(v);
             }
+            std::vector<lf::UlbId> got;
+            for (const lf::Link link : topo.links(u)) got.push_back(link.ulb);
+            total_links += got.size();
+            std::sort(got.begin(), got.end());
+            EXPECT_EQ(got, want) << label << " ULB " << cu.to_string();
         }
+        EXPECT_EQ(total_links, 2 * topo.num_segments()) << label;
         EXPECT_EQ(lf::validate_topology(topo, n * n), "") << label;
     }
+}
+
+TEST(TopologyLinks, OrderIsLeftRightUpDown) {
+    const lf::TorusTopology torus(5, 4);
+    const lf::Links corner = torus.links(torus.ulb_id({0, 0}));
+    ASSERT_EQ(corner.count, 4);
+    EXPECT_EQ(corner.link[0].ulb, torus.ulb_id({4, 0})); // left, across the seam
+    EXPECT_EQ(corner.link[1].ulb, torus.ulb_id({1, 0}));
+    EXPECT_EQ(corner.link[2].ulb, torus.ulb_id({0, 3})); // up, across the seam
+    EXPECT_EQ(corner.link[3].ulb, torus.ulb_id({0, 1}));
+
+    const lf::GridTopology grid(5, 4);
+    const lf::Links inner = grid.links(grid.ulb_id({2, 1}));
+    ASSERT_EQ(inner.count, 4);
+    EXPECT_EQ(inner.link[0].ulb, grid.ulb_id({1, 1}));
+    EXPECT_EQ(inner.link[1].ulb, grid.ulb_id({3, 1}));
+    EXPECT_EQ(inner.link[2].ulb, grid.ulb_id({2, 0}));
+    EXPECT_EQ(inner.link[3].ulb, grid.ulb_id({2, 2}));
 }
 
 // ----------------------------------------------- grid bit-compatibility ----
@@ -186,13 +208,12 @@ TEST(GridTopology, SegmentNumberingMatchesLegacyFormulas) {
         }
     }
     EXPECT_EQ(topo.num_segments(), static_cast<std::size_t>(h_count + 7 * 4));
-    EXPECT_EQ(topo.adjacency().num_edges(), 2 * topo.num_segments());
 }
 
 TEST(TopologyRoute, EveryPairWalksTheRowThenTheColumn) {
     // Every route is a closed form; the walk it must equal reads each hop's
-    // segment from the adjacency, so a wrong wrap id, direction, tie or
-    // axis order fails on the first pair it touches.
+    // segment from the links, so a wrong wrap id, direction, tie or axis
+    // order fails on the first pair it touches.
     std::vector<std::shared_ptr<const lf::Topology>> topologies;
     for (const auto& [w, h] : std::vector<std::pair<int, int>>{
              {1, 1}, {1, 12}, {12, 1}, {7, 4}, {16, 16}}) {
@@ -246,11 +267,11 @@ TEST(TorusTopology, WrapSegmentsAndDistance) {
     // Grid segments + one wrap per row and per column.
     EXPECT_EQ(topo.num_segments(), static_cast<std::size_t>(5 * 4 + 6 * 3 + 4 + 6));
     // Wrap neighbors exist.
-    EXPECT_TRUE(topo.adjacent(topo.ulb_id({0, 0}), topo.ulb_id({5, 0})));
-    EXPECT_TRUE(topo.adjacent(topo.ulb_id({2, 0}), topo.ulb_id({2, 3})));
+    EXPECT_TRUE(linked(topo, {0, 0}, {5, 0}));
+    EXPECT_TRUE(linked(topo, {2, 0}, {2, 3}));
     // Every ULB has degree 4 on a torus with both dims >= 3.
     for (lf::UlbId id = 0; static_cast<std::size_t>(id) < topo.num_ulbs(); ++id) {
-        EXPECT_EQ(topo.neighbors(id).size(), 4u);
+        EXPECT_EQ(topo.links(id).count, 4);
     }
     EXPECT_EQ(topo.distance({0, 0}, {5, 0}), 1);
     EXPECT_EQ(topo.distance({0, 0}, {3, 2}), 3 + 2);
@@ -259,17 +280,22 @@ TEST(TorusTopology, WrapSegmentsAndDistance) {
 
 TEST(TorusTopology, SmallDimensionsHaveNoParallelChannels) {
     // Wrap channels only along dimensions >= 3: no ULB pair may be
-    // connected twice, and degree counts stay consistent.
+    // connected twice, and every segment joins one pair.
     for (const auto& [w, h] : std::vector<std::pair<int, int>>{
              {2, 2}, {1, 5}, {2, 7}, {3, 2}, {1, 1}}) {
         const lf::TorusTopology topo(w, h);
-        std::set<std::pair<lf::UlbId, lf::UlbId>> seen;
-        for (std::size_t s = 0; s < topo.num_segments(); ++s) {
-            const auto ends = topo.segment_endpoints(static_cast<lf::SegmentId>(s));
-            EXPECT_TRUE(seen.insert(ends).second)
-                << w << "x" << h << " duplicate segment " << s;
+        std::set<std::pair<lf::UlbId, lf::UlbId>> pairs;
+        std::set<lf::SegmentId> segments;
+        for (lf::UlbId u = 0; static_cast<std::size_t>(u) < topo.num_ulbs(); ++u) {
+            for (const lf::Link link : topo.links(u)) {
+                if (link.ulb < u) continue; // each pair once, from its lower end
+                EXPECT_TRUE(pairs.insert({u, link.ulb}).second)
+                    << w << "x" << h << " duplicate pair " << u << "-" << link.ulb;
+                EXPECT_TRUE(segments.insert(link.segment).second)
+                    << w << "x" << h << " segment " << link.segment << " joins two pairs";
+            }
         }
-        EXPECT_EQ(topo.adjacency().num_edges(), 2 * topo.num_segments());
+        EXPECT_EQ(segments.size(), topo.num_segments()) << w << "x" << h;
     }
 }
 
@@ -316,14 +342,60 @@ TEST(TorusTopology, RingsCoverFabricExactlyOnce) {
         const lf::TorusTopology topo(w, h);
         const lf::UlbCoord center{w / 2, h / 3};
         std::set<std::pair<int, int>> seen;
+        std::vector<lf::UlbCoord> ring;
         for (int r = 0; r <= std::max(w, h); ++r) {
-            for (const auto c : topo.ring(center, r)) {
+            topo.ring(center, r, ring);
+            for (const auto c : ring) {
                 EXPECT_TRUE(topo.in_bounds(c));
                 EXPECT_TRUE(seen.insert({c.x, c.y}).second)
                     << w << "x" << h << " duplicate " << c.to_string() << " r=" << r;
             }
         }
         EXPECT_EQ(seen.size(), topo.num_ulbs()) << w << "x" << h;
+    }
+}
+
+TEST(TorusTopology, RingsMatchTheSetDeduplicatedOffsetWalk) {
+    // The reference ring: the grid ring's offsets, wrapped, kept at torus
+    // L-infinity distance exactly r, and deduplicated through a set at
+    // first sight.  The closed-form skip rules must reproduce it cell for
+    // cell and in order, for every centre and every radius.
+    const auto reference = [](const lf::TorusTopology& topo, lf::UlbCoord center, int r) {
+        const int w = topo.width();
+        const int h = topo.height();
+        std::vector<lf::UlbCoord> out;
+        std::set<std::pair<int, int>> seen;
+        const auto emit = [&](int dx, int dy) {
+            const lf::UlbCoord c{((center.x + dx) % w + w) % w, ((center.y + dy) % h + h) % h};
+            const int ax = std::abs(c.x - center.x);
+            const int ay = std::abs(c.y - center.y);
+            if (std::max(std::min(ax, w - ax), std::min(ay, h - ay)) != r) return;
+            if (seen.insert({c.x, c.y}).second) out.push_back(c);
+        };
+        if (r == 0) return std::vector<lf::UlbCoord>{center};
+        for (int dx = -r; dx <= r; ++dx) {
+            emit(dx, -r);
+            emit(dx, r);
+        }
+        for (int dy = -r + 1; dy <= r - 1; ++dy) {
+            emit(-r, dy);
+            emit(r, dy);
+        }
+        return out;
+    };
+    std::vector<lf::UlbCoord> ring;
+    for (int w = 1; w <= 9; ++w) {
+        for (int h = 1; h <= 9; ++h) {
+            const lf::TorusTopology topo(w, h);
+            for (lf::UlbId id = 0; static_cast<std::size_t>(id) < topo.num_ulbs(); ++id) {
+                const lf::UlbCoord center = topo.ulb_coord(id);
+                for (int r = 0; r <= std::max(w, h) + 1; ++r) {
+                    topo.ring(center, r, ring);
+                    ASSERT_EQ(ring, reference(topo, center, r))
+                        << w << "x" << h << " centre " << center.to_string() << " r=" << r;
+                }
+            }
+        }
     }
 }
 

@@ -564,10 +564,10 @@ int main() {
     });
     std::filesystem::remove(cold_ft_path);
 
-    // Seeded random routes on a 60x60 torus: a closed-form route allocates
-    // just the segment vector it returns, and route state kept per
-    // destination (a next-hop table the size of the fabric) would show here
-    // as hundreds of bytes per hop.
+    // Seeded random routes on a 60x60 torus into one buffer, as a QSPR map
+    // routes: a closed-form route allocates only when the buffer grows, and
+    // route state kept per destination (a next-hop table the size of the
+    // fabric) would show here as hundreds of bytes per hop.
     const fabric::TorusTopology route_torus(60, 60);
     constexpr std::size_t kRoutes = 1000;
     std::size_t route_hops = 0;
@@ -577,17 +577,20 @@ int main() {
             static_cast<fabric::UlbId>(route_rng.index(route_torus.num_ulbs())));
     };
     const AllocationCount route_allocations = count_allocations([&] {
+        std::vector<fabric::SegmentId> route;
         for (std::size_t i = 0; i < kRoutes; ++i) {
             const fabric::UlbCoord from = random_ulb();
-            route_hops += route_torus.route(from, random_ulb()).size();
+            route_torus.route(from, random_ulb(), route);
+            route_hops += route.size();
         }
     });
 
     // QSPR maps of gf2^16mult (full size under every knob) at the 60x60
-    // defaults.  A map fills one ring buffer for all its nearest-ULB
-    // searches, so what it allocates is mostly the maze router's frontier
-    // and the channel table; a new vector per ring read 7.79 (grid, XY) and
-    // 20.62 (torus, maze) allocations per FT op.
+    // defaults; maze routing on the grid is the default map.  A map fills
+    // one ring buffer, one route buffer and one router frontier, so what it
+    // allocates is mostly the channel table's growth; a node per new slot
+    // and two vectors per maze route read 3.87 (grid, XY), 9.93 (grid,
+    // maze) and 12.34 (torus, maze) allocations per FT op.
     struct QsprMapRow {
         const char* name;
         fabric::TopologyKind topology;
@@ -596,6 +599,7 @@ int main() {
     };
     std::vector<QsprMapRow> qspr_rows = {
         {"grid_xy", fabric::TopologyKind::Grid, qspr::RoutingAlgorithm::Xy, {}},
+        {"grid_maze", fabric::TopologyKind::Grid, qspr::RoutingAlgorithm::Maze, {}},
         {"torus_maze", fabric::TopologyKind::Torus, qspr::RoutingAlgorithm::Maze, {}}};
     const circuit::Circuit map_ft = benchgen::make_ft_benchmark("gf2^16mult").circuit;
     for (QsprMapRow& row : qspr_rows) {

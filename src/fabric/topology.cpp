@@ -64,13 +64,12 @@ namespace {
     return out;
 }
 
-/// The dimension-ordered walk from `a`: |dx| hops along the row, then |dy|
-/// along the column, each the way its sign points and wrapping round an
-/// edge (which a grid walk never reaches).
-[[nodiscard]] std::vector<SegmentId> walk(int width, int height, UlbCoord a, int dx,
-                                          int dy) {
-    std::vector<SegmentId> segments;
-    segments.reserve(static_cast<std::size_t>(std::abs(dx) + std::abs(dy)));
+/// Replace `segments` with the dimension-ordered walk from `a`: |dx| hops
+/// along the row, then |dy| along the column, each the way its sign points
+/// and wrapping round an edge (which a grid walk never reaches).
+void walk(int width, int height, UlbCoord a, int dx, int dy,
+          std::vector<SegmentId>& segments) {
+    segments.clear();
     UlbCoord cursor = a;
     const int step_x = dx > 0 ? 1 : width - 1;
     for (int hop = 0; hop < std::abs(dx); ++hop) {
@@ -84,7 +83,6 @@ namespace {
         segments.push_back(column_segment(width, height, cursor.x, cursor.y, next));
         cursor.y = next;
     }
-    return segments;
 }
 
 /// Along one axis of length `len`, Eq. 5's count min{x, len-x+1, s,
@@ -197,11 +195,11 @@ int GridTopology::distance(UlbCoord a, UlbCoord b) const {
     return std::abs(a.x - b.x) + std::abs(a.y - b.y);
 }
 
-std::vector<SegmentId> GridTopology::route(UlbCoord a, UlbCoord b) const {
+void GridTopology::route(UlbCoord a, UlbCoord b, std::vector<SegmentId>& out) const {
     LEQA_REQUIRE(in_bounds(a) && in_bounds(b), "ULB coordinate out of bounds");
     // The legacy XY walk: grid routes (and so grid QSPR mappings) stay
     // bit-exact.
-    return walk(width(), height(), a, b.x - a.x, b.y - a.y);
+    walk(width(), height(), a, b.x - a.x, b.y - a.y, out);
 }
 
 void GridTopology::ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const {
@@ -263,11 +261,11 @@ int TorusTopology::distance(UlbCoord a, UlbCoord b) const {
     return std::min(dx, width() - dx) + std::min(dy, height() - dy);
 }
 
-std::vector<SegmentId> TorusTopology::route(UlbCoord a, UlbCoord b) const {
+void TorusTopology::route(UlbCoord a, UlbCoord b, std::vector<SegmentId>& out) const {
     LEQA_REQUIRE(in_bounds(a) && in_bounds(b), "ULB coordinate out of bounds");
     // The grid's walk, each axis the shorter way round.
-    return walk(width(), height(), a, wrap_delta(b.x - a.x, width()),
-                wrap_delta(b.y - a.y, height()));
+    walk(width(), height(), a, wrap_delta(b.x - a.x, width()),
+         wrap_delta(b.y - a.y, height()), out);
 }
 
 void TorusTopology::ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const {
@@ -457,13 +455,14 @@ std::string validate_topology(const Topology& topology, std::size_t max_pairs) {
     const std::size_t total_pairs = n * n;
     const std::size_t stride =
         std::max<std::size_t>(1, total_pairs / std::max<std::size_t>(1, max_pairs));
+    std::vector<SegmentId> route;
     for (std::size_t k = 0; k < total_pairs; k += stride) {
         const auto a = static_cast<UlbId>(k / n);
         const auto b = static_cast<UlbId>(k % n);
         const UlbCoord ca = topology.ulb_coord(a);
         const UlbCoord cb = topology.ulb_coord(b);
         const auto name = [&] { return ca.to_string() + " -> " + cb.to_string(); };
-        const std::vector<SegmentId> route = topology.route(ca, cb);
+        topology.route(ca, cb, route);
         const int hops = topology.distance(ca, cb);
         if (static_cast<int>(route.size()) != hops) {
             return "topology: route " + name() + " has " + std::to_string(route.size()) +

@@ -29,8 +29,8 @@
 /// (neighbour, segment) pairs by value.  Routes are dimension-ordered walks
 /// along the row, then along the column: the grid (and the line, which
 /// inherits it) keeps the legacy XY walk, so grid mappings stay bit-exact,
-/// and the torus takes each axis the shorter way round.  `ring` fills a
-/// buffer the caller owns.
+/// and the torus takes each axis the shorter way round.  `route` and `ring`
+/// fill a buffer the caller owns.
 #pragma once
 
 #include <array>
@@ -131,9 +131,9 @@ public:
     /// Hop count of a shortest route between two ULBs.
     [[nodiscard]] virtual int distance(UlbCoord a, UlbCoord b) const = 0;
 
-    /// A deterministic shortest route a -> b as a segment sequence (empty
-    /// when a == b): along the row, then along the column.
-    [[nodiscard]] virtual std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const = 0;
+    /// Replace `out` with a deterministic shortest route a -> b as a segment
+    /// sequence (empty when a == b): along the row, then along the column.
+    virtual void route(UlbCoord a, UlbCoord b, std::vector<SegmentId>& out) const = 0;
 
     /// Replace `out` with the ULBs at ring radius r around `center`, in
     /// deterministic order; r = 0 yields {center}.  Rings for r = 0..max(width,
@@ -174,7 +174,7 @@ public:
     [[nodiscard]] std::size_t num_segments() const override;
     [[nodiscard]] Links links(UlbId u) const override;
     [[nodiscard]] int distance(UlbCoord a, UlbCoord b) const override;
-    [[nodiscard]] std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const override;
+    void route(UlbCoord a, UlbCoord b, std::vector<SegmentId>& out) const override;
     void ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const override;
     [[nodiscard]] UlbCoord midpoint(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] int zone_extent(double zone_area) const override;
@@ -194,7 +194,7 @@ public:
     [[nodiscard]] std::size_t num_segments() const override;
     [[nodiscard]] Links links(UlbId u) const override;
     [[nodiscard]] int distance(UlbCoord a, UlbCoord b) const override;
-    [[nodiscard]] std::vector<SegmentId> route(UlbCoord a, UlbCoord b) const override;
+    void route(UlbCoord a, UlbCoord b, std::vector<SegmentId>& out) const override;
     void ring(UlbCoord center, int r, std::vector<UlbCoord>& out) const override;
     [[nodiscard]] UlbCoord midpoint(UlbCoord a, UlbCoord b) const override;
     [[nodiscard]] int zone_extent(double zone_area) const override;

@@ -1,8 +1,10 @@
 #include "qspr/channels.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace leqa::qspr {
 
@@ -13,6 +15,16 @@ ChannelReservations::ChannelReservations(std::size_t num_segments, int capacity,
     LEQA_REQUIRE(slot_us > 0.0, "slot duration must be positive");
 }
 
+std::int64_t ChannelReservations::slot_index(double slots, double time_us) const {
+    // 2^63 is the first double int64_t cannot hold.  A tiny Tmove reaches
+    // it from an ordinary schedule time.
+    LEQA_REQUIRE(slots >= -0x1p63 && slots < 0x1p63,
+                 "Tmove (t_move_us) of " + util::format_double(slot_us_) +
+                     " us is too small: " + util::format_double(time_us) +
+                     " us is more than 2^63 slots");
+    return static_cast<std::int64_t>(slots);
+}
+
 double ChannelReservations::reserve(fabric::SegmentId segment, double earliest_us) {
     LEQA_REQUIRE(segment >= 0 && static_cast<std::size_t>(segment) < occupancy_.size(),
                  "segment id out of range");
@@ -20,14 +32,15 @@ double ChannelReservations::reserve(fabric::SegmentId segment, double earliest_u
     auto& slots = occupancy_[static_cast<std::size_t>(segment)];
 
     // First slot whose start is >= earliest (a qubit arriving mid-slot
-    // enters at the next slot boundary).
-    std::int64_t slot = static_cast<std::int64_t>(std::ceil(earliest_us / slot_us_ - 1e-9));
-    auto it = slots.lower_bound(slot);
-    while (it != slots.end() && it->first == slot && it->second >= capacity_) {
+    // enters at the next slot boundary), then past the full ones after it.
+    std::int64_t slot = slot_index(std::ceil(earliest_us / slot_us_ - 1e-9), earliest_us);
+    auto it = std::ranges::lower_bound(slots, slot, {}, &Slot::index);
+    while (it != slots.end() && it->index == slot && it->count >= capacity_) {
         ++slot;
         ++it;
     }
-    const int count = ++slots[slot];
+    if (it == slots.end() || it->index != slot) it = slots.insert(it, Slot{slot, 0});
+    const int count = ++it->count;
     stats_.max_occupancy = std::max(stats_.max_occupancy, count);
     ++stats_.reservations;
 
@@ -44,7 +57,7 @@ double ChannelReservations::reserve(fabric::SegmentId segment, double earliest_u
     return start;
 }
 
-double ChannelReservations::route(const std::vector<fabric::SegmentId>& path,
+double ChannelReservations::route(std::span<const fabric::SegmentId> path,
                                   double depart_us) {
     double now = depart_us;
     for (const fabric::SegmentId segment : path) {
@@ -58,22 +71,9 @@ int ChannelReservations::occupancy_at(fabric::SegmentId segment, double time_us)
     LEQA_REQUIRE(segment >= 0 && static_cast<std::size_t>(segment) < occupancy_.size(),
                  "segment id out of range");
     const auto& slots = occupancy_[static_cast<std::size_t>(segment)];
-    const auto slot = static_cast<std::int64_t>(std::floor(time_us / slot_us_));
-    const auto it = slots.find(slot);
-    return it == slots.end() ? 0 : it->second;
-}
-
-void ChannelReservations::prune_before(double time_us) {
-    const std::int64_t keep_from = static_cast<std::int64_t>(std::floor(time_us / slot_us_)) - 1;
-    for (auto& slots : occupancy_) {
-        slots.erase(slots.begin(), slots.lower_bound(keep_from));
-    }
-}
-
-std::size_t ChannelReservations::live_entries() const {
-    std::size_t total = 0;
-    for (const auto& slots : occupancy_) total += slots.size();
-    return total;
+    const std::int64_t slot = slot_index(std::floor(time_us / slot_us_), time_us);
+    const auto it = std::ranges::lower_bound(slots, slot, {}, &Slot::index);
+    return it != slots.end() && it->index == slot ? it->count : 0;
 }
 
 } // namespace leqa::qspr

@@ -5,10 +5,11 @@
 /// segment admits at most Nc qubits per slot; a qubit that finds its next
 /// segment full waits for the first slot with spare capacity -- this is the
 /// pipelining behaviour LEQA's M/M/1 congestion model (Eq. 8) abstracts.
+/// Each segment keeps its reserved slots in one vector sorted by slot.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "fabric/geometry.h"
@@ -30,32 +31,38 @@ public:
     ChannelReservations(std::size_t num_segments, int capacity, double slot_us);
 
     /// Reserve the earliest slot of \p segment starting at or after
-    /// \p earliest_us; returns the slot's start time.
+    /// \p earliest_us; returns the slot's start time.  Throws InputError
+    /// when the time is more than 2^63 slots (a Tmove far too small).
     double reserve(fabric::SegmentId segment, double earliest_us);
 
     /// Route along consecutive segments departing at \p depart_us; each hop
     /// takes one slot.  Returns arrival time at the final ULB.
-    double route(const std::vector<fabric::SegmentId>& path, double depart_us);
-
-    /// Drop bookkeeping for slots that end before \p time_us (no future
-    /// reservation can land there).  Keeps memory bounded on long runs.
-    void prune_before(double time_us);
+    double route(std::span<const fabric::SegmentId> path, double depart_us);
 
     /// Current reservation count of a segment at the slot containing
     /// \p time_us (0 if none).  Used by the maze router as congestion
     /// pressure.
     [[nodiscard]] int occupancy_at(fabric::SegmentId segment, double time_us) const;
 
+    /// Nc, qubits admitted per segment per slot.
+    [[nodiscard]] int capacity() const { return capacity_; }
+
     /// Slot duration (= Tmove).
     [[nodiscard]] double slot_us() const { return slot_us_; }
 
     [[nodiscard]] const ChannelStats& stats() const { return stats_; }
 
-    /// Currently retained slot entries (post-prune), for memory tests.
-    [[nodiscard]] std::size_t live_entries() const;
-
 private:
-    std::vector<std::map<std::int64_t, int>> occupancy_; // slot -> count
+    struct Slot {
+        std::int64_t index = 0; ///< start time / Tmove
+        int count = 0;          ///< qubits reserved in it
+    };
+
+    /// `slots`, a time over Tmove already rounded to a whole number, as a
+    /// slot index; throws InputError naming Tmove past 2^63.
+    [[nodiscard]] std::int64_t slot_index(double slots, double time_us) const;
+
+    std::vector<std::vector<Slot>> occupancy_; // per segment, sorted by index
     int capacity_;
     double slot_us_;
     ChannelStats stats_;

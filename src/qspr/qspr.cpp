@@ -1,8 +1,6 @@
 #include "qspr/qspr.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <queue>
 #include <sstream>
 
@@ -88,7 +86,6 @@ public:
         QsprResult result;
         if (options_.collect_schedule) result.schedule.reserve(circ_.size());
 
-        std::size_t executed = 0;
         const auto execute = [&](std::size_t gate_index) {
             const circuit::Gate& gate = circ_.gate(gate_index);
             ScheduledOp op;
@@ -102,10 +99,6 @@ public:
             }
             makespan_ = std::max(makespan_, op.finish_us);
             if (options_.collect_schedule) result.schedule.push_back(op);
-            ++executed;
-            if (options_.prune_interval > 0 && executed % options_.prune_interval == 0) {
-                prune_reservations();
-            }
         };
 
         if (options_.schedule == SchedulePolicy::ProgramOrder) {
@@ -236,12 +229,13 @@ private:
         if (source == destination) return depart;
         const UlbCoord from = topology_.ulb_coord(source);
         const UlbCoord to = topology_.ulb_coord(destination);
-        const auto path =
-            options_.routing == RoutingAlgorithm::Maze
-                ? router_.route(from, to, depart, channels_, params_.nc, params_.t_move_us)
-                : topology_.route(from, to);
-        const double arrival = channels_.route(path, depart);
-        stats_.total_hops += path.size();
+        if (options_.routing == RoutingAlgorithm::Maze) {
+            router_.route(from, to, depart, channels_, path_);
+        } else {
+            topology_.route(from, to, path_);
+        }
+        const double arrival = channels_.route(path_, depart);
+        stats_.total_hops += path_.size();
         stats_.total_route_us += arrival - depart;
         set_home(q, destination);
         return arrival;
@@ -286,12 +280,6 @@ private:
         return topology_.ulb_id(center);
     }
 
-    void prune_reservations() {
-        double min_free = std::numeric_limits<double>::infinity();
-        for (const double t : qubit_free_) min_free = std::min(min_free, t);
-        if (std::isfinite(min_free)) channels_.prune_before(min_free);
-    }
-
     const circuit::Circuit& circ_;
     const fabric::PhysicalParams& params_;
     const QsprOptions& options_;
@@ -304,6 +292,7 @@ private:
     std::vector<std::int32_t> occupant_;
     std::vector<UlbId> home_;
     std::vector<UlbCoord> ring_; ///< nearest_ulb's ring buffer, reused all map
+    std::vector<SegmentId> path_; ///< move_qubit's route buffer, reused all map
     QsprStats stats_;
     double makespan_ = 0.0;
 };

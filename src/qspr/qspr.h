@@ -57,7 +57,6 @@ struct QsprOptions {
     SchedulePolicy schedule = SchedulePolicy::ProgramOrder;
     std::uint64_t seed = 1;           ///< used by random placement
     bool collect_schedule = false;    ///< record per-op start/finish times
-    std::size_t prune_interval = 8192; ///< gates between reservation prunes
     /// Explicit initial placement: when non-empty it must hold one
     /// distinct, in-range home ULB per logical qubit and takes precedence
     /// over `placement`/`seed`.  This is the handoff point for optimized

@@ -1,7 +1,7 @@
 #include "qspr/router.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -32,13 +32,12 @@ MazeRouter::MazeRouter(const fabric::Topology& topology, int margin)
     stamp_.assign(topology.num_ulbs(), 0);
 }
 
-std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
-                                                 fabric::UlbCoord to, double depart_us,
-                                                 const ChannelReservations& channels,
-                                                 int nc, double t_move_us) const {
-    if (from == to) return {};
-    LEQA_REQUIRE(nc >= 1, "channel capacity must be >= 1");
-    LEQA_REQUIRE(t_move_us > 0.0, "hop time must be positive");
+void MazeRouter::route(fabric::UlbCoord from, fabric::UlbCoord to, double depart_us,
+                       const ChannelReservations& channels,
+                       std::vector<fabric::SegmentId>& path) const {
+    path.clear();
+    if (from == to) return;
+    const double nc = static_cast<double>(channels.capacity());
 
     // Detour window.  Grid: the legacy bounding box of the endpoints plus
     // the margin (bit-compatible with the pre-topology router).  Other
@@ -63,19 +62,21 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
         current_stamp_ = 1;
     }
 
-    using Entry = std::pair<double, fabric::UlbId>; // (cost, node)
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
+    // A min-heap on (cost, node), pushed and popped as std::priority_queue
+    // does, so ties pop in the same order.
+    frontier_.clear();
 
     const fabric::UlbId source = topology_.ulb_id(from);
     const fabric::UlbId target = topology_.ulb_id(to);
     cost_[static_cast<std::size_t>(source)] = 0.0;
     via_node_[static_cast<std::size_t>(source)] = source;
     stamp_[static_cast<std::size_t>(source)] = current_stamp_;
-    frontier.push({0.0, source});
+    frontier_.push_back({0.0, source});
 
-    while (!frontier.empty()) {
-        const auto [node_cost, node] = frontier.top();
-        frontier.pop();
+    while (!frontier_.empty()) {
+        std::pop_heap(frontier_.begin(), frontier_.end(), std::greater<>{});
+        const auto [node_cost, node] = frontier_.back();
+        frontier_.pop_back();
         if (node == target) break;
         if (node_cost > cost_[static_cast<std::size_t>(node)] + 1e-12) continue; // stale
         for (const fabric::Link link : topology_.links(node)) {
@@ -86,8 +87,7 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
             // estimated arrival time inflates the hop cost.
             const double eta = depart_us + node_cost;
             const int load = channels.occupancy_at(segment, eta);
-            const double hop_cost =
-                t_move_us * (1.0 + static_cast<double>(load) / static_cast<double>(nc));
+            const double hop_cost = channels.slot_us() * (1.0 + static_cast<double>(load) / nc);
             const double next_cost = node_cost + hop_cost;
             const auto idx = static_cast<std::size_t>(next_id);
             if (stamp_[idx] == current_stamp_ && cost_[idx] <= next_cost + 1e-12) {
@@ -97,19 +97,18 @@ std::vector<fabric::SegmentId> MazeRouter::route(fabric::UlbCoord from,
             cost_[idx] = next_cost;
             via_node_[idx] = node;
             via_segment_[idx] = segment;
-            frontier.push({next_cost, next_id});
+            frontier_.push_back({next_cost, next_id});
+            std::push_heap(frontier_.begin(), frontier_.end(), std::greater<>{});
         }
     }
 
     LEQA_CHECK(stamp_[static_cast<std::size_t>(target)] == current_stamp_,
                "maze router failed to reach the target");
-    std::vector<fabric::SegmentId> path;
     for (fabric::UlbId cursor = target; cursor != source;
          cursor = via_node_[static_cast<std::size_t>(cursor)]) {
         path.push_back(via_segment_[static_cast<std::size_t>(cursor)]);
     }
     std::reverse(path.begin(), path.end());
-    return path;
 }
 
 } // namespace leqa::qspr

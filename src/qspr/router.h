@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fabric/topology.h"
@@ -40,18 +41,20 @@ public:
     ///                use.
     MazeRouter(const fabric::Topology& topology, int margin = 4);
 
-    /// Find a route from \p from to \p to departing at \p depart_us, using
-    /// \p channels reservation counts as congestion pressure.  Returns the
-    /// segment sequence (empty when from == to).
-    [[nodiscard]] std::vector<fabric::SegmentId> route(
-        fabric::UlbCoord from, fabric::UlbCoord to, double depart_us,
-        const ChannelReservations& channels, int nc, double t_move_us) const;
+    /// Replace \p path with a route from \p from to \p to departing at
+    /// \p depart_us: its segment sequence, empty when from == to.  Each
+    /// hop costs \p channels' slot time (Tmove), inflated by its
+    /// reservation count over its capacity (Nc) as congestion pressure.
+    void route(fabric::UlbCoord from, fabric::UlbCoord to, double depart_us,
+               const ChannelReservations& channels,
+               std::vector<fabric::SegmentId>& path) const;
 
 private:
     const fabric::Topology& topology_;
     int margin_;
-    // Scratch buffers sized to the fabric, reused across calls to avoid
-    // per-route allocation (mutable: route() is logically const).
+    // Scratch reused across calls (mutable: route() is logically const): the
+    // frontier heap of (cost, node) and per-ULB search state.
+    mutable std::vector<std::pair<double, fabric::UlbId>> frontier_;
     mutable std::vector<double> cost_;
     mutable std::vector<fabric::SegmentId> via_segment_;
     mutable std::vector<fabric::UlbId> via_node_;

@@ -274,11 +274,10 @@ public:
 class ReversedRouteGrid : public lf::GridTopology {
 public:
     using GridTopology::GridTopology;
-    [[nodiscard]] std::vector<lf::SegmentId> route(lf::UlbCoord a,
-                                                   lf::UlbCoord b) const override {
-        std::vector<lf::SegmentId> segments = GridTopology::route(a, b);
-        std::reverse(segments.begin(), segments.end());
-        return segments;
+    void route(lf::UlbCoord a, lf::UlbCoord b,
+               std::vector<lf::SegmentId>& out) const override {
+        GridTopology::route(a, b, out);
+        std::reverse(out.begin(), out.end());
     }
 };
 

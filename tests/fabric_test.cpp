@@ -183,18 +183,22 @@ TEST(Geometry, XyRouteLengthEqualsManhattan) {
     const lf::GridTopology geo(10, 8);
     const lf::UlbCoord a{1, 2};
     const lf::UlbCoord b{7, 6};
-    const auto route = geo.route(a, b);
+    std::vector<lf::SegmentId> route;
+    geo.route(a, b, route);
     EXPECT_EQ(route.size(), static_cast<std::size_t>(geo.distance(a, b)));
     EXPECT_EQ(geo.distance(a, b), 10);
-    EXPECT_TRUE(geo.route(a, a).empty());
+    geo.route(a, a, route); // replaced, not appended to
+    EXPECT_TRUE(route.empty());
     // Route in reverse direction also works (negative steps).
-    EXPECT_EQ(geo.route(b, a).size(), 10u);
+    geo.route(b, a, route);
+    EXPECT_EQ(route.size(), 10u);
 }
 
 TEST(Geometry, XyRouteSegmentsAreConnected) {
     const lf::GridTopology geo(6, 6);
     // The route's segments must be pairwise distinct for a shortest path.
-    const auto route = geo.route({0, 0}, {5, 5});
+    std::vector<lf::SegmentId> route;
+    geo.route({0, 0}, {5, 5}, route);
     const std::set<lf::SegmentId> unique(route.begin(), route.end());
     EXPECT_EQ(unique.size(), route.size());
 }
@@ -243,11 +247,15 @@ TEST(Geometry, DegenerateOneByOne) {
     const lf::GridTopology geo(1, 1);
     EXPECT_EQ(geo.num_ulbs(), 1u);
     EXPECT_EQ(geo.num_segments(), 0u);
-    EXPECT_TRUE(geo.route({0, 0}, {0, 0}).empty());
+    std::vector<lf::SegmentId> route;
+    geo.route({0, 0}, {0, 0}, route);
+    EXPECT_TRUE(route.empty());
 }
 
 TEST(Geometry, SingleRowFabric) {
     const lf::GridTopology geo(8, 1);
     EXPECT_EQ(geo.num_segments(), 7u);
-    EXPECT_EQ(geo.route({0, 0}, {7, 0}).size(), 7u);
+    std::vector<lf::SegmentId> route;
+    geo.route({0, 0}, {7, 0}, route);
+    EXPECT_EQ(route.size(), 7u);
 }

@@ -215,12 +215,13 @@ TEST_P(GeometrySweep, RoutesConnectAndRingsPartition) {
     const auto [w, h] = GetParam();
     const lf::GridTopology geo(w, h);
     leqa::util::Rng rng(71);
+    std::vector<lf::SegmentId> route;
     for (int trial = 0; trial < 20; ++trial) {
         const lf::UlbCoord a{static_cast<int>(rng.index(static_cast<std::size_t>(w))),
                              static_cast<int>(rng.index(static_cast<std::size_t>(h)))};
         const lf::UlbCoord b{static_cast<int>(rng.index(static_cast<std::size_t>(w))),
                              static_cast<int>(rng.index(static_cast<std::size_t>(h)))};
-        const auto route = geo.route(a, b);
+        geo.route(a, b, route);
         ASSERT_EQ(route.size(), static_cast<std::size_t>(geo.distance(a, b)));
         for (const auto segment : route) {
             ASSERT_GE(segment, 0);

@@ -1,6 +1,6 @@
 // White-box tests of the QSPR mapper mechanics: CNOT meeting points,
 // control eviction, relocation of one-qubit ops, maze-vs-XY routing
-// behaviour under congestion, and reservation pruning during long runs.
+// behaviour under congestion, and a maze router reused across routes.
 #include <gtest/gtest.h>
 
 #include "fabric/geometry.h"
@@ -9,6 +9,7 @@
 #include "qspr/qspr.h"
 #include "qspr/router.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace lc = leqa::circuit;
 namespace lf = leqa::fabric;
@@ -103,46 +104,59 @@ TEST(QsprMechanics, MazeRouterAvoidsCongestedCorridor) {
         }
     }
     const lq::MazeRouter router(geo, 3);
-    const auto path = router.route({0, 1}, {3, 1}, 0.0, channels, 1, 100.0);
+    std::vector<lf::SegmentId> path;
+    router.route({0, 1}, {3, 1}, 0.0, channels, path);
     EXPECT_EQ(path.size(), 5u); // up/down + 3 across a clean row
     for (const auto segment : path) {
         for (const auto bad : jammed) EXPECT_NE(segment, bad);
     }
     // Control: the same route on clean channels is the direct 3 hops.
     lq::ChannelReservations clean(geo.num_segments(), 1, 100.0);
-    EXPECT_EQ(router.route({0, 1}, {3, 1}, 0.0, clean, 1, 100.0).size(), 3u);
+    router.route({0, 1}, {3, 1}, 0.0, clean, path);
+    EXPECT_EQ(path.size(), 3u);
 }
 
 TEST(QsprMechanics, MazeEqualsXyOnEmptyFabric) {
     const lf::GridTopology geo(10, 10);
     lq::ChannelReservations channels(geo.num_segments(), 5, 100.0);
     const lq::MazeRouter router(geo, 4);
+    std::vector<lf::SegmentId> maze;
     for (const auto& [from, to] :
          {std::pair{lf::UlbCoord{0, 0}, lf::UlbCoord{7, 4}},
           {lf::UlbCoord{9, 9}, lf::UlbCoord{2, 3}},
           {lf::UlbCoord{5, 5}, lf::UlbCoord{5, 5}}}) {
-        const auto maze = router.route(from, to, 0.0, channels, 5, 100.0);
+        router.route(from, to, 0.0, channels, maze);
         EXPECT_EQ(maze.size(), static_cast<std::size_t>(geo.distance(from, to)));
     }
 }
 
-TEST(QsprMechanics, PruneDuringRunKeepsResultIdentical) {
-    lc::Circuit circ(8);
-    for (int round = 0; round < 50; ++round) {
-        for (int i = 0; i < 4; ++i) {
-            circ.cnot(static_cast<lc::Qubit>(i), static_cast<lc::Qubit>(7 - i));
+TEST(QsprMechanics, ReusedRouterMatchesAFreshOne) {
+    // One router keeps its frontier and search stamps, and the caller its
+    // path buffer, across routes.  Under congestion that builds route by
+    // route, each path must be the one a fresh router finds into a fresh
+    // buffer on the same reservations.
+    for (const auto kind : {lf::TopologyKind::Grid, lf::TopologyKind::Torus}) {
+        const auto topology = lf::make_topology(kind, 12, 9);
+        const lf::Topology& topo = *topology;
+        lq::ChannelReservations channels(topo.num_segments(), 1, 100.0);
+        const lq::MazeRouter reused(topo, 3);
+        std::vector<lf::SegmentId> path;
+        leqa::util::Rng rng(61);
+        const auto random_ulb = [&] {
+            return topo.ulb_coord(static_cast<lf::UlbId>(rng.index(topo.num_ulbs())));
+        };
+        for (int trial = 0; trial < 300; ++trial) {
+            const lf::UlbCoord from = random_ulb();
+            const lf::UlbCoord to = trial % 25 == 0 ? from : random_ulb();
+            const double depart = trial * 40.0;
+            reused.route(from, to, depart, channels, path);
+            std::vector<lf::SegmentId> fresh;
+            lq::MazeRouter(topo, 3).route(from, to, depart, channels, fresh);
+            ASSERT_EQ(path, fresh) << topo.name() << " trial " << trial;
+            (void)channels.route(path, depart);
         }
+        EXPECT_GT(channels.stats().delayed_hops, 0u) << topo.name();
     }
-    lq::QsprOptions frequent_prune;
-    frequent_prune.prune_interval = 16;
-    lq::QsprOptions no_prune;
-    no_prune.prune_interval = 0;
-    const auto params = params_for(10);
-    const auto a = lq::QsprMapper(params, frequent_prune).map(circ);
-    const auto b = lq::QsprMapper(params, no_prune).map(circ);
-    // Pruning only discards *past* slots, so results must be identical.
-    EXPECT_DOUBLE_EQ(a.latency_us, b.latency_us);
-    EXPECT_EQ(a.stats.total_hops, b.stats.total_hops);
 }
 
 TEST(QsprMechanics, SaturatedFabricStillCompletes) {
@@ -160,8 +174,4 @@ TEST(QsprMechanics, SaturatedFabricStillCompletes) {
 TEST(QsprMechanics, RouterMarginValidation) {
     const lf::GridTopology geo(5, 5);
     EXPECT_THROW(lq::MazeRouter(geo, -1), leqa::util::InputError);
-    lq::ChannelReservations channels(geo.num_segments(), 1, 100.0);
-    const lq::MazeRouter router(geo, 0);
-    EXPECT_THROW((void)router.route({0, 0}, {1, 0}, 0.0, channels, 0, 100.0),
-                 leqa::util::InputError);
 }

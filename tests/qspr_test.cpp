@@ -3,7 +3,12 @@
 // determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "fabric/topology.h"
 #include "qspr/channels.h"
@@ -25,6 +30,58 @@ lf::PhysicalParams small_params(int width = 8, int height = 8) {
     params.width = width;
     params.height = height;
     return params;
+}
+
+/// The channel table's rule kept on a per-segment std::map, as a reference:
+/// a hop takes the first slot starting at or after its arrival that has
+/// spare capacity.
+class MapChannels {
+public:
+    MapChannels(std::size_t num_segments, int capacity, double slot_us)
+        : occupancy_(num_segments), capacity_(capacity), slot_us_(slot_us) {}
+
+    double reserve(lf::SegmentId segment, double earliest_us) {
+        auto& slots = occupancy_[static_cast<std::size_t>(segment)];
+        auto slot = static_cast<std::int64_t>(std::ceil(earliest_us / slot_us_ - 1e-9));
+        auto it = slots.lower_bound(slot);
+        while (it != slots.end() && it->first == slot && it->second >= capacity_) {
+            ++slot;
+            ++it;
+        }
+        const int count = ++slots[slot];
+        stats.max_occupancy = std::max(stats.max_occupancy, count);
+        ++stats.reservations;
+        const double start = static_cast<double>(slot) * slot_us_;
+        if (start > earliest_us + 1e-9) {
+            const double wait = start - earliest_us;
+            if (wait >= slot_us_ - 1e-9) ++stats.delayed_hops;
+            stats.total_wait_us += wait;
+        }
+        return start;
+    }
+
+    [[nodiscard]] const std::map<std::int64_t, int>& slots(lf::SegmentId segment) const {
+        return occupancy_[static_cast<std::size_t>(segment)];
+    }
+
+    lq::ChannelStats stats;
+
+private:
+    std::vector<std::map<std::int64_t, int>> occupancy_;
+    int capacity_;
+    double slot_us_;
+};
+
+/// Runs `call` and expects an InputError whose message names Tmove.
+template <typename Call>
+void expect_names_tmove(const Call& call) {
+    try {
+        call();
+        ADD_FAILURE() << "no InputError";
+    } catch (const InputError& error) {
+        EXPECT_NE(std::string(error.what()).find("Tmove (t_move_us)"), std::string::npos)
+            << error.what();
+    }
 }
 
 } // namespace
@@ -57,27 +114,59 @@ TEST(Channels, MidSlotArrivalRoundsUp) {
 
 TEST(Channels, RouteAccumulatesHops) {
     lq::ChannelReservations channels(3, 5, 100.0);
-    const double arrival = channels.route({0, 1, 2}, 0.0);
+    const std::vector<lf::SegmentId> path{0, 1, 2};
+    const double arrival = channels.route(path, 0.0);
     EXPECT_DOUBLE_EQ(arrival, 300.0);
     EXPECT_EQ(channels.stats().reservations, 3u);
 }
 
 TEST(Channels, RouteQueuesBehindTraffic) {
     lq::ChannelReservations channels(2, 1, 100.0);
-    EXPECT_DOUBLE_EQ(channels.route({0, 1}, 0.0), 200.0);
+    const std::vector<lf::SegmentId> path{0, 1};
+    EXPECT_DOUBLE_EQ(channels.route(path, 0.0), 200.0);
     // Second qubit following the same path gets pipelined one slot behind.
-    EXPECT_DOUBLE_EQ(channels.route({0, 1}, 0.0), 300.0);
+    EXPECT_DOUBLE_EQ(channels.route(path, 0.0), 300.0);
 }
 
-TEST(Channels, PruneKeepsSemanticsForFutureReservations) {
-    lq::ChannelReservations channels(1, 1, 100.0);
-    (void)channels.reserve(0, 0.0);
-    (void)channels.reserve(0, 100.0);
-    EXPECT_EQ(channels.live_entries(), 2u);
-    channels.prune_before(500.0);
-    EXPECT_EQ(channels.live_entries(), 0u);
-    // New reservation beyond the prune horizon is unaffected.
-    EXPECT_DOUBLE_EQ(channels.reserve(0, 500.0), 500.0);
+TEST(Channels, OutOfOrderReservationsMatchAMapModel) {
+    // Reservations arrive in random time order, so many land before slots
+    // already held and insert mid-table; a map keeps every segment's slots
+    // sorted for free.  Each start, every slot's count and the stats must
+    // agree with it.
+    constexpr std::size_t kSegments = 7;
+    constexpr double kSlotUs = 100.0;
+    for (const int capacity : {1, 2, 3}) {
+        lq::ChannelReservations table(kSegments, capacity, kSlotUs);
+        MapChannels model(kSegments, capacity, kSlotUs);
+        leqa::util::Rng rng(static_cast<std::uint64_t>(400 + capacity));
+        for (int i = 0; i < 3000; ++i) {
+            const auto segment = static_cast<lf::SegmentId>(rng.index(kSegments));
+            // Half-microsecond steps over 200 slots: slot starts and
+            // mid-slot arrivals alike.
+            const double earliest = 0.5 * static_cast<double>(rng.index(40000));
+            ASSERT_EQ(table.reserve(segment, earliest), model.reserve(segment, earliest))
+                << "capacity " << capacity << " reservation " << i;
+        }
+        for (lf::SegmentId segment = 0; segment < static_cast<lf::SegmentId>(kSegments);
+             ++segment) {
+            const auto& slots = model.slots(segment);
+            ASSERT_FALSE(slots.empty());
+            for (std::int64_t slot = 0; slot <= slots.rbegin()->first + 1; ++slot) {
+                const auto it = slots.find(slot);
+                const int expected = it == slots.end() ? 0 : it->second;
+                const double start = static_cast<double>(slot) * kSlotUs;
+                EXPECT_EQ(table.occupancy_at(segment, start), expected)
+                    << "segment " << segment << " slot " << slot;
+                EXPECT_EQ(table.occupancy_at(segment, start + 0.5 * kSlotUs), expected)
+                    << "segment " << segment << " slot " << slot;
+            }
+        }
+        EXPECT_EQ(table.stats().reservations, model.stats.reservations);
+        EXPECT_EQ(table.stats().delayed_hops, model.stats.delayed_hops);
+        EXPECT_EQ(table.stats().total_wait_us, model.stats.total_wait_us);
+        EXPECT_EQ(table.stats().max_occupancy, model.stats.max_occupancy);
+        EXPECT_EQ(table.stats().max_occupancy, capacity);
+    }
 }
 
 TEST(Channels, InvalidArguments) {
@@ -85,6 +174,27 @@ TEST(Channels, InvalidArguments) {
     EXPECT_THROW((void)channels.reserve(5, 0.0), InputError);
     EXPECT_THROW((void)channels.reserve(0, -1.0), InputError);
     EXPECT_THROW(lq::ChannelReservations(1, 0, 100.0), InputError);
+}
+
+TEST(Channels, ReserveSlotPastInt64NamesTmove) {
+    // 5440 us over a 1e-300 us slot is about 5e303 slots, far past the
+    // 2^63 an int64_t slot index holds.
+    lq::ChannelReservations channels(1, 1, 1e-300);
+    EXPECT_DOUBLE_EQ(channels.reserve(0, 0.0), 0.0);
+    expect_names_tmove([&] { (void)channels.reserve(0, 5440.0); });
+    // Just below 2^63 slots still maps.
+    lq::ChannelReservations wide(1, 1, 1.0);
+    EXPECT_DOUBLE_EQ(wide.reserve(0, 0x1p62), 0x1p62);
+    expect_names_tmove([&] { (void)wide.reserve(0, 0x1p63); });
+}
+
+TEST(Channels, OccupancySlotPastInt64NamesTmove) {
+    const lq::ChannelReservations channels(1, 1, 1e-300);
+    EXPECT_EQ(channels.occupancy_at(0, 0.0), 0);
+    expect_names_tmove([&] { (void)channels.occupancy_at(0, 5440.0); });
+    const lq::ChannelReservations wide(1, 1, 1.0);
+    EXPECT_EQ(wide.occupancy_at(0, 0x1p62), 0);
+    expect_names_tmove([&] { (void)wide.occupancy_at(0, 0x1p63); });
 }
 
 // -------------------------------------------------------------- placement --

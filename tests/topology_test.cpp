@@ -224,6 +224,7 @@ TEST(TopologyRoute, EveryPairWalksTheRowThenTheColumn) {
              {1, 6}, {2, 7}, {3, 3}, {5, 5}, {6, 4}, {9, 7}}) {
         topologies.push_back(lf::make_topology(lf::TopologyKind::Torus, w, h));
     }
+    std::vector<lf::SegmentId> route;
     for (const auto& topology : topologies) {
         const lf::Topology& topo = *topology;
         const std::string label = topo.name() + " " + std::to_string(topo.width()) +
@@ -232,7 +233,7 @@ TEST(TopologyRoute, EveryPairWalksTheRowThenTheColumn) {
             for (lf::UlbId b = 0; static_cast<std::size_t>(b) < topo.num_ulbs(); ++b) {
                 const lf::UlbCoord ca = topo.ulb_coord(a);
                 const lf::UlbCoord cb = topo.ulb_coord(b);
-                const auto route = topo.route(ca, cb);
+                topo.route(ca, cb, route);
                 ASSERT_EQ(route, row_then_column_walk(topo, ca, cb))
                     << label << " " << ca.to_string() << " -> " << cb.to_string();
                 ASSERT_EQ(route.size(), static_cast<std::size_t>(topo.distance(ca, cb)))
@@ -302,10 +303,11 @@ TEST(TorusTopology, SmallDimensionsHaveNoParallelChannels) {
 TEST(TorusTopology, RoutesAreShortestAndAdjacent) {
     const lf::TorusTopology topo(9, 7);
     leqa::util::Rng rng(23);
+    std::vector<lf::SegmentId> route;
     for (int trial = 0; trial < 60; ++trial) {
         const auto a = random_coord(rng, topo);
         const auto b = random_coord(rng, topo);
-        const auto route = topo.route(a, b);
+        topo.route(a, b, route);
         EXPECT_EQ(route.size(), static_cast<std::size_t>(topo.distance(a, b)));
         EXPECT_EQ(follow_route(topo, topo.ulb_id(a), route), topo.ulb_id(b));
     }
@@ -317,14 +319,16 @@ TEST(TorusTopology, RoutesNeverLongerThanGrid) {
     const lf::GridTopology grid(12, 12);
     const lf::TorusTopology torus(12, 12);
     std::size_t strict_wins = 0;
+    std::vector<lf::SegmentId> grid_route;
+    std::vector<lf::SegmentId> torus_route;
     for (int x0 = 0; x0 < 12; x0 += 3) {
         for (int y0 = 0; y0 < 12; y0 += 3) {
             for (int x1 = 0; x1 < 12; x1 += 3) {
                 for (int y1 = 0; y1 < 12; y1 += 3) {
                     const lf::UlbCoord a{x0, y0};
                     const lf::UlbCoord b{x1, y1};
-                    const auto grid_route = grid.route(a, b);
-                    const auto torus_route = torus.route(a, b);
+                    grid.route(a, b, grid_route);
+                    torus.route(a, b, torus_route);
                     EXPECT_LE(torus_route.size(), grid_route.size());
                     if (torus_route.size() < grid_route.size()) ++strict_wins;
                 }
@@ -332,8 +336,9 @@ TEST(TorusTopology, RoutesNeverLongerThanGrid) {
         }
     }
     EXPECT_GT(strict_wins, 0u);
-    EXPECT_LT(torus.route({0, 0}, {11, 11}).size(),
-              grid.route({0, 0}, {11, 11}).size());
+    torus.route({0, 0}, {11, 11}, torus_route);
+    grid.route({0, 0}, {11, 11}, grid_route);
+    EXPECT_LT(torus_route.size(), grid_route.size());
 }
 
 TEST(TorusTopology, RingsCoverFabricExactlyOnce) {
@@ -424,9 +429,10 @@ TEST(LineTopology, GeometryAndMetric) {
     const lf::LineTopology topo(8);
     EXPECT_EQ(topo.num_segments(), 7u);
     EXPECT_EQ(topo.distance({0, 0}, {7, 0}), 7);
-    EXPECT_EQ(topo.route({0, 0}, {7, 0}).size(), 7u);
-    EXPECT_EQ(follow_route(topo, topo.ulb_id({0, 0}), topo.route({0, 0}, {7, 0})),
-              topo.ulb_id({7, 0}));
+    std::vector<lf::SegmentId> route;
+    topo.route({0, 0}, {7, 0}, route);
+    EXPECT_EQ(route.size(), 7u);
+    EXPECT_EQ(follow_route(topo, topo.ulb_id({0, 0}), route), topo.ulb_id({7, 0}));
     EXPECT_THROW(lf::LineTopology(5, 3), InputError);
 }
 
@@ -477,10 +483,11 @@ TEST_P(RouterTopologySweep, MazeRoutesAreAdjacentHopChains) {
     lq::ChannelReservations channels(topo.num_segments(), 2, 100.0);
 
     leqa::util::Rng rng(37);
+    std::vector<lf::SegmentId> route;
     for (int trial = 0; trial < 40; ++trial) {
         const auto a = random_coord(rng, topo);
         const auto b = random_coord(rng, topo);
-        const auto route = router.route(a, b, trial * 50.0, channels, 2, 100.0);
+        router.route(a, b, trial * 50.0, channels, route);
         EXPECT_EQ(follow_route(topo, topo.ulb_id(a), route), topo.ulb_id(b));
         if (a == b) {
             EXPECT_TRUE(route.empty());
@@ -525,11 +532,13 @@ TEST(QsprTopology, UncongestedMazeRoutesNeverLongerOnTorus) {
     const lq::ChannelReservations empty_torus(torus.num_segments(), 5, 100.0);
 
     leqa::util::Rng rng(53);
+    std::vector<lf::SegmentId> on_grid;
+    std::vector<lf::SegmentId> on_torus;
     for (int trial = 0; trial < 60; ++trial) {
         const auto a = random_coord(rng, grid);
         const auto b = random_coord(rng, grid);
-        const auto on_grid = grid_router.route(a, b, 0.0, empty_grid, 5, 100.0);
-        const auto on_torus = torus_router.route(a, b, 0.0, empty_torus, 5, 100.0);
+        grid_router.route(a, b, 0.0, empty_grid, on_grid);
+        torus_router.route(a, b, 0.0, empty_torus, on_torus);
         EXPECT_EQ(on_grid.size(), static_cast<std::size_t>(grid.distance(a, b)));
         EXPECT_EQ(on_torus.size(), static_cast<std::size_t>(torus.distance(a, b)));
         EXPECT_LE(on_torus.size(), on_grid.size());

@@ -486,6 +486,9 @@ TEST(WireGolden, EveryJobOpAnswersAsRecorded) {
          {R"({"id":16,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"optimize"}})"}},
         {{R"({"id":17,"op":"calibrate","sources":["bench:nosuchbench"]})"},
          {R"({"id":17,"error":{"code":"NotFound","message":"unknown suite benchmark \"nosuchbench\"","origin":"calibrate"}})"}},
+        // A Tmove so small that a schedule time is past 2^63 channel slots.
+        {{R"({"id":18,"op":"map","source":"bench:ham3","params":{"t_move_us":1e-300}})"},
+         {R"({"id":18,"error":{"code":"InvalidArgument","message":"requirement failed: Tmove (t_move_us) of 1e-300 us is too small: 5440 us is more than 2^63 slots","origin":"map"}})"}},
     };
     RecordingSession session;
     for (const Exchange& exchange : goldens) session.expect(exchange);

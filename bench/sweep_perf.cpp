@@ -38,11 +38,14 @@
 ///     push-based longest path over the same delays).  The push-based
 ///     loop is timed too: `reference_speedup` is its per-point cost over
 ///     the batched one, a same-box ratio that a slower lane kernel lowers;
-///   - front end: the cold circuit's tape built two ways, its FT circuit
-///     fed gate by gate into a `qodg::Qodg::Builder` and `synthesize_into`
-///     a Builder from its pre-FT circuit; `synth_vs_feed_speedup` is the
-///     feed time over the synthesis time, and `tape_parity_ok` checks that
-///     the two graphs' `to_dot()` and gate counts are equal;
+///   - front end: the cold circuit's tape built three ways, its FT circuit
+///     fed gate by gate into a `qodg::Qodg::Builder`, `synthesize_into` a
+///     Builder from its pre-FT circuit, and its FT .qasm text read into a
+///     Builder by the QASM-subset reader; `synth_vs_feed_speedup` is the
+///     feed time over the synthesis time, `reader_vs_feed` the reader's
+///     time over the feed time (both end in `add_gate`, so it is the cost
+///     of reading the text), and `tape_parity_ok` checks that the three
+///     graphs' `to_dot()` and gate counts are equal;
 ///   - allocations: a counting global `operator new` (this binary only)
 ///     records allocations and bytes per FT op of a cold `Pipeline::run`
 ///     of bench:gf2^64mult (full size under every knob), of the same
@@ -51,8 +54,10 @@
 ///     point of the serial 200-point explore, per hop of 1,000 seeded
 ///     random routes on a 60x60 torus (a route is one vector of segment
 ///     ids: 4 B per hop), and per FT op of QSPR maps of gf2^16mult at the
-///     60x60 defaults (grid with XY routing, torus with maze routing).  All
-///     five counts are deterministic.
+///     60x60 defaults (grid with XY routing, torus with maze routing); and
+///     per text byte of a cold map of a 1 MB file of blank lines, whose
+///     reservations are capped at one gate per 4 bytes.  All six counts are
+///     deterministic.
 ///
 /// Environment knobs: LEQA_BENCH_FAST / LEQA_BENCH_LIMIT (see harness.h)
 /// shrink the circuit of every section but explore; LEQA_SWEEP_JSON
@@ -81,6 +86,7 @@
 #include "mathx/stats.h"
 #include "parser/io.h"
 #include "parser/qasm.h"
+#include "parser/readers.h"
 #include "pipeline/pipeline.h"
 #include "qodg/qodg.h"
 #include "qspr/qspr.h"
@@ -564,6 +570,20 @@ int main() {
     });
     std::filesystem::remove(cold_ft_path);
 
+    // A file of blank lines holds no gate, yet a reservation sized from its
+    // newline count alone took 10 B per byte for the tape and 40 for the
+    // FT circuit a map reads from the kept text: about 51 B per text byte.
+    constexpr std::size_t kBlankBytes = std::size_t{1} << 20;
+    const std::string blank_path =
+        (std::filesystem::temp_directory_path() / "leqa_sweep_perf_blank.qasm").string();
+    parser::write_file(blank_path, std::string(kBlankBytes, '\n'));
+    const AllocationCount blank_allocations = count_allocations([&] {
+        pipeline::Pipeline fresh;
+        (void)fresh.run(pipeline::EstimationRequest(
+            pipeline::CircuitSource::from_path(blank_path), pipeline::RunMode::Map));
+    });
+    std::filesystem::remove(blank_path);
+
     // Seeded random routes on a 60x60 torus into one buffer, as a QSPR map
     // routes: a closed-form route allocates only when the buffer grows, and
     // route state kept per destination (a next-hop table the size of the
@@ -611,31 +631,48 @@ int main() {
         row.count = count_allocations([&] { (void)mapper.map(map_ft); });
     }
 
-    // --- front end: synthesis into the tape vs feeding its FT circuit ------
-    // Two ways to build the same tape for the cold circuit, timed after the
-    // cold counts above so they stay cold: its FT circuit fed gate by gate
-    // into a Qodg::Builder, as Qodg(circuit) does, and synthesize_into a
+    // --- front end: synthesis and the reader into the tape vs feeding -----
+    // Three ways to build the same tape for the cold circuit, timed after
+    // the cold counts above so they stay cold: its FT circuit fed gate by
+    // gate into a Qodg::Builder, as Qodg(circuit) does; synthesize_into a
     // Builder from its pre-FT circuit, which writes each lowered Toffoli as
-    // one block.  Both include freezing the tape.  Synthesis does more work
-    // per op, so it reads below 1 when it too appends gate by gate (0.69-0.75
-    // on a shared 4-vCPU VM).  The rounds interleave, so host drift moves
-    // both minima alike.
+    // one block; and the QASM-subset reader streaming the circuit's FT text
+    // into a Builder, as the pipeline reads a path source.  All include
+    // freezing the tape.  Synthesis does more work per op, so it reads below
+    // 1 when it too appends gate by gate (0.69-0.75 on a shared 4-vCPU VM).
+    // The reader and the feed both end in add_gate, so their ratio is the
+    // cost of reading the text: the byte-at-a-time scanner read about 5.
+    // The rounds interleave, so host drift moves all three minima alike.
     const auto synthesize_tape = [&] {
         qodg::Qodg::Builder tape;
         (void)synth::synthesize_into(cold_pre_ft, {}, tape);
         return qodg::Qodg(std::move(tape));
     };
+    const std::string cold_ft_text = parser::write_qasm(cold_ft);
+    const auto read_tape = [&] {
+        qodg::Qodg::Builder tape;
+        tape.reserve_gates(parser::gates_to_reserve(cold_ft_text));
+        parser::parse_qasm_into(cold_ft_text, "sweep_perf", tape);
+        return qodg::Qodg(std::move(tape));
+    };
     double feed_s = 1e300;
     double synth_s = 1e300;
+    double reader_s = 1e300;
     for (int round = 0; round < 30; ++round) {
         feed_s = std::min(feed_s, best_of(1, [&] { (void)qodg::Qodg(cold_ft); }));
         synth_s = std::min(synth_s, best_of(1, [&] { (void)synthesize_tape(); }));
+        reader_s = std::min(reader_s, best_of(1, [&] { (void)read_tape(); }));
     }
     const double synth_vs_feed = synth_s > 0.0 ? feed_s / synth_s : 0.0;
+    const double reader_vs_feed = feed_s > 0.0 ? reader_s / feed_s : 0.0;
     const qodg::Qodg fed_tape(cold_ft);
     const qodg::Qodg synthesized_tape = synthesize_tape();
+    const qodg::Qodg read_tape_graph = read_tape();
+    const std::string fed_dot = fed_tape.to_dot();
     const bool tape_parity_ok = fed_tape.gate_counts() == synthesized_tape.gate_counts() &&
-                                fed_tape.to_dot() == synthesized_tape.to_dot();
+                                fed_tape.gate_counts() == read_tape_graph.gate_counts() &&
+                                fed_dot == synthesized_tape.to_dot() &&
+                                fed_dot == read_tape_graph.to_dot();
 
     // Toolchain note: vectorization silently turning off (an -O0 build, or
     // a compiler losing the SIMD lanes) shows up here, next to the ratio it
@@ -710,6 +747,8 @@ int main() {
     std::printf("  synthesis into the tape     : %.2f ns/op  (%.2fx, tape parity %s)\n",
                 1e9 * synth_s / static_cast<double>(cold_ft.size()), synth_vs_feed,
                 tape_parity_ok ? "ok" : "BROKEN");
+    std::printf("  FT .qasm text read to a tape: %.2f ns/op  (%.2fx the feed)\n",
+                1e9 * reader_s / static_cast<double>(cold_ft.size()), reader_vs_feed);
     std::printf("allocations:\n");
     std::printf("  cold run, %s (%zu FT ops): %zu allocations, %zu bytes "
                 "(%.4f and %.1f per FT op)\n",
@@ -738,6 +777,10 @@ int main() {
                     row.name, map_ft.size(), row.count.allocations,
                     per(row.count.allocations, map_ft.size()));
     }
+    std::printf("  cold map of %zu blank lines: %zu allocations, %zu bytes "
+                "(%.2f bytes per text byte)\n",
+                kBlankBytes, blank_allocations.allocations, blank_allocations.bytes,
+                per(blank_allocations.bytes, kBlankBytes));
 
     // --- artifact ----------------------------------------------------------
     util::JsonWriter json;
@@ -818,6 +861,8 @@ int main() {
     json.kv("feed_per_op_s", feed_s / static_cast<double>(cold_ft.size()));
     json.kv("synth_per_op_s", synth_s / static_cast<double>(cold_ft.size()));
     json.kv("synth_vs_feed_speedup", synth_vs_feed);
+    json.kv("reader_per_op_s", reader_s / static_cast<double>(cold_ft.size()));
+    json.kv("reader_vs_feed", reader_vs_feed);
     json.kv("tape_parity_ok", tape_parity_ok);
     json.end_object();
     json.key("allocations").begin_object();
@@ -861,6 +906,12 @@ int main() {
         json.kv("allocations_per_ft_op", per(row.count.allocations, map_ft.size()));
         json.end_object();
     }
+    json.end_object();
+    json.key("blank_file_map").begin_object();
+    json.kv("text_bytes", kBlankBytes);
+    json.kv("allocations", blank_allocations.allocations);
+    json.kv("bytes", blank_allocations.bytes);
+    json.kv("bytes_per_text_byte", per(blank_allocations.bytes, kBlankBytes));
     json.end_object();
     json.end_object();
     json.end_object();

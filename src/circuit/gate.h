@@ -122,9 +122,15 @@ public:
         }
         num_controls_ = static_cast<std::uint16_t>(controls.size());
         num_targets_ = static_cast<std::uint8_t>(targets.size());
-        Qubit* out = inline_.data();
-        for (const Qubit q : controls) *out++ = q;
-        for (const Qubit q : targets) *out++ = q;
+        // Slot by slot: GCC turns a copy loop over a span of unknown size
+        // into a memcpy call, which costs more than the three slots.
+        for (std::size_t i = 0; i < kInlineQubits; ++i) {
+            if (i < controls.size()) {
+                inline_[i] = controls[i];
+            } else if (i - controls.size() < targets.size()) {
+                inline_[i] = targets[i - controls.size()];
+            }
+        }
     }
 
     [[nodiscard]] std::span<const Qubit> controls() const { return {data(), num_controls_}; }

@@ -1,6 +1,7 @@
 #include "parser/io.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -36,10 +37,26 @@ void write_file(const std::string& path, const std::string& text) {
     if (!out) throw util::InputError("failed writing file: " + path);
 }
 
+std::size_t gates_to_reserve(std::string_view text) {
+    // The newlines are counted from the QASM-subset scanner's chunk masks,
+    // 64 bytes a step.
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    std::size_t newlines = 0;
+    for (; end - p >= 64; p += 64) {
+        std::uint64_t bits = 0;
+        for (int chunk = 0; chunk < 4; ++chunk) {
+            bits |= std::uint64_t{detail::classify16(p + 16 * chunk).newline} << (16 * chunk);
+        }
+        newlines += detail::count_bits(bits);
+    }
+    newlines += static_cast<std::size_t>(std::count(p, end, '\n'));
+    return std::min(newlines, (text.size() + 1) / 4);
+}
+
 circuit::Circuit parse_netlist(std::string_view text, const std::string& path) {
     circuit::Circuit circ;
-    // A QASM-subset or .real line holds at most one gate.
-    circ.reserve_gates(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
+    circ.reserve_gates(gates_to_reserve(text));
     parse_netlist_into(text, path, circ);
     return circ;
 }

@@ -7,6 +7,7 @@
 /// `parse_netlist` on the kept text when a map first needs the circuit.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -19,6 +20,13 @@ namespace leqa::parser {
 
 /// Write text to a file; throws InputError on failure.
 void write_file(const std::string& path, const std::string& text);
+
+/// How many gates to reserve for the netlist \p text: its newline count,
+/// since a QASM-subset or .real line holds at most one gate, but at most
+/// (size + 1) / 4, the most gate lines a text of that size can hold ("x a"
+/// and its '\n' is the shortest).  Without the cap a file of blank lines
+/// reserved 10 B per byte of tape, or 40 B per byte of Circuit.
+[[nodiscard]] std::size_t gates_to_reserve(std::string_view text);
 
 /// Parse the text of the netlist file \p path: ".real" -> RevLib parser;
 /// otherwise OpenQASM when the text starts with its header, else the QASM

@@ -17,11 +17,11 @@
 /// sdg, t, tdg, cnot/cx, toffoli/ccx, fredkin/cswap, swap).  For Toffoli all
 /// operands but the last are controls; for Fredkin all but the last two.
 ///
-/// The reader (`parse_qasm_into`, parser/readers.h) scans each line once:
-/// it cuts the comment, the head token and the operand tokens in one pass,
+/// The reader (`parse_qasm_into`, parser/readers.h) classifies each line 16
+/// bytes at a time and cuts the head token and the operands with bit scans,
 /// resolves the lower-case FT mnemonics without a table scan, and looks
-/// each operand up in one circuit::QubitIndex, hashing the name as it
-/// reads it.  It writes a Circuit here and the QODG's tape in the pipeline.
+/// each operand up in one circuit::QubitIndex, keyed by the name's first 8
+/// bytes.  It writes a Circuit here and the QODG's tape in the pipeline.
 #pragma once
 
 #include <string>

@@ -14,12 +14,14 @@
 /// `Gate::validate_against`, so they accept the same texts and reject the
 /// others with the same message and line.
 ///
-/// Only the parser's sources and the pipeline include this header, as
-/// synth/decompose.h is included; everyone else calls the functions above.
+/// Only the parser's sources, the pipeline, and the tests and benches that
+/// time or compare the readers include this header, as synth/decompose.h
+/// is included; everyone else calls the functions above.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -35,6 +37,10 @@
 #include "parser/lexer.h"
 #include "parser/openqasm.h"
 #include "util/strings.h"
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace leqa::parser {
 
@@ -53,27 +59,126 @@ void check_declared(std::size_t declared, long long count, const char* directive
                 std::to_string(kMaxDeclaredQubits) + " qubits");
 }
 
-/// The lines of a QASM-subset text, each scanned once: tokens are cut as
-/// the scan reaches them, and a comment ('#' or "//") or the line end stops
-/// it.  Lines split on '\n' like lex::Lines, and whitespace is
-/// util::is_space, so CRLF endings and tabs are plain whitespace.
+/// Bit i set where byte lane i of the 16-lane comparison \p lanes is true.
+/// The scanner's only per-ISA code: SSE2, the x86-64 baseline, packs the
+/// lanes in one instruction.
+template <class Lanes>
+std::uint32_t lane_bits16(Lanes lanes) {
+    static_assert(sizeof(Lanes) == 16);
+#if defined(__SSE2__)
+    return static_cast<std::uint32_t>(_mm_movemask_epi8(std::bit_cast<__m128i>(lanes)));
+#else
+    const auto bytes = std::bit_cast<std::array<std::uint8_t, 16>>(lanes);
+    std::uint32_t bits = 0;
+    for (std::size_t i = 0; i < bytes.size(); ++i) bits |= std::uint32_t{bytes[i] & 1u} << i;
+    return bits;
+#endif
+}
+
+/// The bytes of 16 bytes of text that the QASM-subset scanner stops at:
+/// bit i of each mask is byte i.
+struct ChunkClasses {
+    std::uint32_t space;   ///< util::is_space, '\n' included
+    std::uint32_t newline; ///< '\n'
+    std::uint32_t comma;
+    std::uint32_t hash;    ///< '#'
+    std::uint32_t slash;   ///< '/'
+};
+
+/// Classify the 16 bytes at \p p, one byte compare per class.  GCC and
+/// Clang lower the vector type to SSE2 without -march, and to plain
+/// byte loops elsewhere.
+inline ChunkClasses classify16(const char* p) {
+    using Bytes = std::uint8_t __attribute__((vector_size(16)));
+    Bytes bytes;
+    std::memcpy(&bytes, p, sizeof bytes);
+    // util::is_space: ' ', or '\t' to '\r' (9 to 13).
+    const Bytes from_tab = bytes - 9;
+    return {lane_bits16((bytes == ' ') | (from_tab < 5)), lane_bits16(bytes == '\n'),
+            lane_bits16(bytes == ','), lane_bits16(bytes == '#'), lane_bits16(bytes == '/')};
+}
+
+/// Bits set in \p bits, without the library call std::popcount makes on
+/// the x86-64 baseline, which has no POPCNT.
+constexpr std::size_t count_bits(std::uint64_t bits) {
+    bits -= (bits >> 1) & 0x5555555555555555ULL;
+    bits = (bits & 0x3333333333333333ULL) + ((bits >> 2) & 0x3333333333333333ULL);
+    bits = (bits + (bits >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<std::size_t>((bits * 0x0101010101010101ULL) >> 56);
+}
+
+/// What the QASM-subset scanner needs of 16 bytes of text.
+struct LineChunk {
+    std::uint32_t space;   ///< util::is_space, '\n' included
+    std::uint32_t comma;   ///< ','
+    std::uint32_t newline; ///< '\n'
+    std::uint32_t stop;    ///< what ends a line's tokens: '\n', '#', a '/' starting "//"
+};
+
+/// The LineChunk of the 16 bytes at \p p; byte 16 must be readable too.
+inline LineChunk line_chunk(const char* p) {
+    const ChunkClasses c = classify16(p);
+    // A '/' starts a comment when the next byte is one too.
+    const std::uint32_t next_slash = c.slash >> 1 | std::uint32_t{p[16] == '/'} << 15;
+    return {c.space, c.comma, c.newline, c.newline | c.hash | (c.slash & next_slash)};
+}
+
+/// line_chunk of the text's last \p left <= 16 bytes at \p p: they are
+/// copied into a buffer padded with '\n', so no load reads past the text
+/// and every scan stops at its end.
+LineChunk tail_chunk(const char* p, std::size_t left);
+
+/// The chunk at \p p of a text that ends at \p end.
+inline LineChunk chunk_at(const char* p, const char* end) {
+    const auto left = static_cast<std::size_t>(end - p);
+    return left > 16 ? line_chunk(p) : tail_chunk(p, left);
+}
+
+/// The token or operand that starts at or after \p p, for a line whose
+/// stop is not in its first chunk; empty at the line end or a comment.
+/// Scans on, 16 bytes per step, and splits on ',' too when \p operand.
+std::string_view cut_long(const char* p, const char* end, bool operand);
+
+/// Where the line holding \p p ends: after its '\n', or at \p end.
+const char* after_newline(const char* p, const char* end);
+
+/// The lines of a QASM-subset text, scanned 16 bytes per step.  A line
+/// is classified from its first byte into bit masks (line_chunk), and
+/// when its stop lies in those 16 bytes (every line of an FT netlist), or
+/// in the next 16, its tokens are bit scans of them: the operands are read
+/// off two masks, the bits where a run of operand bytes starts and where
+/// one ends, and the next line starts after the first '\n'.  A longer line
+/// is cut by cut_long.  A comment ('#' or "//") or the line end stops the tokens.
+/// Lines split on '\n' like lex::Lines, and whitespace is util::is_space,
+/// so CRLF endings and tabs are plain whitespace.
 class QasmLines {
 public:
     explicit QasmLines(std::string_view text)
-        : pos_(text.data()), end_(text.data() + text.size()) {}
+        : line_(text.data()), end_(text.data() + text.size()), next_(line_), pos_(line_) {}
 
     /// Move to the start of the next line, skipping what is left of the
     /// current one; false at the end of the text.
     bool next() {
-        if (number_ > 0) {
-            // The scan stopped at the line end, a comment or the text end.
-            const void* newline =
-                pos_ != end_ && *pos_ == '\n'
-                    ? pos_
-                    : std::memchr(pos_, '\n', static_cast<std::size_t>(end_ - pos_));
-            pos_ = newline == nullptr ? end_ : static_cast<const char*>(newline) + 1;
+        const char* const start = next_ != nullptr ? next_ : after_newline(pos_, end_);
+        if (start == end_) return false;
+        line_ = pos_ = start;
+        const auto left = static_cast<std::size_t>(end_ - start);
+        LineChunk c = left > 16 ? line_chunk(start) : tail_chunk(start, left);
+        if (c.stop == 0) {
+            // The line goes on: its next 16 bytes too, in the masks' top half.
+            const LineChunk more = chunk_at(start + 16, end_);
+            c = {c.space | more.space << 16, c.comma | more.comma << 16,
+                 c.newline | more.newline << 16, more.stop << 16};
         }
-        if (pos_ == end_) return false;
+        space_ = c.space;
+        stop_ = c.stop;
+        // The padding of a tail chunk is '\n' too.
+        const auto newline = static_cast<std::size_t>(std::countr_zero(c.newline));
+        next_ = newline < 32 ? (newline < left ? start + newline + 1 : end_) : nullptr;
+        // Bit i of `word` is byte i of an operand, up to the stop.
+        const std::uint32_t word = ~(c.space | c.comma) & ((stop_ & -stop_) - 1);
+        starts_ = word & ~(word << 1);
+        ends_ = ~word & (word << 1);
         ++number_;
         return true;
     }
@@ -81,49 +186,52 @@ public:
     /// The next token of the line, split on whitespace only (a ',' is part
     /// of it); empty at the line end or a comment.
     std::string_view token() {
-        const char* p = pos_;
-        while (p != end_ && kClass[byte(*p)] == kSpace) ++p;
-        const char* const begin = p;
-        while (p != end_ && (kClass[byte(*p)] == kWord || *p == ',' || lone_slash(p))) ++p;
-        pos_ = p;
-        return {begin, static_cast<std::size_t>(p - begin)};
+        if (stop_ == 0) return cut(false);
+        const auto offset = static_cast<unsigned>(pos_ - line_);
+        const std::uint32_t blank = space_ & ~stop_;
+        const unsigned begin = offset + std::countr_zero(~blank >> offset);
+        const unsigned end = begin + std::countr_zero((space_ | stop_) >> begin);
+        pos_ = line_ + end;
+        // The operands are the runs that start past the token.
+        starts_ &= ~0u << end;
+        ends_ &= ~1u << end;
+        return {line_ + begin, end - begin};
     }
 
-    /// The next operand of the line, split on whitespace or ',', added to
-    /// \p hash as it is read; empty at the line end or a comment.
-    std::string_view operand(circuit::QubitIndex::Hash& hash) {
-        const char* p = pos_;
-        while (p != end_ && (kClass[byte(*p)] == kSpace || kClass[byte(*p)] == kComma)) ++p;
-        const char* const begin = p;
-        while (p != end_ && (kClass[byte(*p)] == kWord || lone_slash(p))) hash.add(*p++);
-        pos_ = p;
-        return {begin, static_cast<std::size_t>(p - begin)};
+    /// The next operand of the line, split on whitespace or ','; empty at
+    /// the line end or a comment.
+    std::string_view operand() {
+        if (stop_ == 0) return cut(true);
+        if (starts_ == 0) {
+            pos_ = line_ + std::countr_zero(stop_);
+            return {pos_, 0};
+        }
+        const int begin = std::countr_zero(starts_);
+        const int end = std::countr_zero(ends_);
+        starts_ &= starts_ - 1;
+        ends_ &= ends_ - 1;
+        pos_ = line_ + end;
+        return {line_ + begin, static_cast<std::size_t>(end - begin)};
     }
 
     /// 1-based number of the current line (0 before the first).
     [[nodiscard]] std::size_t number() const { return number_; }
 
 private:
-    enum : std::uint8_t { kWord, kComma, kSpace, kSlash, kStop }; // kWord = 0: the default
-    static constexpr std::array<std::uint8_t, 256> kClass = [] {
-        std::array<std::uint8_t, 256> table{};
-        for (int c = 0; c < 256; ++c) {
-            if (util::is_space(static_cast<char>(c))) table[c] = kSpace;
-        }
-        table[static_cast<unsigned char>(',')] = kComma;
-        table[static_cast<unsigned char>('/')] = kSlash; // a comment when doubled
-        table[static_cast<unsigned char>('#')] = kStop;
-        table[static_cast<unsigned char>('\n')] = kStop;
-        return table;
-    }();
-    static std::size_t byte(char c) { return static_cast<unsigned char>(c); }
-    /// A '/' that does not start a "//" comment belongs to a token.
-    [[nodiscard]] bool lone_slash(const char* p) const {
-        return *p == '/' && (p + 1 == end_ || p[1] != '/');
+    std::string_view cut(bool operand) {
+        const std::string_view token = cut_long(pos_, end_, operand);
+        pos_ = token.data() + token.size();
+        return token;
     }
 
-    const char* pos_;
+    const char* line_;   ///< the current line's first byte
     const char* end_;
+    const char* next_;   ///< the next line's first byte; null when unknown
+    const char* pos_;    ///< where the scan of the line stands
+    std::uint32_t space_ = 0;  ///< line_chunk masks of the line's first 16 or 32
+    std::uint32_t stop_ = 0;   ///< bytes, with stop_ 0 when the line goes on past them
+    std::uint32_t starts_ = 0; ///< the operand runs past pos_: where each starts
+    std::uint32_t ends_ = 0;   ///< and where each ends
     std::size_t number_ = 0;
 };
 
@@ -252,14 +360,16 @@ inline bool is_any_of(std::string_view head, std::initializer_list<std::string_v
 template <class Out>
 void parse_qasm_into(std::string_view text, const std::string& source_name, Out& out) {
     detail::QasmLines lines(text);
+    std::size_t line = 0; // kept apart, so `lines` need not live in memory
     const auto error = [&](const std::string& message) {
-        return ParseError({source_name, lines.number()}, message);
+        return ParseError({source_name, line}, message);
     };
     circuit::QubitIndex names;
     bool qubits_declared = false;
     std::vector<circuit::Qubit> operands; // reused by every gate line
 
     while (lines.next()) {
+        line = lines.number();
         const std::string_view head = lines.token();
         if (head.empty()) continue;
         std::optional<circuit::GateKind> kind = detail::ft_mnemonic(head);
@@ -300,10 +410,9 @@ void parse_qasm_into(std::string_view text, const std::string& source_name, Out&
         if (!kind) throw error("unknown gate or keyword '" + excerpt(head) + "'");
         operands.clear();
         for (;;) {
-            circuit::QubitIndex::Hash hash;
-            const std::string_view token = lines.operand(hash);
+            const std::string_view token = lines.operand();
             if (token.empty()) break;
-            const std::optional<circuit::Qubit> q = names.find(token, hash);
+            const std::optional<circuit::Qubit> q = names.find(token);
             if (!q) throw error("unknown qubit '" + excerpt(token) + "'");
             operands.push_back(*q);
         }

@@ -199,9 +199,7 @@ CachedCircuitPtr Pipeline::resolve_timed(const CircuitSource& source, double* se
             // ft() reads the kept text when a map first asks.
             std::string text = parser::read_file(source.spec());
             qodg::Qodg::Builder tape;
-            // A QASM-subset or .real line holds at most one gate.
-            const auto lines = std::count(text.begin(), text.end(), '\n');
-            tape.reserve_gates(static_cast<std::size_t>(lines));
+            tape.reserve_gates(parser::gates_to_reserve(text));
             TapeOutput out{tape, auto_synthesize, {}};
             try {
                 parser::parse_netlist_into(text, source.spec(), out);

@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+
+#if defined(__unix__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
 
 #include "parser/diagnostics.h"
 #include "parser/io.h"
@@ -506,4 +513,144 @@ TEST(Diagnostics, QuoteAtMost64BytesOfAToken) {
     EXPECT_EQ(lp::excerpt("short"), "short");
     EXPECT_EQ(lp::excerpt(token.substr(0, 64)), token.substr(0, 64));
     EXPECT_EQ(lp::excerpt(token.substr(0, 65)), token.substr(0, 64) + "...");
+}
+
+// --------------------------------------- the chunk scanner vs byte scanner --
+//
+// The QASM-subset reader classifies its text 16 bytes per step and keys
+// names by their first 8 bytes; tests/support/reference keeps the byte
+// scanner and FNV index it replaced.  Every text must get the same verdict
+// from both: the same tape, or the same message on the same line.  (Every
+// QASM-subset input above runs through both too, in two_outputs::read_both.)
+
+namespace {
+
+/// Run \p texts through both scanners; expect no mismatch, and report the
+/// first few.
+void expect_same_scans(const std::vector<std::string>& texts) {
+    std::size_t mismatches = 0;
+    for (const std::string& text : texts) {
+        const std::string mismatch = two_outputs::scanner_mismatch(kQasm, text);
+        if (mismatch.empty()) continue;
+        if (++mismatches <= 5) ADD_FAILURE() << mismatch << " on:\n" << text;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << texts.size() << " texts";
+}
+
+/// Each byte class the scanner's masks tell apart.
+const std::vector<std::string> kByteClasses = {
+    " ", "\t", "\v", "\f", "\r\n", "\n", ",", "#", "//", "/", std::string(1, '\0'), "\x80", "\xff"};
+
+} // namespace
+
+TEST(QasmScanner, AgreesWithTheByteScannerOnTheFuzzCorpus) {
+    std::vector<std::string> texts;
+    for (const char* dir : {"corpus", "regressions"}) {
+        const std::filesystem::path root =
+            std::filesystem::path(LEQA_SOURCE_DIR) / "fuzz" / dir / "fuzz_qasm";
+        for (const auto& entry : std::filesystem::directory_iterator(root)) {
+            std::ifstream in(entry.path(), std::ios::binary);
+            texts.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+        }
+    }
+    ASSERT_GE(texts.size(), 7u);
+    expect_same_scans(texts);
+}
+
+TEST(QasmScanner, AgreesWithTheByteScannerAtEveryChunkOffset) {
+    // Each byte class at every offset 0-31 of a line's first two chunks,
+    // after the start of a gate line cut to that length (or padded with
+    // spaces), then a tail; with and without a final newline, after a
+    // header of either length, and with or without a line after it.
+    const std::vector<std::string> starts = {"cnot a,b", "toffoli a b c", "  h\ta", "cnot a , b ,c"};
+    const std::vector<std::string> tails = {"", "b", " b", ",b", "a # c", " // c", "\tb\r"};
+    const std::vector<std::string> headers = {"qubit a\nqubit b\nqubit c\n",
+                                              "# head\nqubit a\nqubit b\r\nqubit c\n"};
+    std::vector<std::string> texts;
+    for (const std::string& byte_class : kByteClasses) {
+        for (std::size_t offset = 0; offset < 32; ++offset) {
+            for (const std::string& start : starts) {
+                std::string head = start;
+                head.resize(offset, ' ');
+                for (const std::string& tail : tails) {
+                    for (const std::string& header : headers) {
+                        const std::string line = head + byte_class + tail;
+                        texts.push_back(header + line);
+                        texts.push_back(header + line + "\n");
+                        texts.push_back(header + line + "\nt b");
+                    }
+                }
+            }
+        }
+    }
+    ASSERT_GE(texts.size(), 20000u);
+    expect_same_scans(texts);
+}
+
+TEST(QasmScanner, AgreesWithTheByteScannerOnNamesOfEveryLength) {
+    // Names of 1-24 bytes at every offset 0-31 of the line: two names that
+    // differ in their last byte (from 17 bytes on, they share their first
+    // 16), and an undeclared name one byte longer.
+    const std::string letters = "abcdefghijklmnopqrstuvwxyz";
+    std::vector<std::string> texts;
+    for (std::size_t length = 1; length <= 24; ++length) {
+        const std::string first = letters.substr(0, length);
+        const std::string second = letters.substr(0, length - 1) + "Z";
+        const std::string header = "qubit " + first + "\nqubit " + second + "\n";
+        for (std::size_t offset = 0; offset < 32; ++offset) {
+            const std::string gate = "cnot" + std::string(offset, ' ');
+            for (const std::string& line :
+                 {gate + first + "," + second, gate + second + " " + first + " # x",
+                  gate + first + "," + first + "q", gate + second + "\t" + first + "//"}) {
+                texts.push_back(header + line);
+                texts.push_back(header + line + "\r\n");
+            }
+        }
+    }
+    expect_same_scans(texts);
+}
+
+#if defined(__unix__)
+TEST(QasmScanner, ReadsNoByteAfterTheText) {
+    // Each text of 0-64 bytes ends just before a PROT_NONE page, so a read
+    // past its end faults, in a Release build too.
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    void* const block =
+        mmap(nullptr, 2 * page, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(block, MAP_FAILED);
+    char* const guard = static_cast<char*>(block) + page;
+    ASSERT_EQ(mprotect(guard, page, PROT_NONE), 0);
+
+    const std::vector<std::string> bases = {
+        "qubit a\nqubit b\ncnot a, b // c\nh a # d\nt b\ncnot b,a\nh b\nt a\nh a\n",
+        "qubit abcdefghijklmnopqrstuvw\nqubit b\ncnot b abcdefghijklmnopqrstuvw\nh b/",
+        ".qubits 2\r\n\r\ntoffoli q0 q1\t// one/two\r\n#\r\nh\tq1,,q0///\r\ncnot q0",
+        "\n\n  \t\n# only comments and blank lines //\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n"};
+    std::vector<std::string> texts;
+    for (const std::string& base : bases) {
+        for (std::size_t length = 0; length <= 64; ++length) {
+            const std::string text = base.substr(0, length);
+            char* const start = guard - text.size();
+            std::copy(text.begin(), text.end(), start);
+            const std::string_view at_guard(start, text.size());
+            EXPECT_EQ(two_outputs::scanner_mismatch(kQasm, at_guard), "") << text;
+            (void)two_outputs::verdict_of([&] { (void)lp::parse_qasm(at_guard, "<guard>"); });
+            EXPECT_LE(lp::gates_to_reserve(at_guard), (text.size() + 1) / 4) << text;
+        }
+    }
+    munmap(block, 2 * page);
+}
+#endif
+
+TEST(QasmScanner, GatesToReserveIsTheNewlineCountCapped) {
+    EXPECT_EQ(lp::gates_to_reserve(""), 0u);
+    EXPECT_EQ(lp::gates_to_reserve("h a\n"), 1u);
+    EXPECT_EQ(lp::gates_to_reserve("h a"), 0u);
+    // One gate line per 4 bytes at most: blank lines reserve a quarter.
+    EXPECT_EQ(lp::gates_to_reserve(std::string(1000, '\n')), 250u);
+    EXPECT_EQ(lp::gates_to_reserve(std::string(1003, '\n')), 251u);
+    std::string netlist;
+    for (int i = 0; i < 500; ++i) netlist += i % 2 == 0 ? "cnot q0, q1\n" : "t q1\n";
+    EXPECT_EQ(lp::gates_to_reserve(netlist), 500u);
+    EXPECT_EQ(lp::gates_to_reserve(netlist + "h q0"), 500u);
 }

@@ -668,6 +668,33 @@ TEST(PipelinePathSources, FtReadsTheKeptTextNotTheFile) {
     EXPECT_EQ(both.estimate->latency_us, built.estimate->latency_us);
 }
 
+TEST(PipelinePathSources, BlankLineFilesEstimateAndMapEmpty) {
+    // A file of blank lines holds no gate.  The tape and the FT circuit a
+    // map reads from the kept text reserve at most one gate per 4 bytes
+    // (parser::gates_to_reserve), not one per newline: 10 B and 40 B per
+    // byte before, which a 100 MB file turned into a bad_alloc.
+    TempDir dir;
+    const std::string path = dir.file("blank.qasm");
+    write_text(path, std::string(std::size_t{1} << 20, '\n'));
+    for (const bool synthesize : {true, false}) {
+        lp::PipelineConfig config;
+        config.auto_synthesize = synthesize;
+        lp::Pipeline pipe(config);
+        const lp::EstimationResult result = pipe.run(
+            lp::EstimationRequest(lp::CircuitSource::from_path(path), lp::RunMode::Both));
+        EXPECT_EQ(result.circuit.pre_ft_gates, 0u);
+        EXPECT_EQ(result.circuit.qubits, 0u);
+        EXPECT_EQ(result.circuit.ft_ops, 0u);
+        EXPECT_FALSE(result.circuit.synthesized);
+        ASSERT_TRUE(result.estimate.has_value());
+        EXPECT_EQ(result.estimate->latency_us, 0.0);
+        ASSERT_TRUE(result.mapping.has_value());
+        EXPECT_EQ(result.mapping->latency_us, 0.0);
+    }
+    EXPECT_EQ(leqa::parser::gates_to_reserve(std::string(std::size_t{1} << 20, '\n')),
+              std::size_t{1} << 18);
+}
+
 TEST(PipelinePathSources, PreFtGateAfterAnFtPrefix) {
     // 10,000 FT gates, then one Toffoli.  With synthesis on the stream
     // stops at the Toffoli and the text is read again into a circuit that

@@ -7,7 +7,8 @@
 /// source straight into a `qodg::Qodg::Builder`.  For one text both must
 /// reject with the same message and line, or accept and give tapes equal
 /// to `Qodg(parse_*(text))` in `to_dot()` and `gate_counts()`, with a
-/// bit-identical circuit profile.
+/// bit-identical circuit profile.  The QASM-subset reader must also take
+/// every text as the byte scanner it replaced does (scanner_mismatch).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -24,18 +25,24 @@
 #include "parser/readers.h"
 #include "parser/real.h"
 #include "qodg/qodg.h"
+#include "reference/qasm_reference.h"
 
 namespace two_outputs {
 
-/// One reader: its Circuit function and its template run into a tape.
+using IntoTape = void (*)(std::string_view, const std::string&, leqa::qodg::Qodg::Builder&);
+
+/// One reader: its Circuit function and its template run into a tape,
+/// and the reader it must agree with, if any.
 struct Reader {
     const char* name;
     leqa::circuit::Circuit (*parse)(std::string_view, const std::string&);
-    void (*into_tape)(std::string_view, const std::string&, leqa::qodg::Qodg::Builder&);
+    IntoTape into_tape;
+    IntoTape reference = nullptr;
 };
 
 inline const Reader kQasm{"qasm", leqa::parser::parse_qasm,
-                          leqa::parser::parse_qasm_into<leqa::qodg::Qodg::Builder>};
+                          leqa::parser::parse_qasm_into<leqa::qodg::Qodg::Builder>,
+                          leqa::parser::reference::parse_qasm_into<leqa::qodg::Qodg::Builder>};
 inline const Reader kReal{"real", leqa::parser::parse_real,
                           leqa::parser::parse_real_into<leqa::qodg::Qodg::Builder>};
 inline const Reader kOpenQasm{"openqasm", leqa::parser::parse_openqasm,
@@ -63,6 +70,32 @@ Verdict verdict_of(Body&& body) {
         verdict.message = e.what();
     }
     return verdict;
+}
+
+/// How \p reader's tape output and its reference take \p text, when they
+/// differ: acceptance, message, line, or the tape's to_dot() and gate
+/// counts.  Empty when they agree, or when the reader has no reference.
+inline std::string scanner_mismatch(const Reader& reader, std::string_view text) {
+    if (reader.reference == nullptr) return {};
+    leqa::qodg::Qodg::Builder tape;
+    leqa::qodg::Qodg::Builder reference_tape;
+    const Verdict by_tape = verdict_of([&] { reader.into_tape(text, "<scan>", tape); });
+    const Verdict by_reference =
+        verdict_of([&] { reader.reference(text, "<scan>", reference_tape); });
+    if (by_tape.accepted != by_reference.accepted || by_tape.message != by_reference.message ||
+        by_tape.line != by_reference.line) {
+        return "verdicts differ: '" + by_tape.message + "' (line " +
+               std::to_string(by_tape.line) + ") against the reference's '" +
+               by_reference.message + "' (line " + std::to_string(by_reference.line) + ")";
+    }
+    if (!by_tape.accepted) return {};
+    const leqa::qodg::Qodg graph(std::move(tape));
+    const leqa::qodg::Qodg reference_graph(std::move(reference_tape));
+    if (graph.gate_counts() != reference_graph.gate_counts() ||
+        graph.to_dot() != reference_graph.to_dot()) {
+        return "tapes differ";
+    }
+    return {};
 }
 
 /// Expect the circuit-built and the streamed QODG of one text to agree.
@@ -99,6 +132,7 @@ inline std::optional<leqa::circuit::Circuit> read_both(const Reader& reader,
 
     const std::string what = std::string(reader.name) + " reader on:\n" +
                              std::string(text.substr(0, 400));
+    EXPECT_EQ(scanner_mismatch(reader, text), "") << what;
     EXPECT_EQ(by_tape.accepted, by_circuit.accepted) << what << "\n" << by_circuit.message
                                                      << by_tape.message;
     EXPECT_EQ(by_tape.parse_error, by_circuit.parse_error) << what;
